@@ -177,8 +177,14 @@ def ps_sum_grid(
 ) -> np.ndarray:
     """ps_exp_sum(lam * t) on the uniform grid t = t0 + j dt, j < n.
 
-    Bulk evaluation for quadrature; accuracy ~1e-11 relative via the
-    gridded trigonometric evaluator rather than per-term compensation.
+    Bulk evaluation for quadrature through `trig_sum_uniform`, without
+    per-term compensation: a blocked matrix product for windows of at most
+    512 primes (or grids under 4096 points), the NUFFT above.  The error
+    relative to sum |w| grows with max |lam p t|, at most 4e-17 times it
+    as measured (1e-11 to 2e-11 at t = 40 on instance A's window, 1e-9 to
+    2e-9 at t = 700 on B's), mostly from rounding lam p t to doubles.
+    Reruns are bitwise identical for a fixed BLAS library and thread
+    count.
     """
     if pset.count == 0:
         return np.zeros(n, dtype=np.complex128)
@@ -250,10 +256,6 @@ class L2Result:
     exact_reference: "float | None" = None
 
 
-def _simpson_on_grid(f_left_to_right: np.ndarray, h: float) -> float:
-    return simpson_uniform(f_left_to_right, h)
-
-
 def l2_integral(
     kind: str,
     lam: float,
@@ -292,7 +294,7 @@ def l2_integral(
         panels = 1 << max(8, int(math.ceil(math.log2(2.5 * max(spread, 2.0)))))
         while True:
             vals = ps_sum_grid(pset, 1.0, 0.0, 1.0 / panels, panels + 1)
-            value = _simpson_on_grid(np.abs(vals) ** 2, 1.0 / panels)
+            value = simpson_uniform(np.abs(vals) ** 2, 1.0 / panels)
             if panels >= 4 * max(spread, 2.0):
                 return L2Result(value, panels, True, exact)
             panels *= 2
@@ -308,12 +310,12 @@ def l2_integral(
         if kind == "ps_sum":
             _check_set_matches(params, pset)
             vals = ps_sum_grid(pset, lam, -delta, h, n_panels + 1)
-            return _simpson_on_grid(np.abs(vals) ** 2, h)
+            return simpson_uniform(np.abs(vals) ** 2, h)
         ts = -delta + h * np.arange(n_panels + 1)
         length = (1.0 - params.lambda0) * params.X
         mid = 0.5 * (1.0 + params.lambda0) * params.X
         amps = params.gamma.value * length * np.sinc(lam * ts * length)
-        return _simpson_on_grid(amps**2, h)
+        return simpson_uniform(amps**2, h)
 
     prev = evaluate(panels)
     while True:

@@ -99,6 +99,23 @@ def test_transform_sine_zero():
     assert theta_transform(ker, 1.0 / (2 * ker.a)) == pytest.approx(0.0, abs=1e-16)
 
 
+@pytest.mark.parametrize("eps,k", [(2.0, 1), (2.0, 2), (2.0, 9), (0.05, 9),
+                                   (0.5, 11)])
+def test_transform_matches_sinc_power_form(eps, k):
+    # the textbook expression, with np.sinc and **; the repeated-squaring
+    # power rounds differently, by a few ulps (1.2e-15 measured at k <= 11)
+    ker = make_kernel(eps, k)
+    xs = np.concatenate(([0.0, 1.0 / (2 * ker.a)],
+                         np.linspace(-3000.0, 3000.0, 100_003)))
+    want = 2 * ker.a * np.sinc(2 * ker.a * xs) * np.sinc(2 * ker.b * xs) ** k
+    got = theta_transform(ker, xs)
+    assert got.shape == xs.shape
+    assert np.allclose(got, want, rtol=2e-15, atol=1e-300)
+    grid = xs[:100].reshape(4, 25)
+    assert np.array_equal(theta_transform(ker, grid), got[:100].reshape(4, 25))
+    assert theta_transform(ker, float(xs[7])) == got[7]
+
+
 def test_transform_matches_quadrature():
     ker = make_kernel(1.0, 3)
     ys = np.linspace(-1.0, 1.0, (1 << 14) + 1)
