@@ -8,12 +8,10 @@ decomposition on the sqrt(2) demo config and prints the whole chain:
 pieces, bound comparisons, and the closure against the direct count.
 """
 
-import math
 from pathlib import Path
 
 from pstriples.config import parse_config
-from pstriples.kernel import make_kernel
-from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.pipeline import Instance
 from pstriples.triplesum import decompose, far_tail_majorant, find_triples
 
 HERE = Path(__file__).resolve().parent
@@ -25,11 +23,8 @@ def main():
     print(f"config: q0 = {params.q0}, X = {params.X:.2f}, "
           f"search width {params.epsilon_effective}")
 
-    table = sieve_primes(int(params.X) + 1)
-    pset = ps_primes_in(params.lambda0 * params.X, params.X,
-                        params.gamma.value, table)
-    kern = make_kernel(params.epsilon_effective,
-                       max(1, math.floor(params.log_X)))
+    inst = Instance(params)
+    pset, kern = inst.window_set, inst.kernel
     print(f"window primes: {pset.count}, kernel k = {kern.k}")
     print()
 

@@ -17,15 +17,15 @@ from pstriples.expsums import (
     ps_exp_sum,
 )
 from pstriples.params import derive_parameters
-from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.pipeline import Instance
 from pstriples.quadrature import adaptive_simpson
 
 
 def main():
     # q0 = 70 puts the top of the window near 1e4
     params = derive_parameters(70, 0.9, 0.5, epsilon_user=1.0)
-    table = sieve_primes(int(params.X) + 1)
-    pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.9, table)
+    inst = Instance(params)
+    table, pset = inst.table, inst.window_set
     print(f"instance: X = {params.X:.2f}, window ({pset.lo:.1f}, {pset.hi:.1f}], "
           f"{pset.count} primes")
     print()

@@ -11,7 +11,7 @@ pretending it constrains anything.
 from pathlib import Path
 
 from pstriples.config import parse_config
-from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.pipeline import Instance
 from pstriples.triplesum import find_triples, threshold_vacuous, triple_threshold
 
 HERE = Path(__file__).resolve().parent
@@ -27,9 +27,7 @@ def main():
           f"(vacuous here: {threshold_vacuous(params, coeffs)})")
     print()
 
-    table = sieve_primes(int(params.X) + 1)
-    pset = ps_primes_in(params.lambda0 * params.X, params.X,
-                        params.gamma.value, table)
+    pset = Instance(params).window_set
     print(f"window primes: {pset.count}")
 
     recs = find_triples(params, coeffs, pset, params.epsilon_effective,

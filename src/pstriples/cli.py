@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -36,18 +35,14 @@ from .kernel import (
 from .params import ParameterError, derive_parameters
 from .pipeline import (
     STAGES,
-    cache_dir,
+    Instance,
+    csv_text,
     decomp_values,
     dichotomy_orientation,
+    format_value,
+    load_full_set,
     params_dict,
     run_pipeline,
-)
-from .primes import (
-    CacheFormatError,
-    cache_load,
-    cache_store,
-    ps_primes_in,
-    sieve_primes,
 )
 from .expsums import (
     chebyshev_sum,
@@ -69,10 +64,6 @@ def _emit(text: str, out: "str | None") -> None:
         sys.stdout.write(text)
 
 
-def _f(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _grid(pattern: str, name: str) -> np.ndarray:
     """Parse 'lo:hi:n' into n inclusive uniform points."""
     parts = pattern.split(":")
@@ -87,40 +78,13 @@ def _grid(pattern: str, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _csv(header: "list[str]", rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else
-            str(v) if isinstance(v, (int, np.integer)) else _f(v)
-            for v in row
-        ))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_ps_primes(args) -> int:
-    limit = args.limit
-    g = args.gamma
     path = Path(args.cache) if args.cache else None
-    if path is None:
-        cdir = cache_dir()
-        if cdir is not None:
-            path = cdir / f"ps_g{g!r}_L{limit}.psp"
-    full = None
-    if path is not None and path.exists():
-        try:
-            full = cache_load(path, g)
-        except CacheFormatError as exc:
-            print(f"cache ignored: {exc}", file=sys.stderr)
-    if full is None:
-        table = sieve_primes(limit)
-        full = ps_primes_in(0, limit, g, table)
-        if path is not None:
-            cache_store(full, path)
+    full = load_full_set(args.gamma, args.limit, path=path)
     primes = full.primes
     if args.range:
         lo, hi = (float(v) for v in args.range.split(":", 1))
@@ -133,18 +97,19 @@ def _cmd_kernel(args) -> int:
     kern = make_kernel(args.epsilon, args.k)
     if args.emit_theta:
         mesh = kern.mesh_y
-        _emit(_csv(["y", "theta"],
-                   zip(mesh.tolist(), theta(kern, mesh).tolist())),
+        _emit(csv_text(["y", "theta"],
+                       zip(mesh.tolist(), theta(kern, mesh).tolist())),
               args.emit_theta)
     if args.emit_transform:
         x = np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 513)
-        _emit(_csv(["x", "transform", "bound"],
-                   zip(x.tolist(), theta_transform(kern, x).tolist(),
-                       transform_bound(kern, x).tolist())),
+        _emit(csv_text(["x", "transform", "bound"],
+                       zip(x.tolist(), theta_transform(kern, x).tolist(),
+                           transform_bound(kern, x).tolist())),
               args.emit_transform)
-    print(f"epsilon={_f(kern.epsilon)} k={kern.k} "
-          f"mass={_f(theta_transform(kern, 0.0))} "
-          f"plateau={_f(kern.plateau)} support={_f(kern.support)}")
+    f = format_value
+    print(f"epsilon={f(kern.epsilon)} k={kern.k} "
+          f"mass={f(theta_transform(kern, 0.0))} "
+          f"plateau={f(kern.plateau)} support={f(kern.support)}")
     if args.verify:
         x = np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 10_000)
         report = verify_bounds(kern, x)
@@ -152,8 +117,8 @@ def _cmd_kernel(args) -> int:
         err = float(np.max(np.abs(invert_transform(kern, ys) - theta(kern, ys))))
         ok = report.violations == 0 and err <= 1e-3
         print(f"bounds: {report.checked} checked, {report.violations} "
-              f"violations, min slack {_f(report.min_slack)}")
-        print(f"inversion: max error {_f(err)}")
+              f"violations, min slack {f(report.min_slack)}")
+        print(f"inversion: max error {f(err)}")
         print("verify PASS" if ok else "verify FAIL")
         if not ok:
             return 4
@@ -165,14 +130,12 @@ def _cmd_sums(args) -> int:
         args.q0, args.gamma, args.lambda0, epsilon_user=args.eps_user
     )
     alphas = _grid(args.alpha_grid, "--alpha-grid")
-    table = sieve_primes(int(math.ceil(params.X)) + 1)
-    pset = ps_primes_in(
-        params.lambda0 * params.X, params.X, params.gamma.value, table
-    )
+    inst = Instance(params)
+    table = inst.table
 
     def value(alpha: float) -> complex:
         if args.kind == "S":
-            return ps_exp_sum(alpha, params, pset).value
+            return ps_exp_sum(alpha, params, inst.window_set).value
         if args.kind == "Sigma":
             return prime_exp_sum(alpha, params, table).value
         if args.kind == "Omega":
@@ -185,7 +148,7 @@ def _cmd_sums(args) -> int:
     for a in alphas.tolist():
         z = value(a)
         rows.append((a, z.real, z.imag, abs(z)))
-    _emit(_csv(["alpha", "re", "im", "abs"], rows), args.out)
+    _emit(csv_text(["alpha", "re", "im", "abs"], rows), args.out)
     return 0
 
 
@@ -197,7 +160,7 @@ def _cmd_cf(args) -> int:
             zip(seq.partial_quotients, seq.convergents), start=1
         )
     ]
-    _emit(_csv(["i", "a", "p", "q"], rows), args.out)
+    _emit(csv_text(["i", "a", "p", "q"], rows), args.out)
     if seq.rational_at_precision:
         print("terminated: remainder below the precision floor", file=sys.stderr)
     return 0
@@ -217,8 +180,8 @@ def _cmd_dichotomy(args) -> int:
         rep = dichotomy_probe(c, conv, params, t)
         rows.append((rep.t, rep.a1, rep.q1, rep.a2, rep.q2,
                      rep.class1, rep.class2, rep.case))
-    _emit(_csv(["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"],
-               rows), args.out)
+    _emit(csv_text(["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"],
+                   rows), args.out)
     return 0
 
 
@@ -228,11 +191,8 @@ def _cmd_gamma_decomp(args) -> int:
     pieces = tuple(int(p) for p in args.pieces.split(",")) if args.pieces else (1, 2, 3)
     if any(p not in (1, 2, 3) for p in pieces) or not pieces:
         raise ValueError(f"--pieces must select from 1,2,3, got {args.pieces!r}")
-    table = sieve_primes(int(math.ceil(params.X)) + 1)
-    pset = ps_primes_in(
-        params.lambda0 * params.X, params.X, params.gamma.value, table
-    )
-    kern = make_kernel(params.epsilon_effective, max(1, math.floor(params.log_X)))
+    inst = Instance(params)
+    pset, kern = inst.window_set, inst.kernel
     wall: dict[str, float] = {}
     report: dict[str, object] = {
         "tool_version": __version__,
@@ -254,8 +214,9 @@ def _cmd_gamma_decomp(args) -> int:
     if args.emit_triples:
         t0 = time.perf_counter()
         recs = find_triples(params, cfg.coeffs, pset, params.epsilon_effective)
-        _emit(_csv(["p1", "p2", "p3", "form_value", "weight"],
-                   ((r.p1, r.p2, r.p3, r.form_value, r.weight) for r in recs)),
+        _emit(csv_text(["p1", "p2", "p3", "form_value", "weight"],
+                       ((r.p1, r.p2, r.p3, r.form_value, r.weight)
+                        for r in recs)),
               args.emit_triples)
         wall["triples"] = time.perf_counter() - t0
         report["triples"] = {
@@ -275,7 +236,7 @@ def _cmd_gamma_decomp(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _config_with_override(args)
     stages = tuple(args.stages.split(",")) if args.stages else STAGES
-    manifest = run_pipeline(cfg, stages, args.out_dir, threads=args.threads)
+    manifest = run_pipeline(cfg, stages, args.out_dir)
     for st in manifest.stages:
         files = " ".join(o.file for o in st.outputs)
         print(f"{st.name}: {st.wall_time_s:.3f} s  [{files}]")
@@ -351,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--stages", help=f"comma subset of {','.join(STAGES)}")
     p.add_argument("--out-dir", default="pstriples_run")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--eps-user", type=float, default=None)
     p.set_defaults(func=_cmd_run)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RunParameters
-from .primes import PrimeTable, PSPrimeSet
+from .primes import PrimeTable, PSPrimeSet, check_window_set
 from .quadrature import QuadratureError, simpson_uniform
 from .summation import SumResult, compensated_complex_sum
 from .trigpoly import trig_sum_uniform
@@ -97,23 +97,9 @@ def _window_primes(params: RunParameters, table: PrimeTable) -> np.ndarray:
     return table.primes[i:j]
 
 
-def _check_set_matches(params: RunParameters, pset: PSPrimeSet) -> None:
-    ok = (
-        pset.gamma.value == params.gamma.value
-        and math.isclose(pset.lo, params.lambda0 * params.X, rel_tol=1e-12)
-        and math.isclose(pset.hi, params.X, rel_tol=1e-12)
-    )
-    if not ok:
-        raise ValueError(
-            f"prime set (gamma={pset.gamma.value}, ({pset.lo:.6g}, {pset.hi:.6g}]) "
-            f"does not match run (gamma={params.gamma.value}, "
-            f"({params.lambda0 * params.X:.6g}, {params.X:.6g}])"
-        )
-
-
 def ps_exp_sum(alpha: float, params: RunParameters, pset: PSPrimeSet) -> SumResult:
     """Sum of p^(1-gamma) e(alpha p) log p over the floor-power primes."""
-    _check_set_matches(params, pset)
+    check_window_set(params, pset)
     if pset.count == 0:
         return SumResult(0j, 0, 0.0)
     terms = pset.weight_w * pset.weight_log * phase_factors(alpha, pset.primes)
@@ -284,11 +270,12 @@ def l2_integral(
         raise ValueError(f"unknown span {span!r}")
     if span == "window" and lam == 0.0:
         raise ValueError("lam must be nonzero over the window span")
+    if kind == "ps_sum":
+        check_window_set(params, pset)
 
     if span == "unit":
         if kind != "ps_sum":
             raise ValueError("unit span applies to the ps_sum kind only")
-        _check_set_matches(params, pset)
         spread = float(pset.hi - pset.lo)
         exact = float(np.sum((pset.weight_w * pset.weight_log) ** 2))
         panels = 1 << max(8, int(math.ceil(math.log2(2.5 * max(spread, 2.0)))))
@@ -308,7 +295,6 @@ def l2_integral(
     def evaluate(n_panels: int) -> float:
         h = 2.0 * delta / n_panels
         if kind == "ps_sum":
-            _check_set_matches(params, pset)
             vals = ps_sum_grid(pset, lam, -delta, h, n_panels + 1)
             return simpson_uniform(np.abs(vals) ** 2, h)
         ts = -delta + h * np.arange(n_panels + 1)

@@ -256,6 +256,11 @@ class RunParameters:
         lx = self.log_X
         return lx * lx / self.epsilon_effective
 
+    @property
+    def kernel_k(self) -> int:
+        """Smoothness k = max(1, floor(log X)) of the canonical kernel."""
+        return max(1, math.floor(self.log_X))
+
 
 def derive_parameters(
     q0: int,

@@ -1,28 +1,36 @@
-"""End-to-end runs: stages, deterministic reports, manifest.
+"""End-to-end runs: one instance builder, stages, deterministic reports.
+
+`Instance` builds what every count on one instance shares: the prime
+table up to ceil(X)+1, the window's floor-power primes in (lambda0*X,
+X], the full-range set and the canonical kernel (effective width,
+k = params.kernel_k).  Each is built at most once, on first use.  The
+staged run, the `sums` and `gamma-decomp` commands and the demos that
+work on one instance take their inputs from it, so the direct and
+spectral sides always see the same instance.  `load_full_set` loads or
+builds the full-range set and owns its on-disk cache, kept in the
+directory named by the PSD_CACHE_DIR environment variable.
 
 A run takes a validated RunConfig, executes a subset of named stages in
 dependency order, and leaves every artifact in one output directory
 together with a JSON manifest: the config echo, the derived parameters,
 per-stage wall times, the operations each stage called, and a sha256
-digest of every file written.  All report files are plain CSV with `.`
-decimal and 17 significant digits, so identical inputs reproduce
-identical bytes; the manifest's wall times are the only run-to-run
-variation.
-
-Stages that need primes, a kernel, or the window set build them on
-demand and share them; requesting only a late stage does not emit the
-earlier stages' files.  The prime cache honors the PSD_CACHE_DIR
-environment variable.
+digest of every file written.  All report files are plain CSV written
+by `csv_text` (ints as ints, floats at 17 significant digits, strings
+verbatim), so identical inputs reproduce identical bytes; the
+manifest's wall times are the only run-to-run variation.  Requesting
+only a late stage does not emit the earlier stages' files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +40,7 @@ from .approx import continued_fraction, dichotomy_probe
 from .config import RunConfig
 from .expsums import decomposition_residual, ps_exp_sum
 from .kernel import make_kernel, theta, theta_transform, transform_bound, verify_bounds
-from .params import Coefficients, ParameterError
+from .params import Coefficients, ParameterError, RunParameters
 from .primes import (
     CacheFormatError,
     PrimeTable,
@@ -45,13 +53,16 @@ from .primes import (
 from .triplesum import decompose, find_triples, threshold_vacuous
 
 __all__ = [
+    "Instance",
+    "load_full_set",
+    "csv_text",
+    "format_value",
     "STAGES",
     "OutputRecord",
     "StageRecord",
     "RunManifest",
     "PipelineError",
     "run_pipeline",
-    "cache_dir",
     "params_dict",
     "decomp_values",
     "dichotomy_orientation",
@@ -62,6 +73,8 @@ STAGES = ("primes", "kernel", "sums", "dichotomy", "decomp", "triples")
 
 _SUMS_ALPHA_POINTS = 65
 _DICHOTOMY_POINTS = 257
+
+_log = logging.getLogger(__name__)
 
 
 class PipelineError(RuntimeError):
@@ -99,23 +112,11 @@ class RunManifest:
     parameters: "dict[str, object]"
     warnings: "tuple[str, ...]"
     stages: "tuple[StageRecord, ...]"
-    threads_requested: int
-    workers_used: int
     complete: bool
     failure: "dict[str, str] | None"
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def cache_dir() -> "Path | None":
-    """Prime cache directory from PSD_CACHE_DIR, or None when unset."""
-    env = os.environ.get("PSD_CACHE_DIR")
-    if not env:
-        return None
-    path = Path(env)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _digest(path: Path) -> OutputRecord:
@@ -133,19 +134,25 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
+def format_value(value: object) -> str:
+    """One report cell: ints (bools as 1/0) as ints, strings verbatim,
+    everything else as a float at 17 significant digits."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
 
 
-def _write_csv(path: Path, header: "list[str]", rows) -> OutputRecord:
+def csv_text(header: "list[str]", rows) -> str:
+    """Header line plus one line per row, cells by format_value."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: "list[str]", rows) -> OutputRecord:
+    path.write_text(csv_text(header, rows))
     return _digest(path)
 
 
@@ -172,81 +179,93 @@ def params_dict(cfg: RunConfig) -> "dict[str, object]":
     }
 
 
-class _Context:
-    """Lazily built shared inputs; each is constructed at most once."""
+def load_full_set(
+    gamma: float, limit: int, table: "PrimeTable | None" = None,
+    path: "Path | None" = None,
+) -> PSPrimeSet:
+    """Floor-power primes in (0, limit], loaded from a cache file or built.
 
-    def __init__(self, cfg: RunConfig) -> None:
-        self.cfg = cfg
-        self.limit = int(math.ceil(cfg.params.X)) + 1
-        self._table: PrimeTable | None = None
-        self._full: PSPrimeSet | None = None
-        self._window: PSPrimeSet | None = None
-        self._kernel = None
+    Without path the file is named after gamma and limit inside the
+    directory PSD_CACHE_DIR (created if missing), or there is no file
+    when that variable is unset.  A file that is unreadable or holds
+    another gamma or limit is logged as a warning and rebuilt; a built
+    set is written back.  table, when given, must reach limit.
+    """
+    if path is None and os.environ.get("PSD_CACHE_DIR"):
+        cdir = Path(os.environ["PSD_CACHE_DIR"])
+        cdir.mkdir(parents=True, exist_ok=True)
+        path = cdir / f"ps_g{gamma!r}_L{limit}.psp"
+    if path is not None:
+        try:
+            cached = cache_load(path, gamma)
+        except FileNotFoundError:
+            pass
+        except CacheFormatError as exc:
+            _log.warning("cache %s ignored: %s", path, exc)
+        else:
+            if cached.hi == limit:
+                return cached
+            _log.warning("cache %s holds limit %d, not %d; rebuilt",
+                         path, int(cached.hi), limit)
+    if table is None:
+        table = sieve_primes(limit)
+    built = ps_primes_in(0, limit, gamma, table)
+    if path is not None:
+        cache_store(built, path)
+    return built
 
-    @property
+
+class Instance:
+    """The shared inputs of one instance, each built at most once.
+
+    table holds the primes up to limit = ceil(X)+1, window_set the
+    floor-power primes in (lambda0*X, X], full_set those in (0, limit]
+    (through load_full_set), and kernel the canonical smoothing
+    kernel of width epsilon_effective and smoothness params.kernel_k.
+    """
+
+    def __init__(self, params: RunParameters) -> None:
+        self.params = params
+        self.limit = int(math.ceil(params.X)) + 1
+
+    @cached_property
     def table(self) -> PrimeTable:
-        if self._table is None:
-            self._table = sieve_primes(self.limit)
-        return self._table
+        return sieve_primes(self.limit)
 
-    @property
+    @cached_property
     def full_set(self) -> PSPrimeSet:
-        """PS primes in (0, limit]; cached on disk when PSD_CACHE_DIR is set."""
-        if self._full is not None:
-            return self._full
-        g = self.cfg.params.gamma.value
-        cdir = cache_dir()
-        path = None
-        if cdir is not None:
-            path = cdir / f"ps_g{g!r}_L{self.limit}.psp"
-            try:
-                self._full = cache_load(path, g)
-                return self._full
-            except (FileNotFoundError, CacheFormatError):
-                pass
-        self._full = ps_primes_in(0, self.limit, g, self.table)
-        if path is not None:
-            cache_store(self._full, path)
-        return self._full
+        return load_full_set(self.params.gamma.value, self.limit, self.table)
 
-    @property
+    @cached_property
     def window_set(self) -> PSPrimeSet:
-        if self._window is None:
-            p = self.cfg.params
-            self._window = ps_primes_in(
-                p.lambda0 * p.X, p.X, p.gamma.value, self.table
-            )
-        return self._window
+        p = self.params
+        return ps_primes_in(p.lambda0 * p.X, p.X, p.gamma.value, self.table)
 
-    @property
+    @cached_property
     def kernel(self):
-        if self._kernel is None:
-            p = self.cfg.params
-            self._kernel = make_kernel(
-                p.epsilon_effective, max(1, math.floor(p.log_X))
-            )
-        return self._kernel
+        p = self.params
+        return make_kernel(p.epsilon_effective, p.kernel_k)
 
 
-def _stage_primes(ctx: _Context, out: Path):
-    pset = ctx.window_set
+def _stage_primes(cfg: RunConfig, inst: Instance, out: Path):
+    pset = inst.window_set
     rows = zip(pset.primes.tolist(), pset.weight_w, pset.weight_log)
     rec = _write_csv(out / "primes.csv", ["p", "weight_w", "weight_log"], rows)
     cache_path = out / "psprimes.psp"
-    cache_store(ctx.full_set, cache_path)
+    cache_store(inst.full_set, cache_path)
     values = {
         "window_lo": pset.lo,
         "window_hi": pset.hi,
         "window_count": pset.count,
-        "full_count": ctx.full_set.count,
-        "sieve_limit": ctx.limit,
+        "full_count": inst.full_set.count,
+        "sieve_limit": inst.limit,
     }
     ops = ("sieve_primes", "ps_primes_in", "cache_store")
     return ops, (rec, _digest(cache_path)), values
 
 
-def _stage_kernel(ctx: _Context, out: Path):
-    kern = ctx.kernel
+def _stage_kernel(cfg: RunConfig, inst: Instance, out: Path):
+    kern = inst.kernel
     mesh = kern.mesh_y
     rec_theta = _write_csv(
         out / "kernel_theta.csv", ["y", "theta"],
@@ -272,10 +291,10 @@ def _stage_kernel(ctx: _Context, out: Path):
     return ops, (rec_theta, rec_tr), values
 
 
-def _stage_sums(ctx: _Context, out: Path):
-    params = ctx.cfg.params
-    pset = ctx.window_set
-    table = ctx.table
+def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
+    params = cfg.params
+    pset = inst.window_set
+    table = inst.table
     alphas = np.linspace(0.0, 1.0, _SUMS_ALPHA_POINTS)
     rows = []
     res_rows = []
@@ -325,8 +344,7 @@ def dichotomy_orientation(cfg: RunConfig):
     )
 
 
-def _stage_dichotomy(ctx: _Context, out: Path):
-    cfg = ctx.cfg
+def _stage_dichotomy(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     c, conv = dichotomy_orientation(cfg)
     ts = np.geomspace(params.Delta, params.H_effective, _DICHOTOMY_POINTS)
@@ -340,13 +358,10 @@ def _stage_dichotomy(ctx: _Context, out: Path):
         cases[rep.case] = cases.get(rep.case, 0) + 1
         if not rep.explained:
             unexplained += 1
-    path = out / "dichotomy.csv"
-    lines = [",".join(["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"])]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, (int, float)) else str(v) for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n")
+    rec = _write_csv(
+        out / "dichotomy.csv",
+        ["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"], rows,
+    )
     values = {
         "convergent": f"{conv.a}/{conv.q}",
         "t_points": int(ts.size),
@@ -354,7 +369,7 @@ def _stage_dichotomy(ctx: _Context, out: Path):
         "unexplained": unexplained,
     }
     ops = ("continued_fraction", "dichotomy_probe")
-    return ops, (_digest(path),), values
+    return ops, (rec,), values
 
 
 def _complex_pair(z: complex) -> "list[float]":
@@ -397,9 +412,8 @@ def decomp_values(res) -> "dict[str, object]":
     }
 
 
-def _stage_decomp(ctx: _Context, out: Path):
-    cfg = ctx.cfg
-    res = decompose(cfg.params, cfg.coeffs, ctx.window_set, kernel=ctx.kernel)
+def _stage_decomp(cfg: RunConfig, inst: Instance, out: Path):
+    res = decompose(cfg.params, cfg.coeffs, inst.window_set, kernel=inst.kernel)
     values = decomp_values(res)
     path = out / "decomp.json"
     path.write_text(json.dumps(values, indent=1, default=_json_default) + "\n")
@@ -409,11 +423,10 @@ def _stage_decomp(ctx: _Context, out: Path):
     return ops, (_digest(path),), values
 
 
-def _stage_triples(ctx: _Context, out: Path):
-    cfg = ctx.cfg
+def _stage_triples(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     eps = params.epsilon_effective
-    records = find_triples(params, cfg.coeffs, ctx.window_set, eps)
+    records = find_triples(params, cfg.coeffs, inst.window_set, eps)
     rec = _write_csv(
         out / "triples.csv", ["p1", "p2", "p3", "form_value", "weight"],
         ((r.p1, r.p2, r.p3, r.form_value, r.weight) for r in records),
@@ -447,15 +460,12 @@ def run_pipeline(
     cfg: RunConfig,
     stages: "tuple[str, ...] | list[str] | set[str]" = STAGES,
     out_dir: "str | Path" = "pstriples_run",
-    threads: int = 1,
 ) -> RunManifest:
     """Execute the requested stages and write the manifest.
 
     stages must be a subset of STAGES; they run in canonical order
     regardless of the order given.  A stage failure writes the partial
     manifest flagged incomplete, then re-raises the stage's exception.
-    threads is recorded in the manifest; every stage runs sequential
-    deterministic reductions, so workers_used is always 1.
     """
     wanted = set(stages)
     unknown = wanted - set(STAGES)
@@ -463,12 +473,10 @@ def run_pipeline(
         raise ValueError(
             f"unknown stage(s) {sorted(unknown)}; valid: {list(STAGES)}"
         )
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    ctx = _Context(cfg)
+    inst = Instance(cfg.params)
     done: list[StageRecord] = []
     base = dict(
         tool_version=__version__,
@@ -477,15 +485,13 @@ def run_pipeline(
         config_echo=dict(cfg.echo),
         parameters=params_dict(cfg),
         warnings=cfg.warnings,
-        threads_requested=threads,
-        workers_used=1,
     )
     for name in STAGES:
         if name not in wanted:
             continue
         t0 = time.perf_counter()
         try:
-            ops, outputs, values = _STAGE_FUNCS[name](ctx, out)
+            ops, outputs, values = _STAGE_FUNCS[name](cfg, inst, out)
         except Exception as exc:
             manifest = RunManifest(
                 **base, stages=tuple(done), complete=False,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .params import GammaExponent
+from .params import GammaExponent, ParameterError, RunParameters
 
 __all__ = [
     "CacheFormatError",
@@ -27,6 +27,7 @@ __all__ = [
     "ps_indicator",
     "ps_indicator_array",
     "ps_primes_in",
+    "check_window_set",
     "ps_enumerate_oracle",
     "cache_store",
     "cache_load",
@@ -185,6 +186,28 @@ def ps_primes_in(
     w, wl = _weights(keep, g.value)
     return PSPrimeSet(gamma=g, lo=float(lo), hi=float(hi),
                       primes=keep, weight_w=w, weight_log=wl)
+
+
+def check_window_set(params: RunParameters, pset: PSPrimeSet) -> None:
+    """Raise ParameterError unless pset is the instance's window set.
+
+    The exponent must equal the instance's bit for bit, and both ends of
+    (lo, hi] must lie within 1e-12 relative of (lambda0*X, X].  A set
+    built from the instance's own doubles passes exactly; one built for
+    another instance or exponent does not.
+    """
+    if pset.gamma.value != params.gamma.value:
+        raise ParameterError(
+            f"prime set gamma {pset.gamma.value!r} does not match "
+            f"instance gamma {params.gamma.value!r}"
+        )
+    lo = params.lambda0 * params.X
+    if not (math.isclose(pset.lo, lo, rel_tol=1e-12)
+            and math.isclose(pset.hi, params.X, rel_tol=1e-12)):
+        raise ParameterError(
+            f"prime set window ({pset.lo}, {pset.hi}] does not match "
+            f"instance window ({lo}, {params.X}]"
+        )
 
 
 def _floor_root_power(n: int, inv_gamma_of: float) -> int:

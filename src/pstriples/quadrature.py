@@ -7,7 +7,7 @@ Two schemes cover every integral in the package:
   the L2 integrals, the box integral, and other non- or mildly-oscillatory
   integrands.  The panel cap is a hard error, not a silent truncation.
 
-* `boole_weight` / `boole_sum`: composite Boole (5-point Newton-Cotes,
+* `boole_weight`: composite Boole (5-point Newton-Cotes,
   O(h^6)) weights addressable by global sample index, so a very long
   uniform grid can be integrated in streaming chunks without materializing
   the weight vector.  Used for the oscillation-resolving spectral pieces
@@ -28,8 +28,6 @@ __all__ = [
     "adaptive_simpson",
     "simpson_uniform",
     "boole_weight",
-    "boole_sum",
-    "boole_point_count",
 ]
 
 
@@ -103,13 +101,6 @@ _BOOLE_PATTERN = np.array([14.0, 32.0, 12.0, 32.0])   # by index mod 4
 _BLOCK = 1 << 15
 
 
-def boole_point_count(n_panels: int) -> int:
-    """Samples needed for n_panels Boole panels (each panel spans 4 steps)."""
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
-    return 4 * n_panels + 1
-
-
 def boole_weight(indices: np.ndarray, n_points: int) -> np.ndarray:
     """Unnormalized Boole weights for global sample indices.
 
@@ -127,9 +118,3 @@ def boole_weight(indices: np.ndarray, n_points: int) -> np.ndarray:
     w[flat == n_points - 1] = 7.0
     return w.reshape(idx.shape)
 
-
-def boole_sum(fvals: np.ndarray, h: float) -> float:
-    """Composite Boole over 4m+1 uniform real samples with spacing h."""
-    fvals = np.asarray(fvals, dtype=np.float64)
-    w = boole_weight(np.arange(fvals.size), fvals.size)
-    return float((2.0 * h / 45.0) * np.dot(w, fvals))

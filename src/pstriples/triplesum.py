@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernel import SmoothingKernel, make_kernel, theta, theta_transform, transform_bound
 from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
-from .primes import PSPrimeSet, ps_indicator
+from .primes import PSPrimeSet, check_window_set, ps_indicator
 from .quadrature import QuadratureError, adaptive_simpson, boole_weight
 from .summation import NeumaierSum
 
@@ -71,22 +71,6 @@ _CHUNK = 1 << 21
 _MAX_BAND_POINTS = 1 << 31
 
 _BRUTE_LIMIT = 512
-
-
-def _check_set(params: RunParameters, pset: PSPrimeSet) -> None:
-    """The prime set must cover exactly the window (lambda0*X, X]."""
-    if not math.isclose(pset.gamma.value, params.gamma.value, rel_tol=1e-15):
-        raise ParameterError(
-            f"prime set gamma {pset.gamma.value!r} does not match "
-            f"instance gamma {params.gamma.value!r}"
-        )
-    lo = params.lambda0 * params.X
-    tol = 1e-9 * params.X
-    if abs(pset.lo - lo) > tol or abs(pset.hi - params.X) > tol:
-        raise ParameterError(
-            f"prime set window ({pset.lo}, {pset.hi}] does not match "
-            f"instance window ({lo}, {params.X}]"
-        )
 
 
 def _full_weights(pset: PSPrimeSet) -> np.ndarray:
@@ -179,7 +163,7 @@ def big_gamma_direct(
     within rounding of the search width may count or not depending on
     association order, but carries zero weight either way.
     """
-    _check_set(params, pset)
+    check_window_set(params, pset)
     if not eps_search > 0.0:
         raise ParameterError(f"eps_search must be positive, got {eps_search}")
     if not math.isclose(kernel.epsilon, eps_search, rel_tol=1e-12):
@@ -201,7 +185,7 @@ def triple_sum_bruteforce(
     eps_search: float,
 ) -> TripleSumResult:
     """Cubic reference enumeration; oracle for the sweep on small sets."""
-    _check_set(params, pset)
+    check_window_set(params, pset)
     if not eps_search > 0.0:
         raise ParameterError(f"eps_search must be positive, got {eps_search}")
     if pset.count == 0:
@@ -263,15 +247,14 @@ def find_triples(
     no triples.  The threshold fields compare |form| against the
     admissibility width at the triple's largest prime.
     """
-    _check_set(params, pset)
+    check_window_set(params, pset)
     if not eps_search > 0.0:
         raise ParameterError(f"eps_search must be positive, got {eps_search}")
     if max_results < 1:
         raise ParameterError(f"max_results must be >= 1, got {max_results}")
     if pset.count < 3:
         return []
-    k = max(1, math.floor(params.log_X))
-    kern = make_kernel(eps_search, k)
+    kern = make_kernel(eps_search, params.kernel_k)
     _, _, raw = _matched_sweep(coeffs, kern, pset, eps_search, True)
     raw.sort(key=lambda r: (abs(r[3]), r[0], r[1], r[2]))
     gamma = params.gamma.value
@@ -382,12 +365,12 @@ def _band_quadrature(
             a = [np.abs(s) for s in sums]
             small = np.minimum(a[0], a[1])
             sup = max(sup, float(small.max()))
-            for kk in range(3):
-                t_acc[kk].add(float(np.dot(wq, a[kk] * a[kk])))
             cross_acc.add(float(np.dot(wq, small * (a[2] * (a[0] + a[1])))))
-            sq_acc.add(
-                float(np.dot(wq, small * (a[0] ** 2 + a[1] ** 2 + a[2] ** 2)))
-            )
+            for x in a:
+                np.multiply(x, x, out=x)    # |S|^2, squared once in place
+            for acc, x in zip(t_acc, a):
+                acc.add(float(np.dot(wq, x)))
+            sq_acc.add(float(np.dot(wq, small * (a[0] + a[1] + a[2]))))
     scale = 2.0 * h / 45.0
     value = None
     if kernel is not None:
@@ -435,30 +418,22 @@ def gamma_piece(
     bound, never by quadrature.
 
     For the standard decomposition the kernel should be built with the
-    search width and k = floor(log X).
+    search width and k = params.kernel_k.
     """
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
-    _check_set(params, pset)
-    delta = params.Delta
-    h_eff = params.H_effective
-    if piece == 1:
-        value, _, _, _ = _band_quadrature(
-            params, coeffs, pset, kernel, -delta, delta, points_per_period, False
-        )
-        return value
-    if piece == 2:
-        value, _, _, _ = _band_quadrature(
-            params, coeffs, pset, kernel, delta, h_eff, points_per_period, False
-        )
-        return complex(2.0 * value.real, 0.0)
-    t_cut = piece3_truncation(params, kernel)
-    if t_cut <= h_eff:
+    check_window_set(params, pset)
+    t_lo, t_hi = {
+        1: (-params.Delta, params.Delta),
+        2: (params.Delta, params.H_effective),
+        3: (params.H_effective, piece3_truncation(params, kernel)),
+    }[piece]
+    if piece == 3 and t_hi <= t_lo:
         return complex(0.0, 0.0)
     value, _, _, _ = _band_quadrature(
-        params, coeffs, pset, kernel, h_eff, t_cut, points_per_period, False
+        params, coeffs, pset, kernel, t_lo, t_hi, points_per_period, False
     )
-    return complex(2.0 * value.real, 0.0)
+    return value if piece == 1 else complex(2.0 * value.real, 0.0)
 
 
 @dataclass(frozen=True)
@@ -498,7 +473,7 @@ def middle_band_sweep(
     """Single pass over [Delta, H] collecting the middle-band integral
     (when a kernel is given) together with everything the majorant
     chain needs, so the expensive sweep is never run twice."""
-    _check_set(params, pset)
+    check_window_set(params, pset)
     value, stats, n_points, h = _band_quadrature(
         params,
         coeffs,
@@ -833,7 +808,7 @@ def far_tail_majorant(
     closed-form bound above, this uses the window's true sum at zero
     rather than a scale shape, so it majorizes the truncated quadrature
     on any instance."""
-    _check_set(params, pset)
+    check_window_set(params, pset)
     s0 = float(np.dot(pset.weight_w, pset.weight_log))
     if s0 == 0.0:
         return 0.0
@@ -894,34 +869,21 @@ def decompose(
 ) -> DecompositionResult:
     """Full desk-scale decomposition of the weighted triple count.
 
-    Builds the canonical kernel (effective width, k = floor(log X))
-    unless one is supplied, evaluates the three band integrals sharing
-    a single middle-band sweep, the main term and its remainder bound,
+    Builds the canonical kernel (effective width, k = params.kernel_k)
+    unless one is supplied, evaluates the three band integrals (pieces 1
+    and 3 by gamma_piece, piece 2 by the middle-band sweep that also
+    feeds the majorant chain), the main term and its remainder bound,
     the far-tail bounds, and (by default) the direct count closing the
     transform identity.
     """
-    _check_set(params, pset)
+    check_window_set(params, pset)
     if kernel is None:
-        k = max(1, math.floor(params.log_X))
-        kernel = make_kernel(params.epsilon_effective, k)
-    delta = params.Delta
-    h_eff = params.H_effective
-
-    g1, _, _, _ = _band_quadrature(
-        params, coeffs, pset, kernel, -delta, delta, points_per_period, False
-    )
+        kernel = make_kernel(params.epsilon_effective, params.kernel_k)
+    g1 = gamma_piece(1, params, coeffs, kernel, pset, points_per_period)
     band = middle_band_sweep(params, coeffs, pset, kernel, points_per_period)
     g2 = band.gamma2
-
+    g3 = gamma_piece(3, params, coeffs, kernel, pset, points_per_period)
     t_cut = piece3_truncation(params, kernel)
-    truncation_empty = t_cut <= h_eff
-    if truncation_empty:
-        g3 = complex(0.0, 0.0)
-    else:
-        v3, _, _, _ = _band_quadrature(
-            params, coeffs, pset, kernel, h_eff, t_cut, points_per_period, False
-        )
-        g3 = complex(2.0 * v3.real, 0.0)
 
     total = g1 + g2 + g3
 
@@ -956,7 +918,7 @@ def decompose(
         closure_error=closure,
         scale_ratio=scale_ratio,
         piece3_cut=t_cut,
-        truncation_empty=truncation_empty,
+        truncation_empty=t_cut <= params.H_effective,
         middle=band,
         majorant=majorant,
         box=box,

@@ -9,7 +9,7 @@ import pytest
 
 from pstriples.cli import main
 from pstriples.kernel import make_kernel, theta
-from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.primes import cache_load, ps_primes_in, sieve_primes
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "sqrt2_demo.conf")
 
@@ -47,6 +47,31 @@ def test_ps_primes_cache_round_trip(tmp_path, capsys):
     main(["ps-primes", "--gamma", "0.9", "--limit", "400",
           "--cache", str(cache)])
     assert capsys.readouterr().out == first
+
+
+def test_ps_primes_cache_rebuilt_for_other_limit(tmp_path, capsys, caplog):
+    cache = tmp_path / "primes.psp"
+    main(["ps-primes", "--gamma", "0.9", "--limit", "400",
+          "--cache", str(cache)])
+    capsys.readouterr()
+    assert main(["ps-primes", "--gamma", "0.9", "--limit", "5000",
+                 "--cache", str(cache)]) == 0
+    got = [int(v) for v in capsys.readouterr().out.split()]
+    want = ps_primes_in(0.0, 5000.0, 0.9, sieve_primes(5000)).primes.tolist()
+    assert got == want and got[-1] == 4993
+    assert "limit 400, not 5000" in caplog.text
+    assert cache_load(cache, 0.9).hi == 5000.0
+
+
+def test_ps_primes_corrupt_cache_rebuilt(tmp_path, capsys, caplog):
+    cache = tmp_path / "primes.psp"
+    cache.write_bytes(b"not a cache file at all, but long enough")
+    assert main(["ps-primes", "--gamma", "0.9", "--limit", "500",
+                 "--cache", str(cache)]) == 0
+    got = [int(v) for v in capsys.readouterr().out.split()]
+    assert got == ps_primes_in(0.0, 500.0, 0.9, sieve_primes(500)).primes.tolist()
+    assert "ignored: bad magic" in caplog.text
+    assert cache_load(cache, 0.9).hi == 500.0
 
 
 def test_kernel_verify_passes(capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from pstriples.config import parse_config
 from pstriples.params import ParameterError
-from pstriples.pipeline import STAGES, run_pipeline
+from pstriples.pipeline import STAGES, Instance, run_pipeline
+from pstriples.primes import ps_primes_in, sieve_primes
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "sqrt2_demo.conf"
 
@@ -42,6 +43,19 @@ def test_primes_stage_alone(demo_cfg, tmp_path, monkeypatch):
     data = read_manifest(out)
     assert data["complete"] is True
     assert data["stages"][0]["values"]["window_count"] > 0
+
+
+def test_instance_builds_the_window_once(demo_cfg):
+    params = demo_cfg.params
+    inst = Instance(params)
+    assert inst.window_set is inst.window_set
+    table = sieve_primes(math.ceil(params.X) + 1)
+    want = ps_primes_in(params.lambda0 * params.X, params.X,
+                        params.gamma.value, table)
+    assert inst.table.limit == table.limit
+    assert inst.window_set.primes.tolist() == want.primes.tolist()
+    assert inst.kernel.k == max(1, math.floor(params.log_X))
+    assert inst.kernel.epsilon == params.epsilon_effective
 
 
 def test_unknown_stage_is_rejected(demo_cfg, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import make_kernel, theta, transform_bound
 from pstriples.params import Coefficients, ParameterError, derive_parameters
 from pstriples.primes import sieve_primes, ps_primes_in
@@ -162,6 +163,13 @@ def test_guards_reject_mismatches():
     )
     with pytest.raises(ParameterError, match="gamma"):
         big_gamma_direct(params, c, make_kernel(2.0, 3), wrong_gamma, 2.0)
+    # the exponential sums share the one window-set check
+    for run, bad, what in ((other, pset, "window"), (params, wrong_gamma, "gamma")):
+        with pytest.raises(ParameterError, match=what):
+            ps_exp_sum(0.3, run, bad)
+        for span in ("window", "unit"):
+            with pytest.raises(ParameterError, match=what):
+                l2_integral("ps_sum", 1.0, run, bad, span=span)
 
 
 # ---------------------------------------------------------------------------
