@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import ApproxError, continued_fraction, dichotomy_probe
+from .approx import ApproxError, continued_fraction
 from .config import ConfigError, parse_config
 from .kernel import (
     invert_transform,
     make_kernel,
     theta,
     theta_transform,
-    transform_bound,
     verify_bounds,
 )
 from .params import ParameterError, derive_parameters
@@ -39,10 +38,14 @@ from .pipeline import (
     csv_text,
     decomp_values,
     dichotomy_orientation,
+    dichotomy_table,
     format_value,
     load_full_set,
     params_dict,
     run_pipeline,
+    theta_table,
+    transform_table,
+    triples_table,
 )
 from .expsums import (
     chebyshev_sum,
@@ -52,7 +55,7 @@ from .expsums import (
     ps_exp_sum,
 )
 from .quadrature import QuadratureError
-from .triplesum import decompose, find_triples, gamma_piece, threshold_vacuous
+from .triplesum import decompose, gamma_piece, threshold_vacuous
 
 __all__ = ["main"]
 
@@ -96,16 +99,9 @@ def _cmd_ps_primes(args) -> int:
 def _cmd_kernel(args) -> int:
     kern = make_kernel(args.epsilon, args.k)
     if args.emit_theta:
-        mesh = kern.mesh_y
-        _emit(csv_text(["y", "theta"],
-                       zip(mesh.tolist(), theta(kern, mesh).tolist())),
-              args.emit_theta)
+        _emit(theta_table(kern), args.emit_theta)
     if args.emit_transform:
-        x = np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 513)
-        _emit(csv_text(["x", "transform", "bound"],
-                       zip(x.tolist(), theta_transform(kern, x).tolist(),
-                           transform_bound(kern, x).tolist())),
-              args.emit_transform)
+        _emit(transform_table(kern), args.emit_transform)
     f = format_value
     print(f"epsilon={f(kern.epsilon)} k={kern.k} "
           f"mass={f(theta_transform(kern, 0.0))} "
@@ -173,15 +169,9 @@ def _config_with_override(args):
 
 def _cmd_dichotomy(args) -> int:
     cfg = _config_with_override(args)
-    params = cfg.params
     c, conv = dichotomy_orientation(cfg)
-    rows = []
-    for t in _grid(args.t_grid, "--t-grid").tolist():
-        rep = dichotomy_probe(c, conv, params, t)
-        rows.append((rep.t, rep.a1, rep.q1, rep.a2, rep.q2,
-                     rep.class1, rep.class2, rep.case))
-    _emit(csv_text(["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"],
-                   rows), args.out)
+    ts = _grid(args.t_grid, "--t-grid").tolist()
+    _emit(dichotomy_table(c, conv, cfg.params, ts)[0], args.out)
     return 0
 
 
@@ -213,11 +203,8 @@ def _cmd_gamma_decomp(args) -> int:
     wall["decomposition"] = time.perf_counter() - t0
     if args.emit_triples:
         t0 = time.perf_counter()
-        recs = find_triples(params, cfg.coeffs, pset, params.epsilon_effective)
-        _emit(csv_text(["p1", "p2", "p3", "form_value", "weight"],
-                       ((r.p1, r.p2, r.p3, r.form_value, r.weight)
-                        for r in recs)),
-              args.emit_triples)
+        text, recs = triples_table(params, cfg.coeffs, pset)
+        _emit(text, args.emit_triples)
         wall["triples"] = time.perf_counter() - t0
         report["triples"] = {
             "file": args.emit_triples,

@@ -299,7 +299,6 @@ def l2_integral(
             return simpson_uniform(np.abs(vals) ** 2, h)
         ts = -delta + h * np.arange(n_panels + 1)
         length = (1.0 - params.lambda0) * params.X
-        mid = 0.5 * (1.0 + params.lambda0) * params.X
         amps = params.gamma.value * length * np.sinc(lam * ts * length)
         return simpson_uniform(amps**2, h)
 

@@ -18,7 +18,10 @@ digest of every file written.  All report files are plain CSV written
 by `csv_text` (ints as ints, floats at 17 significant digits, strings
 verbatim), so identical inputs reproduce identical bytes; the
 manifest's wall times are the only run-to-run variation.  Requesting
-only a late stage does not emit the earlier stages' files.
+only a late stage does not emit the earlier stages' files.  The kernel,
+dichotomy and triples tables are built by `theta_table`,
+`transform_table`, `dichotomy_table` and `triples_table`, which the
+CLI uses too.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -57,6 +61,10 @@ __all__ = [
     "load_full_set",
     "csv_text",
     "format_value",
+    "theta_table",
+    "transform_table",
+    "dichotomy_table",
+    "triples_table",
     "STAGES",
     "OutputRecord",
     "StageRecord",
@@ -151,9 +159,52 @@ def csv_text(header: "list[str]", rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: "list[str]", rows) -> OutputRecord:
-    path.write_text(csv_text(header, rows))
+def _write(path: Path, text: str) -> OutputRecord:
+    path.write_text(text)
     return _digest(path)
+
+
+def _transform_points(kern) -> np.ndarray:
+    return np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 513)
+
+
+def theta_table(kern) -> str:
+    """CSV of theta on the kernel's mesh: y, theta."""
+    mesh = kern.mesh_y
+    return csv_text(["y", "theta"], zip(mesh.tolist(), theta(kern, mesh).tolist()))
+
+
+def transform_table(kern) -> str:
+    """CSV of the transform and its decay bound at 513 log-spaced points
+    from 1e-3/eps to 1e3/eps: x, transform, bound."""
+    x = _transform_points(kern)
+    return csv_text(
+        ["x", "transform", "bound"],
+        zip(x.tolist(), theta_transform(kern, x).tolist(),
+            transform_bound(kern, x).tolist()),
+    )
+
+
+def dichotomy_table(coeffs: Coefficients, conv, params: RunParameters, ts):
+    """Probe each t of ts; returns (CSV text, the reports)."""
+    reports = [dichotomy_probe(coeffs, conv, params, t) for t in ts]
+    text = csv_text(
+        ["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"],
+        ((r.t, r.a1, r.q1, r.a2, r.q2, r.class1, r.class2, r.case)
+         for r in reports),
+    )
+    return text, reports
+
+
+def triples_table(params: RunParameters, coeffs: Coefficients, pset: PSPrimeSet):
+    """Verified triples at the effective search width, nearest first;
+    returns (CSV text, the records)."""
+    records = find_triples(params, coeffs, pset, params.epsilon_effective)
+    text = csv_text(
+        ["p1", "p2", "p3", "form_value", "weight"],
+        ((r.p1, r.p2, r.p3, r.form_value, r.weight) for r in records),
+    )
+    return text, records
 
 
 def params_dict(cfg: RunConfig) -> "dict[str, object]":
@@ -250,7 +301,7 @@ class Instance:
 def _stage_primes(cfg: RunConfig, inst: Instance, out: Path):
     pset = inst.window_set
     rows = zip(pset.primes.tolist(), pset.weight_w, pset.weight_log)
-    rec = _write_csv(out / "primes.csv", ["p", "weight_w", "weight_log"], rows)
+    rec = _write(out / "primes.csv", csv_text(["p", "weight_w", "weight_log"], rows))
     cache_path = out / "psprimes.psp"
     cache_store(inst.full_set, cache_path)
     values = {
@@ -266,18 +317,9 @@ def _stage_primes(cfg: RunConfig, inst: Instance, out: Path):
 
 def _stage_kernel(cfg: RunConfig, inst: Instance, out: Path):
     kern = inst.kernel
-    mesh = kern.mesh_y
-    rec_theta = _write_csv(
-        out / "kernel_theta.csv", ["y", "theta"],
-        zip(mesh.tolist(), theta(kern, mesh).tolist()),
-    )
-    x = np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 513)
-    rec_tr = _write_csv(
-        out / "kernel_transform.csv", ["x", "transform", "bound"],
-        zip(x.tolist(), theta_transform(kern, x).tolist(),
-            transform_bound(kern, x).tolist()),
-    )
-    report = verify_bounds(kern, x)
+    rec_theta = _write(out / "kernel_theta.csv", theta_table(kern))
+    rec_tr = _write(out / "kernel_transform.csv", transform_table(kern))
+    report = verify_bounds(kern, _transform_points(kern))
     values = {
         "epsilon": kern.epsilon,
         "k": kern.k,
@@ -305,10 +347,10 @@ def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
         r = decomposition_residual(a, params, table)
         res_rows.append((a, r.identity_residual, r.sigma_gap))
         worst = max(worst, r.identity_residual)
-    rec_s = _write_csv(out / "sums.csv", ["alpha", "re", "im", "abs"], rows)
-    rec_r = _write_csv(
+    rec_s = _write(out / "sums.csv", csv_text(["alpha", "re", "im", "abs"], rows))
+    rec_r = _write(
         out / "sums_residual.csv",
-        ["alpha", "identity_residual", "sigma_gap"], res_rows,
+        csv_text(["alpha", "identity_residual", "sigma_gap"], res_rows),
     )
     values = {
         "alpha_points": int(alphas.size),
@@ -348,25 +390,13 @@ def _stage_dichotomy(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     c, conv = dichotomy_orientation(cfg)
     ts = np.geomspace(params.Delta, params.H_effective, _DICHOTOMY_POINTS)
-    rows = []
-    cases: dict[str, int] = {}
-    unexplained = 0
-    for t in ts.tolist():
-        rep = dichotomy_probe(c, conv, params, t)
-        rows.append((rep.t, rep.a1, rep.q1, rep.a2, rep.q2,
-                     rep.class1, rep.class2, rep.case))
-        cases[rep.case] = cases.get(rep.case, 0) + 1
-        if not rep.explained:
-            unexplained += 1
-    rec = _write_csv(
-        out / "dichotomy.csv",
-        ["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"], rows,
-    )
+    text, reports = dichotomy_table(c, conv, params, ts.tolist())
+    rec = _write(out / "dichotomy.csv", text)
     values = {
         "convergent": f"{conv.a}/{conv.q}",
         "t_points": int(ts.size),
-        "case_counts": dict(sorted(cases.items())),
-        "unexplained": unexplained,
+        "case_counts": dict(sorted(Counter(r.case for r in reports).items())),
+        "unexplained": sum(not r.explained for r in reports),
     }
     ops = ("continued_fraction", "dichotomy_probe")
     return ops, (rec,), values
@@ -425,14 +455,10 @@ def _stage_decomp(cfg: RunConfig, inst: Instance, out: Path):
 
 def _stage_triples(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
-    eps = params.epsilon_effective
-    records = find_triples(params, cfg.coeffs, inst.window_set, eps)
-    rec = _write_csv(
-        out / "triples.csv", ["p1", "p2", "p3", "form_value", "weight"],
-        ((r.p1, r.p2, r.p3, r.form_value, r.weight) for r in records),
-    )
+    text, records = triples_table(params, cfg.coeffs, inst.window_set)
+    rec = _write(out / "triples.csv", text)
     values = {
-        "eps_search": eps,
+        "eps_search": params.epsilon_effective,
         "found": len(records),
         "formula_eps_vacuous": threshold_vacuous(params, cfg.coeffs),
     }

@@ -1,74 +1,41 @@
-"""Compensated summation helpers.
+"""Exactly rounded summation helpers.
 
 The exponential sums accumulate thousands of unit-magnitude terms whose
 total is often orders of magnitude smaller than the term count, so plain
-left-to-right addition loses digits to cancellation.  The accumulators here
-implement Kahan summation with Neumaier's branch, which tracks a running
-compensation term and also reports it, so callers can surface how much
-cancellation a sum absorbed.
+left-to-right addition loses digits to cancellation.  The sums here go
+through `math.fsum` (Shewchuk's algorithm): the result is the exact sum
+of the double terms rounded once, so it does not depend on term order.
+Each sum also reports how far plain `np.sum` lands from it, so callers
+can surface how much a naive sum would have lost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NeumaierSum", "compensated_sum", "compensated_complex_sum"]
-
-
-class NeumaierSum:
-    """Scalar Kahan-Neumaier accumulator.
-
-    `add` folds one term in; `value` returns the compensated total and
-    `residual` the magnitude of the final carry (a cheap diagnostic of how
-    much cancellation occurred; 0.0 means plain addition would have given
-    the same result).
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s
-        t = s + x
-        if abs(s) >= abs(x):
-            # low-order digits of x are lost in t; recover them
-            self._c += (s - t) + x
-        else:
-            self._c += (x - t) + s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-    @property
-    def residual(self) -> float:
-        return abs(self._c)
+__all__ = ["compensated_sum", "compensated_complex_sum", "SumResult"]
 
 
 def compensated_sum(values: np.ndarray) -> tuple[float, float]:
-    """Sum a 1-D float array term by term with Neumaier compensation.
+    """Exactly rounded sum of a float array, flattened.
 
-    Returns (total, residual).  Order matters and is preserved; callers
-    feed terms in ascending-p order so the carry tracks the physically
-    meaningful cancellation.
+    Returns (total, residual) with residual = |total - np.sum(values)|,
+    the rounding error a naive sum would have made.  The total is
+    independent of term order.
     """
-    acc = NeumaierSum()
-    for x in np.asarray(values, dtype=np.float64).ravel().tolist():
-        acc.add(x)
-    return acc.value, acc.residual
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    total = math.fsum(vals.tolist())
+    return total, abs(total - float(np.sum(vals)))
 
 
 def compensated_complex_sum(values: np.ndarray) -> tuple[complex, float]:
     """Sum a 1-D complex array; returns (total, residual).
 
-    Real and imaginary parts run through independent accumulators; the
-    residual is the larger of the two carries.
+    Real and imaginary parts are summed separately; the residual is the
+    larger of the two.
     """
     values = np.asarray(values, dtype=np.complex128).ravel()
     re, rre = compensated_sum(values.real)
@@ -78,16 +45,14 @@ def compensated_complex_sum(values: np.ndarray) -> tuple[complex, float]:
 
 @dataclass(frozen=True)
 class SumResult:
-    """Value of a compensated exponential sum plus bookkeeping.
+    """Value of an exactly rounded exponential sum plus bookkeeping.
 
-    value: the compensated complex total.
+    value: the exactly rounded complex total.
     term_count: number of primes that contributed.
-    compensation_residual: magnitude of the final Neumaier carry.
+    compensation_residual: gap between value and the naive np.sum, the
+    larger over the real and imaginary parts.
     """
 
     value: complex
     term_count: int
     compensation_residual: float
-
-
-__all__.append("SumResult")

@@ -14,8 +14,9 @@ sorted meet-in-the-middle sweep, the three band integrals by
 oscillation-resolving Boole quadrature on uniform grids, the main-term
 box integral and its remainder majorant, the closed-form far-tail bound,
 and the middle-band majorant chain.  Band grids are processed in
-fixed-size chunks accumulated in index order, so totals are
-deterministic and independent of the evaluation schedule.
+fixed-size chunks whose partial sums are added exactly rounded
+(math.fsum), so totals are deterministic and independent of the
+evaluation schedule.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -33,7 +34,6 @@ from .kernel import SmoothingKernel, make_kernel, theta, theta_transform, transf
 from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
 from .primes import PSPrimeSet, check_window_set, ps_indicator
 from .quadrature import QuadratureError, adaptive_simpson, boole_weight
-from .summation import NeumaierSum
 
 __all__ = [
     "TripleRecord",
@@ -61,9 +61,11 @@ __all__ = [
     "decompose",
 ]
 
-# Uniform band grids are evaluated in fixed chunks; changing this would
-# regroup the partial sums and perturb totals at the compensated-sum
-# noise floor, so it is a module constant rather than a parameter.
+# Uniform band grids are evaluated in fixed chunks.  Each chunk's dot
+# products round within the chunk, so changing this would regroup them
+# and perturb totals in the last bits, even though the per-chunk values
+# are then summed exactly rounded; it is a module constant rather than a
+# parameter.
 _CHUNK = 1 << 21
 
 # Hard cap on band grid sizes; beyond this the quadrature is declared
@@ -107,12 +109,14 @@ def _matched_sweep(
 ):
     """Meet-in-the-middle sweep over sorted l3*p3 values.
 
-    For each (p1, p2) the admissible p3 lie in an interval of the sorted
-    array, found by two binary searches; the open window |form| < eps
-    exactly matches the kernel support, on whose boundary theta
-    vanishes, so no weight is lost at the edges.  Returns the
-    compensated weighted total, the window population, and (optionally)
-    the raw matched triples.
+    For each p1 the admissible p3 of every p2 lie in an interval of the
+    sorted array, found by two binary searches; one row's intervals are
+    expanded into index arrays and weighted by one theta call.  The open
+    window |form| < eps exactly matches the kernel support, on whose
+    boundary theta vanishes, so no weight is lost at the edges.  Returns
+    the exactly rounded (math.fsum) weighted total, the window
+    population, and (with collect) the matched triples as arrays p1, p2,
+    p3, form, weight.
     """
     lam1, lam2, lam3 = coeffs.lambdas
     p_int = pset.primes
@@ -122,29 +126,25 @@ def _matched_sweep(
     order = np.argsort(z3, kind="stable")
     z3s = z3[order]
     w3s = w[order]
-    p3s = p_int[order]
 
-    acc = NeumaierSum()
-    found = 0
-    raw: list[tuple[int, int, int, float, float]] = []
-    n = p.size
-    for i in range(n):
+    parts = []
+    for i in range(p.size):
         targets = (lam1 * p[i] + coeffs.eta) + lam2 * p
         lo = np.searchsorted(z3s, -targets - eps_search, side="right")
         hi = np.searchsorted(z3s, -targets + eps_search, side="left")
-        for j in np.nonzero(hi > lo)[0]:
-            sl = slice(int(lo[j]), int(hi[j]))
-            forms = targets[j] + z3s[sl]
-            weights = (w[i] * w[j]) * (w3s[sl] * theta(kernel, forms))
-            found += forms.size
-            for v in weights:
-                acc.add(float(v))
-            if collect:
-                pi = int(p_int[i])
-                pj = int(p_int[j])
-                for p3v, fv, wv in zip(p3s[sl], forms, weights):
-                    raw.append((pi, pj, int(p3v), float(fv), float(wv)))
-    return acc.value, found, raw
+        counts = np.maximum(hi - lo, 0)
+        j = np.repeat(np.arange(p.size), counts)
+        starts = np.cumsum(counts) - counts
+        k = lo[j] + np.arange(j.size) - starts[j]
+        forms = targets[j] + z3s[k]
+        weights = (w[i] * w[j]) * (w3s[k] * theta(kernel, forms))
+        parts.append((np.full(j.size, i), j, k, forms, weights))
+    i1, i2, k3, forms, weights = (np.concatenate(c) for c in zip(*parts))
+    total = math.fsum(weights.tolist())
+    triples = None
+    if collect:
+        triples = (p_int[i1], p_int[i2], p_int[order][k3], forms, weights)
+    return total, int(forms.size), triples
 
 
 def big_gamma_direct(
@@ -157,8 +157,8 @@ def big_gamma_direct(
     """Weighted triple count by meet-in-the-middle over sorted l3*p3.
 
     O(n^2 log n) instead of the cubic triple loop; deterministic, with
-    per-triple weights accumulated compensated so the total is
-    insensitive to enumeration order at the 1e-10 level.  The window
+    the per-triple weights summed exactly rounded (math.fsum), so the
+    total does not depend on enumeration order.  The window
     population triples_found is boundary-sensitive: a form landing
     within rounding of the search width may count or not depending on
     association order, but carries zero weight either way.
@@ -209,10 +209,7 @@ def triple_sum_bruteforce(
         return TripleSumResult(0.0, 0, False)
     wprod = w[:, None, None] * w[None, :, None] * w[None, None, :]
     vals = wprod[mask] * theta(kernel, forms[mask])
-    acc = NeumaierSum()
-    for v in vals:
-        acc.add(float(v))
-    return TripleSumResult(acc.value, found, False)
+    return TripleSumResult(math.fsum(vals.tolist()), found, False)
 
 
 def triple_threshold(gamma: float, p_max: int) -> float:
@@ -255,8 +252,10 @@ def find_triples(
     if pset.count < 3:
         return []
     kern = make_kernel(eps_search, params.kernel_k)
-    _, _, raw = _matched_sweep(coeffs, kern, pset, eps_search, True)
-    raw.sort(key=lambda r: (abs(r[3]), r[0], r[1], r[2]))
+    _, _, (p1s, p2s, p3s, forms, weights) = _matched_sweep(
+        coeffs, kern, pset, eps_search, True
+    )
+    top = np.lexsort((p3s, p2s, p1s, np.abs(forms)))[:max_results]
     gamma = params.gamma.value
     lam1, lam2, lam3 = coeffs.lambdas
     # Recomputing the form associates the additions differently from the
@@ -265,7 +264,9 @@ def find_triples(
     reach = sum(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
     tol = 1e-12 * max(1.0, reach)
     out: list[TripleRecord] = []
-    for p1, p2, p3, form, weight in raw[:max_results]:
+    for p1, p2, p3, form, weight in zip(
+        *(a[top].tolist() for a in (p1s, p2s, p3s, forms, weights))
+    ):
         for q in (p1, p2, p3):
             if ps_indicator(q, gamma) != 1:
                 raise RuntimeError(
@@ -341,11 +342,9 @@ def _band_quadrature(
     n_points, h = _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
     lam = coeffs.lambdas
     eta = coeffs.eta
-    re_acc = NeumaierSum()
-    im_acc = NeumaierSum()
-    t_acc = [NeumaierSum(), NeumaierSum(), NeumaierSum()]
-    cross_acc = NeumaierSum()
-    sq_acc = NeumaierSum()
+    # per-chunk partial sums, each list summed exactly rounded at the end
+    re_parts, im_parts, cross_parts, sq_parts = [], [], [], []
+    t_parts = ([], [], [])
     sup = 0.0
     for start in range(0, n_points, _CHUNK):
         count = min(_CHUNK, n_points - start)
@@ -359,29 +358,29 @@ def _band_quadrature(
                 integ = integ * np.exp(
                     (2j * np.pi) * np.mod(eta * t_grid, 1.0)
                 )
-            re_acc.add(float(np.dot(wq, integ.real)))
-            im_acc.add(float(np.dot(wq, integ.imag)))
+            re_parts.append(float(np.dot(wq, integ.real)))
+            im_parts.append(float(np.dot(wq, integ.imag)))
         if collect:
             a = [np.abs(s) for s in sums]
             small = np.minimum(a[0], a[1])
             sup = max(sup, float(small.max()))
-            cross_acc.add(float(np.dot(wq, small * (a[2] * (a[0] + a[1])))))
+            cross_parts.append(float(np.dot(wq, small * (a[2] * (a[0] + a[1])))))
             for x in a:
                 np.multiply(x, x, out=x)    # |S|^2, squared once in place
-            for acc, x in zip(t_acc, a):
-                acc.add(float(np.dot(wq, x)))
-            sq_acc.add(float(np.dot(wq, small * (a[0] + a[1] + a[2]))))
+            for parts, x in zip(t_parts, a):
+                parts.append(float(np.dot(wq, x)))
+            sq_parts.append(float(np.dot(wq, small * (a[0] + a[1] + a[2]))))
     scale = 2.0 * h / 45.0
     value = None
     if kernel is not None:
-        value = complex(re_acc.value * scale, im_acc.value * scale)
+        value = complex(math.fsum(re_parts) * scale, math.fsum(im_parts) * scale)
     stats = None
     if collect:
         stats = (
-            tuple(acc.value * scale for acc in t_acc),
+            tuple(math.fsum(parts) * scale for parts in t_parts),
             sup,
-            cross_acc.value * scale,
-            sq_acc.value * scale,
+            math.fsum(cross_parts) * scale,
+            math.fsum(sq_parts) * scale,
         )
     return value, stats, n_points, h
 

@@ -1,6 +1,7 @@
 """Phase sums, the exact splitting identity, L2 integrals, bound shapes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pstriples.expsums import (
 from pstriples.params import derive_parameters
 from pstriples.primes import ps_primes_in, sieve_primes
 from pstriples.quadrature import adaptive_simpson
+from pstriples.summation import compensated_sum
 
 TABLE4 = sieve_primes(10**4)
 TABLE6 = sieve_primes(10**6)
@@ -259,6 +261,23 @@ def test_compensated_matches_naive():
     naive = complex(np.sum(terms))
     assert abs(r.value - naive) <= 1e-10 * abs(naive)
     assert r.compensation_residual < 1e-9
+
+
+def test_compensated_sum_exactly_rounded_and_order_free():
+    # terms spanning 30 decades that cancel down to a small total
+    rng = np.random.default_rng(11)
+    big = rng.uniform(0.5, 1.0, 600) * 10.0 ** rng.integers(-14, 16, 600)
+    vals = np.concatenate([big, -big * (1.0 + 2.0**-40), rng.uniform(-1, 1, 50)])
+    rng.shuffle(vals)
+    exact = float(sum(Fraction(v) for v in vals.tolist()))
+    total, resid = compensated_sum(vals)
+    assert total == exact
+    naive = float(np.sum(vals))
+    assert naive != exact   # the array is ill-conditioned for plain sums
+    assert resid == abs(exact - naive)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(vals.size)
+        assert compensated_sum(vals[perm])[0].hex() == total.hex()
 
 
 def test_middle_sum_tracks_interval_integral():

@@ -205,6 +205,36 @@ def test_find_triples_re_verified_and_sorted():
         )
 
 
+@pytest.mark.parametrize(
+    "q0,coeffs,eps",
+    [
+        # integer form: every |form| is 0, so the order is all ties
+        (20, Coefficients(1.0, 1.0, -2.0, 0.0), 2.0),
+        (45, Coefficients(1.0, SQRT2, -2.0, 0.3), 1.0),
+    ],
+)
+def test_find_triples_equals_bruteforce_order(q0, coeffs, eps):
+    params, pset = _instance(q0, 0.9, 0.5, eps)
+    l1, l2, l3 = coeffs.lambdas
+    p = pset.primes.astype(np.float64)
+    # the sweep's association, so the forms agree bit for bit
+    forms = (
+        ((l1 * p[:, None, None] + coeffs.eta) + l2 * p[None, :, None])
+        + l3 * p[None, None, :]
+    )
+    want = sorted(
+        (abs(forms[i, j, k]), int(pset.primes[i]), int(pset.primes[j]),
+         int(pset.primes[k]))
+        for i, j, k in zip(*np.nonzero(np.abs(forms) < eps))
+    )
+    assert len({w[0] for w in want}) < len(want)   # ties present
+    recs = find_triples(params, coeffs, pset, eps, max_results=len(want) + 5)
+    got = [(abs(r.form_value), r.p1, r.p2, r.p3) for r in recs]
+    assert got == want
+    cut = find_triples(params, coeffs, pset, eps, max_results=len(want) // 3)
+    assert cut == recs[: len(want) // 3]
+
+
 def test_triple_threshold_formula():
     thr = triple_threshold(0.98, 9929)
     lp = mp.log(9929)
