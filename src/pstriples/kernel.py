@@ -26,6 +26,7 @@ __all__ = [
     "make_kernel",
     "theta",
     "theta_transform",
+    "GridTransform",
     "transform_bound",
     "verify_bounds",
     "invert_transform",
@@ -164,7 +165,15 @@ def _times_power(out: np.ndarray, base: np.ndarray, k: int) -> None:
 
 
 def theta_transform(kernel: SmoothingKernel, x) -> "float | np.ndarray":
-    """Closed-form transform; real because theta is even."""
+    """Closed-form transform; real because theta is even.
+
+    Each sinc factor takes one np.sin of the rounded argument pi * 2c * x,
+    so it is accurate to a few ulps relative where the argument is small
+    and to a few ulps absolute elsewhere, and the k-th power scales the
+    second factor's error by k.  Against mpmath at the double x, for eps
+    0.05 to 2 and k <= 11: within 2.1e-15 relative where 2 pi a |x| < 1
+    and within 5.4e-16 * 2a absolute elsewhere.
+    """
     x_arr = np.asarray(x, dtype=np.float64)
     flat = x_arr.reshape(-1)
     out = np.empty_like(flat)
@@ -177,6 +186,66 @@ def theta_transform(kernel: SmoothingKernel, x) -> "float | np.ndarray":
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)
+
+
+class GridTransform:
+    """Theta on blocks of a uniform grid with t >= 0, by phase rotation.
+
+    For a block t_b + h r, r < size, each sinc factor's sine is
+    sin(2 pi c t) = Im(e(c t_b) e(c h r)) for c in (a, b): the anchor
+    phase c t_b is reduced mod 1 once per block, and the tables of
+    e(c h r) are built once, so the block costs a few multiplies and one
+    divide per point instead of two np.sin calls.  The denominators,
+    the power and the factor 2a are those of theta_transform.
+
+    Accuracy, measured for eps 0.01 to 2, k <= 11, h 2e-7 to 4e-4 and t
+    up to 700: against mpmath at the double grid points, within 5.8e-15
+    relative where 2 pi a t < 1 and 3.1e-15 * 2a absolute elsewhere;
+    against theta_transform on the same points, within 7.8e-15 relative
+    and 5.5e-15 * 2a absolute (tests/test_kernel.py holds 2.5e-14 for
+    both).  The gap grows in proportion to k through the power (3.6e-14
+    relative at k = 64).  Both terms of the rotated sine have the sign
+    of the sine while c t < 1/4, which keeps the small-t values accurate
+    relative to themselves; with a negative anchor they would cancel, so
+    blocks must start at t_b >= 0 (symmetric grids use theta_transform).
+    """
+
+    def __init__(self, kernel: SmoothingKernel, h: float, size: int) -> None:
+        self.kernel = kernel
+        self.size = int(size)
+        self._tables = []
+        for c in (kernel.a, kernel.b):
+            phase = (c * float(h)) * np.arange(self.size)
+            phase -= np.floor(phase)
+            phase *= 2.0 * np.pi
+            self._tables.append((c, np.cos(phase), np.sin(phase)))
+        self._second = np.empty(self.size)
+        self._scratch = np.empty(self.size)
+
+    def __call__(self, t: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Theta at the block t (ascending, t[0] >= 0, at most size points,
+        t[r] = t[0] + h r up to rounding), written to out[:len(t)]."""
+        n = t.size
+        if n > self.size or (n and not t[0] >= 0.0):
+            raise ValueError("block must hold at most size points from t >= 0")
+        out = np.empty(n) if out is None else out[:n]
+        tmp = self._scratch[:n]
+        for (c, cos_r, sin_r), dst in zip(self._tables, (out, self._second[:n])):
+            anchor = c * float(t[0]) if n else 0.0
+            anchor = 2.0 * math.pi * (anchor - math.floor(anchor))
+            # Im(e(c t_b) e(c h r)) = sin(A) cos(B) + cos(A) sin(B), A = 2 pi c t_b
+            np.multiply(cos_r[:n], math.sin(anchor), out=dst)
+            np.multiply(sin_r[:n], math.cos(anchor), out=tmp)
+            dst += tmp
+            np.multiply(t, 2.0 * c, out=tmp)
+            tmp *= np.pi
+            with np.errstate(invalid="ignore"):
+                dst /= tmp
+            if n and t[0] == 0.0:
+                dst[0] = 1.0
+        _times_power(out, self._second[:n], self.kernel.k)
+        out *= 2.0 * self.kernel.a
+        return out
 
 
 def transform_bound(kernel: SmoothingKernel, x) -> "float | np.ndarray":

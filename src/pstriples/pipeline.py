@@ -492,6 +492,9 @@ def run_pipeline(
     stages must be a subset of STAGES; they run in canonical order
     regardless of the order given.  A stage failure writes the partial
     manifest flagged incomplete, then re-raises the stage's exception.
+    When dichotomy is requested, its orientation (dichotomy_orientation)
+    is checked before any stage runs, so a q0 that is not a convergent
+    denominator fails as that stage with no stage output written.
     """
     wanted = set(stages)
     unknown = wanted - set(STAGES)
@@ -512,6 +515,19 @@ def run_pipeline(
         parameters=params_dict(cfg),
         warnings=cfg.warnings,
     )
+
+    def failed(name: str, exc: Exception) -> None:
+        _write_manifest(out, RunManifest(
+            **base, stages=tuple(done), complete=False,
+            failure={"stage": name, "error": f"{type(exc).__name__}: {exc}"},
+        ))
+
+    if "dichotomy" in wanted:
+        try:
+            dichotomy_orientation(cfg)
+        except Exception as exc:
+            failed("dichotomy", exc)
+            raise
     for name in STAGES:
         if name not in wanted:
             continue
@@ -519,11 +535,7 @@ def run_pipeline(
         try:
             ops, outputs, values = _STAGE_FUNCS[name](cfg, inst, out)
         except Exception as exc:
-            manifest = RunManifest(
-                **base, stages=tuple(done), complete=False,
-                failure={"stage": name, "error": f"{type(exc).__name__}: {exc}"},
-            )
-            _write_manifest(out, manifest)
+            failed(name, exc)
             raise
         done.append(StageRecord(
             name=name,

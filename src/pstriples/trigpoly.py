@@ -10,18 +10,26 @@ evaluates
 by one of two evaluators, chosen from the sizes alone:
 
 * blocked (n < 4096 samples, or at most 512 frequencies): with
-  m = m1 + L m2 and L a power of two near sqrt(n) the sum is one complex
-  matrix product of an (n/L x n_freqs) and an (n_freqs x L) phase table.
-  Exact to rounding; cost O(n * n_freqs), nearly all of it in BLAS.
+  m = m1 + L m2 and L a power of two near sqrt(n), the rows m2 are
+  mirrored about the middle row r0, e(psi (r0 +- d)) = e(psi r0) (C +- iS)
+  with real (d x n_freqs) tables C and S, and the sum is two real matrix
+  products on the float view of one complex (n_freqs x L) table, plus
+  one add and one subtract into the output rows: half the flops of one
+  complex product over all rows.  Exact to rounding; cost
+  O(n * n_freqs), nearly all of it in BLAS.
 * NUFFT (otherwise): sources are spread onto an oversampled fine grid
   with a Kaiser-Bessel window, one FFT evaluates the grid, and a
   closed-form deconvolution removes the window (Barnett, Magland and
   af Klinteberg, SISC 2019).  Cost O(M log M) per call.
 
-On one 2^21-point chunk on a 2-vCPU Xeon the blocked path wins below
-~800 frequencies with one BLAS thread and below ~1300 with two (202
-frequencies: 0.05-0.1 s against 0.28-0.36 s), so 512 sits below the
-crossover.
+Crossover on one 2^21-point chunk at t0 = 40 on a 2-vCPU Xeon, medians
+of 5 alternating calls (blocked / NUFFT, s).  One BLAS thread: 202
+frequencies 0.05-0.06 / 0.25-0.27, 800 0.17 / 0.23, 1000 0.21 / 0.25,
+1500 0.34-0.38 / 0.25-0.28.  Two BLAS threads: 400 0.06 / 0.24, 1000
+0.15 / 0.25, 1500 0.22-0.24 / 0.25-0.26, 2000 0.35 / 0.27.  So the
+blocked path wins below ~1100 frequencies with one thread and ~1600
+with two, and 512 sits below both; no benchmark workload has a window
+that wide, so the constant is not raised.
 
 Accuracy, measured against an mpmath oracle exact for the double inputs,
 as the largest gap relative to sum |w_j| (see tests/test_trigpoly.py):
@@ -50,48 +58,74 @@ _OVERSAMPLING = 2.0
 _BETA = np.pi * _SPREAD_WIDTH * (1.0 - 1.0 / (2.0 * _OVERSAMPLING))
 _DIRECT_CUTOFF = 4096       # below this many samples the blocked path wins
 _BLOCKED_MAX_FREQS = 512    # up to this many frequencies the blocked path wins
+_MIRROR_ROWS = 128          # mirrored row pairs per pair of real products
 
 
-def _phase_powers(phase: np.ndarray, count: int) -> np.ndarray:
-    """e(phase_j m) for m < count as a (count, len(phase)) array.
+def _phase_powers(
+    phase: np.ndarray, count: int, scale: "np.ndarray | None" = None
+) -> np.ndarray:
+    """scale_j e(phase_j m) for m < count as a (len(phase), count) array
+    (scale 1 when None).
 
     With m = r + q s, q a power of two near sqrt(count), this is the
-    product of two exp tables of about sqrt(count) rows each; {phase_j q}
-    is exact, so no exp argument exceeds max(q, count/q) turns.
+    product of two exp tables of about sqrt(count) columns each, the
+    scale folded into the coarse one; {phase_j q} is exact, so no exp
+    argument exceeds max(q, count/q) turns.
     """
     q = 1 << (count.bit_length() // 2)
     rows = -(-count // q)
-    fine = np.exp((2j * np.pi) * np.outer(np.arange(q), phase))
+    fine = np.exp((2j * np.pi) * np.outer(phase, np.arange(q)))
     step = phase * q
     step -= np.floor(step)
-    coarse = np.exp((2j * np.pi) * np.outer(np.arange(rows), step))
-    table = coarse[:, None, :] * fine[None, :, :]
-    return table.reshape(rows * q, phase.size)[:count]
+    coarse = np.exp((2j * np.pi) * np.outer(step, np.arange(rows)))
+    if scale is not None:
+        coarse *= scale[:, None]
+    table = coarse[:, :, None] * fine[:, None, :]
+    return table.reshape(phase.size, rows * q)[:, :count]
 
 
 def _blocked_sum(
     freqs: np.ndarray, weights: np.ndarray, t0: float, dt: float, n: int
 ) -> np.ndarray:
-    """Exact-to-rounding evaluation as one complex matrix product.
+    """Exact-to-rounding evaluation as two real matrix products.
 
     With m = m1 + L m2 and L a power of two near sqrt(n),
     e(f_j (t0 + m dt)) = e(f_j t0) e(phi_j m1) e(psi_j m2), where
     phi_j = {f_j dt} and psi_j = {phi_j L} (exact, L being a power of
-    two), so out = B @ A.T with A[m1, j] = e(phi_j m1) and
-    B[m2, j] = w_j e(f_j t0) e(psi_j m2).
+    two).  Rows m2 = r0 +- d are mirrored about the middle row r0, so
+    e(psi_j m2) = e(psi_j r0) (C[d, j] +- i S[d, j]) with real tables C
+    and S.  With AT[j, m1] = w_j e(f_j t0) e(psi_j r0) e(phi_j m1), row
+    r0 +- d of the output is C[d] @ AT +- i S[d] @ AT, and each real
+    table times the complex AT is one real product on AT's float view:
+    half the flops of one complex product over all rows.
     """
     n = int(n)
     size = 1 << (n.bit_length() // 2)
+    rows = -(-n // size)
+    r0 = rows // 2
     phi = freqs * dt
     phi -= np.floor(phi)
     psi = phi * size
     psi -= np.floor(psi)
     theta = freqs * t0
     theta -= np.floor(theta)
-    inner = _phase_powers(phi, size)
-    outer = _phase_powers(psi, -(-n // size))
-    outer *= weights * np.exp((2j * np.pi) * theta)
-    return (outer @ inner.T).reshape(-1)[:n]
+    mirror = _phase_powers(psi, r0 + 1)          # e(psi_j d), d <= r0
+    lead = weights * np.exp((2j * np.pi) * theta) * mirror[:, r0]
+    at_f = _phase_powers(phi, size, lead).view(np.float64)
+    iat_f = _phase_powers(phi, size, 1j * lead).view(np.float64)
+    cos_t = np.ascontiguousarray(mirror.real.T)
+    sin_t = np.ascontiguousarray(mirror.imag.T)
+    out = np.empty((2 * r0 + 1, size), dtype=np.complex128)
+    even_f = np.empty((min(_MIRROR_ROWS, r0 + 1), 2 * size))
+    odd_f = np.empty_like(even_f)
+    for d0 in range(0, r0 + 1, _MIRROR_ROWS):
+        d1 = min(d0 + _MIRROR_ROWS, r0 + 1)
+        even = np.matmul(cos_t[d0:d1], at_f, out=even_f[: d1 - d0])
+        odd = np.matmul(sin_t[d0:d1], iat_f, out=odd_f[: d1 - d0])
+        even, odd = even.view(np.complex128), odd.view(np.complex128)
+        np.add(even, odd, out=out[r0 + d0 : r0 + d1])
+        np.subtract(even, odd, out=out[r0 - d0 :: -1][: d1 - d0])
+    return out.reshape(-1)[:n]
 
 
 def _kb_window(s: np.ndarray) -> np.ndarray:

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import SmoothingKernel, make_kernel, theta, theta_transform, transform_bound
+from .kernel import (
+    GridTransform,
+    SmoothingKernel,
+    make_kernel,
+    theta,
+    theta_transform,
+    transform_bound,
+)
 from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
 from .primes import PSPrimeSet, check_window_set, ps_indicator
 from .quadrature import QuadratureError, adaptive_simpson, boole_weight
@@ -61,12 +68,15 @@ __all__ = [
     "decompose",
 ]
 
-# Uniform band grids are evaluated in fixed chunks.  Each chunk's dot
-# products round within the chunk, so changing this would regroup them
-# and perturb totals in the last bits, even though the per-chunk values
-# are then summed exactly rounded; it is a module constant rather than a
-# parameter.
+# Uniform band grids are evaluated in fixed chunks of _CHUNK points (one
+# evaluator call per sum), and each chunk is walked in blocks of _BLOCK
+# points whose buffers stay in cache.  Each block's dot products round
+# within the block, so changing either size would regroup them and
+# perturb totals in the last bits, even though the per-block values are
+# then summed exactly rounded; they are module constants rather than
+# parameters.
 _CHUNK = 1 << 21
+_BLOCK = 1 << 14
 
 # Hard cap on band grid sizes; beyond this the quadrature is declared
 # non-convergent rather than attempted.
@@ -331,45 +341,73 @@ def _band_quadrature(
     """Boole quadrature of Theta * S1 * S2 * S3 * e(eta t) over [t_lo, t_hi].
 
     Chunked over the grid in index order; each chunk's three exponential
-    sums come from the gridded evaluator.  With collect the sweep also
-    accumulates the squared-modulus integrals, the pointwise minimum of
-    the first two moduli (its supremum and two weighted integrals), all
-    Boole-weighted over the same grid.  With kernel None only the
-    statistics are computed.
+    sums come from the gridded evaluator, and the chunk is then walked in
+    blocks of _BLOCK points whose weights, Theta values, integrand and
+    statistics live in small reused buffers.  Theta comes from
+    GridTransform on bands with t_lo >= 0 and from theta_transform on the
+    symmetric band.  With collect the sweep also accumulates the
+    squared-modulus integrals, the pointwise minimum of the first two
+    moduli (its supremum and two weighted integrals), all Boole-weighted
+    over the same grid.  With kernel None only the statistics are
+    computed.
     """
     from .expsums import ps_sum_grid
 
     n_points, h = _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
     lam = coeffs.lambdas
     eta = coeffs.eta
-    # per-chunk partial sums, each list summed exactly rounded at the end
+    rotated = None
+    if kernel is not None and t_lo >= 0.0:
+        rotated = GridTransform(kernel, h, _BLOCK)
+    # per-block partial sums, each list summed exactly rounded at the end
     re_parts, im_parts, cross_parts, sq_parts = [], [], [], []
     t_parts = ([], [], [])
     sup = 0.0
+    offsets = np.arange(_BLOCK, dtype=np.float64)
+    t_buf, theta_buf, small_buf, tmp_buf = (np.empty(_BLOCK) for _ in range(4))
+    prod_buf = np.empty(_BLOCK, dtype=np.complex128)
+    mod_buf = np.empty((3, _BLOCK))
     for start in range(0, n_points, _CHUNK):
         count = min(_CHUNK, n_points - start)
         t0 = t_lo + start * h
-        wq = boole_weight(np.arange(start, start + count), n_points)
         sums = [ps_sum_grid(pset, l, t0, h, count) for l in lam]
-        if kernel is not None:
-            t_grid = t0 + h * np.arange(count)
-            integ = theta_transform(kernel, t_grid) * (sums[0] * sums[1] * sums[2])
-            if eta != 0.0:
-                integ = integ * np.exp(
-                    (2j * np.pi) * np.mod(eta * t_grid, 1.0)
-                )
-            re_parts.append(float(np.dot(wq, integ.real)))
-            im_parts.append(float(np.dot(wq, integ.imag)))
-        if collect:
-            a = [np.abs(s) for s in sums]
-            small = np.minimum(a[0], a[1])
-            sup = max(sup, float(small.max()))
-            cross_parts.append(float(np.dot(wq, small * (a[2] * (a[0] + a[1])))))
-            for x in a:
-                np.multiply(x, x, out=x)    # |S|^2, squared once in place
-            for parts, x in zip(t_parts, a):
-                parts.append(float(np.dot(wq, x)))
-            sq_parts.append(float(np.dot(wq, small * (a[0] + a[1] + a[2]))))
+        for b in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - b)
+            blk = slice(b, b + n)
+            wq = boole_weight(np.arange(start + b, start + b + n), n_points)
+            if kernel is not None:
+                t = np.add(offsets[:n], b, out=t_buf[:n])
+                t *= h
+                t += t0                 # bit for bit t0 + h * arange(count)
+                if rotated is not None:
+                    wt = rotated(t, theta_buf)
+                else:
+                    wt = theta_transform(kernel, t)
+                wt *= wq
+                prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
+                prod *= sums[2][blk]
+                if eta != 0.0:
+                    prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
+                re_parts.append(float(np.dot(wt, prod.real)))
+                im_parts.append(float(np.dot(wt, prod.imag)))
+            if collect:
+                a = mod_buf[:, :n]
+                for i in range(3):
+                    np.abs(sums[i][blk], out=a[i])
+                small = np.minimum(a[0], a[1], out=small_buf[:n])
+                sup = max(sup, float(small.max()))
+                tmp = np.add(a[0], a[1], out=tmp_buf[:n])
+                tmp *= a[2]
+                tmp *= small
+                cross_parts.append(float(np.dot(wq, tmp)))
+                a *= a                  # |S|^2, squared once in place
+                for parts, x in zip(t_parts, a):
+                    parts.append(float(np.dot(wq, x)))
+                np.add(a[0], a[1], out=tmp)
+                tmp += a[2]
+                tmp *= small
+                sq_parts.append(float(np.dot(wq, tmp)))
+        del sums    # freed before the next chunk's sums are built
     scale = 2.0 * h / 45.0
     value = None
     if kernel is not None:

@@ -12,6 +12,7 @@ from pstriples.kernel import make_kernel, theta
 from pstriples.primes import cache_load, ps_primes_in, sieve_primes
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "sqrt2_demo.conf")
+THIN = str(Path(__file__).resolve().parent.parent / "demos" / "thin_range.conf")
 
 TINY = """\
 q0 = 12
@@ -165,6 +166,22 @@ def test_exit_code_hypothesis_violation(tmp_path, capsys):
     conf.write_text(TINY.replace("gamma = 0.9", "gamma = 1.2"))
     assert main(["gamma-decomp", "--config", str(conf)]) == 3
     assert "37/38" in capsys.readouterr().err
+
+
+def test_run_checks_dichotomy_before_any_stage(tmp_path, monkeypatch, capsys):
+    # q0 = 203 is not a convergent denominator of sqrt(2): the default
+    # stages include dichotomy, so the run stops before primes, kernel
+    # and sums write anything; only the failure manifest is left
+    monkeypatch.setenv("PSD_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", THIN, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "q0=203 is not a convergent denominator" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    data = json.loads((out / "manifest.json").read_text())
+    assert data["complete"] is False and data["stages"] == []
+    assert data["failure"]["stage"] == "dichotomy"
 
 
 def test_exit_code_config_error(tmp_path, capsys):

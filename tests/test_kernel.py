@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pstriples.kernel import (
+    GridTransform,
     invert_transform,
     make_kernel,
     theta,
@@ -114,6 +115,49 @@ def test_transform_matches_sinc_power_form(eps, k):
     grid = xs[:100].reshape(4, 25)
     assert np.array_equal(theta_transform(ker, grid), got[:100].reshape(4, 25))
     assert theta_transform(ker, float(xs[7])) == got[7]
+
+
+# GridTransform against theta_transform on the same grid points: within
+# 6.4e-15 relative where 2 pi a t < 1 and 1.7e-15 * 2a absolute elsewhere
+# on these settings (7.8e-15 and 5.5e-15 over a wider scan with k <= 11);
+# the tolerances are about 4x the relative gap.
+GRID_REL_TOL = 2.5e-14
+GRID_ABS_TOL = 2.5e-14
+
+
+@pytest.mark.parametrize("eps,k,h", [(2.0, 9, 1.0 / (24 * 9947.5)),
+                                     (2.0, 1, 3.7e-4), (0.5, 11, 1e-5),
+                                     (0.05, 9, 2.1e-7), (0.01, 11, 3.7e-4)])
+@pytest.mark.parametrize("t0", [0.0, 1e-7, 0.0019, 40.0, 700.0])
+def test_grid_transform_matches_closed_form(eps, k, h, t0):
+    ker = make_kernel(eps, k)
+    size = 1 << 12
+    n = 3 * size + 123                  # a ragged last block
+    t = t0 + h * np.arange(n)
+    rot = GridTransform(ker, h, size)
+    got = np.empty(n)
+    for i in range(0, n, size):
+        block = rot(t[i : i + size])
+        assert block.size == min(size, n - i)
+        got[i : i + size] = block
+    want = theta_transform(ker, t)
+    near = 2 * np.pi * ker.a * t < 1.0
+    gap = np.abs(got - want)
+    assert np.all(gap[near] <= GRID_REL_TOL * np.abs(want[near]))
+    assert np.all(gap[~near] <= GRID_ABS_TOL * 2 * ker.a)
+    if t0 == 0.0:
+        assert got[0] == want[0] == 2 * ker.a
+
+
+def test_grid_transform_rejects_bad_blocks():
+    ker = make_kernel(1.0, 3)
+    rot = GridTransform(ker, 1e-3, 16)
+    with pytest.raises(ValueError):
+        rot(-1e-3 + 1e-3 * np.arange(8))
+    with pytest.raises(ValueError):
+        rot(1e-3 * np.arange(17))
+    out = np.full(16, np.nan)
+    assert rot(np.zeros(0), out).size == 0
 
 
 def test_transform_matches_quadrature():

@@ -95,3 +95,26 @@ def test_blocked_path_small_and_empty_inputs():
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     empty = trigpoly.trig_sum_uniform(np.zeros(0), np.zeros(0), 0.0, 1.0, 9)
     assert np.array_equal(empty, np.zeros(9, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 8193, 3 * 2**11 + 5,
+                               2**17 + 5])
+def test_mirrored_evaluator_against_plain_sum(n):
+    # Rows of the blocked evaluator are mirrored about the middle row r0:
+    # n = 1 and 2 have one row (r0 = 0), 4095 and 4096 an even row count
+    # (64), 8193 and 3*2^11+5 odd ones (65, 97), and 2^17+5 257 rows, so
+    # more than one block of mirrored rows with a one-row last block.
+    # Dyadic inputs keep every phase product exact, in the evaluator and
+    # in the plain O(n * n_freqs) sum, so the gap is the evaluator's own
+    # rounding: at most 5.2e-15 * sum |w| measured (at 2^17+5).
+    rng = np.random.default_rng(5)
+    nf = 61
+    freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
+    weights = rng.normal(size=nf) + 1j * rng.normal(size=nf)
+    t0, dt = 321987 / 2.0**20, 3 / 2.0**20
+    assert nf <= trigpoly._BLOCKED_MAX_FREQS
+    got = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
+    phase = np.outer(t0 + dt * np.arange(n), freqs)
+    want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 2e-14 * np.sum(np.abs(weights))

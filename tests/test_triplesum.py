@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstriples import expsums, triplesum
 from pstriples.expsums import l2_integral, ps_exp_sum
-from pstriples.kernel import make_kernel, theta, transform_bound
+from pstriples.kernel import make_kernel, theta, theta_transform, transform_bound
 from pstriples.params import Coefficients, ParameterError, derive_parameters
 from pstriples.primes import sieve_primes, ps_primes_in
+from pstriples.quadrature import boole_weight
 from pstriples.triplesum import (
     big_gamma_direct,
     box_integral_B,
@@ -340,6 +342,74 @@ def test_middle_band_stats_without_kernel():
     assert with_k.sup_small_pair == without.sup_small_pair
     assert with_k.cross_integral == without.cross_integral
     assert with_k.gamma2 is not None
+
+
+def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
+    """Band value and statistics with one whole array per chunk (no
+    blocks), theta_transform for Theta and the chunk's own sums."""
+    chunk = triplesum._CHUNK
+    re, im, cross, squares = [], [], [], []
+    t_ints = ([], [], [])
+    sup = 0.0
+    for c, start in enumerate(range(0, n_points, chunk)):
+        count = min(chunk, n_points - start)
+        s = sums[3 * c : 3 * c + 3]
+        t0 = t_lo + start * h
+        t_grid = t0 + h * np.arange(count)
+        wq = boole_weight(np.arange(start, start + count), n_points)
+        integ = theta_transform(kernel, t_grid) * (s[0] * s[1] * s[2])
+        integ = integ * np.exp((2j * np.pi) * np.mod(eta * t_grid, 1.0))
+        re.append(float(np.dot(wq, integ.real)))
+        im.append(float(np.dot(wq, integ.imag)))
+        del integ
+        a = [np.abs(x) for x in s]
+        small = np.minimum(a[0], a[1])
+        sup = max(sup, float(small.max()))
+        cross.append(float(np.dot(wq, small * (a[2] * (a[0] + a[1])))))
+        for parts, x in zip(t_ints, a):
+            parts.append(float(np.dot(wq, x**2)))
+        squares.append(float(np.dot(wq, small * (a[0]**2 + a[1]**2 + a[2]**2))))
+    scale = 2.0 * h / 45.0
+    value = complex(math.fsum(re) * scale, math.fsum(im) * scale)
+    stats = (tuple(math.fsum(p) * scale for p in t_ints), sup,
+             math.fsum(cross) * scale, math.fsum(squares) * scale)
+    return value, stats
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetric):
+    # two chunks (2^21 points and a ragged rest), each walked in blocks;
+    # t_lo >= 0 takes Theta from GridTransform, the symmetric band from
+    # theta_transform; the reference reuses the sweep's own sums
+    params, pset = _instance(12, 0.9, 0.5, 0.5)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.3)
+    kern = _kernel_for(params)
+    nu = 2.0 * params.X + 0.3
+    span = (triplesum._CHUNK + 50_001) / (12 * nu)
+    t_lo = -span / 2 if symmetric else params.Delta
+    recorded = []
+
+    def recording(*args):
+        out = grid(*args)
+        recorded.append(out)
+        return out
+
+    grid = expsums.ps_sum_grid
+    monkeypatch.setattr(expsums, "ps_sum_grid", recording)
+    value, stats, n_points, h = triplesum._band_quadrature(
+        params, c, pset, kern, t_lo, t_lo + span, 12, True
+    )
+    assert len(recorded) == 6 and n_points > triplesum._CHUNK
+    assert (n_points - triplesum._CHUNK) % triplesum._BLOCK != 0
+    want_value, want_stats = _whole_chunk_reference(
+        kern, c.eta, recorded, t_lo, h, n_points
+    )
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+    t_ints, sup, cross, squares = stats
+    assert t_ints == pytest.approx(want_stats[0], rel=1e-12, abs=0)
+    assert sup == want_stats[1]
+    assert cross == pytest.approx(want_stats[2], rel=1e-12, abs=0)
+    assert squares == pytest.approx(want_stats[3], rel=1e-12, abs=0)
 
 
 def test_majorant_chain_holds():
