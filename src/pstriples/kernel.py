@@ -9,10 +9,22 @@ b = epsilon/(8k).  It is 1 on |y| <= 3*epsilon/4, 0 outside
 
 whose absolute value is bounded termwise by
 min(7eps/4, 1/(pi|x|), (1/(pi|x|)) (4k/(pi eps |x|))^k).
+
+theta is evaluated exactly, as Theta is, so the direct and spectral
+sides differ only by quadrature error.  On the ramp theta(y) =
+F1((eps - |y|)/2b), F1 the Irwin-Hall CDF of order k (a sum of k
+uniforms on [-b, b] is 2b(U - k/2)): an integrated cardinal B-spline,
+of degree k on each unit interval (de Boor, A Practical Guide to
+Splines, 1978); its antiderivative F2 integrates theta.  Each piece is
+expanded about its midpoint with exact rational coefficients rounded
+once, and evaluated by Horner's rule.  Against mpmath at the double y
+(k in {1, 2, 9, 11, 13, 20, 64}, eps in {0.05, 0.37, 2}): theta within
+6.4e-16, its antiderivative within 1.4e-16 * 2a; the tests hold 1e-15.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,16 +37,13 @@ __all__ = [
     "BoundReport",
     "make_kernel",
     "theta",
+    "theta_antiderivative",
     "theta_transform",
     "GridTransform",
     "transform_bound",
     "verify_bounds",
     "invert_transform",
 ]
-
-# Internal construction grid has kappa cells per half-width b; the
-# public mesh is interpolated from it afterwards.
-_KAPPA = 1024
 
 # theta_transform works in blocks of this many points so that its
 # temporaries stay in cache (about 30% faster on 2^21 points).
@@ -47,8 +56,6 @@ class SmoothingKernel:
     k: int
     a: float
     b: float
-    mesh_y: np.ndarray
-    grid: np.ndarray
 
     @property
     def plateau(self) -> float:
@@ -59,85 +66,83 @@ class SmoothingKernel:
         return self.epsilon
 
 
-def _box_average(values: np.ndarray, half: int) -> np.ndarray:
-    """Trapezoid window mean over [i-half, i+half], zero-padded.
-
-    Exact for the piecewise-linear interpolant of `values`; window sums
-    of the flat regions stay exactly 1 (or 0) because the end weights
-    are halves and the divisor is the cell count.
-    """
-    n = values.size
-    padded = np.zeros(n + 2 * half)
-    padded[half : half + n] = values
-    c = np.concatenate(([0.0], np.cumsum(padded)))
-    i = np.arange(n)
-    lo = i                 # padded index of i - half
-    hi = i + 2 * half      # padded index of i + half
-    inner = c[hi + 1] - c[lo]
-    trap = inner - 0.5 * (padded[lo] + padded[hi])
-    return trap / (2 * half)
-
-
-def make_kernel(epsilon: float, k: int, mesh_points: int = (1 << 14) + 1) -> SmoothingKernel:
-    """Construct the kernel by iterated discrete convolution.
-
-    The first convolution (an exact trapezoid) is written down in closed
-    form; the remaining k-1 box convolutions are window means on a grid
-    of kappa cells per b, which reproduces the true values to a few
-    parts in 1e8.  The plateau and the complement of the support are
-    exact by construction and are snapped regardless.
-    """
+def make_kernel(epsilon: float, k: int) -> SmoothingKernel:
+    """The kernel of width epsilon and smoothness k (1 <= k <= 64): only
+    its geometry; the polynomial tables of theta and its antiderivative
+    are built on first use, once per k."""
     if not epsilon > 0.0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 64:
         raise ValueError(f"k must be an integer in [1, 64], got {k!r}")
-    if not isinstance(mesh_points, int) or mesh_points < 1024:
-        raise ValueError(f"mesh_points must be an integer >= 1024, got {mesh_points!r}")
-
-    a = 7.0 * epsilon / 8.0
-    b = epsilon / (8.0 * k)
-    half_a = 7 * k * _KAPPA      # a in grid cells
-    half_b = _KAPPA              # b in grid cells
-    radius = half_a + k * half_b  # = epsilon in grid cells
-    h = epsilon / radius
-    idx = np.abs(np.arange(-radius, radius + 1))
-
-    # indicator * box, exactly: trapezoid with corners at a -/+ b
-    vals = np.clip((half_a + half_b - idx) / (2.0 * half_b), 0.0, 1.0)
-    for _ in range(k - 1):
-        vals = _box_average(vals, half_b)
-
-    vals = 0.5 * (vals + vals[::-1])
-    np.clip(vals, 0.0, 1.0, out=vals)
-
-    # exact plateau and support snap (3/4 and 1 of radius are integers)
-    plateau_cells = (3 * radius) // 4
-    vals[idx <= plateau_cells] = 1.0
-    vals[idx >= radius] = 0.0
-
-    mesh_y = np.linspace(-epsilon, epsilon, mesh_points)
-    grid = np.interp(mesh_y, np.arange(-radius, radius + 1) * h, vals)
-    # mirror once more so interpolation round-off cannot break evenness
-    grid = 0.5 * (grid + grid[::-1])
-    return SmoothingKernel(epsilon=float(epsilon), k=k, a=a, b=b,
-                           mesh_y=mesh_y, grid=grid)
+    return SmoothingKernel(epsilon=float(epsilon), k=k,
+                           a=7.0 * epsilon / 8.0, b=epsilon / (8.0 * k))
 
 
-def theta(kernel: SmoothingKernel, y) -> "float | np.ndarray":
-    """Evaluate theta: exact on the plateau and outside the support,
-    linear mesh interpolation on the two ramps."""
-    y_arr = np.abs(np.asarray(y, dtype=np.float64))
-    out = np.empty(y_arr.shape)
-    plateau = y_arr <= kernel.plateau
-    outside = y_arr >= kernel.support
-    ramp = ~(plateau | outside)
-    out[plateau] = 1.0
-    out[outside] = 0.0
-    if np.any(ramp):
-        out[ramp] = np.interp(y_arr[ramp], kernel.mesh_y, kernel.grid)
+@functools.lru_cache(maxsize=None)
+def _spline_table(k: int, m: int) -> np.ndarray:
+    """Coefficients of F_m(z) = sum_{j <= z} (-1)^j C(k, j) (z - j)^n / n!,
+    n = k - 1 + m, on the pieces [i, i+1), i < k: in v = z - i - 1/2,
+    (z - j)^n = (2v + 2(i - j) + 1)^n / 2^n, so each coefficient is an
+    integer over 2^n n!, divided once with correct rounding.  Row r holds
+    the coefficients of v^(n-r), as Horner's rule reads them."""
+    n = k - 1 + m
+    denom = 2**n * math.factorial(n)
+    out = np.empty((n + 1, k))
+    for i in range(k):
+        for p in range(n + 1):
+            s = sum((-1) ** j * math.comb(k, j) * (2 * (i - j) + 1) ** (n - p)
+                    for j in range(i + 1))
+            out[n - p, i] = math.comb(n, p) * 2**p * s / denom
+    out.flags.writeable = False     # one cached table serves every caller
+    return out
+
+
+def _spline(k: int, m: int, z: np.ndarray) -> np.ndarray:
+    """F_m at points z in (0, k], by Horner's rule on each z's piece."""
+    table = _spline_table(k, m)
+    i = np.minimum(z.astype(np.intp), k - 1)
+    v = z - i - 0.5
+    out = table[0][i]
+    for row in table[1:]:
+        out *= v
+        out += row[i]
+    return out
+
+
+def _scalar_or_array(y, out: np.ndarray):
     if np.isscalar(y) or np.asarray(y).ndim == 0:
         return float(out)
     return out
+
+
+def theta(kernel: SmoothingKernel, y) -> "float | np.ndarray":
+    """theta(y): exactly 1 on the plateau and 0 outside the support;
+    F1((eps - |y|)/2b) on the two ramps, clipped to [0, 1].  Even in y
+    bit for bit, since only |y| is used."""
+    y_arr = np.abs(np.asarray(y, dtype=np.float64))
+    out = np.where(y_arr <= kernel.plateau, 1.0, 0.0)
+    ramp = (y_arr > kernel.plateau) & (y_arr < kernel.support)
+    z = (kernel.epsilon - y_arr[ramp]) / (2.0 * kernel.b)
+    out[ramp] = np.clip(_spline(kernel.k, 1, z), 0.0, 1.0)
+    return _scalar_or_array(y, out)
+
+
+def theta_antiderivative(kernel: SmoothingKernel, y) -> "float | np.ndarray":
+    """The integral of theta over (-inf, y]: 0 for y <= -eps, exactly 2a
+    = 7eps/4 for y >= eps.  For y <= 0 it is 2b F2((eps + y)/2b), since
+    2b F2((y - a + kb)/2b), the other term of the box convolution,
+    vanishes there (a + kb = eps); F2(z) = z - k/2 for z >= k.  For y > 0
+    evenness gives 2a minus the value at -y."""
+    y_arr = np.asarray(y, dtype=np.float64)
+    mag = np.abs(y_arr)
+    low = np.zeros(mag.shape)
+    inside = mag < kernel.support
+    z = (kernel.epsilon - mag[inside]) / (2.0 * kernel.b)
+    f = z - 0.5 * kernel.k
+    ramp = z < kernel.k
+    f[ramp] = _spline(kernel.k, 2, z[ramp])
+    low[inside] = (2.0 * kernel.b) * f
+    return _scalar_or_array(y, np.where(y_arr <= 0.0, low, 2.0 * kernel.a - low))
 
 
 def _sinc(c: float, x: np.ndarray) -> np.ndarray:
@@ -183,9 +188,7 @@ def theta_transform(kernel: SmoothingKernel, x) -> "float | np.ndarray":
         _times_power(val, _sinc(2.0 * kernel.b, part), kernel.k)
         val *= 2.0 * kernel.a
         out[i : i + _BLOCK] = val
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(x_arr.shape)
+    return _scalar_or_array(x, out.reshape(x_arr.shape))
 
 
 class GridTransform:
@@ -261,9 +264,7 @@ def transform_bound(kernel: SmoothingKernel, x) -> "float | np.ndarray":
         third = np.exp(np.minimum(log_third, 709.0))
         out = np.minimum(flat, np.minimum(inv, third))
     out = np.where(x_arr == 0.0, flat, out)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(x, out)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ directory named by the PSD_CACHE_DIR environment variable.
 A run takes a validated RunConfig, executes a subset of named stages in
 dependency order, and leaves every artifact in one output directory
 together with a JSON manifest: the config echo, the derived parameters,
-per-stage wall times, the operations each stage called, and a sha256
-digest of every file written.  All report files are plain CSV written
-by `csv_text` (ints as ints, floats at 17 significant digits, strings
-verbatim), so identical inputs reproduce identical bytes; the
-manifest's wall times are the only run-to-run variation.  Requesting
-only a late stage does not emit the earlier stages' files.  The kernel,
-dichotomy and triples tables are built by `theta_table`,
-`transform_table`, `dichotomy_table` and `triples_table`, which the
-CLI uses too.
+per-stage wall times and values, and a sha256 digest of every file
+written.  All report files are plain CSV written by `csv_text` (ints as
+ints, floats at 17 significant digits, strings verbatim), so identical
+inputs reproduce identical bytes; the manifest's wall times are the only
+run-to-run variation.  Requesting only a late stage does not emit the
+earlier stages' files.  The kernel, dichotomy and triples tables are
+built by `theta_table`, `transform_table`, `dichotomy_table` and
+`triples_table`, which the CLI uses too.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .primes import (
     ps_primes_in,
     sieve_primes,
 )
-from .triplesum import decompose, find_triples, threshold_vacuous
+from .triplesum import check_band_grids, decompose, find_triples, threshold_vacuous
 
 __all__ = [
     "Instance",
@@ -100,7 +99,6 @@ class OutputRecord:
 class StageRecord:
     name: str
     wall_time_s: float
-    ops: "tuple[str, ...]"
     outputs: "tuple[OutputRecord, ...]"
     values: "dict[str, object]"
 
@@ -169,9 +167,9 @@ def _transform_points(kern) -> np.ndarray:
 
 
 def theta_table(kern) -> str:
-    """CSV of theta on the kernel's mesh: y, theta."""
-    mesh = kern.mesh_y
-    return csv_text(["y", "theta"], zip(mesh.tolist(), theta(kern, mesh).tolist()))
+    """CSV of theta at 2^14 + 1 evenly spaced y in [-eps, eps]: y, theta."""
+    y = np.linspace(-kern.epsilon, kern.epsilon, (1 << 14) + 1)
+    return csv_text(["y", "theta"], zip(y.tolist(), theta(kern, y).tolist()))
 
 
 def transform_table(kern) -> str:
@@ -311,8 +309,7 @@ def _stage_primes(cfg: RunConfig, inst: Instance, out: Path):
         "full_count": inst.full_set.count,
         "sieve_limit": inst.limit,
     }
-    ops = ("sieve_primes", "ps_primes_in", "cache_store")
-    return ops, (rec, _digest(cache_path)), values
+    return (rec, _digest(cache_path)), values
 
 
 def _stage_kernel(cfg: RunConfig, inst: Instance, out: Path):
@@ -328,9 +325,7 @@ def _stage_kernel(cfg: RunConfig, inst: Instance, out: Path):
         "bound_violations": report.violations,
         "bound_min_slack": report.min_slack,
     }
-    ops = ("make_kernel", "theta", "theta_transform", "transform_bound",
-           "verify_bounds")
-    return ops, (rec_theta, rec_tr), values
+    return (rec_theta, rec_tr), values
 
 
 def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
@@ -357,8 +352,7 @@ def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
         "term_count": pset.count,
         "max_identity_residual": worst,
     }
-    ops = ("ps_exp_sum", "decomposition_residual")
-    return ops, (rec_s, rec_r), values
+    return (rec_s, rec_r), values
 
 
 def dichotomy_orientation(cfg: RunConfig):
@@ -398,8 +392,7 @@ def _stage_dichotomy(cfg: RunConfig, inst: Instance, out: Path):
         "case_counts": dict(sorted(Counter(r.case for r in reports).items())),
         "unexplained": sum(not r.explained for r in reports),
     }
-    ops = ("continued_fraction", "dichotomy_probe")
-    return ops, (rec,), values
+    return (rec,), values
 
 
 def _complex_pair(z: complex) -> "list[float]":
@@ -447,10 +440,7 @@ def _stage_decomp(cfg: RunConfig, inst: Instance, out: Path):
     values = decomp_values(res)
     path = out / "decomp.json"
     path.write_text(json.dumps(values, indent=1, default=_json_default) + "\n")
-    ops = ("decompose", "big_gamma_direct", "gamma_piece", "integral_J",
-           "box_integral_B", "phi_bound", "tail_bound_gamma3",
-           "gamma2_majorant")
-    return ops, (_digest(path),), values
+    return (_digest(path),), values
 
 
 def _stage_triples(cfg: RunConfig, inst: Instance, out: Path):
@@ -462,8 +452,7 @@ def _stage_triples(cfg: RunConfig, inst: Instance, out: Path):
         "found": len(records),
         "formula_eps_vacuous": threshold_vacuous(params, cfg.coeffs),
     }
-    ops = ("find_triples", "triple_threshold", "threshold_vacuous")
-    return ops, (rec,), values
+    return (rec,), values
 
 
 _STAGE_FUNCS = {
@@ -473,6 +462,13 @@ _STAGE_FUNCS = {
     "dichotomy": _stage_dichotomy,
     "decomp": _stage_decomp,
     "triples": _stage_triples,
+}
+
+
+# run before any stage, so that a stage failing one writes no output
+_PRECHECKS = {
+    "dichotomy": lambda cfg, inst: dichotomy_orientation(cfg),
+    "decomp": lambda cfg, inst: check_band_grids(cfg.params, cfg.coeffs, inst.kernel),
 }
 
 
@@ -492,9 +488,10 @@ def run_pipeline(
     stages must be a subset of STAGES; they run in canonical order
     regardless of the order given.  A stage failure writes the partial
     manifest flagged incomplete, then re-raises the stage's exception.
-    When dichotomy is requested, its orientation (dichotomy_orientation)
-    is checked before any stage runs, so a q0 that is not a convergent
-    denominator fails as that stage with no stage output written.
+    Before any stage runs, a requested dichotomy checks its orientation
+    (dichotomy_orientation) and a requested decomp its band sizes
+    (check_band_grids); either failure is that stage's, with no output
+    written.
     """
     wanted = set(stages)
     unknown = wanted - set(STAGES)
@@ -516,34 +513,21 @@ def run_pipeline(
         warnings=cfg.warnings,
     )
 
-    def failed(name: str, exc: Exception) -> None:
+    try:
+        for name, check in _PRECHECKS.items():
+            if name in wanted:
+                check(cfg, inst)
+        for name in (s for s in STAGES if s in wanted):
+            t0 = time.perf_counter()
+            outputs, values = _STAGE_FUNCS[name](cfg, inst, out)
+            done.append(StageRecord(name, time.perf_counter() - t0,
+                                    tuple(outputs), values))
+    except Exception as exc:
         _write_manifest(out, RunManifest(
             **base, stages=tuple(done), complete=False,
             failure={"stage": name, "error": f"{type(exc).__name__}: {exc}"},
         ))
-
-    if "dichotomy" in wanted:
-        try:
-            dichotomy_orientation(cfg)
-        except Exception as exc:
-            failed("dichotomy", exc)
-            raise
-    for name in STAGES:
-        if name not in wanted:
-            continue
-        t0 = time.perf_counter()
-        try:
-            ops, outputs, values = _STAGE_FUNCS[name](cfg, inst, out)
-        except Exception as exc:
-            failed(name, exc)
-            raise
-        done.append(StageRecord(
-            name=name,
-            wall_time_s=time.perf_counter() - t0,
-            ops=ops,
-            outputs=tuple(outputs),
-            values=values,
-        ))
+        raise
     manifest = RunManifest(
         **base, stages=tuple(done), complete=True, failure=None,
     )

@@ -35,6 +35,7 @@ from .kernel import (
     SmoothingKernel,
     make_kernel,
     theta,
+    theta_antiderivative,
     theta_transform,
     transform_bound,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "triple_threshold",
     "threshold_vacuous",
     "gamma_piece",
+    "check_band_grids",
     "piece3_truncation",
     "middle_band_sweep",
     "gamma2_majorant",
@@ -423,6 +425,29 @@ def _band_quadrature(
     return value, stats, n_points, h
 
 
+def _band_edges(params: RunParameters, kernel: "SmoothingKernel | None" = None):
+    """[t_lo, t_hi] of each band by piece: |t| < Delta for 1 (and the
+    main term), [Delta, H] for 2, [H, piece3_truncation] for 3 (None
+    without a kernel; empty when t_hi <= t_lo)."""
+    far = None if kernel is None else (
+        params.H_effective, piece3_truncation(params, kernel))
+    return {1: (-params.Delta, params.Delta),
+            2: (params.Delta, params.H_effective), 3: far}
+
+
+def check_band_grids(
+    params: RunParameters,
+    coeffs: Coefficients,
+    kernel: SmoothingKernel,
+    points_per_period: int = 12,
+) -> None:
+    """Size every band decompose integrates, evaluating nothing, so that
+    a band past the point cap raises QuadratureError up front."""
+    for piece, (t_lo, t_hi) in _band_edges(params, kernel).items():
+        if piece < 3 or t_hi > t_lo:
+            _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
+
+
 def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
     """Point past which the transform's decay branch drops below
     1e-12 * X^(3-3*gamma); quadrature beyond it is pure noise against
@@ -460,11 +485,7 @@ def gamma_piece(
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
     check_window_set(params, pset)
-    t_lo, t_hi = {
-        1: (-params.Delta, params.Delta),
-        2: (params.Delta, params.H_effective),
-        3: (params.H_effective, piece3_truncation(params, kernel)),
-    }[piece]
+    t_lo, t_hi = _band_edges(params, kernel)[piece]
     if piece == 3 and t_hi <= t_lo:
         return complex(0.0, 0.0)
     value, _, _, _ = _band_quadrature(
@@ -512,14 +533,8 @@ def middle_band_sweep(
     chain needs, so the expensive sweep is never run twice."""
     check_window_set(params, pset)
     value, stats, n_points, h = _band_quadrature(
-        params,
-        coeffs,
-        pset,
-        kernel,
-        params.Delta,
-        params.H_effective,
-        points_per_period,
-        True,
+        params, coeffs, pset, kernel, *_band_edges(params)[2],
+        points_per_period, True,
     )
     t_ints, sup, cross, squares = stats
     return MiddleBand(value, t_ints, sup, cross, squares, n_points, h)
@@ -627,9 +642,9 @@ def integral_J(
     window integrals; real by conjugate symmetry, computed on the full
     symmetric grid with the imaginary residue checked against an
     absolute scale set by the integrand's supremum."""
-    delta = params.Delta
-    n_points, h = _band_grid(-delta, delta, coeffs, params, points_per_period)
-    t_grid = -delta + h * np.arange(n_points)
+    t_lo, t_hi = _band_edges(params)[1]
+    n_points, h = _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
+    t_grid = t_lo + h * np.arange(n_points)
     integ = theta_transform(kernel, t_grid) * _interval_product(
         t_grid, params, coeffs
     )
@@ -642,7 +657,7 @@ def integral_J(
         float(np.dot(wq, integ.imag)) * scale,
     )
     g = params.gamma.value
-    sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * 2.0 * delta
+    sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * (t_hi - t_lo)
     if abs(value.imag) > 1e-9 * sup_scale:
         raise QuadratureError(
             f"main-band integral has imaginary residue {value.imag!r} "
@@ -672,9 +687,9 @@ def box_integral_B(
 
     For fixed (y1, y2) the inner integral is the theta antiderivative
     evaluated across an interval of length |l3| * (1 - lambda0) * X and
-    divided by |l3|; the antiderivative is exact for the mesh-linear
-    theta, so only the outer double integral needs composite Simpson,
-    refined by doubling until stable.  Infeasible instances return zero
+    divided by |l3|; the antiderivative is exact (theta_antiderivative),
+    so only the outer double integral needs composite Simpson, refined
+    by doubling until stable.  Infeasible instances return zero
     with the flag down.
     """
     feasible = feasible_box_check(
@@ -685,12 +700,6 @@ def box_integral_B(
     lam1, lam2, lam3 = coeffs.lambdas
     x = params.X
     lo_edge = params.lambda0 * x
-    mesh = kernel.mesh_y
-    dy = mesh[1] - mesh[0]
-    grid = kernel.grid
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (grid[1:] + grid[:-1]) * dy))
-    )
     shift_a = lam3 * x
     shift_b = lam3 * lo_edge
 
@@ -711,9 +720,9 @@ def box_integral_B(
             ub = base + shift_b
             hi = np.maximum(ua, ub)
             lo = np.minimum(ua, ub)
-            inner = (np.interp(hi, mesh, cdf) - np.interp(lo, mesh, cdf)) / abs(
-                lam3
-            )
+            inner = theta_antiderivative(kernel, hi)
+            inner -= theta_antiderivative(kernel, lo)
+            inner /= abs(lam3)
             total += float(np.dot(w1d[s : s + block], inner @ w1d))
         return total
 
@@ -907,15 +916,17 @@ def decompose(
     """Full desk-scale decomposition of the weighted triple count.
 
     Builds the canonical kernel (effective width, k = params.kernel_k)
-    unless one is supplied, evaluates the three band integrals (pieces 1
-    and 3 by gamma_piece, piece 2 by the middle-band sweep that also
-    feeds the majorant chain), the main term and its remainder bound,
-    the far-tail bounds, and (by default) the direct count closing the
-    transform identity.
+    unless one is supplied, sizes every band (check_band_grids: a band
+    past the point cap fails before any sweep), evaluates the three band
+    integrals (pieces 1 and 3 by gamma_piece, piece 2 by the middle-band
+    sweep that also feeds the majorant chain), the main term and its
+    remainder bound, the far-tail bounds, and (by default) the direct
+    count closing the transform identity.
     """
     check_window_set(params, pset)
     if kernel is None:
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
+    check_band_grids(params, coeffs, kernel, points_per_period)
     g1 = gamma_piece(1, params, coeffs, kernel, pset, points_per_period)
     band = middle_band_sweep(params, coeffs, pset, kernel, points_per_period)
     g2 = band.gamma2

@@ -184,6 +184,23 @@ def test_run_checks_dichotomy_before_any_stage(tmp_path, monkeypatch, capsys):
     assert data["failure"]["stage"] == "dichotomy"
 
 
+def test_run_checks_band_cap_before_any_stage(tmp_path, monkeypatch, capsys):
+    # the thin-range middle band needs ~3.2e10 grid points, past the
+    # 2^31 cap: with decomp requested the run stops before primes and
+    # kernel write anything; only the failure manifest is left
+    monkeypatch.setenv("PSD_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", THIN, "--stages", "primes,kernel,decomp",
+                 "--out-dir", str(out)]) == 4
+    assert "beyond the 2147483648 cap" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    data = json.loads((out / "manifest.json").read_text())
+    assert data["complete"] is False and data["stages"] == []
+    assert data["failure"]["stage"] == "decomp"
+    assert data["failure"]["error"].startswith("QuadratureError")
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text(TINY.replace("lambda3 = -2.0\n", ""))

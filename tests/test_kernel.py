@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,32 +12,82 @@ from pstriples.kernel import (
     invert_transform,
     make_kernel,
     theta,
+    theta_antiderivative,
     theta_transform,
     transform_bound,
     verify_bounds,
 )
 from pstriples.quadrature import simpson_uniform
 
+# theta within THETA_TOL absolute and its antiderivative within
+# THETA_TOL * 2a of the 50-digit reference at the double y; measured
+# up to 3.6e-16 and 1.3e-16 * 2a on the settings below.
+THETA_TOL = 1e-15
+REF_DPS = 50
 
-def irwin_hall_cdf(z, k):
-    if z <= 0:
-        return 0.0
-    if z >= k:
-        return 1.0
-    s = 0.0
-    for j in range(int(math.floor(z)) + 1):
-        s += (-1) ** j * math.comb(k, j) * (z - j) ** k
-    return s / math.factorial(k)
+
+def irwin_hall(z, k, m):
+    """m-th integral of the Irwin-Hall density of order k at z (m = 1:
+    the CDF), by the truncated-power sum in mpmath at REF_DPS digits;
+    in doubles that sum is off by 3e-7 at k = 20."""
+    with mp.workdps(REF_DPS):
+        if z <= 0:
+            return mp.mpf(0)
+        if z >= k:
+            return mp.mpf(1) if m == 1 else z - mp.mpf(k) / 2
+        n = k - 1 + m
+        s = mp.fsum((-1) ** j * mp.binomial(k, j) * (z - j) ** n
+                    for j in range(int(mp.floor(z)) + 1))
+        return s / mp.factorial(n)
 
 
 def theta_reference(y, eps, k):
     # the k-fold box convolution of an interval has an Irwin-Hall CDF
-    # difference as its exact value
-    a = 7.0 * eps / 8.0
-    b = eps / (8.0 * k)
-    zhi = (y + a + k * b) / (2.0 * b)
-    zlo = (y - a + k * b) / (2.0 * b)
-    return irwin_hall_cdf(zhi, k) - irwin_hall_cdf(zlo, k)
+    # difference as its exact value, with a = 7 eps/8 and b = eps/(8k)
+    with mp.workdps(REF_DPS):
+        eps, y = mp.mpf(eps), mp.mpf(y)
+        a, b = 7 * eps / 8, eps / (8 * k)
+        return (irwin_hall((y + a + k * b) / (2 * b), k, 1)
+                - irwin_hall((y - a + k * b) / (2 * b), k, 1))
+
+
+def antiderivative_reference(y, eps, k):
+    # the integral over (-inf, y] of that difference: 2b (F2(zhi) - F2(zlo))
+    with mp.workdps(REF_DPS):
+        eps, y = mp.mpf(eps), mp.mpf(y)
+        a, b = 7 * eps / 8, eps / (8 * k)
+        return 2 * b * (irwin_hall((y + a + k * b) / (2 * b), k, 2)
+                        - irwin_hall((y - a + k * b) / (2 * b), k, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 11, 13, 64])
+@pytest.mark.parametrize("eps", [0.05, 2.0])
+def test_theta_and_antiderivative_match_mpmath(eps, k):
+    ker = make_kernel(eps, k)
+    rng = np.random.default_rng(1000 * k + int(100 * eps))
+    ys = np.concatenate([
+        rng.uniform(0.74 * eps, 1.01 * eps, 160),    # ramp
+        -rng.uniform(0.74 * eps, 1.01 * eps, 40),
+        rng.uniform(-1.02 * eps, 1.02 * eps, 40),    # everywhere
+        [0.0, 0.75 * eps, -eps, eps, 3 * eps, -3 * eps],
+    ])
+    got = theta(ker, ys)
+    got_int = theta_antiderivative(ker, ys)
+    for y, g, gi in zip(ys.tolist(), got.tolist(), got_int.tolist()):
+        assert abs(g - theta_reference(y, eps, k)) <= THETA_TOL, (y, g)
+        assert abs(gi - antiderivative_reference(y, eps, k)) <= (
+            THETA_TOL * 2 * ker.a), (y, gi)
+    assert theta(ker, float(ys[0])) == got[0]
+    assert theta_antiderivative(ker, float(ys[0])) == got_int[0]
+
+
+def test_antiderivative_limits_exact():
+    for eps, k in ((0.05, 1), (2.0, 9), (0.37, 64)):
+        ker = make_kernel(eps, k)
+        assert theta_antiderivative(ker, -eps) == 0.0
+        assert theta_antiderivative(ker, -1e6) == 0.0
+        assert theta_antiderivative(ker, eps) == 2 * ker.a
+        assert theta_antiderivative(ker, 1e6) == 2 * ker.a
 
 
 def test_plateau_and_support_exact():
@@ -57,12 +108,11 @@ def test_k1_is_exact_trapezoid():
 
 
 def test_ramp_matches_analytic_convolution():
-    for k, tol in [(1, 1e-12), (2, 5e-7), (3, 5e-7), (5, 5e-7), (20, 3e-6)]:
+    for k in (1, 2, 3, 5, 20):
         ker = make_kernel(1.0, k)
         for y in np.linspace(0.74, 1.01, 37):
-            assert theta(ker, y) == pytest.approx(
-                theta_reference(y, 1.0, k), abs=tol
-            ), f"k={k}, y={y}"
+            assert abs(theta(ker, y) - theta_reference(y, 1.0, k)) <= (
+                THETA_TOL), f"k={k}, y={y}"
 
 
 def test_spot_values():
@@ -70,29 +120,22 @@ def test_spot_values():
     assert theta(make_kernel(1.0, 2), 0.9) == pytest.approx(0.32, abs=1e-6)
 
 
-def test_mesh_refinement_agreement():
-    coarse = make_kernel(1.0, 2)
-    fine = make_kernel(1.0, 2, mesh_points=(1 << 16) + 1)
-    for y in np.linspace(0.75, 1.0, 101):
-        assert theta(coarse, y) == pytest.approx(theta(fine, y), abs=1e-6)
-
-
 def test_theta_even_and_bounded():
-    ker = make_kernel(0.37, 4)
-    pos = np.linspace(0.0, 0.5, 501)
-    vals = theta(ker, pos)
-    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert np.array_equal(vals, theta(ker, -pos))
+    for k in (4, 64):
+        ker = make_kernel(0.37, k)
+        pos = np.linspace(0.0, 0.5, 501)
+        vals = theta(ker, pos)
+        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+        assert np.array_equal(vals, theta(ker, -pos))
 
 
 def test_transform_at_zero_is_mass():
     for eps in (1e-3, 1.0, 10.0):
         ker = make_kernel(eps, 3)
         assert theta_transform(ker, 0.0) == pytest.approx(7 * eps / 4, rel=1e-15)
-        # and the mesh mass agrees
-        h = ker.mesh_y[1] - ker.mesh_y[0]
-        mass = simpson_uniform(ker.grid, h)
-        assert mass == pytest.approx(7 * eps / 4, rel=1e-6)
+        # and the integral of theta over [-eps, eps] agrees
+        mass = theta_antiderivative(ker, eps) - theta_antiderivative(ker, -eps)
+        assert mass == pytest.approx(7 * eps / 4, rel=1e-15)
 
 
 def test_transform_sine_zero():
@@ -227,8 +270,6 @@ def test_parameter_validation():
         make_kernel(1.0, 65)
     with pytest.raises(ValueError):
         make_kernel(1.0, 2.0)
-    with pytest.raises(ValueError):
-        make_kernel(1.0, 3, mesh_points=512)
 
 
 def test_geometry_identities():
@@ -246,7 +287,7 @@ def test_geometry_identities():
     x=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
 )
 def test_bound_property(eps, k, x):
-    ker = make_kernel(eps, k, mesh_points=1024)
+    ker = make_kernel(eps, k)
     t = abs(theta_transform(ker, x))
     b = transform_bound(ker, x)
     assert t <= b * (1 + 1e-12) + 1e-300

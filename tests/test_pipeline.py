@@ -98,6 +98,8 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
     assert gap <= values["decomp"]["phi_bound"]
     assert values["triples"]["found"] >= 1
     assert all(s["wall_time_s"] >= 0 for s in data["stages"])
+    assert all(set(s) == {"name", "wall_time_s", "outputs", "values"}
+               for s in data["stages"])
     assert data["parameters"]["q0"] == 29
     assert data["config_echo"]["gamma"] == "0.9"
 

@@ -292,6 +292,17 @@ def test_decomposition_closes_with_shift():
     assert abs(res.gamma1.imag) <= 1e-8 * abs(res.gamma1)
 
 
+def test_decomposition_closes_on_instance_a():
+    # q0 70, gamma 0.9, eps 2, l = (1, sqrt 2, -2): the benchmark's
+    # decomp-A.  theta and Theta are both exact, so the gap is quadrature
+    # error, 4.9e-13 measured; a direct-side theta off by up to 8e-7 on
+    # its ramps reads 2.65e-9 here
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
+    assert res.triples_found == 2362
+    assert res.closure_error <= 1e-11
+
+
 def test_gamma_piece_matches_decompose():
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
