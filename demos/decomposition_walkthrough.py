@@ -36,7 +36,7 @@ def main():
     print(f"  far band     up to {res.piece3_cut:9.3f}: {res.gamma3.real:14.4f}")
     cover = far_tail_majorant(params, coeffs, kern, pset)
     print(f"    (covered by the rigorous envelope {cover:.1f}; the "
-          f"asymptotic shape predicts {res.tail_bound_value:.1e})")
+          f"asymptotic shape predicts {res.tail.value:.1e})")
     print(f"  total                       : {res.gamma_total.real:14.4f}")
     print(f"  direct count                : {res.direct_value:14.4f}")
     print(f"  closure |total - direct| / direct = {res.closure_error:.2e}")
@@ -44,9 +44,9 @@ def main():
 
     print("bound chain ------------------------------------")
     print(f"  main band target integral J = {res.j_integral:.4f}")
-    print(f"  box lower term            B = {res.box_integral:.4f}")
-    print(f"  |J - B| = {abs(res.j_integral - res.box_integral):.4f} "
-          f"<= envelope {res.phi_bound_value:.4f}")
+    print(f"  box lower term            B = {res.box.value:.4f}")
+    print(f"  |J - B| = {abs(res.j_integral - res.box.value):.4f} "
+          f"<= envelope {res.phi.value:.4f}")
     print(f"  middle band majorant: {res.majorant.value:.4f} "
           f"(sweep gave {abs(res.gamma2):.4f})")
     print()

@@ -1,6 +1,6 @@
 """Smoothing kernel: plateau, support, transform decay, inversion.
 
-The search window |form| < eps is smoothed by a C^k bump theta that is
+The search window |form| < eps is smoothed by a C^(k-1) bump theta that is
 1 on |y| <= 3 eps/4 and 0 outside |y| < eps.  Its Fourier transform
 decays like |x|^(-k-1), which is what makes the tail of the band
 integral summable.  This script tables the bump, checks the decay
@@ -24,7 +24,7 @@ def main():
     kern = make_kernel(eps, k)
     print(f"kernel eps = {eps}, k = {k}")
     print(f"  plateau |y| <= {kern.plateau}, support |y| < {kern.support}")
-    print(f"  unit mass on the plateau, C^{k} rolloff between")
+    print(f"  theta = 1 on the plateau, C^{k - 1} rolloff between")
     print()
 
     print("bump profile -----------------------------------")

@@ -52,6 +52,11 @@ __all__ = [
 # beyond this the product alpha*p has no fractional bits left in a double
 PHASE_LIMIT = float(1 << 52)
 
+# l2_integral's window span doubles its panels until two values agree to
+# _L2_REL_TOL, and fails past _L2_MAX_PANELS
+_L2_REL_TOL = 1e-6
+_L2_MAX_PANELS = 1 << 22
+
 
 def sawtooth(t):
     """Fractional part minus one half; {t} in [0, 1), so integers map to -1/2."""
@@ -248,8 +253,6 @@ def l2_integral(
     params: RunParameters,
     pset: "PSPrimeSet | None" = None,
     span: str = "window",
-    rel_tol: float = 1e-6,
-    max_panels: int = 1 << 22,
 ) -> L2Result:
     """Quadrature of a squared modulus.
 
@@ -262,7 +265,8 @@ def l2_integral(
                      weight-square sum is returned as exact_reference.
 
     Panels start at >= 8 per unit of |lam| X Delta and double until the
-    value moves by less than rel_tol, raising QuadratureError at the cap.
+    value moves by less than _L2_REL_TOL, raising QuadratureError at the
+    _L2_MAX_PANELS cap.  The ps_sum kind needs the window set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -271,6 +275,8 @@ def l2_integral(
     if span == "window" and lam == 0.0:
         raise ValueError("lam must be nonzero over the window span")
     if kind == "ps_sum":
+        if pset is None:
+            raise ValueError("kind 'ps_sum' needs the window prime set pset")
         check_window_set(params, pset)
 
     if span == "unit":
@@ -304,14 +310,14 @@ def l2_integral(
 
     prev = evaluate(panels)
     while True:
-        if panels * 2 > max_panels:
+        if panels * 2 > _L2_MAX_PANELS:
             raise QuadratureError(
-                f"no convergence below {max_panels} panels (last {prev:.6g})"
+                f"no convergence below {_L2_MAX_PANELS} panels (last {prev:.6g})"
             )
         panels *= 2
         cur = evaluate(panels)
         scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= rel_tol * scale:
+        if abs(cur - prev) <= _L2_REL_TOL * scale:
             return L2Result(cur, panels, True)
         prev = cur
 

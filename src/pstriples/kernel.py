@@ -297,10 +297,12 @@ def verify_bounds(kernel: SmoothingKernel, x_grid) -> BoundReport:
 
 
 def _inversion_cutoff(kernel: SmoothingKernel, tol: float) -> float:
-    """Cutoff T with the analytic transform tail below tol/2.
+    """Cutoff T with the analytic transform tail at tol/4.
 
     The tail integral 2*int_T^inf (1/(pi x))(4k/(pi eps x))^k dx equals
-    (2/(pi k)) (4k/(pi eps T))^k / T; solve for T in log space.
+    (2/(pi k)) (4k/(pi eps T))^k; T solves tail = tol/4 in log space,
+    leaving the rest of tol to the quadrature, and is kept just past
+    the decay corner 4k/(pi eps).
     """
     k, eps = kernel.k, kernel.epsilon
     c = 4.0 * k / (math.pi * eps)

@@ -413,14 +413,14 @@ def decomp_values(res) -> "dict[str, object]":
         "closure_error": res.closure_error,
         "scale_ratio": res.scale_ratio,
         "j_integral": res.j_integral,
-        "box_integral": res.box_integral,
+        "box_integral": res.box.value,
         "box_converged": res.box.converged,
         "box_feasible": res.box.feasible,
         "box_ratio_eps_x2": res.box.ratio_eps_x2,
-        "phi_bound": res.phi_bound_value,
+        "phi_bound": res.phi.value,
         "phi_shape_ratio": res.phi.shape_ratio,
         "phi_cutoff": res.phi.cutoff,
-        "tail_bound": res.tail_bound_value,
+        "tail_bound": res.tail.value,
         "tail_base": res.tail.base,
         "tail_below_one": res.tail.below_one,
         "piece3_cut": res.piece3_cut,

@@ -4,8 +4,10 @@ Two schemes cover every integral in the package:
 
 * `adaptive_simpson`: composite Simpson on a uniform grid with panel-count
   doubling until two refinements agree to a relative tolerance.  Used for
-  the L2 integrals, the box integral, and other non- or mildly-oscillatory
-  integrands.  The panel cap is a hard error, not a silent truncation.
+  the remainder envelope of `triplesum.phi_bound` and other smooth,
+  non-oscillatory integrands.  The panel cap (_MAX_PANELS) is a hard
+  error, not a silent truncation.  (The L2 integrals and the box
+  integral run their own doubling loops.)
 
 * `boole_weight`: composite Boole (5-point Newton-Cotes,
   O(h^6)) weights addressable by global sample index, so a very long
@@ -35,6 +37,10 @@ class QuadratureError(RuntimeError):
     """Panel refinement hit its cap without meeting the tolerance."""
 
 
+# adaptive_simpson never doubles past this many panels
+_MAX_PANELS = 1 << 22
+
+
 @dataclass(frozen=True)
 class SimpsonResult:
     value: float
@@ -59,14 +65,11 @@ def adaptive_simpson(
     b: float,
     initial_panels: int = 64,
     rel_tol: float = 1e-6,
-    max_panels: int = 2**22,
-    abs_floor: float = 0.0,
 ) -> SimpsonResult:
     """Integrate vectorized f over [a, b], doubling panels until stable.
 
-    Convergence: |I_2n - I_n| <= rel_tol * |I_2n| (or <= abs_floor, for
-    integrals whose true value is ~0).  Raises QuadratureError when the
-    panel cap is exceeded; callers map this to the non-convergence exit
+    Convergence: |I_2n - I_n| <= rel_tol * |I_2n|.  Raises
+    QuadratureError when doubling would pass _MAX_PANELS; callers map this to the non-convergence exit
     path rather than accepting an unconverged value.
     """
     if not b > a:
@@ -81,14 +84,14 @@ def adaptive_simpson(
 
     prev = run(panels)
     while True:
-        if panels * 2 > max_panels:
+        if panels * 2 > _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence below {rel_tol:g} within {max_panels} panels"
+                f"no convergence below {rel_tol:g} within {_MAX_PANELS} panels"
             )
         panels *= 2
         cur = run(panels)
         change = abs(cur - prev)
-        if change <= rel_tol * abs(cur) or change <= abs_floor:
+        if change <= rel_tol * abs(cur):
             return SimpsonResult(cur, panels, change, True)
         prev = cur
 

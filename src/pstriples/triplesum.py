@@ -10,13 +10,14 @@ phase, which splits into three bands: |t| < Delta (main term),
 Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
 
 This module computes both sides at desk scale: the count directly by a
-sorted meet-in-the-middle sweep, the three band integrals by
-oscillation-resolving Boole quadrature on uniform grids, the main-term
-box integral and its remainder majorant, the closed-form far-tail bound,
-and the middle-band majorant chain.  Band grids are processed in
-fixed-size chunks whose partial sums are added exactly rounded
-(math.fsum), so totals are deterministic and independent of the
-evaluation schedule.
+sorted meet-in-the-middle sweep, the three band integrals and the
+main-term integral J by oscillation-resolving Boole quadrature on
+uniform grids (one band walker, _band_quadrature, with a fixed 12
+samples per period of the fastest phase), the main-term box integral
+and its remainder majorant, the closed-form far-tail bound, and the
+middle-band majorant chain.  Band grids are processed in fixed-size
+chunks whose partial sums are added exactly rounded (math.fsum), so
+totals are deterministic and independent of the evaluation schedule.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -79,6 +80,17 @@ __all__ = [
 # parameters.
 _CHUNK = 1 << 21
 _BLOCK = 1 << 14
+
+# Samples per period of the fastest phase on every band grid.
+_POINTS_PER_PERIOD = 12
+
+# Main-term quadrature settings: box_integral_B doubles its Simpson
+# panels from _BOX_PANELS until two totals agree to _BOX_REL_TOL (at most
+# _BOX_MAX_PANELS); phi_bound integrates its envelope to _PHI_REL_TOL.
+_BOX_REL_TOL = 1e-5
+_BOX_PANELS = 64
+_BOX_MAX_PANELS = 4096
+_PHI_REL_TOL = 1e-7
 
 # Hard cap on band grid sizes; beyond this the quadrature is declared
 # non-convergent rather than attempted.
@@ -302,25 +314,21 @@ def find_triples(
 
 
 def _band_grid(
-    t_lo: float, t_hi: float, coeffs: Coefficients, params: RunParameters,
-    points_per_period: int,
+    t_lo: float, t_hi: float, coeffs: Coefficients, params: RunParameters
 ) -> tuple[int, float]:
     """Uniform grid resolving the fastest phase on the band.
 
     The integrand's modes oscillate at frequencies up to
     max|l_i| * X + |eta| independent of t, so a uniform spacing of
-    points_per_period samples per extreme period resolves the whole
-    band; point counts are rounded up to the 4m+1 a Boole rule needs.
+    _POINTS_PER_PERIOD (12) samples per extreme period resolves the
+    whole band; point counts are rounded up to the 4m+1 a Boole rule
+    needs.
     """
     if not t_hi > t_lo:
         raise ParameterError(f"empty band [{t_lo}, {t_hi}]")
-    if points_per_period < 6:
-        raise ParameterError(
-            f"points_per_period must be >= 6, got {points_per_period}"
-        )
     nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
     span = t_hi - t_lo
-    m = max(2, math.ceil(span * points_per_period * nu / 4.0))
+    m = max(2, math.ceil(span * _POINTS_PER_PERIOD * nu / 4.0))
     n_points = 4 * m + 1
     if n_points > _MAX_BAND_POINTS:
         raise QuadratureError(
@@ -330,37 +338,56 @@ def _band_grid(
     return n_points, span / (4 * m)
 
 
+def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients):
+    """Factor source of the band integrals: the window's exponential sums
+    S(l_i t) on a chunk's grid, from the gridded evaluator."""
+    from .expsums import ps_sum_grid
+
+    return lambda t0, h, n: [ps_sum_grid(pset, l, t0, h, n) for l in coeffs.lambdas]
+
+
+def _window_factors(params: RunParameters, coeffs: Coefficients):
+    """Factor source of the main term J: the window integrals of
+    gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t mid), on a
+    chunk's grid."""
+    g = params.gamma.value
+    length = (1.0 - params.lambda0) * params.X
+    mid = 0.5 * (params.lambda0 * params.X + params.X)
+
+    def factors(t0: float, h: float, n: int) -> list:
+        t = t0 + h * np.arange(n)
+        return [g * length * np.sinc(l * t * length)
+                * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
+                for l in coeffs.lambdas]
+
+    return factors
+
+
 def _band_quadrature(
     params: RunParameters,
     coeffs: Coefficients,
-    pset: PSPrimeSet,
-    kernel: SmoothingKernel | None,
+    kernel: SmoothingKernel,
     t_lo: float,
     t_hi: float,
-    points_per_period: int,
+    factors,
     collect: bool,
 ):
-    """Boole quadrature of Theta * S1 * S2 * S3 * e(eta t) over [t_lo, t_hi].
+    """Boole quadrature of Theta * F1 * F2 * F3 * e(eta t) over [t_lo, t_hi].
 
-    Chunked over the grid in index order; each chunk's three exponential
-    sums come from the gridded evaluator, and the chunk is then walked in
-    blocks of _BLOCK points whose weights, Theta values, integrand and
-    statistics live in small reused buffers.  Theta comes from
-    GridTransform on bands with t_lo >= 0 and from theta_transform on the
-    symmetric band.  With collect the sweep also accumulates the
-    squared-modulus integrals, the pointwise minimum of the first two
-    moduli (its supremum and two weighted integrals), all Boole-weighted
-    over the same grid.  With kernel None only the statistics are
-    computed.
+    Chunked over the grid in index order; factors(t0, h, count) gives a
+    chunk's three factors (_sum_factors for the band integrals,
+    _window_factors for J), and the chunk is then walked in blocks of
+    _BLOCK points whose weights, Theta values, integrand and statistics
+    live in small reused buffers.  Theta comes from GridTransform on
+    bands with t_lo >= 0 and from theta_transform on the symmetric band.
+    With collect the sweep also accumulates the squared-modulus
+    integrals, the pointwise minimum of the first two moduli (its
+    supremum and two weighted integrals), all Boole-weighted over the
+    same grid.
     """
-    from .expsums import ps_sum_grid
-
-    n_points, h = _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
-    lam = coeffs.lambdas
+    n_points, h = _band_grid(t_lo, t_hi, coeffs, params)
     eta = coeffs.eta
-    rotated = None
-    if kernel is not None and t_lo >= 0.0:
-        rotated = GridTransform(kernel, h, _BLOCK)
+    rotated = GridTransform(kernel, h, _BLOCK) if t_lo >= 0.0 else None
     # per-block partial sums, each list summed exactly rounded at the end
     re_parts, im_parts, cross_parts, sq_parts = [], [], [], []
     t_parts = ([], [], [])
@@ -372,26 +399,25 @@ def _band_quadrature(
     for start in range(0, n_points, _CHUNK):
         count = min(_CHUNK, n_points - start)
         t0 = t_lo + start * h
-        sums = [ps_sum_grid(pset, l, t0, h, count) for l in lam]
+        sums = factors(t0, h, count)
         for b in range(0, count, _BLOCK):
             n = min(_BLOCK, count - b)
             blk = slice(b, b + n)
             wq = boole_weight(np.arange(start + b, start + b + n), n_points)
-            if kernel is not None:
-                t = np.add(offsets[:n], b, out=t_buf[:n])
-                t *= h
-                t += t0                 # bit for bit t0 + h * arange(count)
-                if rotated is not None:
-                    wt = rotated(t, theta_buf)
-                else:
-                    wt = theta_transform(kernel, t)
-                wt *= wq
-                prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
-                prod *= sums[2][blk]
-                if eta != 0.0:
-                    prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
-                re_parts.append(float(np.dot(wt, prod.real)))
-                im_parts.append(float(np.dot(wt, prod.imag)))
+            t = np.add(offsets[:n], b, out=t_buf[:n])
+            t *= h
+            t += t0                 # bit for bit t0 + h * arange(count)
+            if rotated is not None:
+                wt = rotated(t, theta_buf)
+            else:
+                wt = theta_transform(kernel, t)
+            wt *= wq
+            prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
+            prod *= sums[2][blk]
+            if eta != 0.0:
+                prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
+            re_parts.append(float(np.dot(wt, prod.real)))
+            im_parts.append(float(np.dot(wt, prod.imag)))
             if collect:
                 a = mod_buf[:, :n]
                 for i in range(3):
@@ -411,9 +437,7 @@ def _band_quadrature(
                 sq_parts.append(float(np.dot(wq, tmp)))
         del sums    # freed before the next chunk's sums are built
     scale = 2.0 * h / 45.0
-    value = None
-    if kernel is not None:
-        value = complex(math.fsum(re_parts) * scale, math.fsum(im_parts) * scale)
+    value = complex(math.fsum(re_parts) * scale, math.fsum(im_parts) * scale)
     stats = None
     if collect:
         stats = (
@@ -425,27 +449,23 @@ def _band_quadrature(
     return value, stats, n_points, h
 
 
-def _band_edges(params: RunParameters, kernel: "SmoothingKernel | None" = None):
+def _band_edges(params: RunParameters, kernel: SmoothingKernel):
     """[t_lo, t_hi] of each band by piece: |t| < Delta for 1 (and the
-    main term), [Delta, H] for 2, [H, piece3_truncation] for 3 (None
-    without a kernel; empty when t_hi <= t_lo)."""
-    far = None if kernel is None else (
-        params.H_effective, piece3_truncation(params, kernel))
+    main term J), [Delta, H] for 2, [H, piece3_truncation] for 3 (empty
+    when t_hi <= t_lo)."""
     return {1: (-params.Delta, params.Delta),
-            2: (params.Delta, params.H_effective), 3: far}
+            2: (params.Delta, params.H_effective),
+            3: (params.H_effective, piece3_truncation(params, kernel))}
 
 
 def check_band_grids(
-    params: RunParameters,
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    points_per_period: int = 12,
+    params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
 ) -> None:
     """Size every band decompose integrates, evaluating nothing, so that
     a band past the point cap raises QuadratureError up front."""
     for piece, (t_lo, t_hi) in _band_edges(params, kernel).items():
         if piece < 3 or t_hi > t_lo:
-            _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
+            _band_grid(t_lo, t_hi, coeffs, params)
 
 
 def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
@@ -461,12 +481,8 @@ def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
 
 
 def gamma_piece(
-    piece: int,
-    params: RunParameters,
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    pset: PSPrimeSet,
-    points_per_period: int = 12,
+    piece: int, params: RunParameters, coeffs: Coefficients,
+    kernel: SmoothingKernel, pset: PSPrimeSet,
 ) -> complex:
     """One band of the transform-side integral, as a complex number.
 
@@ -489,7 +505,7 @@ def gamma_piece(
     if piece == 3 and t_hi <= t_lo:
         return complex(0.0, 0.0)
     value, _, _, _ = _band_quadrature(
-        params, coeffs, pset, kernel, t_lo, t_hi, points_per_period, False
+        params, coeffs, kernel, t_lo, t_hi, _sum_factors(pset, coeffs), False
     )
     return value if piece == 1 else complex(2.0 * value.real, 0.0)
 
@@ -499,14 +515,13 @@ class MiddleBand:
     """One-sided sweep of [Delta, H] with its byproduct statistics.
 
     half_integral is the one-sided integral of Theta * S1 * S2 * S3 *
-    e(eta t) (None when no kernel was supplied); t_integrals are the
-    one-sided integrals of |S(l_k t)|^2; sup_small_pair is the supremum
-    of min(|S1|, |S2|); cross_integral and squares_integral are the
-    weighted integrals of that minimum against |S3|(|S1|+|S2|) and
-    |S1|^2+|S2|^2+|S3|^2.
+    e(eta t); t_integrals are the one-sided integrals of |S(l_k t)|^2;
+    sup_small_pair is the supremum of min(|S1|, |S2|); cross_integral
+    and squares_integral are the weighted integrals of that minimum
+    against |S3|(|S1|+|S2|) and |S1|^2+|S2|^2+|S3|^2.
     """
 
-    half_integral: "complex | None"
+    half_integral: complex
     t_integrals: tuple[float, float, float]
     sup_small_pair: float
     cross_integral: float
@@ -515,9 +530,7 @@ class MiddleBand:
     spacing: float
 
     @property
-    def gamma2(self) -> "complex | None":
-        if self.half_integral is None:
-            return None
+    def gamma2(self) -> complex:
         return complex(2.0 * self.half_integral.real, 0.0)
 
 
@@ -525,16 +538,15 @@ def middle_band_sweep(
     params: RunParameters,
     coeffs: Coefficients,
     pset: PSPrimeSet,
-    kernel: SmoothingKernel | None = None,
-    points_per_period: int = 12,
+    kernel: SmoothingKernel,
 ) -> MiddleBand:
     """Single pass over [Delta, H] collecting the middle-band integral
-    (when a kernel is given) together with everything the majorant
-    chain needs, so the expensive sweep is never run twice."""
+    together with everything the majorant chain needs, so the expensive
+    sweep is never run twice."""
     check_window_set(params, pset)
     value, stats, n_points, h = _band_quadrature(
-        params, coeffs, pset, kernel, *_band_edges(params)[2],
-        points_per_period, True,
+        params, coeffs, kernel, *_band_edges(params, kernel)[2],
+        _sum_factors(pset, coeffs), True,
     )
     t_ints, sup, cross, squares = stats
     return MiddleBand(value, t_ints, sup, cross, squares, n_points, h)
@@ -568,23 +580,13 @@ class Gamma2Majorant:
     t_shape_ratios: tuple[float, float, float]
 
 
-def gamma2_majorant(
-    params: RunParameters,
-    coeffs: Coefficients,
-    pset: PSPrimeSet,
-    points_per_period: int = 12,
-    band: "MiddleBand | None" = None,
-) -> Gamma2Majorant:
+def gamma2_majorant(params: RunParameters, band: MiddleBand) -> Gamma2Majorant:
     """Assemble the middle-band majorant chain from a sweep's statistics.
 
     Uses the plateau bound 7*eps/4 on |Theta| with the instance's
     effective width (the canonical kernel width), and a factor 2 folding
     the band's negative half onto the positive one.
     """
-    if band is None:
-        band = middle_band_sweep(
-            params, coeffs, pset, None, points_per_period
-        )
     eps = params.epsilon_effective
     pref = 2.0 * (7.0 * eps / 4.0)
     cross = pref * band.cross_integral
@@ -612,49 +614,17 @@ def gamma2_majorant(
 # main term
 
 
-def _interval_product(
-    t_grid: np.ndarray, params: RunParameters, coeffs: Coefficients
-) -> np.ndarray:
-    """Product over i of gamma * L * sinc(l_i t L) * e(l_i t mid), the
-    window integral of gamma * e(alpha y) at alpha = l_i t."""
-    g = params.gamma.value
-    length = (1.0 - params.lambda0) * params.X
-    mid = 0.5 * (params.lambda0 * params.X + params.X)
-    out = np.ones(t_grid.shape, dtype=np.complex128)
-    for l in coeffs.lambdas:
-        alpha = l * t_grid
-        out = out * (
-            g
-            * length
-            * np.sinc(alpha * length)
-            * np.exp((2j * np.pi) * np.mod(alpha * mid, 1.0))
-        )
-    return out
-
-
 def integral_J(
-    params: RunParameters,
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    points_per_period: int = 12,
+    params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
 ) -> float:
     """Main-band integral with the exponential sums replaced by their
-    window integrals; real by conjugate symmetry, computed on the full
-    symmetric grid with the imaginary residue checked against an
-    absolute scale set by the integrand's supremum."""
-    t_lo, t_hi = _band_edges(params)[1]
-    n_points, h = _band_grid(t_lo, t_hi, coeffs, params, points_per_period)
-    t_grid = t_lo + h * np.arange(n_points)
-    integ = theta_transform(kernel, t_grid) * _interval_product(
-        t_grid, params, coeffs
-    )
-    if coeffs.eta != 0.0:
-        integ = integ * np.exp((2j * np.pi) * np.mod(coeffs.eta * t_grid, 1.0))
-    wq = boole_weight(np.arange(n_points), n_points)
-    scale = 2.0 * h / 45.0
-    value = complex(
-        float(np.dot(wq, integ.real)) * scale,
-        float(np.dot(wq, integ.imag)) * scale,
+    window integrals (_window_factors), on piece 1's grid by the band
+    walker; real by conjugate symmetry, with the imaginary residue
+    checked against an absolute scale set by the integrand's supremum."""
+    t_lo, t_hi = _band_edges(params, kernel)[1]
+    value, _, _, _ = _band_quadrature(
+        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs),
+        False,
     )
     g = params.gamma.value
     sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * (t_hi - t_lo)
@@ -676,21 +646,17 @@ class BoxIntegral:
 
 
 def box_integral_B(
-    params: RunParameters,
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    rel_tol: float = 1e-5,
-    initial_panels: int = 64,
-    max_panels: int = 4096,
+    params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
 ) -> BoxIntegral:
     """Main term: theta(form) integrated over the cube (lambda0*X, X]^3.
 
     For fixed (y1, y2) the inner integral is the theta antiderivative
     evaluated across an interval of length |l3| * (1 - lambda0) * X and
     divided by |l3|; the antiderivative is exact (theta_antiderivative),
-    so only the outer double integral needs composite Simpson, refined
-    by doubling until stable.  Infeasible instances return zero
-    with the flag down.
+    so only the outer double integral needs composite Simpson, doubled
+    from _BOX_PANELS panels until two totals agree to _BOX_REL_TOL (at
+    most _BOX_MAX_PANELS; converged reports which).  Infeasible
+    instances return zero with the flag down.
     """
     feasible = feasible_box_check(
         coeffs, params.lambda0, params.X, kernel.epsilon
@@ -726,15 +692,13 @@ def box_integral_B(
             total += float(np.dot(w1d[s : s + block], inner @ w1d))
         return total
 
-    panels = max(4, int(initial_panels))
-    if panels % 2:
-        panels += 1
+    panels = _BOX_PANELS
     prev = outer(panels)
     converged = False
-    while panels < max_panels:
+    while panels < _BOX_MAX_PANELS:
         panels *= 2
         cur = outer(panels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= _BOX_REL_TOL * max(abs(cur), 1e-300):
             prev = cur
             converged = True
             break
@@ -754,10 +718,7 @@ class PhiBound:
 
 
 def phi_bound(
-    params: RunParameters,
-    kernel: SmoothingKernel,
-    coeffs: Coefficients,
-    rel_tol: float = 1e-7,
+    params: RunParameters, kernel: SmoothingKernel, coeffs: Coefficients
 ) -> PhiBound:
     """Majorant for the difference between the main-band integral and
     the box term: both half-lines |t| > Delta of |Theta| times the
@@ -790,7 +751,7 @@ def phi_bound(
     cutoff = max(2.0 * delta, 1.25 * decay_corner, 1.25 * arm_corner)
     main = adaptive_simpson(
         f_log, math.log(delta), math.log(cutoff), initial_panels=256,
-        rel_tol=rel_tol, max_panels=1 << 22,
+        rel_tol=_PHI_REL_TOL,
     ).value
     # Beyond the cutoff every min picks its decay arm and |Theta| its
     # k-th power branch, so the remainder integrates in closed form.
@@ -882,16 +843,14 @@ class DecompositionResult:
     come from the meet-in-the-middle count when requested, with
     closure_error the relative gap between the two sides.  The scale
     ratio reports Re(gamma_total) / (eps X^2) without asserting any
-    constant."""
+    constant.  The main-term box integral, its remainder majorant and
+    the far-tail bound are box.value, phi.value and tail.value."""
 
     gamma1: complex
     gamma2: complex
     gamma3: complex
     gamma_total: complex
     j_integral: float
-    box_integral: float
-    phi_bound_value: float
-    tail_bound_value: float
     direct_value: "float | None"
     triples_found: "int | None"
     closure_error: "float | None"
@@ -910,7 +869,6 @@ def decompose(
     coeffs: Coefficients,
     pset: PSPrimeSet,
     kernel: SmoothingKernel | None = None,
-    points_per_period: int = 12,
     with_direct: bool = True,
 ) -> DecompositionResult:
     """Full desk-scale decomposition of the weighted triple count.
@@ -926,11 +884,11 @@ def decompose(
     check_window_set(params, pset)
     if kernel is None:
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
-    check_band_grids(params, coeffs, kernel, points_per_period)
-    g1 = gamma_piece(1, params, coeffs, kernel, pset, points_per_period)
-    band = middle_band_sweep(params, coeffs, pset, kernel, points_per_period)
+    check_band_grids(params, coeffs, kernel)
+    g1 = gamma_piece(1, params, coeffs, kernel, pset)
+    band = middle_band_sweep(params, coeffs, pset, kernel)
     g2 = band.gamma2
-    g3 = gamma_piece(3, params, coeffs, kernel, pset, points_per_period)
+    g3 = gamma_piece(3, params, coeffs, kernel, pset)
     t_cut = piece3_truncation(params, kernel)
 
     total = g1 + g2 + g3
@@ -945,11 +903,11 @@ def decompose(
         if direct_value != 0.0:
             closure = abs(total.real - direct_value) / abs(direct_value)
 
-    j_val = integral_J(params, coeffs, kernel, points_per_period)
+    j_val = integral_J(params, coeffs, kernel)
     box = box_integral_B(params, coeffs, kernel)
     phi = phi_bound(params, kernel, coeffs)
     tail = tail_bound_gamma3(params, kernel)
-    majorant = gamma2_majorant(params, coeffs, pset, band=band)
+    majorant = gamma2_majorant(params, band)
     eps = params.epsilon_effective
     scale_ratio = total.real / (eps * params.X * params.X)
     return DecompositionResult(
@@ -958,9 +916,6 @@ def decompose(
         gamma3=g3,
         gamma_total=total,
         j_integral=j_val,
-        box_integral=box.value,
-        phi_bound_value=phi.value,
-        tail_bound_value=tail.value,
         direct_value=direct_value,
         triples_found=found,
         closure_error=closure,

@@ -340,6 +340,9 @@ def test_l2_argument_validation():
         l2_integral("ps_sum", 0.0, params, pset=pset_for(params, TABLE4))
     with pytest.raises(ValueError):
         l2_integral("interval", 1.0, params, span="unit")
+    for span in ("window", "unit"):
+        with pytest.raises(ValueError, match="pset"):
+            l2_integral("ps_sum", 1.0, params, span=span)
 
 
 def test_minor_arc_report():

@@ -343,18 +343,6 @@ def test_truncation_point_formula():
 # middle band majorant
 
 
-def test_middle_band_stats_without_kernel():
-    params, pset = _instance(12, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, 1.0, -2.0, 0.0)
-    with_k = middle_band_sweep(params, c, pset, _kernel_for(params))
-    without = middle_band_sweep(params, c, pset)
-    assert without.half_integral is None and without.gamma2 is None
-    assert with_k.t_integrals == without.t_integrals
-    assert with_k.sup_small_pair == without.sup_small_pair
-    assert with_k.cross_integral == without.cross_integral
-    assert with_k.gamma2 is not None
-
-
 def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
     """Band value and statistics with one whole array per chunk (no
     blocks), theta_transform for Theta and the chunk's own sums."""
@@ -396,7 +384,7 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     c = Coefficients(1.0, SQRT2, -2.0, 0.3)
     kern = _kernel_for(params)
     nu = 2.0 * params.X + 0.3
-    span = (triplesum._CHUNK + 50_001) / (12 * nu)
+    span = (triplesum._CHUNK + 50_001) / (triplesum._POINTS_PER_PERIOD * nu)
     t_lo = -span / 2 if symmetric else params.Delta
     recorded = []
 
@@ -408,7 +396,8 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     grid = expsums.ps_sum_grid
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
     value, stats, n_points, h = triplesum._band_quadrature(
-        params, c, pset, kern, t_lo, t_lo + span, 12, True
+        params, c, kern, t_lo, t_lo + span, triplesum._sum_factors(pset, c),
+        True,
     )
     assert len(recorded) == 6 and n_points > triplesum._CHUNK
     assert (n_points - triplesum._CHUNK) % triplesum._BLOCK != 0
@@ -427,7 +416,7 @@ def test_majorant_chain_holds():
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     band = middle_band_sweep(params, c, pset, _kernel_for(params))
-    maj = gamma2_majorant(params, c, pset, band=band)
+    maj = gamma2_majorant(params, band)
     g2 = abs(band.gamma2)
     assert g2 <= maj.bound_cross <= maj.bound_squares <= maj.bound_factored
     assert maj.value == maj.bound_squares
@@ -435,12 +424,47 @@ def test_majorant_chain_holds():
     assert all(t > 0.0 for t in maj.t_integrals)
     assert maj.sup_shape_ratio > 0.0
     assert all(r > 0.0 for r in maj.t_shape_ratios)
-    fresh = gamma2_majorant(params, c, pset)
-    assert fresh.bound_squares == maj.bound_squares
 
 
 # ---------------------------------------------------------------------------
 # main term
+
+
+def _whole_array_J(params, coeffs, kernel):
+    """J with one whole array over piece 1's grid and one Boole dot
+    product: theta_transform times the product of the window integrals
+    gamma L sinc(l t L) e(l t mid) times e(eta t)."""
+    nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
+    span = 2.0 * params.Delta
+    m = max(2, math.ceil(span * triplesum._POINTS_PER_PERIOD * nu / 4.0))
+    n_points, h = 4 * m + 1, span / (4 * m)
+    t = -params.Delta + h * np.arange(n_points)
+    g = params.gamma.value
+    length = (1.0 - params.lambda0) * params.X
+    mid = 0.5 * (params.lambda0 * params.X + params.X)
+    prod = np.ones(n_points, dtype=np.complex128)
+    for l in coeffs.lambdas:
+        prod = prod * (g * length * np.sinc(l * t * length)
+                       * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0)))
+    integ = theta_transform(kernel, t) * prod
+    integ = integ * np.exp((2j * np.pi) * np.mod(coeffs.eta * t, 1.0))
+    wq = boole_weight(np.arange(n_points), n_points)
+    return complex(np.dot(wq, integ.real), np.dot(wq, integ.imag)) * (2.0 * h / 45.0)
+
+
+@pytest.mark.parametrize("q0, eps, c", [
+    (8, 1.0, Coefficients(1.0, 1.0, -2.0, 0.0)),
+    (12, 2.0, Coefficients(1.0, SQRT2, -2.0, 0.3)),
+])
+def test_integral_J_matches_whole_array_reference(q0, eps, c):
+    # J runs through the band walker in blocks with Theta folded into
+    # the weights; the reference is the direct whole-grid formula
+    params = derive_parameters(q0, 0.9, 0.5, epsilon_user=eps)
+    kern = _kernel_for(params)
+    want = _whole_array_J(params, c, kern)
+    assert want.real > 0.0
+    assert abs(want.imag) <= 1e-12 * want.real
+    assert integral_J(params, c, kern) == pytest.approx(want.real, rel=1e-12, abs=0)
 
 
 def test_main_band_interval_integral_comparisons():

@@ -1,15 +1,30 @@
-"""The CI workflow against the tree: test paths and benchmark workloads.
+"""The CI workflow and the benchmark's tracer against the tree.
 
 The workflow is read as text, so a renamed test file or a dropped
-workload shows up here rather than only on a CI runner.
+workload shows up here rather than only on a CI runner.  The tracer
+(perfbench/tracing.py) is loaded by path, unchanged, so a package name
+it wraps that was renamed or removed shows up here too.
 """
 
+import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
 
+import pstriples
+import pstriples.cli  # noqa: F401  (loads every layer the tracer wraps)
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_workflow_test_paths_exist():
@@ -32,3 +47,17 @@ def test_workflow_workloads_are_benchmarked():
         (ROOT / "BENCHMARK.json").read_text())["workloads"]}
     assert passed
     assert sorted(set(passed) - declared) == []
+
+
+def test_tracer_wrapped_names_resolve():
+    missing = [f"{mod}.{attr}"
+               for _, sites, _ in _load_tracing().WRAPPED
+               for mod, attr in sites
+               if not callable(getattr(getattr(pstriples, mod, None), attr, None))]
+    assert missing == []
+
+
+def test_grid_evaluator_signature_matches_tracer():
+    # the tracer reads ps_sum_grid's positional args[0..4]
+    names = list(inspect.signature(pstriples.expsums.ps_sum_grid).parameters)
+    assert names[:5] == ["pset", "lam", "t0", "dt", "n"]
