@@ -13,7 +13,7 @@ import math
 from collections import Counter
 
 from pstriples.approx import continued_fraction, dichotomy_probe, dirichlet_approx
-from pstriples.params import Coefficients, derive_parameters
+from pstriples.params import Coefficients, RunParameters
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,7 +36,7 @@ def main():
 
     print("dichotomy sweep --------------------------------")
     # q0 = 29 is a convergent denominator of lambda1/lambda2 = sqrt(2)
-    params = derive_parameters(29, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(29, 0.9, 0.5, epsilon_user=1.0)
     coeffs = Coefficients(SQRT2, 1.0, -1.0, 0.0)
     conv = next(r for r in seq.convergents if r.q == 29)
     floor_q = params.X ** (1.0 / 13.0)

@@ -47,7 +47,7 @@ def main():
     print(f"  box lower term            B = {res.box.value:.4f}")
     print(f"  |J - B| = {abs(res.j_integral - res.box.value):.4f} "
           f"<= envelope {res.phi.value:.4f}")
-    print(f"  middle band majorant: {res.majorant.value:.4f} "
+    print(f"  middle band majorant: {res.majorant.bound_squares:.4f} "
           f"(sweep gave {abs(res.gamma2):.4f})")
     print()
 

@@ -16,14 +16,14 @@ from pstriples.expsums import (
     l2_integral,
     ps_exp_sum,
 )
-from pstriples.params import derive_parameters
+from pstriples.params import RunParameters
 from pstriples.pipeline import Instance
 from pstriples.quadrature import adaptive_simpson
 
 
 def main():
     # q0 = 70 puts the top of the window near 1e4
-    params = derive_parameters(70, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(70, 0.9, 0.5, epsilon_user=1.0)
     inst = Instance(params)
     table, pset = inst.table, inst.window_set
     print(f"instance: X = {params.X:.2f}, window ({pset.lo:.1f}, {pset.hi:.1f}], "

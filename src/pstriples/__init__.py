@@ -14,13 +14,10 @@ __version__ = "0.1.0"
 from .params import (
     Coefficients,
     CoefficientReport,
-    DerivedScales,
     GammaExponent,
     ParameterError,
     RunParameters,
     THEOREM_GAMMA_LOWER,
-    derive_parameters,
-    derived_scales,
     feasible_box_check,
     validate_coefficients,
 )
@@ -89,10 +86,9 @@ from .pipeline import STAGES, RunManifest, run_pipeline
 
 __all__ = [
     "__version__",
-    "Coefficients", "CoefficientReport", "DerivedScales", "GammaExponent",
+    "Coefficients", "CoefficientReport", "GammaExponent",
     "ParameterError", "RunParameters", "THEOREM_GAMMA_LOWER",
-    "derive_parameters", "derived_scales", "feasible_box_check",
-    "validate_coefficients",
+    "feasible_box_check", "validate_coefficients",
     "CacheFormatError", "PrimeTable", "PSPrimeSet", "cache_load",
     "cache_store", "ps_enumerate_oracle", "ps_indicator", "ps_primes_in",
     "sieve_primes",

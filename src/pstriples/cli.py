@@ -31,7 +31,7 @@ from .kernel import (
     theta_transform,
     verify_bounds,
 )
-from .params import ParameterError, derive_parameters
+from .params import ParameterError, RunParameters
 from .pipeline import (
     STAGES,
     Instance,
@@ -122,7 +122,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_sums(args) -> int:
-    params = derive_parameters(
+    params = RunParameters(
         args.q0, args.gamma, args.lambda0, epsilon_user=args.eps_user
     )
     alphas = _grid(args.alpha_grid, "--alpha-grid")

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .params import (
     Coefficients,
+    GammaExponent,
     ParameterError,
     RunParameters,
-    derive_parameters,
     validate_coefficients,
 )
 
@@ -82,8 +82,8 @@ class RunConfig:
     coeffs holds the coefficients exactly as written; canonical is the
     sign-normalized permutation (two positive leads, negative third)
     that the dichotomy machinery requires.  warnings carry advisories
-    that do not block a run (gamma outside the theorem range, the
-    unasserted irrationality of lambda1/lambda2).
+    that do not block a run (gamma outside the theorem range, and the
+    irrationality of lambda1/lambda2, which floats cannot decide).
     """
 
     path: str
@@ -196,7 +196,7 @@ def parse_config(
             )
         )
         g = None
-    if g is not None and not 37.0 / 38.0 < g:
+    if g is not None and not GammaExponent(g).theorem_range:
         warnings.append(
             f"gamma = {g:g} is below the theorem range 37/38 < gamma < 1; "
             f"results are experimental, not theorem instances"
@@ -215,17 +215,18 @@ def parse_config(
         else:
             report = validate_coefficients(coeffs)
             for msg in report.messages:
-                if "irrationality" in msg:
-                    warnings.append(msg)
-                else:
-                    issues.append(ConfigIssue("hypothesis", None, msg))
+                issues.append(ConfigIssue("hypothesis", None, msg))
             canonical = report.canonical
+            warnings.append(
+                "irrationality of lambda1/lambda2 not asserted; "
+                "rational ratios admit obstructed instances"
+            )
 
     eps_user = epsilon_user if epsilon_user is not None else values.get("epsilon_user")
     params: RunParameters | None = None
     if q0 is not None and g is not None:
         try:
-            params = derive_parameters(
+            params = RunParameters(
                 q0, g, values.get("lambda0", _DEFAULTS["lambda0"]),
                 epsilon_user=eps_user,
             )

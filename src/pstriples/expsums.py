@@ -261,12 +261,15 @@ def l2_integral(
     span "window":   over [-Delta, Delta] (effective Delta of the run)
     span "unit":     over [0, 1] with lam = 1, ps_sum only; integer
                      phases make composite Simpson exact once the panel
-                     count exceeds twice the top frequency, and the
-                     weight-square sum is returned as exact_reference.
+                     count exceeds twice the top frequency, so one grid
+                     of the smallest power of two >= 4 * spread panels
+                     (at least 256) is used, and the weight-square sum
+                     is returned as exact_reference.
 
-    Panels start at >= 8 per unit of |lam| X Delta and double until the
-    value moves by less than _L2_REL_TOL, raising QuadratureError at the
-    _L2_MAX_PANELS cap.  The ps_sum kind needs the window set pset.
+    Over the window span, panels start at >= 8 per unit of |lam| X Delta
+    and double until the value moves by less than _L2_REL_TOL, raising
+    QuadratureError at the _L2_MAX_PANELS cap.  The ps_sum kind needs
+    the window set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -284,13 +287,12 @@ def l2_integral(
             raise ValueError("unit span applies to the ps_sum kind only")
         spread = float(pset.hi - pset.lo)
         exact = float(np.sum((pset.weight_w * pset.weight_log) ** 2))
-        panels = 1 << max(8, int(math.ceil(math.log2(2.5 * max(spread, 2.0)))))
-        while True:
-            vals = ps_sum_grid(pset, 1.0, 0.0, 1.0 / panels, panels + 1)
-            value = simpson_uniform(np.abs(vals) ** 2, 1.0 / panels)
-            if panels >= 4 * max(spread, 2.0):
-                return L2Result(value, panels, True, exact)
+        panels = 256
+        while panels < 4 * max(spread, 2.0):
             panels *= 2
+        vals = ps_sum_grid(pset, 1.0, 0.0, 1.0 / panels, panels + 1)
+        value = simpson_uniform(np.abs(vals) ** 2, 1.0 / panels)
+        return L2Result(value, panels, True, exact)
 
     delta = params.Delta
     osc = abs(lam) * params.X * delta

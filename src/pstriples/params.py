@@ -4,13 +4,13 @@ A run is specified by the linear-form coefficients (lambda1, lambda2,
 lambda3, eta), the exponent gamma of the floor-power prime set, the
 lower cube fraction lambda0, and a seed integer q0.  Everything else
 (X, Delta, epsilon, H) is derived from (q0, gamma) by fixed formulas
-and stored in double precision.
+when the instance is built; none of them can be set by the caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "THEOREM_GAMMA_LOWER",
@@ -19,10 +19,7 @@ __all__ = [
     "Coefficients",
     "CoefficientReport",
     "validate_coefficients",
-    "DerivedScales",
-    "derived_scales",
     "RunParameters",
-    "derive_parameters",
     "feasible_box_check",
 ]
 
@@ -59,25 +56,18 @@ class GammaExponent:
         return THEOREM_GAMMA_LOWER < self.value < 1.0
 
 
-def _as_gamma(gamma: "GammaExponent | float") -> GammaExponent:
-    if isinstance(gamma, GammaExponent):
-        return gamma
-    return GammaExponent(float(gamma))
-
-
 @dataclass(frozen=True)
 class Coefficients:
     """Linear form coefficients: lambda1*y1 + lambda2*y2 + lambda3*y3 + eta.
 
-    The irrationality of lambda1/lambda2 cannot be decided from floats;
-    it is carried as a user assertion and merely echoed by validation.
+    The irrationality of lambda1/lambda2 cannot be decided from floats,
+    so it is not checked here.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
     eta: float = 0.0
-    irrationality_asserted: bool = False
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3", "eta"):
@@ -97,7 +87,6 @@ class CoefficientReport:
 
     all_nonzero: bool
     mixed_signs: bool
-    irrationality_asserted: bool
     ok: bool
     canonical: "Coefficients | None"
     messages: tuple[str, ...]
@@ -123,11 +112,6 @@ def validate_coefficients(c: Coefficients) -> CoefficientReport:
     mixed_signs = positive > 0 and negative > 0
     if all_nonzero and not mixed_signs:
         messages.append("all same sign: the form cannot be small on a positive cube")
-    if not c.irrationality_asserted:
-        messages.append(
-            "irrationality of lambda1/lambda2 not asserted; "
-            "rational ratios admit obstructed instances"
-        )
 
     ok = all_nonzero and mixed_signs
     canonical: Coefficients | None = None
@@ -138,14 +122,11 @@ def validate_coefficients(c: Coefficients) -> CoefficientReport:
             eta = -eta
         pos = [v for v in lams if v > 0.0]
         neg = [v for v in lams if v < 0.0]
-        canonical = Coefficients(
-            pos[0], pos[1], neg[0], eta, irrationality_asserted=c.irrationality_asserted
-        )
+        canonical = Coefficients(pos[0], pos[1], neg[0], eta)
 
     return CoefficientReport(
         all_nonzero=all_nonzero,
         mixed_signs=mixed_signs,
-        irrationality_asserted=c.irrationality_asserted,
         ok=ok,
         canonical=canonical,
         messages=tuple(messages),
@@ -153,46 +134,21 @@ def validate_coefficients(c: Coefficients) -> CoefficientReport:
 
 
 @dataclass(frozen=True)
-class DerivedScales:
-    """Pure scale derivation from (q0, gamma); no feasibility gate."""
+class RunParameters:
+    """A validated problem instance with the scales its seed fixes.
 
-    X: float
-    Delta: float
-    epsilon: float
-    H: float
-    log_X: float
-
-
-def derived_scales(q0: int, gamma: "GammaExponent | float") -> DerivedScales:
-    """Derive (X, Delta, epsilon, H) from the seed integer q0.
+    The constructor takes (q0, gamma, lambda0, epsilon_user) and derives
 
         X       = q0^(13/6)
         Delta   = X^(-12/13) * log X
         epsilon = X^((37 - 38 gamma)/26) * (log X)^10
         H       = (log X)^2 / epsilon
 
-    All logs are natural.  X is computed as exp((13/6) log q0), which can
+    with natural logs.  X is computed as exp((13/6) log q0), which can
     differ from a repeated-multiplication power by about one ulp; every
-    other field reuses the same log X so the stored septet is consistent.
-    Powers of X are taken in log space so astronomical q0 stays finite as
-    long as the result itself is representable.
-    """
-    g = _as_gamma(gamma).value
-    if not isinstance(q0, int) or isinstance(q0, bool):
-        raise ParameterError(f"q0 must be an integer, got {q0!r}")
-    if q0 < 2:
-        raise ParameterError(f"q0 must be at least 2, got {q0}")
-    log_x = (13.0 / 6.0) * math.log(q0)
-    x = math.exp(log_x)
-    delta = math.exp((-12.0 / 13.0) * log_x) * log_x
-    epsilon = math.exp(((37.0 - 38.0 * g) / 26.0) * log_x) * log_x**10
-    h = log_x * log_x / epsilon
-    return DerivedScales(X=x, Delta=delta, epsilon=epsilon, H=h, log_X=log_x)
-
-
-@dataclass(frozen=True)
-class RunParameters:
-    """A validated problem instance with its derived scales.
+    other scale reuses the same log X so the set is consistent.  Powers
+    of X are taken in log space, and a q0 whose X or epsilon would
+    overflow a double is rejected.
 
     epsilon and H always hold the formula values.  Desk-scale instances
     have epsilon astronomically large (the tenth log power dominates), so
@@ -204,17 +160,21 @@ class RunParameters:
     q0: int
     gamma: GammaExponent
     lambda0: float
-    X: float
-    Delta: float
-    epsilon: float
-    H: float
     epsilon_user: float | None = None
+    log_X: float = field(init=False)
+    X: float = field(init=False)
+    Delta: float = field(init=False)
+    epsilon: float = field(init=False)
+    H: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q0, int) or isinstance(self.q0, bool) or self.q0 < 2:
-            raise ParameterError(f"q0 must be an integer >= 2, got {self.q0!r}")
         if not isinstance(self.gamma, GammaExponent):
-            object.__setattr__(self, "gamma", _as_gamma(self.gamma))
+            object.__setattr__(self, "gamma", GammaExponent(float(self.gamma)))
+        q0 = self.q0
+        if not isinstance(q0, int) or isinstance(q0, bool):
+            raise ParameterError(f"q0 must be an integer, got {q0!r}")
+        if q0 < 2:
+            raise ParameterError(f"q0 must be at least 2, got {q0}")
         lam0 = _require_finite("lambda0", self.lambda0)
         object.__setattr__(self, "lambda0", lam0)
         if not 0.0 < lam0 < 1.0:
@@ -225,27 +185,28 @@ class RunParameters:
                 raise ParameterError(f"epsilon_user must be positive, got {eu}")
             object.__setattr__(self, "epsilon_user", eu)
 
-        ref = derived_scales(self.q0, self.gamma)
-        for name, stored, fresh in (
-            ("X", self.X, ref.X),
-            ("Delta", self.Delta, ref.Delta),
-            ("epsilon", self.epsilon, ref.epsilon),
-            ("H", self.H, ref.H),
-        ):
-            if not math.isclose(stored, fresh, rel_tol=1e-12, abs_tol=0.0):
-                raise ParameterError(
-                    f"stored {name}={stored!r} disagrees with rederived {fresh!r}"
-                )
+        g = self.gamma.value
+        log_x = (13.0 / 6.0) * math.log(q0)
+        try:
+            x = math.exp(log_x)
+            epsilon = math.exp(((37.0 - 38.0 * g) / 26.0) * log_x) * log_x**10
+            if math.isinf(epsilon):
+                raise OverflowError
+        except OverflowError:
+            raise ParameterError(
+                f"q0={q0} is too large: X or epsilon overflows a double"
+            ) from None
+        object.__setattr__(self, "log_X", log_x)
+        object.__setattr__(self, "X", x)
+        object.__setattr__(self, "Delta", math.exp((-12.0 / 13.0) * log_x) * log_x)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "H", log_x * log_x / epsilon)
         if not self.Delta < self.H_effective:
             raise ParameterError(
                 f"instance too small: Delta={self.Delta:.6g} >= "
                 f"H_effective={self.H_effective:.6g}; a larger q0 or an "
                 f"epsilon_user override is required"
             )
-
-    @property
-    def log_X(self) -> float:
-        return (13.0 / 6.0) * math.log(self.q0)
 
     @property
     def epsilon_effective(self) -> float:
@@ -260,31 +221,6 @@ class RunParameters:
     def kernel_k(self) -> int:
         """Smoothness k = max(1, floor(log X)) of the canonical kernel."""
         return max(1, math.floor(self.log_X))
-
-
-def derive_parameters(
-    q0: int,
-    gamma: "GammaExponent | float",
-    lambda0: float,
-    epsilon_user: "float | None" = None,
-) -> RunParameters:
-    """Build a RunParameters, rejecting instances with Delta >= H.
-
-    The gate compares Delta against the effective H: the formula H when
-    no override is given, (log X)^2 / epsilon_user otherwise.
-    """
-    g = _as_gamma(gamma)
-    s = derived_scales(q0, g)
-    return RunParameters(
-        q0=q0,
-        gamma=g,
-        lambda0=lambda0,
-        X=s.X,
-        Delta=s.Delta,
-        epsilon=s.epsilon,
-        H=s.H,
-        epsilon_user=epsilon_user,
-    )
 
 
 def feasible_box_check(

@@ -363,10 +363,7 @@ def dichotomy_orientation(cfg: RunConfig):
     orientations are tried before giving up.  Returns (coeffs, conv).
     """
     c = cfg.canonical
-    swapped = Coefficients(
-        c.lambda2, c.lambda1, c.lambda3, c.eta,
-        irrationality_asserted=c.irrationality_asserted,
-    )
+    swapped = Coefficients(c.lambda2, c.lambda1, c.lambda3, c.eta)
     for cand in (c, swapped):
         seq = continued_fraction(cand.lambda1 / cand.lambda2, 64)
         conv = next(

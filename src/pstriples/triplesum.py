@@ -564,18 +564,16 @@ class Gamma2Majorant:
 
     each an upper bound for |middle band| (the product of three moduli
     is at most F times |S3|(|S1|+|S2|), pointwise), and each at most the
-    next.  value is bound_squares.  The shape ratios compare sup F
-    against X^((37-12 gamma)/26) * log^5 X and each T_k against
+    next.  sup F and the T_k are the sweep's (MiddleBand.sup_small_pair
+    and t_integrals).  The shape ratios compare sup F against
+    X^((37-12 gamma)/26) * log^5 X and each T_k against
     H * X^(2-gamma) * log^2 X.
     """
 
-    value: float
     bound_cross: float
     bound_squares: float
     bound_factored: float
     prefactor: float
-    t_integrals: tuple[float, float, float]
-    sup_small_pair: float
     sup_shape_ratio: float
     t_shape_ratios: tuple[float, float, float]
 
@@ -598,13 +596,10 @@ def gamma2_majorant(params: RunParameters, band: MiddleBand) -> Gamma2Majorant:
     sup_shape = math.exp((37.0 - 12.0 * g) / 26.0 * lx) * lx**5
     t_shape = params.H_effective * math.exp((2.0 - g) * lx) * lx**2
     return Gamma2Majorant(
-        value=squares,
         bound_cross=cross,
         bound_squares=squares,
         bound_factored=factored,
         prefactor=pref,
-        t_integrals=band.t_integrals,
-        sup_small_pair=band.sup_small_pair,
         sup_shape_ratio=band.sup_small_pair / sup_shape,
         t_shape_ratios=(t1 / t_shape, t2 / t_shape, t3 / t_shape),
     )

@@ -25,7 +25,7 @@ from pstriples.approx import continued_fraction, dichotomy_probe, dirichlet_appr
 from pstriples.config import parse_config
 from pstriples.expsums import decomposition_residual, interval_integral, l2_integral
 from pstriples.kernel import invert_transform, make_kernel, theta, verify_bounds
-from pstriples.params import Coefficients, derive_parameters
+from pstriples.params import Coefficients, RunParameters
 from pstriples.pipeline import run_pipeline
 from pstriples.primes import ps_enumerate_oracle, ps_primes_in, sieve_primes
 from pstriples.quadrature import adaptive_simpson
@@ -65,7 +65,7 @@ def table6():
 
 
 def _instance(q0, gamma, eps_user, table):
-    params = derive_parameters(q0, gamma, 0.5, epsilon_user=eps_user)
+    params = RunParameters(q0, gamma, 0.5, epsilon_user=eps_user)
     pset = ps_primes_in(params.lambda0 * params.X, params.X, gamma, table)
     kern = make_kernel(params.epsilon_effective,
                        max(1, math.floor(params.log_X)))
@@ -123,7 +123,7 @@ def test_criterion_03_floor_decomposition_identity(table6):
     for _ in range(100):
         g = float(rng.uniform(0.72, 0.995))
         alpha = float(rng.uniform(0.0, 1.0))
-        params = derive_parameters(203, g, 0.5, epsilon_user=1.0)
+        params = RunParameters(203, g, 0.5, epsilon_user=1.0)
         res = decomposition_residual(alpha, params, table6)
         worst = max(worst, abs(res.identity_residual))
     _finish(3, "sum splits exactly into smooth and floor parts", t0,
@@ -132,7 +132,7 @@ def test_criterion_03_floor_decomposition_identity(table6):
 
 def test_criterion_04_mean_square_matches_weight_sum(table6):
     t0 = time.perf_counter()
-    params = derive_parameters(70, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(70, 0.9, 0.5, epsilon_user=1.0)
     pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.9, table6)
     res = l2_integral("ps_sum", 1.0, params, pset, span="unit")
     rel = abs(res.value - res.exact_reference) / res.exact_reference
@@ -147,7 +147,7 @@ def test_criterion_05_interval_integral_closed_form():
     for _ in range(100):
         q0 = int(rng.integers(8, 61))
         g = float(rng.uniform(0.75, 0.99))
-        params = derive_parameters(q0, g, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, g, 0.5, epsilon_user=1.0)
         alpha = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.5, -1.3))
         lo, hi = params.lambda0 * params.X, params.X
         re = adaptive_simpson(
@@ -196,7 +196,7 @@ def test_criterion_07_denominator_dichotomy():
     seq = continued_fraction(SQRT2, 12)
     total = unexplained = documented = 0
     for q0 in (29, 70, 169):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         conv = next(r for r in seq.convergents if r.q == q0)
         floor_q = params.X ** (1.0 / 13.0)
         for t in rng.uniform(params.Delta, params.H_effective, 1000):
@@ -222,7 +222,7 @@ def test_criterion_08_sweep_equals_bruteforce():
         q0 = int(rng.integers(8, 41))
         g = float(rng.uniform(0.8, 0.99))
         eps_user = float(rng.uniform(0.5, 2.0))
-        params = derive_parameters(q0, g, 0.5, epsilon_user=eps_user)
+        params = RunParameters(q0, g, 0.5, epsilon_user=eps_user)
         pset = ps_primes_in(params.lambda0 * params.X, params.X, g, table)
         largest = max(largest, int(pset.primes.size))
         coeffs = Coefficients(float(rng.uniform(0.5, 2.5)),

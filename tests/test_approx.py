@@ -16,7 +16,7 @@ from pstriples.approx import (
     dichotomy_probe,
     dirichlet_approx,
 )
-from pstriples.params import Coefficients, ParameterError, derive_parameters
+from pstriples.params import Coefficients, ParameterError, RunParameters
 
 SQRT2 = math.sqrt(2)
 
@@ -166,7 +166,7 @@ def test_classify_window_snap():
 
 
 def probe_setup(q0=29, conv=(41, 29)):
-    params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
     return Coefficients(SQRT2, 1.0, -1.0), Rational(*conv), params
 
 
@@ -224,7 +224,7 @@ def test_probe_both_small_chain():
     # ratio within 1/q0^2 of 41/29 but essentially rational: t = 29 drives
     # both approximations to q = 1 and the product link breaks, as the
     # contradiction argument says it must
-    params = derive_parameters(29, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(29, 0.9, 0.5, epsilon_user=1.0)
     coeffs = Coefficients(41 / 29 + 1e-9, 1.0, -1.0)
     rep = dichotomy_probe(coeffs, Rational(41, 29), params, 29.0)
     assert rep.case == "both_small"
@@ -239,7 +239,7 @@ def test_probe_larger_convergents():
 
     coeffs = Coefficients(SQRT2, 1.0, -1.0)
     for a0, q0 in ((99, 70), (239, 169)):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         rng = np.random.default_rng(3)
         for t in rng.uniform(params.Delta, params.H_effective, size=60):
             rep = dichotomy_probe(coeffs, Rational(a0, q0), params, float(t))

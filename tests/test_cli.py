@@ -168,6 +168,20 @@ def test_exit_code_hypothesis_violation(tmp_path, capsys):
     assert "37/38" in capsys.readouterr().err
 
 
+def test_overflowing_q0_is_a_hypothesis_violation(tmp_path, capsys):
+    # X = q0^(13/6) overflows a double: exit 3 before any output
+    huge = str(10**200)
+    conf = tmp_path / "huge.conf"
+    conf.write_text(TINY.replace("q0 = 12", f"q0 = {huge}"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(conf), "--out-dir", str(out)]) == 3
+    assert f"q0={huge} is too large" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sums", "--kind", "S", "--alpha-grid", "0:0.5:3",
+                 "--q0", huge, "--gamma", "0.9", "--eps-user", "1"]) == 3
+    assert f"q0={huge} is too large" in capsys.readouterr().err
+
+
 def test_run_checks_dichotomy_before_any_stage(tmp_path, monkeypatch, capsys):
     # q0 = 203 is not a convergent denominator of sqrt(2): the default
     # stages include dichotomy, so the run stops before primes, kernel

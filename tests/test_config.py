@@ -36,6 +36,8 @@ def test_valid_file_round_trips(tmp_path):
     assert cfg.coeffs.lambda3 == -2.0
     assert cfg.echo["q0"] == "29"
     assert cfg.echo["lambda2"].startswith("1.41421356")
+    # floats cannot decide irrationality, so every run carries the warning
+    assert any("irrationality" in w for w in cfg.warnings)
 
 
 def test_defaults_for_optional_keys(tmp_path):

@@ -21,7 +21,7 @@ from pstriples.expsums import (
     sawtooth,
     unit_phase,
 )
-from pstriples.params import derive_parameters
+from pstriples.params import RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
 from pstriples.quadrature import adaptive_simpson
 from pstriples.summation import compensated_sum
@@ -31,7 +31,7 @@ TABLE6 = sieve_primes(10**6)
 
 
 def run70():
-    return derive_parameters(70, 0.9, 0.5, epsilon_user=1.0)
+    return RunParameters(70, 0.9, 0.5, epsilon_user=1.0)
 
 
 def pset_for(params, table=TABLE6):
@@ -90,7 +90,7 @@ def test_ps_exp_sum_zero_phase():
 
 
 def test_ps_exp_sum_empty_set():
-    params = derive_parameters(2, 0.99, 0.9, epsilon_user=1.0)
+    params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
     pset = pset_for(params, TABLE4)  # (4.04, 4.49] holds no prime
     r = ps_exp_sum(0.7, params, pset)
     assert r.value == 0j and r.term_count == 0
@@ -110,7 +110,7 @@ def test_prime_exp_sum_oracle():
 
 
 def test_prime_exp_sum_zero_vs_window_length():
-    params = derive_parameters(585, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(585, 0.9, 0.5, epsilon_user=1.0)
     r = prime_exp_sum(0.0, params, TABLE6)
     expect = params.gamma.value * (1 - params.lambda0) * params.X
     assert 0.8 <= r.value.real / expect <= 1.2
@@ -132,7 +132,7 @@ def test_floor_error_sum_oracle():
 
 def test_floor_error_sum_single_prime():
     # q0=2, lambda0=0.5: window (2.24, 4.49] holds only p=3
-    params = derive_parameters(2, 0.99, 0.5, epsilon_user=1.0)
+    params = RunParameters(2, 0.99, 0.5, epsilon_user=1.0)
     r = floor_error_sum(0.37, params, TABLE4)
     assert r.term_count == 1
     g = params.gamma.value
@@ -147,7 +147,7 @@ def test_floor_error_sum_single_prime():
 
 def test_floor_error_bound_shape_ratio():
     # |value| / (X^((37-12g)/26) log^5 X) measured 2.8e-8 at this instance
-    params = derive_parameters(203, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(203, 0.9, 0.5, epsilon_user=1.0)
     om = floor_error_sum(0.0, params, TABLE6).value
     scale = params.X ** ((37 - 12 * 0.9) / 26) * params.log_X**5
     assert abs(om) / scale < 1e-6
@@ -160,7 +160,7 @@ def test_interval_integral_zero():
 
 
 def test_interval_integral_quadrature_oracle():
-    params = derive_parameters(8, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(8, 0.9, 0.5, epsilon_user=1.0)
     g, lo, hi = params.gamma.value, params.lambda0 * params.X, params.X
     for alpha in (0.37, -0.11, 2.0):
         re = adaptive_simpson(
@@ -230,7 +230,7 @@ def test_phase_guard():
 
 def test_identity_residual_small():
     rng = np.random.default_rng(5)
-    params = derive_parameters(203, 0.98, 0.5, epsilon_user=1.0)
+    params = RunParameters(203, 0.98, 0.5, epsilon_user=1.0)
     for alpha in rng.uniform(-3, 3, size=5):
         d = decomposition_residual(float(alpha), params, TABLE6)
         assert d.identity_residual <= 1e-8
@@ -238,7 +238,7 @@ def test_identity_residual_small():
 
 
 def test_identity_residual_empty():
-    params = derive_parameters(2, 0.99, 0.9, epsilon_user=1.0)
+    params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
     d = decomposition_residual(0.3, params, TABLE4)
     assert d.identity_residual == 0.0 and d.term_count == 0
 
@@ -252,7 +252,7 @@ def test_sigma_gap_scale():
 
 
 def test_compensated_matches_naive():
-    params = derive_parameters(585, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(585, 0.9, 0.5, epsilon_user=1.0)
     pset = pset_for(params)
     r = ps_exp_sum(0.3, params, pset)
     terms = (
@@ -283,7 +283,7 @@ def test_compensated_sum_exactly_rounded_and_order_free():
 def test_middle_sum_tracks_interval_integral():
     ratios = []
     for q0 in (70, 203, 585):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         alpha = params.Delta / 2
         sig = prime_exp_sum(alpha, params, TABLE6).value
         ii = interval_integral(alpha, params)
@@ -323,7 +323,7 @@ def test_l2_window_interval_kind_bound():
 def test_l2_window_ps_sum_trend():
     ratios = []
     for q0 in (70, 203):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         pset = pset_for(params)
         res = l2_integral("ps_sum", math.sqrt(2), params, pset=pset)
         assert res.converged
@@ -346,7 +346,7 @@ def test_l2_argument_validation():
 
 
 def test_minor_arc_report():
-    params = derive_parameters(203, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(203, 0.9, 0.5, epsilon_user=1.0)
     rep = minor_arc_check(1, 2, params, TABLE6)
     assert not rep.in_window  # q=2 sits below X^(1/13) ~ 2.42
     assert rep.chebyshev_ratio < 1.0

@@ -1,5 +1,6 @@
 """Scale derivation, coefficient validation, and the feasibility gate."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,8 +11,6 @@ from pstriples.params import (
     GammaExponent,
     ParameterError,
     RunParameters,
-    derive_parameters,
-    derived_scales,
     feasible_box_check,
     validate_coefficients,
 )
@@ -52,7 +51,8 @@ SCALE_ORACLE = {
 
 
 def assert_scales_match(q0, gamma, expected):
-    s = derived_scales(q0, gamma)
+    # every oracle instance fails the gate at the formula epsilon
+    s = RunParameters(q0, gamma, 0.5, epsilon_user=1.0)
     for name, ref in expected.items():
         got = getattr(s, name)
         assert got == pytest.approx(ref, rel=1e-12), f"{name} at q0={q0}"
@@ -65,7 +65,7 @@ def test_scale_oracles():
 
 def test_x_is_exp_form_of_power():
     # exp((13/6) log 2) agrees with 2**(13/6) to a couple of ulps
-    s = derived_scales(2, 0.99)
+    s = RunParameters(2, 0.99, 0.5, epsilon_user=1.0)
     assert s.X == pytest.approx(2.0 ** (13.0 / 6.0), rel=1e-15)
 
 
@@ -73,11 +73,11 @@ def test_desk_instances_rejected_at_formula_epsilon():
     # (log X)^10 makes epsilon huge, hence H tiny, for every desk q0
     for q0, gamma in [(29, 0.98), (2, 0.99), (70, 0.9), (203, 0.98)]:
         with pytest.raises(ParameterError, match="too small"):
-            derive_parameters(q0, gamma, 0.5)
+            RunParameters(q0, gamma, 0.5)
 
 
 def test_epsilon_user_override_opens_the_gate():
-    p = derive_parameters(70, 0.9, 0.5, epsilon_user=0.05)
+    p = RunParameters(70, 0.9, 0.5, epsilon_user=0.05)
     assert p.epsilon == pytest.approx(11770509370.390431, rel=1e-12)
     assert p.epsilon_effective == 0.05
     assert p.H_effective == pytest.approx(p.log_X**2 / 0.05, rel=1e-15)
@@ -87,32 +87,50 @@ def test_epsilon_user_override_opens_the_gate():
 
 
 def test_large_q0_accepted_at_formula_epsilon():
-    p = derive_parameters(10**8, 0.98, 0.5)
+    p = RunParameters(10**8, 0.98, 0.5)
     assert p.epsilon_user is None
     assert p.Delta < p.H
 
 
 def test_monotonicity_grid():
     grid = [10**70, 10**73, 10**76, 10**79]
-    runs = [derived_scales(q, 0.995) for q in grid]
+    # these all clear the gate with no override
+    runs = [RunParameters(q, 0.995, 0.5) for q in grid]
     for a, b in zip(runs, runs[1:]):
         assert b.X > a.X
         assert b.H > a.H
         assert b.Delta < a.Delta
         assert b.epsilon < a.epsilon
-    # and these all clear the gate with no override
-    for q in grid:
-        derive_parameters(q, 0.995, 0.5)
 
 
-def test_reconstruction_invariant_guard():
-    s = derived_scales(70, 0.9)
-    g = GammaExponent(0.9)
-    with pytest.raises(ParameterError, match="disagrees"):
-        RunParameters(
-            q0=70, gamma=g, lambda0=0.5, X=s.X * (1 + 1e-9),
-            Delta=s.Delta, epsilon=s.epsilon, H=s.H, epsilon_user=1.0,
-        )
+def test_scales_are_derived_not_set():
+    with pytest.raises(TypeError):
+        RunParameters(70, 0.9, 0.5, X=1.0)
+    p = RunParameters(70, 0.9, 0.5, epsilon_user=1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, X=1.0)
+    # replace re-runs the constructor: the scales are re-derived and the
+    # gate applies to the new override
+    q = dataclasses.replace(p, epsilon_user=0.05)
+    assert (q.X, q.Delta, q.epsilon, q.H) == (p.X, p.Delta, p.epsilon, p.H)
+    assert q.H_effective == pytest.approx(p.log_X**2 / 0.05, rel=1e-15)
+    with pytest.raises(ParameterError, match="too small"):
+        dataclasses.replace(p, epsilon_user=None)
+    with pytest.raises(ParameterError, match="too small"):
+        dataclasses.replace(p, epsilon_user=1e6)
+
+
+def test_overflowing_q0_is_a_parameter_error():
+    # X = q0^(13/6) passes the double range near q0 = 1.5e142
+    assert math.isfinite(RunParameters(10**142, 0.995, 0.5).X)
+    for q0, gamma in [(10**143, 0.995), (10**200, 0.9)]:
+        with pytest.raises(ParameterError, match=f"q0={q0} is too large"):
+            RunParameters(q0, gamma, 0.5, epsilon_user=1.0)
+    # for small gamma epsilon overflows while X is still finite
+    q0 = 10**125
+    assert (13.0 / 6.0) * math.log(q0) < math.log(1.7e308)
+    with pytest.raises(ParameterError, match="too large"):
+        RunParameters(q0, 0.1, 0.5, epsilon_user=1.0)
 
 
 def test_gamma_domain():
@@ -131,21 +149,21 @@ def test_gamma_domain():
 
 
 def test_q0_validation():
-    with pytest.raises(ParameterError):
-        derived_scales(1, 0.9)
-    with pytest.raises(ParameterError):
-        derived_scales(29.0, 0.9)
-    with pytest.raises(ParameterError):
-        derived_scales(True, 0.9)
+    with pytest.raises(ParameterError, match="at least 2"):
+        RunParameters(1, 0.9, 0.5, epsilon_user=1.0)
+    with pytest.raises(ParameterError, match="integer"):
+        RunParameters(29.0, 0.9, 0.5, epsilon_user=1.0)
+    with pytest.raises(ParameterError, match="integer"):
+        RunParameters(True, 0.9, 0.5, epsilon_user=1.0)
 
 
 def test_lambda0_and_epsilon_user_validation():
     with pytest.raises(ParameterError):
-        derive_parameters(70, 0.9, 0.0, epsilon_user=1.0)
+        RunParameters(70, 0.9, 0.0, epsilon_user=1.0)
     with pytest.raises(ParameterError):
-        derive_parameters(70, 0.9, 1.0, epsilon_user=1.0)
+        RunParameters(70, 0.9, 1.0, epsilon_user=1.0)
     with pytest.raises(ParameterError):
-        derive_parameters(70, 0.9, 0.5, epsilon_user=-2.0)
+        RunParameters(70, 0.9, 0.5, epsilon_user=-2.0)
 
 
 def test_validate_canonical_passthrough():

@@ -15,7 +15,7 @@ import pytest
 
 from pstriples import trigpoly
 from pstriples.expsums import ps_sum_grid
-from pstriples.params import derive_parameters
+from pstriples.params import RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
 
 LAM = math.sqrt(2)
@@ -35,7 +35,7 @@ TOL = {(70, 40.0): 5e-11, (70, 700.0): 1e-9,
 
 
 def _pset(q0):
-    params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
     table = sieve_primes(int(params.X) + 2)
     return params, ps_primes_in(params.lambda0 * params.X, params.X,
                                 params.gamma, table)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pstriples import expsums, triplesum
 from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import make_kernel, theta, theta_transform, transform_bound
-from pstriples.params import Coefficients, ParameterError, derive_parameters
+from pstriples.params import Coefficients, ParameterError, RunParameters
 from pstriples.primes import sieve_primes, ps_primes_in
 from pstriples.quadrature import boole_weight
 from pstriples.triplesum import (
@@ -37,7 +37,7 @@ TABLE = sieve_primes(10000)
 
 
 def _instance(q0, gamma, lam0, eps_user):
-    params = derive_parameters(q0, gamma, lam0, epsilon_user=eps_user)
+    params = RunParameters(q0, gamma, lam0, epsilon_user=eps_user)
     pset = ps_primes_in(params.lambda0 * params.X, params.X, gamma, TABLE)
     return params, pset
 
@@ -419,9 +419,8 @@ def test_majorant_chain_holds():
     maj = gamma2_majorant(params, band)
     g2 = abs(band.gamma2)
     assert g2 <= maj.bound_cross <= maj.bound_squares <= maj.bound_factored
-    assert maj.value == maj.bound_squares
-    assert maj.sup_small_pair > 0.0
-    assert all(t > 0.0 for t in maj.t_integrals)
+    assert band.sup_small_pair > 0.0
+    assert all(t > 0.0 for t in band.t_integrals)
     assert maj.sup_shape_ratio > 0.0
     assert all(r > 0.0 for r in maj.t_shape_ratios)
 
@@ -459,7 +458,7 @@ def _whole_array_J(params, coeffs, kernel):
 def test_integral_J_matches_whole_array_reference(q0, eps, c):
     # J runs through the band walker in blocks with Theta folded into
     # the weights; the reference is the direct whole-grid formula
-    params = derive_parameters(q0, 0.9, 0.5, epsilon_user=eps)
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
     kern = _kernel_for(params)
     want = _whole_array_J(params, c, kern)
     assert want.real > 0.0
@@ -491,7 +490,7 @@ def test_main_band_scales_like_x_squared():
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     ratios = []
     for q0 in (8, 17, 36):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         kern = _kernel_for(params)
         ratios.append(integral_J(params, c, kern) / params.X**2)
     assert max(ratios) / min(ratios) <= 1.01
@@ -499,7 +498,7 @@ def test_main_band_scales_like_x_squared():
 
 def test_box_integral_monte_carlo_oracle():
     # 1e7-sample Monte-Carlo of the triple integral, fixed seed
-    params = derive_parameters(8, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(8, 0.9, 0.5, epsilon_user=1.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = make_kernel(1.0, 4)
     box = box_integral_B(params, c, kern)
@@ -524,7 +523,7 @@ def test_box_ratio_stable_across_scales():
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     ratios = []
     for q0 in (8, 17, 36):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         box = box_integral_B(params, c, make_kernel(1.0, 4))
         assert box.converged
         ratios.append(box.ratio_eps_x2)
@@ -532,7 +531,7 @@ def test_box_ratio_stable_across_scales():
 
 
 def test_box_infeasible_is_zero():
-    params = derive_parameters(8, 0.9, 0.5, epsilon_user=1.0)
+    params = RunParameters(8, 0.9, 0.5, epsilon_user=1.0)
     c = Coefficients(1.0, 1.0, -2.0, 1.0e6)
     box = box_integral_B(params, c, make_kernel(1.0, 4))
     assert not box.feasible
@@ -543,7 +542,7 @@ def test_box_mass_bound():
     # inner interval carries at most the full theta mass 7*eps/4 < 2*eps
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     for q0, eps in ((8, 1.0), (12, 2.0)):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=eps)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
         box = box_integral_B(params, c, make_kernel(eps, 4))
         g = params.gamma.value
         cap = 2 * eps * g**3 * ((1 - params.lambda0) * params.X) ** 2 / 2.0
@@ -558,17 +557,17 @@ def test_phi_bound_shape_and_monotonicity():
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = make_kernel(1.0, 4)
     for q0 in (8, 17, 36):
-        params = derive_parameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         phi = phi_bound(params, kern, c)
         assert phi.value >= 0.0
         assert 0.0 < phi.shape_ratio < 0.1
     # the plateau arm only bites once gamma*(1-lambda0)*X drops under
     # 1/(pi*Delta); compare two points in that regime
     lo = phi_bound(
-        derive_parameters(8, 0.9, 0.95, epsilon_user=1.0), kern, c
+        RunParameters(8, 0.9, 0.95, epsilon_user=1.0), kern, c
     )
     hi = phi_bound(
-        derive_parameters(8, 0.9, 0.995, epsilon_user=1.0), kern, c
+        RunParameters(8, 0.9, 0.995, epsilon_user=1.0), kern, c
     )
     assert hi.value < lo.value
 
@@ -576,7 +575,7 @@ def test_phi_bound_shape_and_monotonicity():
 def test_tail_bound_closed_form():
     # q0=587 puts X within 0.3% of 1e6; k = floor(log X) = 13 and the
     # base collapses to 4k/(pi log^2 X) independent of the width
-    params = derive_parameters(587, 0.98, 0.5, epsilon_user=1.0)
+    params = RunParameters(587, 0.98, 0.5, epsilon_user=1.0)
     assert math.floor(params.log_X) == 13
     tb = tail_bound_gamma3(params, make_kernel(1.0, 13))
     assert tb.k == 13
@@ -592,7 +591,7 @@ def test_tail_bound_closed_form():
 
 
 def test_tail_bound_degenerate_and_monotone():
-    params = derive_parameters(587, 0.98, 0.5, epsilon_user=1.0)
+    params = RunParameters(587, 0.98, 0.5, epsilon_user=1.0)
     k1 = tail_bound_gamma3(params, make_kernel(1.0, 1))
     assert math.isfinite(k1.value) and k1.value > 0.0
     k13 = tail_bound_gamma3(params, make_kernel(1.0, 13))

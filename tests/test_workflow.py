@@ -2,13 +2,17 @@
 
 The workflow is read as text, so a renamed test file or a dropped
 workload shows up here rather than only on a CI runner.  The tracer
-(perfbench/tracing.py) is loaded by path, unchanged, so a package name
-it wraps that was renamed or removed shows up here too.
+(perfbench/tracing.py) and the workloads (perfbench/workloads.py) are
+loaded by path, unchanged, so a package name they use that was renamed
+or removed shows up here too, as does an exported name that no longer
+resolves.
 """
 
+import importlib
 import importlib.util
 import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
@@ -19,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def _load_tracing():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -51,7 +55,7 @@ def test_workflow_workloads_are_benchmarked():
 
 def test_tracer_wrapped_names_resolve():
     missing = [f"{mod}.{attr}"
-               for _, sites, _ in _load_tracing().WRAPPED
+               for _, sites, _ in _load_perfbench("tracing").WRAPPED
                for mod, attr in sites
                if not callable(getattr(getattr(pstriples, mod, None), attr, None))]
     assert missing == []
@@ -61,3 +65,30 @@ def test_grid_evaluator_signature_matches_tracer():
     # the tracer reads ps_sum_grid's positional args[0..4]
     names = list(inspect.signature(pstriples.expsums.ps_sum_grid).parameters)
     assert names[:5] == ["pset", "lam", "t0", "dt", "n"]
+
+
+def test_benchmark_instances_build(tmp_path):
+    # each workload's set-up: parse its config, sieve, window set, kernel
+    workloads = _load_perfbench("workloads")
+    band_piece = _load_perfbench("tracing").band_piece
+    for name, spec in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.conf"
+        path.write_text(workloads.config_text(spec))
+        inst = workloads.Instance(pstriples, path)
+        p = inst.params
+        assert (p.q0, p.gamma.value, p.epsilon_effective) == (
+            spec["q0"], spec["gamma"], spec["eps"])
+        assert inst.pset.count > 0 and inst.kernel.k == p.kernel_k
+        assert [band_piece(t, p) for t in (0.0, p.Delta, p.H_effective)] == [1, 2, 3]
+
+
+def test_exported_names_resolve():
+    modules = [pstriples] + [
+        importlib.import_module(f"pstriples.{info.name}")
+        for info in pkgutil.iter_modules(pstriples.__path__)
+        if info.name != "__main__"
+    ]
+    missing = [f"{m.__name__}.{name}"
+               for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []
