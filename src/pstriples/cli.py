@@ -31,7 +31,7 @@ from .kernel import (
     theta_transform,
     verify_bounds,
 )
-from .params import ParameterError, RunParameters
+from .params import ParameterError, RunParameters, parse_q0
 from .pipeline import (
     STAGES,
     Instance,
@@ -123,7 +123,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_sums(args) -> int:
     params = RunParameters(
-        args.q0, args.gamma, args.lambda0, epsilon_user=args.eps_user
+        parse_q0(args.q0), args.gamma, args.lambda0, epsilon_user=args.eps_user
     )
     alphas = _grid(args.alpha_grid, "--alpha-grid")
     inst = Instance(params)
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["S", "Sigma", "Omega", "I", "Psi"],
                    required=True)
     p.add_argument("--alpha-grid", required=True, metavar="lo:hi:n")
-    p.add_argument("--q0", type=int, required=True)
+    p.add_argument("--q0", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--lambda0", type=float, default=0.5)
     p.add_argument("--eps-user", type=float, default=None)

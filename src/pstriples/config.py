@@ -21,6 +21,7 @@ from .params import (
     GammaExponent,
     ParameterError,
     RunParameters,
+    parse_q0,
     validate_coefficients,
 )
 
@@ -168,13 +169,11 @@ def parse_config(
     if "q0" in entries:
         num, text_q0 = entries["q0"]
         try:
-            q0 = int(text_q0)
-        except ValueError:
-            issues.append(
-                ConfigIssue(
-                    "syntax", num, f"q0 must be an integer, got {text_q0!r}"
-                )
-            )
+            q0 = parse_q0(text_q0)
+        except ParameterError as exc:
+            issues.append(ConfigIssue("hypothesis", num, str(exc)))
+        except ValueError as exc:
+            issues.append(ConfigIssue("syntax", num, str(exc)))
     for key in CONFIG_KEYS:
         if key == "q0":
             continue

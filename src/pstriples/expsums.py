@@ -28,7 +28,7 @@ from .params import RunParameters
 from .primes import PrimeTable, PSPrimeSet, check_window_set
 from .quadrature import QuadratureError, simpson_uniform
 from .summation import SumResult, compensated_complex_sum
-from .trigpoly import trig_sum_uniform
+from .trigpoly import BlockedPlan, plan_uniform, trig_sum_uniform
 
 __all__ = [
     "PHASE_LIMIT",
@@ -40,6 +40,7 @@ __all__ = [
     "floor_error_sum",
     "interval_integral",
     "chebyshev_sum",
+    "ps_sum_plan",
     "ps_sum_grid",
     "DecompositionResidual",
     "decomposition_residual",
@@ -163,8 +164,27 @@ def chebyshev_sum(alpha: float, X: float, table: PrimeTable) -> SumResult:
     return SumResult(value, int(p.size), resid)
 
 
+def _grid_weights(pset: PSPrimeSet) -> np.ndarray:
+    return (pset.weight_w * pset.weight_log).astype(np.complex128)
+
+
+def ps_sum_plan(
+    pset: PSPrimeSet, lam: float, dt: float, n: int,
+    share: "BlockedPlan | None" = None,
+) -> "BlockedPlan | None":
+    """A plan for repeated ps_sum_grid(pset, lam, t0, dt, n) calls at
+    several t0 (trigpoly.plan_uniform): None for an empty set and where
+    the NUFFT evaluates the grid.  share is another plan of this window
+    and grid size whose work buffers the new one reuses."""
+    if pset.count == 0:
+        return None
+    freqs = lam * pset.primes.astype(np.float64)
+    return plan_uniform(freqs, _grid_weights(pset), dt, n, share)
+
+
 def ps_sum_grid(
-    pset: PSPrimeSet, lam: float, t0: float, dt: float, n: int
+    pset: PSPrimeSet, lam: float, t0: float, dt: float, n: int,
+    plan: "BlockedPlan | None" = None,
 ) -> np.ndarray:
     """ps_exp_sum(lam * t) on the uniform grid t = t0 + j dt, j < n.
 
@@ -176,6 +196,10 @@ def ps_sum_grid(
     2e-9 at t = 700 on B's), mostly from rounding lam p t to doubles.
     Reruns are bitwise identical for a fixed BLAS library and thread
     count.
+
+    With plan = ps_sum_plan(pset, lam, dt, n) the blocked tables are
+    reused and the bits are the same; the result is then a view of the
+    plan's output rows, valid until the plan's next call.
     """
     if pset.count == 0:
         return np.zeros(n, dtype=np.complex128)
@@ -183,8 +207,11 @@ def ps_sum_grid(
     top = max(abs(t0), abs(t0 + (n - 1) * dt))
     if np.max(np.abs(freqs)) * top > PHASE_LIMIT:
         raise ValueError("|lam * p * t| exceeds 2^52; phases unrepresentable")
-    weights = (pset.weight_w * pset.weight_log).astype(np.complex128)
-    return trig_sum_uniform(freqs, weights, t0, dt, n)
+    if plan is not None:
+        if (plan.n, plan.dt) != (n, dt) or not np.array_equal(plan.freqs, freqs):
+            raise ValueError("plan was built for another window, lam, dt or n")
+        return plan(t0)
+    return trig_sum_uniform(freqs, _grid_weights(pset), t0, dt, n)
 
 
 @dataclass(frozen=True)

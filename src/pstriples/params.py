@@ -10,7 +10,9 @@ when the instance is built; none of them can be set by the caller.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 __all__ = [
     "THEOREM_GAMMA_LOWER",
@@ -20,6 +22,7 @@ __all__ = [
     "CoefficientReport",
     "validate_coefficients",
     "RunParameters",
+    "parse_q0",
     "feasible_box_check",
 ]
 
@@ -29,6 +32,41 @@ THEOREM_GAMMA_LOWER = 37.0 / 38.0
 
 class ParameterError(ValueError):
     """An instance failed a constructor constraint."""
+
+
+# q0 is echoed in messages in full up to the digit count of the largest
+# double; a longer one (its X overflows long before) by its leading
+# digits and its length.
+_ECHO_DIGITS = 309
+
+# the integer syntax int() accepts, once stripped
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _q0_out_of_range(q0: "int | Decimal") -> ParameterError:
+    """The error for a q0 below 2 or one whose X overflows a double."""
+    d = Decimal(q0)         # neither int() nor str() of a long integer
+    digits = d.adjusted() + 1
+    text = str(q0) if digits <= _ECHO_DIGITS else f"{d:.6e} ({digits} digits)"
+    if d < 2:
+        return ParameterError(f"q0 must be at least 2, got {text}")
+    return ParameterError(f"q0={text} is too large: X or epsilon overflows a double")
+
+
+def parse_q0(text: str) -> int:
+    """The integer q0 from its decimal text, in time linear in its length.
+
+    Raises ParameterError for a q0 of more than _ECHO_DIGITS digits,
+    whose X would overflow (int() refuses such text past Python's
+    4300-digit limit and converts it in quadratic time), and a plain
+    ValueError when the text is not an integer.
+    """
+    if _INTEGER.fullmatch(text.strip()) is None:
+        raise ValueError(f"q0 must be an integer, got {text!r}")
+    d = Decimal(text)
+    if d.adjusted() >= _ECHO_DIGITS:
+        raise _q0_out_of_range(d)
+    return int(d)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -174,7 +212,7 @@ class RunParameters:
         if not isinstance(q0, int) or isinstance(q0, bool):
             raise ParameterError(f"q0 must be an integer, got {q0!r}")
         if q0 < 2:
-            raise ParameterError(f"q0 must be at least 2, got {q0}")
+            raise _q0_out_of_range(q0)
         lam0 = _require_finite("lambda0", self.lambda0)
         object.__setattr__(self, "lambda0", lam0)
         if not 0.0 < lam0 < 1.0:
@@ -193,9 +231,7 @@ class RunParameters:
             if math.isinf(epsilon):
                 raise OverflowError
         except OverflowError:
-            raise ParameterError(
-                f"q0={q0} is too large: X or epsilon overflows a double"
-            ) from None
+            raise _q0_out_of_range(q0) from None
         object.__setattr__(self, "log_X", log_x)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Delta", math.exp((-12.0 / 13.0) * log_x) * log_x)

@@ -14,7 +14,9 @@ Two schemes cover every integral in the package:
   uniform grid can be integrated in streaming chunks without materializing
   the weight vector.  Used for the oscillation-resolving spectral pieces
   where the grid is sized by the fastest phase and refinement-by-doubling
-  would be unaffordable.
+  would be unaffordable.  Away from the grid's two ends the weights
+  repeat with period 4, so `boole_interior` gives one such block for
+  reuse.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "adaptive_simpson",
     "simpson_uniform",
     "boole_weight",
+    "boole_interior",
 ]
 
 
@@ -121,3 +124,11 @@ def boole_weight(indices: np.ndarray, n_points: int) -> np.ndarray:
     w[flat == n_points - 1] = 7.0
     return w.reshape(idx.shape)
 
+
+def boole_interior(size: int) -> np.ndarray:
+    """boole_weight of any `size` consecutive indices that start at a
+    multiple of 4 and hold neither end of the grid, built once and
+    read-only, for a streaming caller to reuse on every such block."""
+    w = np.tile(_BOOLE_PATTERN, -(-size // 4))[:size]
+    w.setflags(write=False)
+    return w

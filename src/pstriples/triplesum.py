@@ -18,6 +18,10 @@ and its remainder majorant, the closed-form far-tail bound, and the
 middle-band majorant chain.  Band grids are processed in fixed-size
 chunks whose partial sums are added exactly rounded (math.fsum), so
 totals are deterministic and independent of the evaluation schedule.
+A band's exponential sums come from one evaluator plan per coefficient
+(expsums.ps_sum_plan) for its full chunks and one for its ragged last
+chunk, so the phase tables and output buffers are built per band, not
+per chunk, with the same bits.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -42,7 +46,7 @@ from .kernel import (
 )
 from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
 from .primes import PSPrimeSet, check_window_set, ps_indicator
-from .quadrature import QuadratureError, adaptive_simpson, boole_weight
+from .quadrature import QuadratureError, adaptive_simpson, boole_interior, boole_weight
 
 __all__ = [
     "TripleRecord",
@@ -340,10 +344,31 @@ def _band_grid(
 
 def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients):
     """Factor source of the band integrals: the window's exponential sums
-    S(l_i t) on a chunk's grid, from the gridded evaluator."""
-    from .expsums import ps_sum_grid
+    S(l_i t) on a chunk's grid, from the gridded evaluator.
 
-    return lambda t0, h, n: [ps_sum_grid(pset, l, t0, h, n) for l in coeffs.lambdas]
+    The sums of one chunk size come from one plan per l_i (ps_sum_plan;
+    none on the NUFFT path), the three sharing their work buffers: one
+    set for the band's full chunks, replaced by one for its ragged last
+    chunk, and all freed with the band.  Each sum is a view of its
+    plan's output, valid until the next chunk's call.
+    """
+    from .expsums import ps_sum_grid, ps_sum_plan
+
+    lams = coeffs.lambdas
+    plans: dict = {}
+
+    def factors(t0: float, h: float, n: int) -> list:
+        if (h, n) not in plans:
+            plans.clear()       # the full chunks' plans go before the ragged ones
+            share, built = None, []
+            for l in lams:
+                share = ps_sum_plan(pset, l, h, n, share)
+                built.append(share)
+            plans[h, n] = built
+        return [ps_sum_grid(pset, l, t0, h, n, plan=p)
+                for l, p in zip(lams, plans[h, n])]
+
+    return factors
 
 
 def _window_factors(params: RunParameters, coeffs: Coefficients):
@@ -376,10 +401,14 @@ def _band_quadrature(
 
     Chunked over the grid in index order; factors(t0, h, count) gives a
     chunk's three factors (_sum_factors for the band integrals,
-    _window_factors for J), and the chunk is then walked in blocks of
+    _window_factors for J), which may be views of buffers that the next
+    chunk's call overwrites, and the chunk is then walked in blocks of
     _BLOCK points whose weights, Theta values, integrand and statistics
-    live in small reused buffers.  Theta comes from GridTransform on
-    bands with t_lo >= 0 and from theta_transform on the symmetric band.
+    live in small reused buffers.  Every block starts at a multiple of 4,
+    so the blocks that hold neither grid end share one Boole block
+    (boole_interior) and only the others call boole_weight.  Theta comes
+    from GridTransform on bands with t_lo >= 0 and from theta_transform
+    on the symmetric band.
     With collect the sweep also accumulates the squared-modulus
     integrals, the pointwise minimum of the first two moduli (its
     supremum and two weighted integrals), all Boole-weighted over the
@@ -393,6 +422,7 @@ def _band_quadrature(
     t_parts = ([], [], [])
     sup = 0.0
     offsets = np.arange(_BLOCK, dtype=np.float64)
+    interior = boole_interior(_BLOCK)   # blocks start at multiples of 4
     t_buf, theta_buf, small_buf, tmp_buf = (np.empty(_BLOCK) for _ in range(4))
     prod_buf = np.empty(_BLOCK, dtype=np.complex128)
     mod_buf = np.empty((3, _BLOCK))
@@ -403,7 +433,10 @@ def _band_quadrature(
         for b in range(0, count, _BLOCK):
             n = min(_BLOCK, count - b)
             blk = slice(b, b + n)
-            wq = boole_weight(np.arange(start + b, start + b + n), n_points)
+            if start + b == 0 or start + b + n == n_points:
+                wq = boole_weight(np.arange(start + b, start + b + n), n_points)
+            else:
+                wq = interior[:n]
             t = np.add(offsets[:n], b, out=t_buf[:n])
             t *= h
             t += t0                 # bit for bit t0 + h * arange(count)

@@ -182,6 +182,27 @@ def test_overflowing_q0_is_a_hypothesis_violation(tmp_path, capsys):
     assert f"q0={huge} is too large" in capsys.readouterr().err
 
 
+def test_long_q0_is_a_hypothesis_violation(tmp_path, capsys):
+    # 5000 digits is past int()'s conversion limit: still exit 3 from a
+    # config file and from --q0, with the number echoed by its leading
+    # digits and length, not in full
+    conf = tmp_path / "long.conf"
+    conf.write_text(TINY.replace("q0 = 12", "q0 = " + "7" * 5000))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(conf), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "q0=7.777778e+4999 (5000 digits) is too large" in err
+    assert "7" * 400 not in err
+    assert not out.exists()
+    assert main(["sums", "--kind", "S", "--alpha-grid", "0:0.5:3",
+                 "--q0", "7" * 5000, "--gamma", "0.9", "--eps-user", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "(5000 digits) is too large" in err and "7" * 400 not in err
+    assert main(["sums", "--kind", "S", "--alpha-grid", "0:0.5:3",
+                 "--q0", "12.5", "--gamma", "0.9", "--eps-user", "1"]) == 2
+    assert "q0 must be an integer" in capsys.readouterr().err
+
+
 def test_run_checks_dichotomy_before_any_stage(tmp_path, monkeypatch, capsys):
     # q0 = 203 is not a convergent denominator of sqrt(2): the default
     # stages include dichotomy, so the run stops before primes, kernel

@@ -12,6 +12,7 @@ from pstriples.params import (
     ParameterError,
     RunParameters,
     feasible_box_check,
+    parse_q0,
     validate_coefficients,
 )
 
@@ -245,3 +246,20 @@ def test_feasible_box_near_miss_branch():
 def test_form_evaluation():
     c = Coefficients(1.0, SQRT2, -2.0, eta=0.25)
     assert c.form(2.0, 3.0, 1.0) == pytest.approx(2 + 3 * SQRT2 - 2 + 0.25, rel=1e-15)
+
+
+def test_long_q0_is_echoed_short():
+    # past the largest double's 309 digits, q0 is echoed by its leading
+    # digits and length; str() of it would fail past 4300 digits
+    with pytest.raises(ParameterError, match=r"q0=1\.000000e\+5000 \(5001 digits\)"):
+        RunParameters(10**5000, 0.9, 0.5)
+    with pytest.raises(ParameterError, match=r"at least 2, got -1\.000000e\+5000"):
+        RunParameters(-10**5000, 0.9, 0.5)
+    assert parse_q0("1_000") == 1000 and parse_q0(" +12 ") == 12
+    assert parse_q0("0" * 400 + "29") == 29
+    with pytest.raises(ParameterError, match=r"\(5000 digits\) is too large"):
+        parse_q0("7" * 5000)
+    for text in ("29.5", "1e3", "", "1__0"):
+        with pytest.raises(ValueError, match="must be an integer") as info:
+            parse_q0(text)
+        assert not isinstance(info.value, ParameterError)

@@ -8,13 +8,17 @@ so the whole gap is the evaluator's.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from pstriples import trigpoly
-from pstriples.expsums import ps_sum_grid
+from pstriples.expsums import ps_sum_grid, ps_sum_plan
 from pstriples.params import RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
 
@@ -118,3 +122,81 @@ def test_mirrored_evaluator_against_plain_sum(n):
     want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
     assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 2e-14 * np.sum(np.abs(weights))
+
+
+@pytest.mark.parametrize("n", [5, 4095, 8193, 3 * 2**11 + 5, 2**17 + 5])
+def test_plan_matches_fresh_calls_bitwise(n):
+    # one plan per frequency set at several t0, the second and third
+    # sharing the first one's work buffers and called in turn, as the
+    # band sweep calls them; each call equals a fresh trig_sum_uniform
+    rng = np.random.default_rng(n)
+    nf = 61
+    sets = [(rng.uniform(-3e4, 3e4, nf),
+             rng.normal(size=nf) + 1j * rng.normal(size=nf)) for _ in range(3)]
+    dt = 1.0 / (24.0 * 3e4)
+    plans = []
+    for freqs, weights in sets:
+        plans.append(trigpoly.plan_uniform(freqs, weights, dt, n,
+                                           plans[-1] if plans else None))
+    for t0 in (0.25, 40.0, 700.125, 40.0):
+        for plan, (freqs, weights) in zip(plans, sets):
+            got = plan(t0)
+            want = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
+            assert got.shape == (n,)
+            assert np.array_equal(got, want)
+    # a call returns a view of the plan's buffer, overwritten by the next
+    first = plans[0](1.0)
+    assert np.shares_memory(first, plans[0](2.0))
+
+
+def test_nufft_sizes_get_no_plan():
+    # the dispatch rule lives in trigpoly: wide windows on long grids
+    # take the NUFFT and get no plan; below the sample cutoff they plan
+    nf = trigpoly._BLOCKED_MAX_FREQS + 1
+    freqs, weights = np.linspace(1.0, 2.0, nf), np.ones(nf)
+    assert trigpoly.plan_uniform(freqs, weights, 1e-3, trigpoly._DIRECT_CUTOFF) is None
+    assert trigpoly.plan_uniform(freqs, weights, 1e-3, 8193) is None
+    small = trigpoly.plan_uniform(freqs, weights, 1e-3, trigpoly._DIRECT_CUTOFF - 1)
+    assert isinstance(small, trigpoly.BlockedPlan)
+    assert np.array_equal(small(3.0), trigpoly.trig_sum_uniform(
+        freqs, weights, 3.0, 1e-3, trigpoly._DIRECT_CUTOFF - 1))
+    assert trigpoly.plan_uniform(freqs[:-1], weights[:-1], 1e-3, 8193) is not None
+
+
+def test_shared_plans_need_one_shape():
+    freqs, weights = np.array([0.5, 1.5]), np.ones(2)
+    plan = trigpoly.plan_uniform(freqs, weights, 1e-3, 8193)
+    with pytest.raises(ValueError, match="same frequency count and n"):
+        trigpoly.plan_uniform(freqs, weights, 1e-3, 4097, plan)
+    with pytest.raises(ValueError, match="same frequency count and n"):
+        trigpoly.plan_uniform(freqs[:1], weights[:1], 1e-3, 8193, plan)
+
+
+@pytest.mark.parametrize("q0", [70, 203])
+def test_planned_grid_matches_unplanned(q0):
+    # instance A's window plans; instance B's takes the NUFFT (no plan)
+    params, pset = _pset(q0)
+    dt = 1.0 / (24.0 * params.X)
+    plan = ps_sum_plan(pset, LAM, dt, N)
+    assert (plan is None) == (pset.count > trigpoly._BLOCKED_MAX_FREQS)
+    for t0 in (40.0, 700.0):
+        want = ps_sum_grid(pset, LAM, t0, dt, N)
+        assert np.array_equal(ps_sum_grid(pset, LAM, t0, dt, N, plan=plan), want)
+    if plan is not None:
+        with pytest.raises(ValueError, match="another window"):
+            ps_sum_grid(pset, LAM, 40.0, dt, N - 4, plan=plan)
+        with pytest.raises(ValueError, match="another window"):
+            ps_sum_grid(pset, 1.0, 40.0, dt, N, plan=plan)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.fft and scipy.special serve the NUFFT only and load on its
+    # first call, not at start-up
+    code = ("import sys, pstriples.cli; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

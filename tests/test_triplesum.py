@@ -388,9 +388,10 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     t_lo = -span / 2 if symmetric else params.Delta
     recorded = []
 
-    def recording(*args):
-        out = grid(*args)
-        recorded.append(out)
+    def recording(*args, **kwargs):
+        # planned sums are views of reused buffers: keep copies
+        out = grid(*args, **kwargs)
+        recorded.append(out.copy())
         return out
 
     grid = expsums.ps_sum_grid
