@@ -55,7 +55,7 @@ from .expsums import (
     ps_exp_sum,
 )
 from .quadrature import QuadratureError
-from .triplesum import decompose, gamma_piece, threshold_vacuous
+from .triplesum import decompose, integral_J, piece_quadrature, threshold_vacuous
 
 __all__ = ["main"]
 
@@ -196,9 +196,11 @@ def _cmd_gamma_decomp(args) -> int:
         report["values"] = decomp_values(res)
     else:
         vals: dict[str, object] = {}
+        j_val = integral_J(params, cfg.coeffs, kern)
         for p in pieces:
-            z = gamma_piece(p, params, cfg.coeffs, kern, pset)
-            vals[f"gamma{p}"] = [z.real, z.imag]
+            band = piece_quadrature(p, params, cfg.coeffs, kern, pset, j_val)
+            vals[f"gamma{p}"] = [band.value.real, band.value.imag]
+            vals[f"gamma{p}_error"] = band.error
         report["values"] = vals
     wall["decomposition"] = time.perf_counter() - t0
     if args.emit_triples:

@@ -21,6 +21,7 @@ from .params import (
     GammaExponent,
     ParameterError,
     RunParameters,
+    echo_text,
     parse_q0,
     validate_coefficients,
 )
@@ -139,7 +140,7 @@ def _number(
         return float(text)
     except ValueError:
         issues.append(
-            ConfigIssue("syntax", num, f"{key} must be a number, got {text!r}")
+            ConfigIssue("syntax", num, f"{key} must be a number, got {echo_text(text)}")
         )
         return None
 

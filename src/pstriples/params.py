@@ -42,6 +42,17 @@ _ECHO_DIGITS = 309
 # the integer syntax int() accepts, once stripped
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
+# a malformed config value is echoed in full up to this many characters
+_ECHO_CHARS = 40
+
+
+def echo_text(text: str) -> str:
+    """A config value as an error message quotes it: its repr when short,
+    else the repr of its first _ECHO_CHARS characters and its length."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
 
 def _q0_out_of_range(q0: "int | Decimal") -> ParameterError:
     """The error for a q0 below 2 or one whose X overflows a double."""
@@ -62,7 +73,7 @@ def parse_q0(text: str) -> int:
     ValueError when the text is not an integer.
     """
     if _INTEGER.fullmatch(text.strip()) is None:
-        raise ValueError(f"q0 must be an integer, got {text!r}")
+        raise ValueError(f"q0 must be an integer, got {echo_text(text)}")
     d = Decimal(text)
     if d.adjusted() >= _ECHO_DIGITS:
         raise _q0_out_of_range(d)

@@ -397,13 +397,21 @@ def _complex_pair(z: complex) -> "list[float]":
 
 
 def decomp_values(res) -> "dict[str, object]":
-    """Flatten a decomposition result for the manifest (bounds, ratios)."""
+    """Flatten a decomposition result for the manifest (bounds, ratios,
+    and each piece's error bar, grid size and refinements)."""
     m = res.middle
     mj = res.majorant
+    pieces = {}
+    for p, z, err, n, refined in zip(
+        (1, 2, 3), (res.gamma1, res.gamma2, res.gamma3), res.gamma_errors,
+        res.band_points, res.band_refinements,
+    ):
+        pieces[f"gamma{p}"] = _complex_pair(z)
+        pieces[f"gamma{p}_error"] = err
+        pieces[f"gamma{p}_points"] = n
+        pieces[f"gamma{p}_refinements"] = refined
     return {
-        "gamma1": _complex_pair(res.gamma1),
-        "gamma2": _complex_pair(res.gamma2),
-        "gamma3": _complex_pair(res.gamma3),
+        **pieces,
         "gamma_total": _complex_pair(res.gamma_total),
         "direct_value": res.direct_value,
         "triples_found": res.triples_found,

@@ -12,11 +12,11 @@ Two schemes cover every integral in the package:
 * `boole_weight`: composite Boole (5-point Newton-Cotes,
   O(h^6)) weights addressable by global sample index, so a very long
   uniform grid can be integrated in streaming chunks without materializing
-  the weight vector.  Used for the oscillation-resolving spectral pieces
-  where the grid is sized by the fastest phase and refinement-by-doubling
-  would be unaffordable.  Away from the grid's two ends the weights
-  repeat with period 4, so `boole_interior` gives one such block for
-  reuse.
+  the weight vector.  Away from the grid's two ends the weights repeat
+  with period 4, so the band walker of the oscillation-resolving
+  spectral pieces (`triplesum._band_quadrature`) applies them to
+  residue-class sums rather than to samples; this is their per-sample
+  form.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "adaptive_simpson",
     "simpson_uniform",
     "boole_weight",
-    "boole_interior",
 ]
 
 
@@ -123,12 +122,3 @@ def boole_weight(indices: np.ndarray, n_points: int) -> np.ndarray:
     w[flat == 0] = 7.0
     w[flat == n_points - 1] = 7.0
     return w.reshape(idx.shape)
-
-
-def boole_interior(size: int) -> np.ndarray:
-    """boole_weight of any `size` consecutive indices that start at a
-    multiple of 4 and hold neither end of the grid, built once and
-    read-only, for a streaming caller to reuse on every such block."""
-    w = np.tile(_BOOLE_PATTERN, -(-size // 4))[:size]
-    w.setflags(write=False)
-    return w

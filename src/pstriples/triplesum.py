@@ -12,12 +12,15 @@ Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
 This module computes both sides at desk scale: the count directly by a
 sorted meet-in-the-middle sweep, the three band integrals and the
 main-term integral J by oscillation-resolving Boole quadrature on
-uniform grids (one band walker, _band_quadrature, with a fixed 12
-samples per period of the fastest phase), the main-term box integral
-and its remainder majorant, the closed-form far-tail bound, and the
-middle-band majorant chain.  Band grids are processed in fixed-size
-chunks whose partial sums are added exactly rounded (math.fsum), so
-totals are deterministic and independent of the evaluation schedule.
+uniform grids (one band walker, _band_quadrature), the main-term box
+integral and its remainder majorant, the closed-form far-tail bound,
+and the middle-band majorant chain.  Every band grid starts at 7
+samples per period of the fastest phase; each band integral carries an
+error bar taken from the same samples (Boole at h against Boole on the
+2h subgrid) and is refined by its midpoints while that bar exceeds
+1e-9 of |J|.  Band grids are processed in fixed-size chunks whose
+partial sums are added exactly rounded (math.fsum), so totals are
+deterministic and independent of the evaluation schedule.
 A band's exponential sums come from one evaluator plan per coefficient
 (expsums.ps_sum_plan) for its full chunks and one for its ragged last
 chunk, so the phase tables and output buffers are built per band, not
@@ -46,7 +49,10 @@ from .kernel import (
 )
 from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
 from .primes import PSPrimeSet, check_window_set, ps_indicator
-from .quadrature import QuadratureError, adaptive_simpson, boole_interior, boole_weight
+from .quadrature import QuadratureError, adaptive_simpson
+# boole_weight is not called here (the band walker weights residue-class
+# sums); perfbench's tracer wraps the name triplesum.boole_weight.
+from .quadrature import boole_weight  # noqa: F401
 
 __all__ = [
     "TripleRecord",
@@ -56,6 +62,7 @@ __all__ = [
     "BoxIntegral",
     "PhiBound",
     "TailBound3",
+    "BandQuadrature",
     "DecompositionResult",
     "big_gamma_direct",
     "triple_sum_bruteforce",
@@ -63,6 +70,7 @@ __all__ = [
     "triple_threshold",
     "threshold_vacuous",
     "gamma_piece",
+    "piece_quadrature",
     "check_band_grids",
     "piece3_truncation",
     "middle_band_sweep",
@@ -85,8 +93,20 @@ __all__ = [
 _CHUNK = 1 << 21
 _BLOCK = 1 << 14
 
-# Samples per period of the fastest phase on every band grid.
-_POINTS_PER_PERIOD = 12
+# Band density: every band grid starts at _BASE_POINTS_PER_PERIOD
+# samples per period of the fastest phase, and _band_quadrature halves
+# the spacing of pieces 1 to 3 while a piece's error bar exceeds
+# _BAND_REL_TOL times |J| (integral_J, which stays at the base density).
+_BASE_POINTS_PER_PERIOD = 7
+_BAND_REL_TOL = 1e-9
+
+# Boole weights by grid index mod 8 on an 8m+1 grid, the two ends aside
+# (they weigh 7 in every rule): at spacing h (times 2h/45) and on the
+# even-index subgrid at 2h (times 4h/45).  In units of 2h/45,
+# Q_h - Q_2h weighs the classes _BOOLE_H - 2 * _BOOLE_2H and the ends +7.
+_BOOLE_H = (14.0, 32.0, 12.0, 32.0, 14.0, 32.0, 12.0, 32.0)
+_BOOLE_2H = (14.0, 0.0, 32.0, 0.0, 12.0, 0.0, 32.0, 0.0)
+_BOOLE_GAP = tuple(a - 2.0 * b for a, b in zip(_BOOLE_H, _BOOLE_2H))
 
 # Main-term quadrature settings: box_integral_B doubles its Simpson
 # panels from _BOX_PANELS until two totals agree to _BOX_REL_TOL (at most
@@ -320,26 +340,28 @@ def find_triples(
 def _band_grid(
     t_lo: float, t_hi: float, coeffs: Coefficients, params: RunParameters
 ) -> tuple[int, float]:
-    """Uniform grid resolving the fastest phase on the band.
+    """Base uniform grid resolving the fastest phase on the band.
 
     The integrand's modes oscillate at frequencies up to
     max|l_i| * X + |eta| independent of t, so a uniform spacing of
-    _POINTS_PER_PERIOD (12) samples per extreme period resolves the
-    whole band; point counts are rounded up to the 4m+1 a Boole rule
-    needs.
+    _BASE_POINTS_PER_PERIOD (7) samples per extreme period resolves the
+    whole band to the walker's tolerance on desk instances; where it
+    does not, _band_quadrature refines by midpoints.  Point counts are
+    rounded up to 8m+1, so that the even-index subgrid (4m+1 points) is
+    itself a Boole grid and the error bar comes from the same samples.
     """
     if not t_hi > t_lo:
         raise ParameterError(f"empty band [{t_lo}, {t_hi}]")
     nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
     span = t_hi - t_lo
-    m = max(2, math.ceil(span * _POINTS_PER_PERIOD * nu / 4.0))
-    n_points = 4 * m + 1
+    m = max(1, math.ceil(span * _BASE_POINTS_PER_PERIOD * nu / 8.0))
+    n_points = 8 * m + 1
     if n_points > _MAX_BAND_POINTS:
         raise QuadratureError(
             f"band [{t_lo:.6g}, {t_hi:.6g}] needs {n_points} grid points, "
             f"beyond the {_MAX_BAND_POINTS} cap"
         )
-    return n_points, span / (4 * m)
+    return n_points, span / (8 * m)
 
 
 def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients):
@@ -388,6 +410,51 @@ def _window_factors(params: RunParameters, coeffs: Coefficients):
     return factors
 
 
+@dataclass(frozen=True)
+class BandQuadrature:
+    """A band integral with its error bar.
+
+    value is Boole at the final spacing; error is |Q_h - Q_2h| / 63 for
+    its real part, Boole at h against Boole on the even-index subgrid
+    (Boole errors scale as h^6, so the gap is 63 times the error of the
+    finer rule to leading order); n_points and spacing describe the
+    final grid, reached after `refinements` midpoint refinements of the
+    base grid (_band_grid).
+    """
+
+    value: complex
+    error: float
+    n_points: int
+    spacing: float
+    refinements: int
+
+
+def _class_rule(parts: np.ndarray, ends: np.ndarray, q: int,
+                weights: tuple, end_weight: float) -> float:
+    """Exactly rounded sum of weights[c] times every class-c partial of
+    quantity q, plus end_weight times each of the two end samples."""
+    terms = (parts[:, q, :] * np.asarray(weights, dtype=np.float64)).ravel().tolist()
+    terms.extend((end_weight * ends[:, q]).tolist())
+    return math.fsum(terms)
+
+
+def _fold(parts: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Class partials of a grid refined by its midpoints.
+
+    Old index k becomes 2k and midpoint k becomes 2k+1, so new class c
+    (mod 8) collects old classes c/2 and c/2 + 4 for even c, and
+    midpoint classes (c-1)/2 and (c-1)/2 + 4 for odd c.  Partials are
+    moved, never added, so the final fsum still rounds once.
+    """
+    b, m = parts.shape[0], mids.shape[0]
+    out = np.zeros((2 * (b + m),) + parts.shape[1:])
+    out[:b, :, 0::2] = parts[:, :, :4]
+    out[b : 2 * b, :, 0::2] = parts[:, :, 4:]
+    out[2 * b : 2 * b + m, :, 1::2] = mids[:, :, :4]
+    out[2 * b + m :, :, 1::2] = mids[:, :, 4:]
+    return out
+
+
 def _band_quadrature(
     params: RunParameters,
     coeffs: Coefficients,
@@ -396,90 +463,145 @@ def _band_quadrature(
     t_hi: float,
     factors,
     collect: bool,
+    tol: float,
 ):
-    """Boole quadrature of Theta * F1 * F2 * F3 * e(eta t) over [t_lo, t_hi].
+    """Boole quadrature of Theta * F1 * F2 * F3 * e(eta t) over [t_lo, t_hi]
+    with its error bar, refined by midpoints until the bar is within tol.
 
-    Chunked over the grid in index order; factors(t0, h, count) gives a
-    chunk's three factors (_sum_factors for the band integrals,
-    _window_factors for J), which may be views of buffers that the next
-    chunk's call overwrites, and the chunk is then walked in blocks of
-    _BLOCK points whose weights, Theta values, integrand and statistics
-    live in small reused buffers.  Every block starts at a multiple of 4,
-    so the blocks that hold neither grid end share one Boole block
-    (boole_interior) and only the others call boole_weight.  Theta comes
-    from GridTransform on bands with t_lo >= 0 and from theta_transform
-    on the symmetric band.
-    With collect the sweep also accumulates the squared-modulus
-    integrals, the pointwise minimum of the first two moduli (its
-    supremum and two weighted integrals), all Boole-weighted over the
-    same grid.
+    Sampling is chunked over the grid in index order; factors(t0, h,
+    count) gives a chunk's three factors (_sum_factors for the band
+    integrals, _window_factors for J), which may be views of buffers
+    that the next chunk's call overwrites, and the chunk is then walked
+    in blocks of _BLOCK points whose Theta values, integrand and
+    statistics live in small reused buffers.  Theta comes from
+    GridTransform on bands with t_lo >= 0 and from theta_transform on
+    the symmetric band.
+
+    No sample is weighted: every quantity (the real and imaginary parts
+    of the Theta-weighted integrand and, with collect, the three
+    squared moduli and the two majorant integrands) is kept as its 8
+    residue-class sums (grid index mod 8, one partial per block), plus
+    its two end samples.  Boole at h, Boole on the even-index 2h
+    subgrid and, after a refinement, Boole at h/2 are fixed
+    combinations of those sums, each summed exactly rounded (math.fsum)
+    at the end.  The bar is |Q_h - Q_2h| / 63 of the real part.  While
+    it exceeds tol, only the midpoints t_lo + h/2 + k h are sampled;
+    they have the spacing h of the grid they refine, so its evaluator
+    plans and GridTransform tables still serve, and its class sums fold
+    into the new grid's.  While the band is resolved each halving cuts
+    the bar about 64-fold; a halving that does not at least halve it
+    shows the bar has reached the rounding floor, where refining cannot
+    narrow it, so the walk stops there and reports a bar above tol (a J
+    that nearly cancels, as with a shift past the window's reach, asks
+    for more than rounding allows).  A band whose refinement would pass
+    _MAX_BAND_POINTS raises QuadratureError.  The refinement decision
+    compares a rounded estimate with a threshold, so like every sum
+    here it is bitwise reproducible only at a fixed BLAS library and
+    thread count.
+
+    With collect the walk also returns the squared-modulus integrals,
+    the supremum of min(|S1|, |S2|) over every sample taken, and the
+    two weighted integrals of that minimum, all Boole-weighted on the
+    final grid.
     """
     n_points, h = _band_grid(t_lo, t_hi, coeffs, params)
     eta = coeffs.eta
-    rotated = GridTransform(kernel, h, _BLOCK) if t_lo >= 0.0 else None
-    # per-block partial sums, each list summed exactly rounded at the end
-    re_parts, im_parts, cross_parts, sq_parts = [], [], [], []
-    t_parts = ([], [], [])
-    sup = 0.0
+    rows = 7 if collect else 2
+    # rows of q_buf: Re and Im of the integrand, then with collect
+    # |S1|^2, |S2|^2, |S3|^2, min(|S1|,|S2|) |S3| (|S1|+|S2|) and
+    # min(|S1|,|S2|) (|S1|^2+|S2|^2+|S3|^2)
+    q_buf = np.empty((rows, _BLOCK))
     offsets = np.arange(_BLOCK, dtype=np.float64)
-    interior = boole_interior(_BLOCK)   # blocks start at multiples of 4
-    t_buf, theta_buf, small_buf, tmp_buf = (np.empty(_BLOCK) for _ in range(4))
+    ones = np.ones(_BLOCK // 8)
+    t_buf, theta_buf, small_buf = (np.empty(_BLOCK) for _ in range(3))
     prod_buf = np.empty(_BLOCK, dtype=np.complex128)
     mod_buf = np.empty((3, _BLOCK))
-    for start in range(0, n_points, _CHUNK):
-        count = min(_CHUNK, n_points - start)
-        t0 = t_lo + start * h
-        sums = factors(t0, h, count)
-        for b in range(0, count, _BLOCK):
-            n = min(_BLOCK, count - b)
-            blk = slice(b, b + n)
-            if start + b == 0 or start + b + n == n_points:
-                wq = boole_weight(np.arange(start + b, start + b + n), n_points)
-            else:
-                wq = interior[:n]
-            t = np.add(offsets[:n], b, out=t_buf[:n])
-            t *= h
-            t += t0                 # bit for bit t0 + h * arange(count)
-            if rotated is not None:
-                wt = rotated(t, theta_buf)
-            else:
-                wt = theta_transform(kernel, t)
-            wt *= wq
-            prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
-            prod *= sums[2][blk]
-            if eta != 0.0:
-                prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
-            re_parts.append(float(np.dot(wt, prod.real)))
-            im_parts.append(float(np.dot(wt, prod.imag)))
-            if collect:
-                a = mod_buf[:, :n]
-                for i in range(3):
-                    np.abs(sums[i][blk], out=a[i])
-                small = np.minimum(a[0], a[1], out=small_buf[:n])
-                sup = max(sup, float(small.max()))
-                tmp = np.add(a[0], a[1], out=tmp_buf[:n])
-                tmp *= a[2]
-                tmp *= small
-                cross_parts.append(float(np.dot(wq, tmp)))
-                a *= a                  # |S|^2, squared once in place
-                for parts, x in zip(t_parts, a):
-                    parts.append(float(np.dot(wq, x)))
-                np.add(a[0], a[1], out=tmp)
-                tmp += a[2]
-                tmp *= small
-                sq_parts.append(float(np.dot(wq, tmp)))
-        del sums    # freed before the next chunk's sums are built
-    scale = 2.0 * h / 45.0
-    value = complex(math.fsum(re_parts) * scale, math.fsum(im_parts) * scale)
-    stats = None
-    if collect:
-        stats = (
-            tuple(math.fsum(parts) * scale for parts in t_parts),
-            sup,
-            math.fsum(cross_parts) * scale,
-            math.fsum(sq_parts) * scale,
-        )
-    return value, stats, n_points, h
+
+    def sample(t_start: float, step: float, count: int, rotated):
+        """Class partials (blocks, rows, 8) over t_start + step j, j <
+        count, the first and last samples and the supremum of
+        min(|S1|, |S2|); rotated is the GridTransform at step, if any."""
+        parts, sup = [], 0.0
+        first = last = None
+        for start in range(0, count, _CHUNK):
+            n_chunk = min(_CHUNK, count - start)
+            t0 = t_start + start * step
+            sums = factors(t0, step, n_chunk)
+            for b in range(0, n_chunk, _BLOCK):
+                n = min(_BLOCK, n_chunk - b)
+                blk = slice(b, b + n)
+                t = np.add(offsets[:n], b, out=t_buf[:n])
+                t *= step
+                t += t0                 # bit for bit t0 + step * arange(count)
+                if rotated is not None:
+                    wt = rotated(t, theta_buf)
+                else:
+                    wt = theta_transform(kernel, t)
+                prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
+                prod *= sums[2][blk]
+                if eta != 0.0:
+                    prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
+                q = q_buf[:, :n]
+                np.multiply(prod.real, wt, out=q[0])
+                np.multiply(prod.imag, wt, out=q[1])
+                if collect:
+                    a = mod_buf[:, :n]
+                    for i in range(3):
+                        np.abs(sums[i][blk], out=a[i])
+                    small = np.minimum(a[0], a[1], out=small_buf[:n])
+                    sup = max(sup, float(small.max()))
+                    np.add(a[0], a[1], out=q[5])
+                    q[5] *= a[2]
+                    q[5] *= small
+                    np.multiply(a, a, out=q[2:5])
+                    np.add(q[2], q[3], out=q[6])
+                    q[6] += q[4]
+                    q[6] *= small
+                # blocks start at multiples of 8, so local index mod 8 is
+                # the position in each row of 8; a ragged tail is added in
+                n8 = n - n % 8
+                cls = np.matmul(ones[: n8 // 8], q[:, :n8].reshape(rows, -1, 8))
+                cls[:, : n - n8] += q[:, n8:]
+                parts.append(cls)
+                if start + b == 0:
+                    first = q[:, 0].copy()
+                if start + b + n == count:
+                    last = q[:, n - 1].copy()
+            del sums    # freed before the next chunk's sums are built
+        return np.stack(parts), first, last, sup
+
+    rotated = GridTransform(kernel, h, _BLOCK) if t_lo >= 0.0 else None
+    parts, first, last, sup = sample(t_lo, h, n_points, rotated)
+    ends = np.stack([first, last])
+    refinements = 0
+    last_bar = math.inf
+    while True:
+        scale = 2.0 * h / 45.0
+        re = _class_rule(parts, ends, 0, _BOOLE_H, -7.0) * scale
+        bar = abs(_class_rule(parts, ends, 0, _BOOLE_GAP, 7.0) * scale) / 63.0
+        if bar <= tol or bar > 0.5 * last_bar:
+            break
+        last_bar = bar
+        if 2 * n_points - 1 > _MAX_BAND_POINTS:
+            raise QuadratureError(
+                f"band [{t_lo:.6g}, {t_hi:.6g}] has error bar {bar:.3g} "
+                f"above {tol:.3g} at {n_points} points; refining passes "
+                f"the {_MAX_BAND_POINTS} cap"
+            )
+        mids, _, _, mid_sup = sample(t_lo + 0.5 * h, h, n_points - 1, rotated)
+        parts = _fold(parts, mids)
+        sup = max(sup, mid_sup)
+        n_points, h = 2 * n_points - 1, 0.5 * h
+        refinements += 1
+        if rotated is not None:     # the next midpoints' spacing
+            rotated = GridTransform(kernel, h, _BLOCK)
+    im, *collected = [_class_rule(parts, ends, q, _BOOLE_H, -7.0) * scale
+                      for q in range(1, rows)]
+    band = BandQuadrature(complex(re, im), bar, n_points, h, refinements)
+    if not collect:
+        return band, None
+    t1, t2, t3, cross, squares = collected
+    return band, ((t1, t2, t3), sup, cross, squares)
 
 
 def _band_edges(params: RunParameters, kernel: SmoothingKernel):
@@ -513,34 +635,61 @@ def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
     return math.exp((k * log_c - math.log(math.pi) - log_tol) / (k + 1))
 
 
-def gamma_piece(
+def _band_tolerance(params, coeffs, kernel, j_integral) -> float:
+    """The bar a piece may carry: _BAND_REL_TOL times |J|, with J
+    computed here unless the caller already has it."""
+    if j_integral is None:
+        j_integral = integral_J(params, coeffs, kernel)
+    return _BAND_REL_TOL * abs(j_integral)
+
+
+def piece_quadrature(
     piece: int, params: RunParameters, coeffs: Coefficients,
     kernel: SmoothingKernel, pset: PSPrimeSet,
-) -> complex:
-    """One band of the transform-side integral, as a complex number.
+    j_integral: "float | None" = None,
+) -> BandQuadrature:
+    """One band of the transform-side integral with its error bar.
 
     Piece 1 covers |t| < Delta on a symmetric grid, so its imaginary
     part is a quadrature diagnostic (zero up to grid noise when eta =
     0).  Pieces 2 and 3 pair t with -t analytically: the integrand at
     -t is the conjugate of the integrand at t, so each equals twice the
-    real part of its one-sided integral and carries imaginary part
-    exactly zero.  Piece 3 is truncated where the transform's decay
-    branch is negligible; the remainder is covered by the analytic
-    bound, never by quadrature.
+    real part of its one-sided integral, carries imaginary part exactly
+    zero, and carries twice the one-sided bar.  Piece 3 is truncated
+    where the transform's decay branch is negligible; the remainder is
+    covered by the analytic bound, never by quadrature, and an empty
+    truncated band is 0 with no grid.
 
-    For the standard decomposition the kernel should be built with the
-    search width and k = params.kernel_k.
+    The band is refined until its bar is within _BAND_REL_TOL * |J|;
+    j_integral is integral_J's value if the caller has it (otherwise it
+    is computed, about a millisecond).  For the standard decomposition
+    the kernel should be built with the search width and k =
+    params.kernel_k.
     """
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
     check_window_set(params, pset)
     t_lo, t_hi = _band_edges(params, kernel)[piece]
     if piece == 3 and t_hi <= t_lo:
-        return complex(0.0, 0.0)
-    value, _, _, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, _sum_factors(pset, coeffs), False
+        return BandQuadrature(complex(0.0, 0.0), 0.0, 0, 0.0, 0)
+    # pieces 2 and 3 are twice a one-sided integral, bar included
+    fold = 1.0 if piece == 1 else 2.0
+    band, _ = _band_quadrature(
+        params, coeffs, kernel, t_lo, t_hi, _sum_factors(pset, coeffs), False,
+        _band_tolerance(params, coeffs, kernel, j_integral) / fold,
     )
-    return value if piece == 1 else complex(2.0 * value.real, 0.0)
+    value = band.value if piece == 1 else complex(2.0 * band.value.real, 0.0)
+    return BandQuadrature(value, fold * band.error, band.n_points,
+                          band.spacing, band.refinements)
+
+
+def gamma_piece(
+    piece: int, params: RunParameters, coeffs: Coefficients,
+    kernel: SmoothingKernel, pset: PSPrimeSet,
+) -> complex:
+    """The value of piece_quadrature: one band of the transform-side
+    integral, as a complex number."""
+    return piece_quadrature(piece, params, coeffs, kernel, pset).value
 
 
 @dataclass(frozen=True)
@@ -549,9 +698,13 @@ class MiddleBand:
 
     half_integral is the one-sided integral of Theta * S1 * S2 * S3 *
     e(eta t); t_integrals are the one-sided integrals of |S(l_k t)|^2;
-    sup_small_pair is the supremum of min(|S1|, |S2|); cross_integral
-    and squares_integral are the weighted integrals of that minimum
-    against |S3|(|S1|+|S2|) and |S1|^2+|S2|^2+|S3|^2.
+    sup_small_pair is the largest min(|S1|, |S2|) over the samples
+    taken, a lower estimate of the true supremum (on instance A it
+    reads 1261.84 at 12 samples per period and 1261.49 at 7);
+    cross_integral and squares_integral are the weighted integrals of
+    that minimum against |S3|(|S1|+|S2|) and |S1|^2+|S2|^2+|S3|^2.
+    error is the bar of gamma2 (twice the one-sided bar), and n_points,
+    spacing and refinements describe the final grid (BandQuadrature).
     """
 
     half_integral: complex
@@ -561,6 +714,8 @@ class MiddleBand:
     squares_integral: float
     n_points: int
     spacing: float
+    error: float
+    refinements: int
 
     @property
     def gamma2(self) -> complex:
@@ -572,17 +727,21 @@ def middle_band_sweep(
     coeffs: Coefficients,
     pset: PSPrimeSet,
     kernel: SmoothingKernel,
+    j_integral: "float | None" = None,
 ) -> MiddleBand:
     """Single pass over [Delta, H] collecting the middle-band integral
     together with everything the majorant chain needs, so the expensive
-    sweep is never run twice."""
+    sweep is never run twice; refined like piece_quadrature's bands,
+    with j_integral as there."""
     check_window_set(params, pset)
-    value, stats, n_points, h = _band_quadrature(
+    tol = _band_tolerance(params, coeffs, kernel, j_integral)
+    band, stats = _band_quadrature(
         params, coeffs, kernel, *_band_edges(params, kernel)[2],
-        _sum_factors(pset, coeffs), True,
+        _sum_factors(pset, coeffs), True, 0.5 * tol,
     )
     t_ints, sup, cross, squares = stats
-    return MiddleBand(value, t_ints, sup, cross, squares, n_points, h)
+    return MiddleBand(band.value, t_ints, sup, cross, squares, band.n_points,
+                      band.spacing, 2.0 * band.error, band.refinements)
 
 
 @dataclass(frozen=True)
@@ -598,7 +757,9 @@ class Gamma2Majorant:
     each an upper bound for |middle band| (the product of three moduli
     is at most F times |S3|(|S1|+|S2|), pointwise), and each at most the
     next.  sup F and the T_k are the sweep's (MiddleBand.sup_small_pair
-    and t_integrals).  The shape ratios compare sup F against
+    and t_integrals); sup F is a maximum over grid samples, a lower
+    estimate of the true supremum (1261.84 at 12 samples per period and
+    1261.49 at 7 on instance A).  The shape ratios compare sup F against
     X^((37-12 gamma)/26) * log^5 X and each T_k against
     H * X^(2-gamma) * log^2 X.
     """
@@ -647,13 +808,17 @@ def integral_J(
 ) -> float:
     """Main-band integral with the exponential sums replaced by their
     window integrals (_window_factors), on piece 1's grid by the band
-    walker; real by conjugate symmetry, with the imaginary residue
-    checked against an absolute scale set by the integrand's supremum."""
+    walker at its base density; real by conjugate symmetry, with the
+    imaginary residue checked against an absolute scale set by the
+    integrand's supremum.  Its modulus scales every band's tolerance,
+    so it is never refined itself: where J nearly cancels (a shift past
+    the window's reach), a tolerance relative to J could not be met."""
     t_lo, t_hi = _band_edges(params, kernel)[1]
-    value, _, _, _ = _band_quadrature(
+    band, _ = _band_quadrature(
         params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs),
-        False,
+        False, math.inf,
     )
+    value = band.value
     g = params.gamma.value
     sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * (t_hi - t_lo)
     if abs(value.imag) > 1e-9 * sup_scale:
@@ -872,7 +1037,10 @@ class DecompositionResult:
     closure_error the relative gap between the two sides.  The scale
     ratio reports Re(gamma_total) / (eps X^2) without asserting any
     constant.  The main-term box integral, its remainder majorant and
-    the far-tail bound are box.value, phi.value and tail.value."""
+    the far-tail bound are box.value, phi.value and tail.value.
+    gamma_errors, band_points and band_refinements give each piece's
+    error bar, final grid size and midpoint refinements
+    (BandQuadrature; an empty piece 3 has 0, 0 and 0)."""
 
     gamma1: complex
     gamma2: complex
@@ -890,6 +1058,9 @@ class DecompositionResult:
     box: BoxIntegral
     phi: PhiBound
     tail: TailBound3
+    gamma_errors: tuple[float, float, float]
+    band_points: tuple[int, int, int]
+    band_refinements: tuple[int, int, int]
 
 
 def decompose(
@@ -903,20 +1074,23 @@ def decompose(
 
     Builds the canonical kernel (effective width, k = params.kernel_k)
     unless one is supplied, sizes every band (check_band_grids: a band
-    past the point cap fails before any sweep), evaluates the three band
-    integrals (pieces 1 and 3 by gamma_piece, piece 2 by the middle-band
-    sweep that also feeds the majorant chain), the main term and its
-    remainder bound, the far-tail bounds, and (by default) the direct
-    count closing the transform identity.
+    past the point cap at its base density fails before any sweep), the
+    main term J, whose modulus sets every band's tolerance, the three
+    band integrals with their error bars (pieces 1 and 3 by
+    piece_quadrature, piece 2 by the middle-band sweep that also feeds
+    the majorant chain), the main term's box integral and remainder
+    bound, the far-tail bounds, and (by default) the direct count
+    closing the transform identity.
     """
     check_window_set(params, pset)
     if kernel is None:
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
     check_band_grids(params, coeffs, kernel)
-    g1 = gamma_piece(1, params, coeffs, kernel, pset)
-    band = middle_band_sweep(params, coeffs, pset, kernel)
-    g2 = band.gamma2
-    g3 = gamma_piece(3, params, coeffs, kernel, pset)
+    j_val = integral_J(params, coeffs, kernel)
+    p1 = piece_quadrature(1, params, coeffs, kernel, pset, j_val)
+    band = middle_band_sweep(params, coeffs, pset, kernel, j_val)
+    p3 = piece_quadrature(3, params, coeffs, kernel, pset, j_val)
+    g1, g2, g3 = p1.value, band.gamma2, p3.value
     t_cut = piece3_truncation(params, kernel)
 
     total = g1 + g2 + g3
@@ -931,7 +1105,6 @@ def decompose(
         if direct_value != 0.0:
             closure = abs(total.real - direct_value) / abs(direct_value)
 
-    j_val = integral_J(params, coeffs, kernel)
     box = box_integral_B(params, coeffs, kernel)
     phi = phi_bound(params, kernel, coeffs)
     tail = tail_bound_gamma3(params, kernel)
@@ -955,4 +1128,7 @@ def decompose(
         box=box,
         phi=phi,
         tail=tail,
+        gamma_errors=(p1.error, band.error, p3.error),
+        band_points=(p1.n_points, band.n_points, p3.n_points),
+        band_refinements=(p1.refinements, band.refinements, p3.refinements),
     )

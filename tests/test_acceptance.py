@@ -249,9 +249,12 @@ def test_criterion_09_decomposition_closes(inst_a):
     params, pset, kern = inst_a
     res = decompose(params, COEFFS, pset, kernel=kern, with_direct=True)
     _CACHE["res_a"] = res
+    # the error bars of the three pieces, summed, relative to the count
+    bars = sum(res.gamma_errors) / abs(res.direct_value)
     _finish(9, "three band pieces rebuild the direct count", t0,
-            f"closure {res.closure_error:.3g}, direct {res.direct_value:.8g}, "
-            f"{res.triples_found} triples", res.closure_error <= 0.01)
+            f"closure {res.closure_error:.3g} under bars {bars:.3g}, "
+            f"direct {res.direct_value:.8g}, {res.triples_found} triples",
+            res.closure_error <= 0.01, res.closure_error <= bars)
 
 
 def test_criterion_10_witness_triples(inst_b, tmp_path, monkeypatch):

@@ -134,6 +134,8 @@ def test_gamma_decomp_report_and_triples(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pieces"] == [1, 2, 3]
     assert report["values"]["closure_error"] <= 1e-4
+    gap = abs(report["values"]["gamma_total"][0] - report["values"]["direct_value"])
+    assert gap <= sum(report["values"][f"gamma{p}_error"] for p in (1, 2, 3))
     assert report["triples"]["found"] >= 1
     assert json.loads(manifest.read_text()) == report
     lines = triples.read_text().splitlines()
@@ -149,6 +151,7 @@ def test_gamma_decomp_single_piece(tmp_path, capsys):
     assert report["pieces"] == [2]
     assert "gamma2" in report["values"]
     assert "gamma1" not in report["values"]
+    assert 0.0 < report["values"]["gamma2_error"] < 1e-6 * abs(report["values"]["gamma2"][0])
 
 
 def test_run_subcommand_writes_manifest(tmp_path, monkeypatch, capsys):

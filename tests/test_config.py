@@ -104,6 +104,19 @@ def test_q0_must_be_an_integer(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+def test_long_malformed_values_are_echoed_short(tmp_path):
+    # a 5000-character value is quoted by its first 40 characters and
+    # its length, for q0 and for a float key alike
+    for key, good in (("q0", "q0 = 29"), ("gamma", "gamma = 0.9")):
+        text = GOOD.replace(good, f"{key} = " + "x" * 5000)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        (issue,) = [i for i in err.value.issues if key in i.message]
+        assert issue.kind == "syntax"
+        assert f"got {'x' * 40!r}... (5000 characters)" in issue.message
+        assert len(issue.message) < 120
+
+
 def test_all_failures_reported_together(tmp_path):
     text = "q0 = 29\ngamma = 1.2\nlambda4 = 7\nlambda1 = 1\nlambda2 = 1.5\nepsilon_user = 1\n"
     with pytest.raises(ConfigError) as err:

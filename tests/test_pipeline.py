@@ -96,6 +96,11 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
     assert values["decomp"]["closure_error"] <= 1e-4
     gap = abs(values["decomp"]["j_integral"] - values["decomp"]["box_integral"])
     assert gap <= values["decomp"]["phi_bound"]
+    # the sqrt2 demo's pieces 1 and 2 need one midpoint refinement each
+    assert [values["decomp"][f"gamma{p}_refinements"] for p in (1, 2, 3)] == [1, 1, 0]
+    assert values["decomp"]["gamma2_points"] == values["decomp"]["middle_points"]
+    closure_gap = abs(values["decomp"]["gamma_total"][0] - values["decomp"]["direct_value"])
+    assert closure_gap <= sum(values["decomp"][f"gamma{p}_error"] for p in (1, 2, 3))
     assert values["triples"]["found"] >= 1
     assert all(s["wall_time_s"] >= 0 for s in data["stages"])
     assert all(set(s) == {"name", "wall_time_s", "outputs", "values"}

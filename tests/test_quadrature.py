@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstriples.quadrature import boole_interior, boole_weight
+from pstriples.quadrature import boole_weight
 
 
 def _full_grid_weights(n_points):
@@ -64,15 +64,3 @@ def test_boole_integrates_quintic_exactly(m):
 def test_grid_size_must_be_4m_plus_1(n_points):
     with pytest.raises(ValueError):
         boole_weight(np.arange(3), n_points)
-
-
-def test_boole_interior_block_matches_boole_weight():
-    # the band sweep reuses one interior block for every block that
-    # starts at a multiple of 4 and holds neither end of the grid
-    n_points = 4 * 300 + 1
-    for size in (1, 7, 64, 65):
-        block = boole_interior(size)
-        assert not block.flags.writeable
-        for start in range(4, n_points - size, 4):
-            idx = np.arange(start, start + size)
-            assert np.array_equal(block, boole_weight(idx, n_points))

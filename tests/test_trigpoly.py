@@ -1,8 +1,9 @@
 """Grid evaluator on both sides of its dispatch, against an mpmath oracle.
 
 Sizes are those of the real band sweeps: n >= _DIRECT_CUTOFF samples, t0
-in the middle (40) and far (700) bands of instance A, spacing 1/(24 X) as
-in the band grids (12 points per period of the fastest mode, 2X).  The
+in the middle (40) and far (700) bands of instance A, spacing 1/(24 X):
+12 points per period of the fastest mode, 2X, between the band grids'
+base 7 and their once-refined 14.  The
 oracle is exact for the double inputs (frequencies, weights, t0 + m dt),
 so the whole gap is the evaluator's.
 """
@@ -23,7 +24,7 @@ from pstriples.params import RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
 
 LAM = math.sqrt(2)
-N = 8193            # 4m+1 like a band chunk; the last block row is partial
+N = 8193            # 8m+1 like a band grid; the last block row is partial
 # Largest gap over the oracle points divided by sum |w|, measured on this
 # test's inputs (the same with one or two BLAS threads):
 #

@@ -12,7 +12,7 @@ from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import make_kernel, theta, theta_transform, transform_bound
 from pstriples.params import Coefficients, ParameterError, RunParameters
 from pstriples.primes import sieve_primes, ps_primes_in
-from pstriples.quadrature import boole_weight
+from pstriples.quadrature import QuadratureError, boole_weight
 from pstriples.triplesum import (
     big_gamma_direct,
     box_integral_B,
@@ -279,6 +279,10 @@ def test_decomposition_closes_on_feasible_instance():
     assert not res.truncation_empty
     assert res.piece3_cut > params.H_effective
     assert res.gamma3.real != 0.0
+    # at 7 points per period the bars of pieces 1 and 2 exceed 1e-9 |J|,
+    # so both are refined once; the gap sits under the summed bars
+    assert res.band_refinements == (1, 1, 0)
+    assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
 
 
 def test_decomposition_closes_with_shift():
@@ -290,17 +294,109 @@ def test_decomposition_closes_with_shift():
     # conjugate symmetry pairs t with -t for any real shift: the main
     # band stays real up to grid noise
     assert abs(res.gamma1.imag) <= 1e-8 * abs(res.gamma1)
+    assert res.band_refinements == (1, 1, 0)
+    assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
 
 
 def test_decomposition_closes_on_instance_a():
     # q0 70, gamma 0.9, eps 2, l = (1, sqrt 2, -2): the benchmark's
     # decomp-A.  theta and Theta are both exact, so the gap is quadrature
-    # error, 4.9e-13 measured; a direct-side theta off by up to 8e-7 on
-    # its ramps reads 2.65e-9 here
+    # error, 1.9e-12 measured at the base 7 points per period, which no
+    # band leaves here; a direct-side theta off by up to 8e-7 on its
+    # ramps reads 2.65e-9
     params, pset = _instance(70, 0.9, 0.5, 2.0)
     res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
     assert res.triples_found == 2362
     assert res.closure_error <= 1e-11
+    assert res.band_refinements == (0, 0, 0)
+    assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
+
+
+@pytest.mark.parametrize("q0, c", [
+    (12, Coefficients(1.0, 1.0, -2.0, 0.0)),
+    (12, Coefficients(1.0, 1.0, -2.0, 0.3)),
+    (70, Coefficients(1.0, SQRT2, -2.0, 0.0)),
+])
+def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
+    # each bar against the piece's error, read off a run 4x denser than
+    # the final grid (whose own Boole error is ~4^6 times smaller)
+    params, pset = _instance(q0, 0.9, 0.5, 2.0)
+    res = decompose(params, c, pset, with_direct=False)
+    dense = 4 * triplesum._BASE_POINTS_PER_PERIOD * 2 ** max(res.band_refinements)
+    monkeypatch.setattr(triplesum, "_BASE_POINTS_PER_PERIOD", dense)
+    ref = decompose(params, c, pset, with_direct=False)
+    assert ref.band_refinements == (0, 0, 0)
+    for got, want, bar in zip((res.gamma1, res.gamma2), (ref.gamma1, ref.gamma2),
+                              res.gamma_errors):
+        assert 0.0 < abs(got.real - want.real) <= bar
+
+
+def test_refinement_matches_a_fresh_sweep_at_half_spacing(monkeypatch):
+    # one refinement samples only the midpoints, each once, and folds the
+    # base grid's class sums in; a fresh sweep of the refined grid gives
+    # the same value, bar and statistics up to rounding
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.3)
+    kern = _kernel_for(params)
+    edges = (params.Delta, params.H_effective)
+
+    def sweep(tol):
+        return triplesum._band_quadrature(
+            params, c, kern, *edges, triplesum._sum_factors(pset, c), True, tol
+        )
+
+    base, _ = sweep(math.inf)
+    sampled = []
+
+    def counting(*args, **kwargs):
+        sampled.append(args[4])
+        return grid(*args, **kwargs)
+
+    grid = expsums.ps_sum_grid
+    monkeypatch.setattr(expsums, "ps_sum_grid", counting)
+    refined, stats = sweep(0.5 * base.error)
+    monkeypatch.setattr(expsums, "ps_sum_grid", grid)
+    assert refined.refinements == 1
+    assert refined.n_points == 2 * base.n_points - 1
+    assert refined.spacing == 0.5 * base.spacing
+    assert sum(sampled) == 3 * refined.n_points
+    assert refined.error <= base.error / 32
+
+    monkeypatch.setattr(triplesum, "_band_grid",
+                        lambda *a: (refined.n_points, refined.spacing))
+    fresh, fresh_stats = sweep(math.inf)
+    assert fresh.refinements == 0
+    assert refined.value == pytest.approx(fresh.value, rel=1e-12, abs=0)
+    assert refined.error == pytest.approx(fresh.error, rel=1e-6, abs=0)
+    assert stats[0] == pytest.approx(fresh_stats[0], rel=1e-12, abs=0)
+    assert stats[1:] == pytest.approx(fresh_stats[1:], rel=1e-12, abs=0)
+
+
+def test_refinement_stops_at_the_rounding_floor(monkeypatch):
+    # a tolerance no bar can meet (0 here; in a decomposition, a J that
+    # nearly cancels) refines while each halving at least halves the
+    # bar, and stops at rounding level rather than at the point cap
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, 1.0, -2.0, 0.0)
+    monkeypatch.setattr(triplesum, "_MAX_BAND_POINTS", 1 << 20)
+    band, _ = triplesum._band_quadrature(
+        params, c, _kernel_for(params), -params.Delta, params.Delta,
+        triplesum._sum_factors(pset, c), False, 0.0,
+    )
+    assert 1 <= band.refinements <= 6
+    assert 0.0 < band.error <= 1e-14 * abs(band.value.real)
+
+
+def test_refinement_past_the_point_cap_raises(monkeypatch):
+    # q0 12's middle band needs one refinement; with the cap just below
+    # the refined grid the band fails instead of keeping a wide bar
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, 1.0, -2.0, 0.0)
+    kern = _kernel_for(params)
+    n_points, _ = triplesum._band_grid(params.Delta, params.H_effective, c, params)
+    monkeypatch.setattr(triplesum, "_MAX_BAND_POINTS", 2 * n_points - 2)
+    with pytest.raises(QuadratureError, match="refining passes"):
+        middle_band_sweep(params, c, pset, kern)
 
 
 def test_gamma_piece_matches_decompose():
@@ -384,7 +480,7 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     c = Coefficients(1.0, SQRT2, -2.0, 0.3)
     kern = _kernel_for(params)
     nu = 2.0 * params.X + 0.3
-    span = (triplesum._CHUNK + 50_001) / (triplesum._POINTS_PER_PERIOD * nu)
+    span = (triplesum._CHUNK + 50_001) / (triplesum._BASE_POINTS_PER_PERIOD * nu)
     t_lo = -span / 2 if symmetric else params.Delta
     recorded = []
 
@@ -396,10 +492,12 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
 
     grid = expsums.ps_sum_grid
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
-    value, stats, n_points, h = triplesum._band_quadrature(
+    # an infinite tolerance keeps the base grid
+    band, stats = triplesum._band_quadrature(
         params, c, kern, t_lo, t_lo + span, triplesum._sum_factors(pset, c),
-        True,
+        True, math.inf,
     )
+    value, n_points, h = band.value, band.n_points, band.spacing
     assert len(recorded) == 6 and n_points > triplesum._CHUNK
     assert (n_points - triplesum._CHUNK) % triplesum._BLOCK != 0
     want_value, want_stats = _whole_chunk_reference(
@@ -411,6 +509,46 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     assert sup == want_stats[1]
     assert cross == pytest.approx(want_stats[2], rel=1e-12, abs=0)
     assert squares == pytest.approx(want_stats[3], rel=1e-12, abs=0)
+
+
+def test_class_weights_are_boole_weights():
+    # on an 8m+1 grid every index but the two ends (7) weighs its class's
+    # _BOOLE_H entry, and the even-index 4m+1 subgrid its _BOOLE_2H entry
+    # (odd classes 0); the gap weights are their difference
+    m = 5
+    idx = np.arange(8 * m + 1)
+    w_h = np.array(triplesum._BOOLE_H)[idx % 8]
+    w_h[[0, -1]] = 7.0
+    assert np.array_equal(w_h, boole_weight(idx, idx.size))
+    w_2h = np.array(triplesum._BOOLE_2H)[idx % 8]
+    w_2h[[0, -1]] = 7.0
+    assert np.array_equal(w_2h[0::2], boole_weight(np.arange(4 * m + 1), 4 * m + 1))
+    assert not w_2h[1::2].any()
+    assert triplesum._BOOLE_GAP == tuple(np.array(triplesum._BOOLE_H)
+                                         - 2.0 * np.array(triplesum._BOOLE_2H))
+
+
+def test_t_integrals_match_exact_pair_sum():
+    # int_Delta^H |S(l t)|^2 dt = (H - Delta) sum w^2 + the sum over
+    # p != p' of w_p w_p' (sin 2 pi f H - sin 2 pi f Delta) / (2 pi f),
+    # f = l (p - p'): 40,804 pairs on instance A, summed exactly rounded
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    band = middle_band_sweep(params, c, pset, _kernel_for(params))
+    lo, hi = params.Delta, params.H_effective
+    w = pset.weight_w * pset.weight_log
+    p = pset.primes.astype(np.float64)
+    ww = (w[:, None] * w[None, :]).ravel()
+    d = (p[:, None] - p[None, :]).ravel()
+    off = d != 0.0
+    assert off.sum() == pset.count * (pset.count - 1) == 40_602
+    for lam, got in zip(c.lambdas, band.t_integrals):
+        f = lam * d[off]
+        sines = (np.sin(2.0 * np.pi * np.mod(f * hi, 1.0))
+                 - np.sin(2.0 * np.pi * np.mod(f * lo, 1.0)))
+        terms = ww[off] * sines / (2.0 * np.pi * f)
+        want = (hi - lo) * math.fsum((w * w).tolist()) + math.fsum(terms.tolist())
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_majorant_chain_holds():
@@ -436,8 +574,8 @@ def _whole_array_J(params, coeffs, kernel):
     gamma L sinc(l t L) e(l t mid) times e(eta t)."""
     nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
     span = 2.0 * params.Delta
-    m = max(2, math.ceil(span * triplesum._POINTS_PER_PERIOD * nu / 4.0))
-    n_points, h = 4 * m + 1, span / (4 * m)
+    m = max(1, math.ceil(span * triplesum._BASE_POINTS_PER_PERIOD * nu / 8.0))
+    n_points, h = 8 * m + 1, span / (8 * m)
     t = -params.Delta + h * np.arange(n_points)
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
@@ -457,8 +595,8 @@ def _whole_array_J(params, coeffs, kernel):
     (12, 2.0, Coefficients(1.0, SQRT2, -2.0, 0.3)),
 ])
 def test_integral_J_matches_whole_array_reference(q0, eps, c):
-    # J runs through the band walker in blocks with Theta folded into
-    # the weights; the reference is the direct whole-grid formula
+    # J runs through the band walker in blocks, weighted by residue
+    # class at the end; the reference is the direct whole-grid formula
     params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
     kern = _kernel_for(params)
     want = _whole_array_J(params, c, kern)
