@@ -12,7 +12,12 @@ from pathlib import Path
 
 from pstriples.config import parse_config
 from pstriples.pipeline import Instance
-from pstriples.triplesum import decompose, far_tail_majorant, find_triples
+from pstriples.triplesum import (
+    band_frequency,
+    decompose,
+    far_tail_majorant,
+    find_triples,
+)
 
 HERE = Path(__file__).resolve().parent
 
@@ -37,6 +42,13 @@ def main():
     cover = far_tail_majorant(params, coeffs, kern, pset)
     print(f"    (covered by the rigorous envelope {cover:.1f}; the "
           f"asymptotic shape predicts {res.tail.value:.1e})")
+    f_max = band_frequency(params, coeffs, kern)
+    print(f"  band grids at the integrand's top frequency f_max = {f_max:.1f}:")
+    for p, n, h, bar in zip((1, 2, 3), res.band_points, res.band_spacings,
+                            res.gamma_errors):
+        print(f"    piece {p}: {n:9d} points, f_max h = {f_max * h:.4f}, "
+              f"bar {bar:.2e}")
+    print("    (piece 3's bar covers the far band past the cut as well)")
     print(f"  total                       : {res.gamma_total.real:14.4f}")
     print(f"  direct count                : {res.direct_value:14.4f}")
     print(f"  closure |total - direct| / direct = {res.closure_error:.2e}")

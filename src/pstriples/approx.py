@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .params import Coefficients, ParameterError, RunParameters
 
-# remainders below this are treated as an exactly represented rational
-_REMAINDER_FLOOR = 1e-12
 # relative slack when snapping a power-of-X window edge to a nearby integer
 _EDGE_SNAP = 1e-9
 _MAX_EUCLID_STEPS = 3000

@@ -42,6 +42,7 @@ __all__ = [
     "chebyshev_sum",
     "ps_sum_plan",
     "ps_sum_grid",
+    "ps_sum_series",
     "DecompositionResidual",
     "decomposition_residual",
     "L2Result",
@@ -212,6 +213,19 @@ def ps_sum_grid(
             raise ValueError("plan was built for another window, lam, dt or n")
         return plan(t0)
     return trig_sum_uniform(freqs, _grid_weights(pset), t0, dt, n)
+
+
+def ps_sum_series(
+    pset: PSPrimeSet, lam: float, centre: float, x: float, h: float, n: int,
+) -> np.ndarray:
+    """D_0 .. D_{n-1}, ps_exp_sum(lam (x + s h)) = e(lam centre (x + s h))
+    sum_j D_j s^j: D_j = sum_p w_p e(lam (p - centre) x) (2 pi i lam (p -
+    centre) h)^j / j!.  Centred, |D_j| <= sum |w| (2 pi W h)^j / j! with W
+    = |lam| max |p - centre|, far below the raw sum's coefficients."""
+    d = lam * (pset.primes.astype(np.float64) - centre)
+    steps = [np.ones_like(d)] + [(2j * np.pi * h / j) * d for j in range(1, n)]
+    phases = np.exp((2j * np.pi) * np.mod(d * x, 1.0))
+    return np.cumprod(steps, axis=0) @ (_grid_weights(pset) * phases)
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,13 @@ __all__ = [
     "theta",
     "theta_antiderivative",
     "theta_transform",
+    "sinc_series",
+    "transform_series",
     "GridTransform",
     "transform_bound",
     "verify_bounds",
     "invert_transform",
 ]
-
-# theta_transform works in blocks of this many points so that its
-# temporaries stay in cache (about 30% faster on 2^21 points).
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -181,14 +179,45 @@ def theta_transform(kernel: SmoothingKernel, x) -> "float | np.ndarray":
     """
     x_arr = np.asarray(x, dtype=np.float64)
     flat = x_arr.reshape(-1)
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _BLOCK):
-        part = flat[i : i + _BLOCK]
-        val = _sinc(2.0 * kernel.a, part)
-        _times_power(val, _sinc(2.0 * kernel.b, part), kernel.k)
-        val *= 2.0 * kernel.a
-        out[i : i + _BLOCK] = val
+    out = _sinc(2.0 * kernel.a, flat)
+    _times_power(out, _sinc(2.0 * kernel.b, flat), kernel.k)
+    out *= 2.0 * kernel.a
     return _scalar_or_array(x, out.reshape(x_arr.shape))
+
+
+def sinc_series(u: float, r: float, n: int) -> np.ndarray:
+    """The first n Taylor coefficients f_j of sinc(u + r s) in s (r != 0),
+    from (u + r s) sinc(u + r s) = sin(pi (u + r s)) / pi: u f_j + r
+    f_{j-1} = sigma_j = (pi r)^j / j! sin(pi u + j pi/2) / pi.  On the
+    scale (pi r)^j / j! of |f_j| a step up multiplies the carried error
+    by j / (pi |u|) and a step down by its inverse, so the recurrence
+    runs up while j <= pi |u| and down from zeros far enough past n to
+    damp the start below rounding."""
+    top = int(math.pi * abs(u))
+    up = min(top + 1, n) if top else 0     # coefficients taken upward
+    m = n if up == n else n + 30 + top     # where the descent starts
+    v = math.pi * math.fmod(u, 2.0)    # exact reduction of the period 2
+    sigma = np.cumprod([1.0 / math.pi] + [math.pi * r / j for j in range(1, m)])
+    sigma *= np.resize([math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)], m)
+    f = np.zeros(m)
+    for j in range(up):
+        f[j] = (sigma[j] - (r * f[j - 1] if j else 0.0)) / u
+    for j in range(m - 1, up, -1):
+        f[j - 1] = (sigma[j] - u * f[j]) / r
+    return f[:n]
+
+
+def transform_series(kernel: SmoothingKernel, x: float, h: float, n: int) -> np.ndarray:
+    """The first n Taylor coefficients of Theta(x + s h) in s: 2a times
+    the sinc series of 2a (x + s h) times the k-th power of that of
+    2b (x + s h), each product cut at n terms."""
+    out = 2.0 * kernel.a * sinc_series(2.0 * kernel.a * x, 2.0 * kernel.a * h, n)
+    base = sinc_series(2.0 * kernel.b * x, 2.0 * kernel.b * h, n)
+    for bit in bin(kernel.k)[:1:-1]:        # binary digits, lowest first
+        if bit == "1":
+            out = np.convolve(out, base)[:n]
+        base = np.convolve(base, base)[:n]
+    return out
 
 
 class GridTransform:

@@ -23,6 +23,7 @@ __all__ = [
     "validate_coefficients",
     "RunParameters",
     "parse_q0",
+    "form_range",
     "feasible_box_check",
 ]
 
@@ -270,6 +271,18 @@ class RunParameters:
         return max(1, math.floor(self.log_X))
 
 
+def form_range(c: Coefficients, lambda0: float, X: float) -> "tuple[float, float]":
+    """[lo, hi], the range of l1 y1 + l2 y2 + l3 y3 + eta over the closed
+    cube [lambda0 X, X]^3: the sum of each term's range."""
+    lo = hi = c.eta
+    for lam in c.lambdas:
+        a = lam * lambda0 * X
+        b = lam * X
+        lo += min(a, b)
+        hi += max(a, b)
+    return lo, hi
+
+
 def feasible_box_check(
     c: Coefficients, lambda0: float, X: float, epsilon: float
 ) -> bool:
@@ -288,13 +301,7 @@ def feasible_box_check(
         raise ParameterError(f"lambda0 must lie in (0, 1), got {lambda0}")
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    lo = c.eta
-    hi = c.eta
-    for lam in c.lambdas:
-        a = lam * lambda0 * X
-        b = lam * X
-        lo += min(a, b)
-        hi += max(a, b)
+    lo, hi = form_range(c, lambda0, X)
     if lo <= 0.0 <= hi:
         return True
     return min(abs(lo), abs(hi)) < epsilon

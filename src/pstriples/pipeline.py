@@ -68,7 +68,6 @@ __all__ = [
     "OutputRecord",
     "StageRecord",
     "RunManifest",
-    "PipelineError",
     "run_pipeline",
     "params_dict",
     "decomp_values",
@@ -82,10 +81,6 @@ _SUMS_ALPHA_POINTS = 65
 _DICHOTOMY_POINTS = 257
 
 _log = logging.getLogger(__name__)
-
-
-class PipelineError(RuntimeError):
-    """A stage failed; the partial manifest has already been written."""
 
 
 @dataclass(frozen=True)
@@ -398,18 +393,17 @@ def _complex_pair(z: complex) -> "list[float]":
 
 def decomp_values(res) -> "dict[str, object]":
     """Flatten a decomposition result for the manifest (bounds, ratios,
-    and each piece's error bar, grid size and refinements)."""
+    and each piece's error bar and grid size)."""
     m = res.middle
     mj = res.majorant
     pieces = {}
-    for p, z, err, n, refined in zip(
+    for p, z, err, n in zip(
         (1, 2, 3), (res.gamma1, res.gamma2, res.gamma3), res.gamma_errors,
-        res.band_points, res.band_refinements,
+        res.band_points,
     ):
         pieces[f"gamma{p}"] = _complex_pair(z)
         pieces[f"gamma{p}_error"] = err
         pieces[f"gamma{p}_points"] = n
-        pieces[f"gamma{p}_refinements"] = refined
     return {
         **pieces,
         "gamma_total": _complex_pair(res.gamma_total),

@@ -10,21 +10,15 @@ phase, which splits into three bands: |t| < Delta (main term),
 Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
 
 This module computes both sides at desk scale: the count directly by a
-sorted meet-in-the-middle sweep, the three band integrals and the
-main-term integral J by oscillation-resolving Boole quadrature on
-uniform grids (one band walker, _band_quadrature), the main-term box
-integral and its remainder majorant, the closed-form far-tail bound,
-and the middle-band majorant chain.  Every band grid starts at 7
-samples per period of the fastest phase; each band integral carries an
-error bar taken from the same samples (Boole at h against Boole on the
-2h subgrid) and is refined by its midpoints while that bar exceeds
-1e-9 of |J|.  Band grids are processed in fixed-size chunks whose
-partial sums are added exactly rounded (math.fsum), so totals are
-deterministic and independent of the evaluation schedule.
-A band's exponential sums come from one evaluator plan per coefficient
-(expsums.ps_sum_plan) for its full chunks and one for its ragged last
-chunk, so the phase tables and output buffers are built per band, not
-per chunk, with the same bits.
+sorted meet-in-the-middle sweep; the three band integrals and the
+main-term integral J by one band walker (_band_quadrature): the
+trapezoid rule at f_max h <= 1/2 on the band-limited integrand minus
+its Euler-Maclaurin endpoint series, with an error bar per band; the
+main-term box integral and its remainder majorant, the far-tail bounds
+and the middle-band majorant chain.  Band grids are walked in fixed
+chunks whose partial sums are added exactly rounded (math.fsum), and a
+band's exponential sums come from one evaluator plan per coefficient
+(expsums.ps_sum_plan), so totals are deterministic.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -42,16 +36,29 @@ from .kernel import (
     GridTransform,
     SmoothingKernel,
     make_kernel,
+    sinc_series,
     theta,
     theta_antiderivative,
     theta_transform,
     transform_bound,
+    transform_series,
 )
-from .params import Coefficients, ParameterError, RunParameters, feasible_box_check
+from .params import (
+    Coefficients,
+    ParameterError,
+    RunParameters,
+    feasible_box_check,
+    form_range,
+)
 from .primes import PSPrimeSet, check_window_set, ps_indicator
-from .quadrature import QuadratureError, adaptive_simpson
-# boole_weight is not called here (the band walker weights residue-class
-# sums); perfbench's tracer wraps the name triplesum.boole_weight.
+from .quadrature import (
+    QuadratureError,
+    adaptive_simpson,
+    euler_maclaurin,
+    euler_maclaurin_tail,
+)
+# boole_weight is not called here (the band walker uses the trapezoid
+# rule); perfbench's tracer wraps the name triplesum.boole_weight.
 from .quadrature import boole_weight  # noqa: F401
 
 __all__ = [
@@ -70,6 +77,7 @@ __all__ = [
     "triple_threshold",
     "threshold_vacuous",
     "gamma_piece",
+    "band_frequency",
     "piece_quadrature",
     "check_band_grids",
     "piece3_truncation",
@@ -83,30 +91,18 @@ __all__ = [
     "decompose",
 ]
 
-# Uniform band grids are evaluated in fixed chunks of _CHUNK points (one
-# evaluator call per sum), and each chunk is walked in blocks of _BLOCK
-# points whose buffers stay in cache.  Each block's dot products round
-# within the block, so changing either size would regroup them and
-# perturb totals in the last bits, even though the per-block values are
-# then summed exactly rounded; they are module constants rather than
-# parameters.
+# Band grids are evaluated in chunks of _CHUNK points (one evaluator call
+# per sum) and walked in blocks of _BLOCK points whose buffers stay in
+# cache.  Each block's sums round within it, so changing either size
+# would move totals in the last bits: they are constants, not parameters.
 _CHUNK = 1 << 21
 _BLOCK = 1 << 14
 
-# Band density: every band grid starts at _BASE_POINTS_PER_PERIOD
-# samples per period of the fastest phase, and _band_quadrature halves
-# the spacing of pieces 1 to 3 while a piece's error bar exceeds
-# _BAND_REL_TOL times |J| (integral_J, which stays at the base density).
-_BASE_POINTS_PER_PERIOD = 7
-_BAND_REL_TOL = 1e-9
-
-# Boole weights by grid index mod 8 on an 8m+1 grid, the two ends aside
-# (they weigh 7 in every rule): at spacing h (times 2h/45) and on the
-# even-index subgrid at 2h (times 4h/45).  In units of 2h/45,
-# Q_h - Q_2h weighs the classes _BOOLE_H - 2 * _BOOLE_2H and the ends +7.
-_BOOLE_H = (14.0, 32.0, 12.0, 32.0, 14.0, 32.0, 12.0, 32.0)
-_BOOLE_2H = (14.0, 0.0, 32.0, 0.0, 12.0, 0.0, 32.0, 0.0)
-_BOOLE_GAP = tuple(a - 2.0 * b for a, b in zip(_BOOLE_H, _BOOLE_2H))
+# Band rule (J and pieces 1 to 3): the trapezoid sum at f_max h <= _BAND_FH
+# (band_frequency) minus the first _EM_TERMS terms of its Euler-Maclaurin
+# endpoint series, which fall like (f_max h)^(2k).
+_BAND_FH = 0.5
+_EM_TERMS = 20
 
 # Main-term quadrature settings: box_integral_B doubles its Simpson
 # panels from _BOX_PANELS until two totals agree to _BOX_REL_TOL (at most
@@ -337,49 +333,48 @@ def find_triples(
 # band quadrature
 
 
-def _band_grid(
-    t_lo: float, t_hi: float, coeffs: Coefficients, params: RunParameters
-) -> tuple[int, float]:
-    """Base uniform grid resolving the fastest phase on the band.
+def band_frequency(
+    params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
+) -> float:
+    """f_max, the top frequency of every band integrand: Theta's spectrum
+    is theta's support [-eps, eps] and S(l_i t)'s the l_i p, so that of
+    Theta * S1 * S2 * S3 * e(eta t), as of J's integrand, lies in [lo -
+    eps, hi + eps], [lo, hi] the form's range over the window cube."""
+    lo, hi = form_range(coeffs, params.lambda0, params.X)
+    return max(abs(lo), abs(hi)) + kernel.epsilon
 
-    The integrand's modes oscillate at frequencies up to
-    max|l_i| * X + |eta| independent of t, so a uniform spacing of
-    _BASE_POINTS_PER_PERIOD (7) samples per extreme period resolves the
-    whole band to the walker's tolerance on desk instances; where it
-    does not, _band_quadrature refines by midpoints.  Point counts are
-    rounded up to 8m+1, so that the even-index subgrid (4m+1 points) is
-    itself a Boole grid and the error bar comes from the same samples.
-    """
+
+def _band_grid(t_lo: float, t_hi: float, f_max: float) -> tuple[int, float]:
+    """(points, spacing) of the band's grid: the fewest intervals with
+    f_max h <= _BAND_FH."""
     if not t_hi > t_lo:
         raise ParameterError(f"empty band [{t_lo}, {t_hi}]")
-    nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
-    span = t_hi - t_lo
-    m = max(1, math.ceil(span * _BASE_POINTS_PER_PERIOD * nu / 8.0))
-    n_points = 8 * m + 1
-    if n_points > _MAX_BAND_POINTS:
+    intervals = max(1, math.ceil((t_hi - t_lo) * f_max / _BAND_FH))
+    if intervals + 1 > _MAX_BAND_POINTS:
         raise QuadratureError(
-            f"band [{t_lo:.6g}, {t_hi:.6g}] needs {n_points} grid points, "
+            f"band [{t_lo:.6g}, {t_hi:.6g}] needs {intervals + 1} grid points, "
             f"beyond the {_MAX_BAND_POINTS} cap"
         )
-    return n_points, span / (8 * m)
+    return intervals + 1, (t_hi - t_lo) / intervals
 
 
-def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients):
-    """Factor source of the band integrals: the window's exponential sums
-    S(l_i t) on a chunk's grid, from the gridded evaluator.
+def _centre(params: RunParameters) -> float:
+    """The window's midpoint; every factor is demodulated about l_i times it."""
+    return 0.5 * (params.lambda0 * params.X + params.X)
 
-    The sums of one chunk size come from one plan per l_i (ps_sum_plan;
-    none on the NUFFT path), the three sharing their work buffers: one
-    set for the band's full chunks, replaced by one for its ragged last
-    chunk, and all freed with the band.  Each sum is a view of its
-    plan's output, valid until the next chunk's call.
-    """
-    from .expsums import ps_sum_grid, ps_sum_plan
+
+def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients, centre: float):
+    """Factor source of the band integrals, the window's sums S(l_i t), as
+    (grid, series, amplitude, rounding) for _band_quadrature.  A chunk
+    size's sums come from one plan per l_i (ps_sum_plan; none on the
+    NUFFT path) sharing work buffers, one set for the full chunks and one
+    for the ragged last; each sum is a view valid until the next call."""
+    from .expsums import ps_sum_grid, ps_sum_plan, ps_sum_series
 
     lams = coeffs.lambdas
     plans: dict = {}
 
-    def factors(t0: float, h: float, n: int) -> list:
+    def grid(t0: float, h: float, n: int) -> list:
         if (h, n) not in plans:
             plans.clear()       # the full chunks' plans go before the ragged ones
             share, built = None, []
@@ -390,69 +385,47 @@ def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients):
         return [ps_sum_grid(pset, l, t0, h, n, plan=p)
                 for l, p in zip(lams, plans[h, n])]
 
-    return factors
+    def series(x: float, h: float, n: int) -> list:
+        return [ps_sum_series(pset, l, centre, x, h, n) for l in lams]
+
+    total = float(np.sum(_full_weights(pset)))
+    p_max = float(pset.primes[-1]) if pset.count else 0.0
+    # ps_sum_grid's measured rounding, 4e-17 max |l p t| of sum |w|
+    return grid, series, total, 4e-17 * p_max * total
 
 
 def _window_factors(params: RunParameters, coeffs: Coefficients):
     """Factor source of the main term J: the window integrals of
-    gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t mid), on a
-    chunk's grid."""
+    gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t centre),
+    closed forms charged no rounding."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
-    mid = 0.5 * (params.lambda0 * params.X + params.X)
+    mid = _centre(params)
 
-    def factors(t0: float, h: float, n: int) -> list:
+    def grid(t0: float, h: float, n: int) -> list:
         t = t0 + h * np.arange(n)
         return [g * length * np.sinc(l * t * length)
                 * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
                 for l in coeffs.lambdas]
 
-    return factors
+    def series(x: float, h: float, n: int) -> list:
+        return [g * length * sinc_series(l * length * x, l * length * h, n)
+                for l in coeffs.lambdas]
+
+    return grid, series, g * length, 0.0
 
 
 @dataclass(frozen=True)
 class BandQuadrature:
-    """A band integral with its error bar.
-
-    value is Boole at the final spacing; error is |Q_h - Q_2h| / 63 for
-    its real part, Boole at h against Boole on the even-index subgrid
-    (Boole errors scale as h^6, so the gap is 63 times the error of the
-    finer rule to leading order); n_points and spacing describe the
-    final grid, reached after `refinements` midpoint refinements of the
-    base grid (_band_grid).
-    """
+    """A band integral, the endpoint-corrected trapezoid rule on n_points
+    at the given spacing, with its error bar: a bound on the omitted
+    Euler-Maclaurin terms (euler_maclaurin_tail) plus the evaluator's
+    rounding over the samples, an empirical figure."""
 
     value: complex
     error: float
     n_points: int
     spacing: float
-    refinements: int
-
-
-def _class_rule(parts: np.ndarray, ends: np.ndarray, q: int,
-                weights: tuple, end_weight: float) -> float:
-    """Exactly rounded sum of weights[c] times every class-c partial of
-    quantity q, plus end_weight times each of the two end samples."""
-    terms = (parts[:, q, :] * np.asarray(weights, dtype=np.float64)).ravel().tolist()
-    terms.extend((end_weight * ends[:, q]).tolist())
-    return math.fsum(terms)
-
-
-def _fold(parts: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """Class partials of a grid refined by its midpoints.
-
-    Old index k becomes 2k and midpoint k becomes 2k+1, so new class c
-    (mod 8) collects old classes c/2 and c/2 + 4 for even c, and
-    midpoint classes (c-1)/2 and (c-1)/2 + 4 for odd c.  Partials are
-    moved, never added, so the final fsum still rounds once.
-    """
-    b, m = parts.shape[0], mids.shape[0]
-    out = np.zeros((2 * (b + m),) + parts.shape[1:])
-    out[:b, :, 0::2] = parts[:, :, :4]
-    out[b : 2 * b, :, 0::2] = parts[:, :, 4:]
-    out[2 * b : 2 * b + m, :, 1::2] = mids[:, :, :4]
-    out[2 * b + m :, :, 1::2] = mids[:, :, 4:]
-    return out
 
 
 def _band_quadrature(
@@ -463,145 +436,110 @@ def _band_quadrature(
     t_hi: float,
     factors,
     collect: bool,
-    tol: float,
 ):
-    """Boole quadrature of Theta * F1 * F2 * F3 * e(eta t) over [t_lo, t_hi]
-    with its error bar, refined by midpoints until the bar is within tol.
+    """Theta * F1 * F2 * F3 * e(eta t) integrated over [t_lo, t_hi], with
+    its error bar.
 
-    Sampling is chunked over the grid in index order; factors(t0, h,
-    count) gives a chunk's three factors (_sum_factors for the band
-    integrals, _window_factors for J), which may be views of buffers
-    that the next chunk's call overwrites, and the chunk is then walked
-    in blocks of _BLOCK points whose Theta values, integrand and
-    statistics live in small reused buffers.  Theta comes from
-    GridTransform on bands with t_lo >= 0 and from theta_transform on
-    the symmetric band.
+    factors is (grid, series, amplitude, rounding): grid(t0, h, count)
+    gives the three factors on a chunk's grid (possibly views that the
+    next call overwrites), series(x, h, n) the first n Taylor
+    coefficients of each F_i(x + s h) demodulated about l_i * centre,
+    amplitude bounds every |F_i| and rounding is their rounding per unit
+    |l_i t|.  At f_max h <= _BAND_FH (band_frequency) the trapezoid
+    rule's only error is its Euler-Maclaurin endpoint series; the first
+    _EM_TERMS terms are subtracted, from the product at each end of
+    Theta's series, the factors' and the carrier e(F (x + s h)), F =
+    sum l_i centre + eta, kept apart (multiplying raw series cancels
+    digits that the Bernoulli weights amplify).  The bar is the tail
+    bound with majorant 2a amplitude^3 plus rounding times h sum |Theta
+    t| sum_i |l_i| prod_{j != i} |F_j|.
 
-    No sample is weighted: every quantity (the real and imaginary parts
-    of the Theta-weighted integrand and, with collect, the three
-    squared moduli and the two majorant integrands) is kept as its 8
-    residue-class sums (grid index mod 8, one partial per block), plus
-    its two end samples.  Boole at h, Boole on the even-index 2h
-    subgrid and, after a refinement, Boole at h/2 are fixed
-    combinations of those sums, each summed exactly rounded (math.fsum)
-    at the end.  The bar is |Q_h - Q_2h| / 63 of the real part.  While
-    it exceeds tol, only the midpoints t_lo + h/2 + k h are sampled;
-    they have the spacing h of the grid they refine, so its evaluator
-    plans and GridTransform tables still serve, and its class sums fold
-    into the new grid's.  While the band is resolved each halving cuts
-    the bar about 64-fold; a halving that does not at least halve it
-    shows the bar has reached the rounding floor, where refining cannot
-    narrow it, so the walk stops there and reports a bar above tol (a J
-    that nearly cancels, as with a shift past the window's reach, asks
-    for more than rounding allows).  A band whose refinement would pass
-    _MAX_BAND_POINTS raises QuadratureError.  The refinement decision
-    compares a rounded estimate with a threshold, so like every sum
-    here it is bitwise reproducible only at a fixed BLAS library and
-    thread count.
+    The grid is walked in chunks of _CHUNK points and blocks of _BLOCK
+    points in reused buffers, Theta from GridTransform where t_lo >= 0
+    and from theta_transform on the symmetric band.  Each block adds one
+    plain sum per quantity, row by row so that its bits do not depend on
+    the other rows, the end samples weigh 1/2, and the block sums are
+    added exactly rounded: results are bitwise reproducible at a fixed
+    BLAS library and thread count.
 
-    With collect the walk also returns the squared-modulus integrals,
-    the supremum of min(|S1|, |S2|) over every sample taken, and the
-    two weighted integrals of that minimum, all Boole-weighted on the
-    final grid.
+    With collect the walk also returns the |F_i|^2 integrals, corrected
+    from F_i's series times its conjugate, the largest sampled
+    min(|F1|, |F2|) with its t, and that minimum's plain trapezoid
+    integrals, O(h^2), against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
     """
-    n_points, h = _band_grid(t_lo, t_hi, coeffs, params)
+    grid, series, amplitude, rounding = factors
+    f_max = band_frequency(params, coeffs, kernel)
+    n_points, h = _band_grid(t_lo, t_hi, f_max)
     eta = coeffs.eta
-    rows = 7 if collect else 2
-    # rows of q_buf: Re and Im of the integrand, then with collect
-    # |S1|^2, |S2|^2, |S3|^2, min(|S1|,|S2|) |S3| (|S1|+|S2|) and
-    # min(|S1|,|S2|) (|S1|^2+|S2|^2+|S3|^2)
-    q_buf = np.empty((rows, _BLOCK))
+    l1, l2, l3 = (abs(l) for l in coeffs.lambdas)
+    # rows: Re, Im, rounding weight; with collect |F_i|^2 and two minima
+    q_buf = np.empty((8 if collect else 3, _BLOCK))
     offsets = np.arange(_BLOCK, dtype=np.float64)
-    ones = np.ones(_BLOCK // 8)
-    t_buf, theta_buf, small_buf = (np.empty(_BLOCK) for _ in range(3))
+    t_buf, theta_buf = np.empty(_BLOCK), np.empty(_BLOCK)
     prod_buf = np.empty(_BLOCK, dtype=np.complex128)
     mod_buf = np.empty((3, _BLOCK))
-
-    def sample(t_start: float, step: float, count: int, rotated):
-        """Class partials (blocks, rows, 8) over t_start + step j, j <
-        count, the first and last samples and the supremum of
-        min(|S1|, |S2|); rotated is the GridTransform at step, if any."""
-        parts, sup = [], 0.0
-        first = last = None
-        for start in range(0, count, _CHUNK):
-            n_chunk = min(_CHUNK, count - start)
-            t0 = t_start + start * step
-            sums = factors(t0, step, n_chunk)
-            for b in range(0, n_chunk, _BLOCK):
-                n = min(_BLOCK, n_chunk - b)
-                blk = slice(b, b + n)
-                t = np.add(offsets[:n], b, out=t_buf[:n])
-                t *= step
-                t += t0                 # bit for bit t0 + step * arange(count)
-                if rotated is not None:
-                    wt = rotated(t, theta_buf)
-                else:
-                    wt = theta_transform(kernel, t)
-                prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
-                prod *= sums[2][blk]
-                if eta != 0.0:
-                    prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
-                q = q_buf[:, :n]
-                np.multiply(prod.real, wt, out=q[0])
-                np.multiply(prod.imag, wt, out=q[1])
-                if collect:
-                    a = mod_buf[:, :n]
-                    for i in range(3):
-                        np.abs(sums[i][blk], out=a[i])
-                    small = np.minimum(a[0], a[1], out=small_buf[:n])
-                    sup = max(sup, float(small.max()))
-                    np.add(a[0], a[1], out=q[5])
-                    q[5] *= a[2]
-                    q[5] *= small
-                    np.multiply(a, a, out=q[2:5])
-                    np.add(q[2], q[3], out=q[6])
-                    q[6] += q[4]
-                    q[6] *= small
-                # blocks start at multiples of 8, so local index mod 8 is
-                # the position in each row of 8; a ragged tail is added in
-                n8 = n - n % 8
-                cls = np.matmul(ones[: n8 // 8], q[:, :n8].reshape(rows, -1, 8))
-                cls[:, : n - n8] += q[:, n8:]
-                parts.append(cls)
-                if start + b == 0:
-                    first = q[:, 0].copy()
-                if start + b + n == count:
-                    last = q[:, n - 1].copy()
-            del sums    # freed before the next chunk's sums are built
-        return np.stack(parts), first, last, sup
-
     rotated = GridTransform(kernel, h, _BLOCK) if t_lo >= 0.0 else None
-    parts, first, last, sup = sample(t_lo, h, n_points, rotated)
-    ends = np.stack([first, last])
-    refinements = 0
-    last_bar = math.inf
-    while True:
-        scale = 2.0 * h / 45.0
-        re = _class_rule(parts, ends, 0, _BOOLE_H, -7.0) * scale
-        bar = abs(_class_rule(parts, ends, 0, _BOOLE_GAP, 7.0) * scale) / 63.0
-        if bar <= tol or bar > 0.5 * last_bar:
-            break
-        last_bar = bar
-        if 2 * n_points - 1 > _MAX_BAND_POINTS:
-            raise QuadratureError(
-                f"band [{t_lo:.6g}, {t_hi:.6g}] has error bar {bar:.3g} "
-                f"above {tol:.3g} at {n_points} points; refining passes "
-                f"the {_MAX_BAND_POINTS} cap"
-            )
-        mids, _, _, mid_sup = sample(t_lo + 0.5 * h, h, n_points - 1, rotated)
-        parts = _fold(parts, mids)
-        sup = max(sup, mid_sup)
-        n_points, h = 2 * n_points - 1, 0.5 * h
-        refinements += 1
-        if rotated is not None:     # the next midpoints' spacing
-            rotated = GridTransform(kernel, h, _BLOCK)
-    im, *collected = [_class_rule(parts, ends, q, _BOOLE_H, -7.0) * scale
-                      for q in range(1, rows)]
-    band = BandQuadrature(complex(re, im), bar, n_points, h, refinements)
+    partials, sup, t_sup = [], 0.0, t_lo
+    for start in range(0, n_points, _CHUNK):
+        n_chunk = min(_CHUNK, n_points - start)
+        t0 = t_lo + start * h
+        sums = grid(t0, h, n_chunk)
+        for b in range(0, n_chunk, _BLOCK):
+            n = min(_BLOCK, n_chunk - b)
+            blk = slice(b, b + n)
+            t = np.add(offsets[:n], b, out=t_buf[:n])
+            t *= h
+            t += t0                 # bit for bit t0 + h * arange(count)
+            wt = rotated(t, theta_buf) if rotated else theta_transform(kernel, t)
+            prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
+            prod *= sums[2][blk]
+            if eta != 0.0:
+                prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
+            q, a = q_buf[:, :n], mod_buf[:, :n]
+            np.multiply(prod.real, wt, out=q[0])
+            np.multiply(prod.imag, wt, out=q[1])
+            for i in range(3):
+                np.abs(sums[i][blk], out=a[i])
+            q[2] = ((l1 * a[1] + l2 * a[0]) * a[2] + l3 * a[0] * a[1]) * np.abs(wt * t)
+            if collect:
+                small = np.minimum(a[0], a[1])
+                j = int(np.argmax(small))
+                if small[j] > sup:
+                    sup, t_sup = float(small[j]), float(t[j])
+                np.multiply(a, a, out=q[3:6])
+                q[6] = small * a[2] * (a[0] + a[1])
+                q[7] = small * (q[3] + q[4] + q[5])
+            partials.append(q.sum(axis=1))
+            if start + b == 0:
+                partials.append(-0.5 * q[:, 0])
+            if start + b + n == n_points:
+                partials.append(-0.5 * q[:, n - 1])
+        del sums    # freed before the next chunk's sums are built
+    trap = [h * math.fsum(row) for row in np.array(partials).T.tolist()]
+
+    terms = 2 * _EM_TERMS
+    freq = sum(l * _centre(params) for l in coeffs.lambdas) + eta
+    ends = []
+    for x in (t_lo, t_hi):
+        fs = series(x, h, terms)
+        # the carrier's coefficients e(F x) (2 pi i F h)^j / j!
+        carrier = np.cumprod([np.exp(2j * np.pi * math.fmod(freq * x, 1.0))]
+                             + [2j * np.pi * freq * h / j for j in range(1, terms)])
+        g = np.convolve(transform_series(kernel, x, h, terms), carrier)[:terms]
+        for f in fs:
+            g = np.convolve(g, f)[:terms]
+        ends.append((g, fs))
+    (g_lo, f_lo), (g_hi, f_hi) = ends
+    value = complex(trap[0], trap[1]) - euler_maclaurin(h, g_lo, g_hi)
+    majorant = 2.0 * kernel.a * amplitude**3
+    error = euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS) + rounding * trap[2]
+    band = BandQuadrature(value, error, n_points, h)
     if not collect:
         return band, None
-    t1, t2, t3, cross, squares = collected
-    return band, ((t1, t2, t3), sup, cross, squares)
+    t_ints = tuple(trap[3 + i] - euler_maclaurin(
+        h, np.convolve(lo, np.conj(lo))[:terms], np.convolve(hi, np.conj(hi))[:terms]
+    ).real for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
+    return band, (t_ints, (sup, t_sup), trap[6], trap[7])
 
 
 def _band_edges(params: RunParameters, kernel: SmoothingKernel):
@@ -618,9 +556,10 @@ def check_band_grids(
 ) -> None:
     """Size every band decompose integrates, evaluating nothing, so that
     a band past the point cap raises QuadratureError up front."""
+    f_max = band_frequency(params, coeffs, kernel)
     for piece, (t_lo, t_hi) in _band_edges(params, kernel).items():
         if piece < 3 or t_hi > t_lo:
-            _band_grid(t_lo, t_hi, coeffs, params)
+            _band_grid(t_lo, t_hi, f_max)
 
 
 def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
@@ -635,52 +574,36 @@ def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
     return math.exp((k * log_c - math.log(math.pi) - log_tol) / (k + 1))
 
 
-def _band_tolerance(params, coeffs, kernel, j_integral) -> float:
-    """The bar a piece may carry: _BAND_REL_TOL times |J|, with J
-    computed here unless the caller already has it."""
-    if j_integral is None:
-        j_integral = integral_J(params, coeffs, kernel)
-    return _BAND_REL_TOL * abs(j_integral)
-
-
 def piece_quadrature(
     piece: int, params: RunParameters, coeffs: Coefficients,
     kernel: SmoothingKernel, pset: PSPrimeSet,
-    j_integral: "float | None" = None,
 ) -> BandQuadrature:
     """One band of the transform-side integral with its error bar.
 
     Piece 1 covers |t| < Delta on a symmetric grid, so its imaginary
-    part is a quadrature diagnostic (zero up to grid noise when eta =
-    0).  Pieces 2 and 3 pair t with -t analytically: the integrand at
-    -t is the conjugate of the integrand at t, so each equals twice the
-    real part of its one-sided integral, carries imaginary part exactly
-    zero, and carries twice the one-sided bar.  Piece 3 is truncated
-    where the transform's decay branch is negligible; the remainder is
-    covered by the analytic bound, never by quadrature, and an empty
-    truncated band is 0 with no grid.
-
-    The band is refined until its bar is within _BAND_REL_TOL * |J|;
-    j_integral is integral_J's value if the caller has it (otherwise it
-    is computed, about a millisecond).  For the standard decomposition
-    the kernel should be built with the search width and k =
-    params.kernel_k.
+    part is a quadrature diagnostic.  Pieces 2 and 3 pair t with -t (the
+    integrand there is the conjugate): twice the real part of the
+    one-sided integral, with twice its bar.  Piece 3 is truncated where
+    the transform's decay branch is negligible (an empty band is 0 with
+    no grid), and its bar is against the whole far band |t| > H: it adds
+    far_tail_majorant from the cut (from H if empty).  The standard
+    decomposition's kernel has the search width and k = params.kernel_k.
     """
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
     check_window_set(params, pset)
     t_lo, t_hi = _band_edges(params, kernel)[piece]
-    if piece == 3 and t_hi <= t_lo:
-        return BandQuadrature(complex(0.0, 0.0), 0.0, 0, 0.0, 0)
-    # pieces 2 and 3 are twice a one-sided integral, bar included
-    fold = 1.0 if piece == 1 else 2.0
-    band, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, _sum_factors(pset, coeffs), False,
-        _band_tolerance(params, coeffs, kernel, j_integral) / fold,
-    )
-    value = band.value if piece == 1 else complex(2.0 * band.value.real, 0.0)
-    return BandQuadrature(value, fold * band.error, band.n_points,
-                          band.spacing, band.refinements)
+    omitted = 0.0
+    if piece == 3:
+        omitted = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi))
+        if t_hi <= t_lo:
+            return BandQuadrature(complex(0.0, 0.0), omitted, 0, 0.0)
+    band, _ = _band_quadrature(params, coeffs, kernel, t_lo, t_hi,
+                               _sum_factors(pset, coeffs, _centre(params)), False)
+    if piece == 1:
+        return band
+    return BandQuadrature(complex(2.0 * band.value.real, 0.0),
+                          2.0 * band.error + omitted, band.n_points, band.spacing)
 
 
 def gamma_piece(
@@ -697,14 +620,13 @@ class MiddleBand:
     """One-sided sweep of [Delta, H] with its byproduct statistics.
 
     half_integral is the one-sided integral of Theta * S1 * S2 * S3 *
-    e(eta t); t_integrals are the one-sided integrals of |S(l_k t)|^2;
-    sup_small_pair is the largest min(|S1|, |S2|) over the samples
-    taken, a lower estimate of the true supremum (on instance A it
-    reads 1261.84 at 12 samples per period and 1261.49 at 7);
-    cross_integral and squares_integral are the weighted integrals of
-    that minimum against |S3|(|S1|+|S2|) and |S1|^2+|S2|^2+|S3|^2.
-    error is the bar of gamma2 (twice the one-sided bar), and n_points,
-    spacing and refinements describe the final grid (BandQuadrature).
+    e(eta t); t_integrals those of |S(l_k t)|^2, endpoint-corrected too
+    (converging fast while |l_k| is at most the other two |l| summed);
+    sup_small_pair the largest min(|S1|, |S2|) found, a lower estimate
+    of the supremum (1261.91 on instance A, the grid samples alone
+    1219.41); cross_integral and squares_integral that minimum's plain
+    trapezoid integrals, O(h^2), against |S3|(|S1|+|S2|) and
+    |S1|^2+|S2|^2+|S3|^2.  error is the bar of gamma2.
     """
 
     half_integral: complex
@@ -715,7 +637,6 @@ class MiddleBand:
     n_points: int
     spacing: float
     error: float
-    refinements: int
 
     @property
     def gamma2(self) -> complex:
@@ -727,21 +648,39 @@ def middle_band_sweep(
     coeffs: Coefficients,
     pset: PSPrimeSet,
     kernel: SmoothingKernel,
-    j_integral: "float | None" = None,
 ) -> MiddleBand:
     """Single pass over [Delta, H] collecting the middle-band integral
     together with everything the majorant chain needs, so the expensive
-    sweep is never run twice; refined like piece_quadrature's bands,
-    with j_integral as there."""
+    sweep is never run twice.  The best sampled min(|S1|, |S2|) at t is
+    polished by a golden-section search on [t - h, t + h] within the
+    band; every value it takes is a true one (ps_exp_sum), so the
+    result stays a lower estimate."""
+    from .expsums import ps_exp_sum
+
     check_window_set(params, pset)
-    tol = _band_tolerance(params, coeffs, kernel, j_integral)
-    band, stats = _band_quadrature(
-        params, coeffs, kernel, *_band_edges(params, kernel)[2],
-        _sum_factors(pset, coeffs), True, 0.5 * tol,
-    )
-    t_ints, sup, cross, squares = stats
-    return MiddleBand(band.value, t_ints, sup, cross, squares, band.n_points,
-                      band.spacing, 2.0 * band.error, band.refinements)
+    t_lo, t_hi = _band_edges(params, kernel)[2]
+    band, (t_ints, (sup, t), cross, squares) = _band_quadrature(
+        params, coeffs, kernel, t_lo, t_hi,
+        _sum_factors(pset, coeffs, _centre(params)), True)
+
+    def small(u: float) -> float:
+        return min(abs(ps_exp_sum(l * u, params, pset).value)
+                   for l in coeffs.lambdas[:2])
+
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = max(t_lo, t - band.spacing), min(t_hi, t + band.spacing)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = small(c), small(d)
+    for _ in range(40):         # the bracket shrinks to 4e-9 of its width
+        sup = max(sup, fc, fd)
+        if fc >= fd:    # the maximum is taken in [a, d]
+            b, d, fd, c = d, c, fc, d - ratio * (d - a)
+            fc = small(c)
+        else:
+            a, c, fc, d = c, d, fd, c + ratio * (b - c)
+            fd = small(d)
+    return MiddleBand(band.value, t_ints, max(sup, fc, fd), cross, squares,
+                      band.n_points, band.spacing, 2.0 * band.error)
 
 
 @dataclass(frozen=True)
@@ -757,9 +696,9 @@ class Gamma2Majorant:
     each an upper bound for |middle band| (the product of three moduli
     is at most F times |S3|(|S1|+|S2|), pointwise), and each at most the
     next.  sup F and the T_k are the sweep's (MiddleBand.sup_small_pair
-    and t_integrals); sup F is a maximum over grid samples, a lower
-    estimate of the true supremum (1261.84 at 12 samples per period and
-    1261.49 at 7 on instance A).  The shape ratios compare sup F against
+    and t_integrals); sup F is the best grid sample polished by a
+    golden-section search, a lower estimate of the true supremum
+    (1261.91 on instance A).  The shape ratios compare sup F against
     X^((37-12 gamma)/26) * log^5 X and each T_k against
     H * X^(2-gamma) * log^2 X.
     """
@@ -808,15 +747,12 @@ def integral_J(
 ) -> float:
     """Main-band integral with the exponential sums replaced by their
     window integrals (_window_factors), on piece 1's grid by the band
-    walker at its base density; real by conjugate symmetry, with the
-    imaginary residue checked against an absolute scale set by the
-    integrand's supremum.  Its modulus scales every band's tolerance,
-    so it is never refined itself: where J nearly cancels (a shift past
-    the window's reach), a tolerance relative to J could not be met."""
+    walker; real by conjugate symmetry, with the imaginary residue
+    checked against an absolute scale set by the integrand's
+    supremum."""
     t_lo, t_hi = _band_edges(params, kernel)[1]
     band, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs),
-        False, math.inf,
+        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs), False,
     )
     value = band.value
     g = params.gamma.value
@@ -1001,25 +937,24 @@ def far_tail_majorant(
     coeffs: Coefficients,
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
+    start: "float | None" = None,
 ) -> float:
-    """Rigorous envelope for the whole far band |t| > H: the transform's
-    decay branch integrates to (2/(pi k)) * (4k/(pi eps H))^k against
-    the exact supremum S(0)^3 of the three-sum product.  Unlike the
-    closed-form bound above, this uses the window's true sum at zero
-    rather than a scale shape, so it majorizes the truncated quadrature
-    on any instance."""
+    """Rigorous envelope for the far band |t| > start (default H): the
+    transform's decay branch integrates to (2/(pi k)) * (4k/(pi eps
+    start))^k against the exact supremum S(0)^3 of the three-sum
+    product.  Unlike the closed-form bound above, this uses the window's
+    true sum at zero rather than a scale shape, so it majorizes the
+    truncated quadrature on any instance; from piece3_truncation's cut
+    it covers the tail that quadrature omits."""
     check_window_set(params, pset)
     s0 = float(np.dot(pset.weight_w, pset.weight_log))
     if s0 == 0.0:
         return 0.0
     k = kernel.k
-    base = 4.0 * k / (math.pi * kernel.epsilon * params.H_effective)
-    log_value = (
-        math.log(2.0)
-        - math.log(math.pi * k)
-        + 3.0 * math.log(s0)
-        + k * math.log(base)
-    )
+    start = params.H_effective if start is None else start
+    base = 4.0 * k / (math.pi * kernel.epsilon * start)
+    log_value = (math.log(2.0) - math.log(math.pi * k) + 3.0 * math.log(s0)
+                 + k * math.log(base))
     return math.exp(log_value) if log_value < 700.0 else math.inf
 
 
@@ -1038,9 +973,9 @@ class DecompositionResult:
     ratio reports Re(gamma_total) / (eps X^2) without asserting any
     constant.  The main-term box integral, its remainder majorant and
     the far-tail bound are box.value, phi.value and tail.value.
-    gamma_errors, band_points and band_refinements give each piece's
-    error bar, final grid size and midpoint refinements
-    (BandQuadrature; an empty piece 3 has 0, 0 and 0)."""
+    gamma_errors, band_points and band_spacings give each piece's error
+    bar, grid size and spacing (BandQuadrature); gamma3's bar is against
+    the whole far band |t| > H (an empty piece 3 has 0 points)."""
 
     gamma1: complex
     gamma2: complex
@@ -1060,7 +995,7 @@ class DecompositionResult:
     tail: TailBound3
     gamma_errors: tuple[float, float, float]
     band_points: tuple[int, int, int]
-    band_refinements: tuple[int, int, int]
+    band_spacings: tuple[float, float, float]
 
 
 def decompose(
@@ -1074,9 +1009,8 @@ def decompose(
 
     Builds the canonical kernel (effective width, k = params.kernel_k)
     unless one is supplied, sizes every band (check_band_grids: a band
-    past the point cap at its base density fails before any sweep), the
-    main term J, whose modulus sets every band's tolerance, the three
-    band integrals with their error bars (pieces 1 and 3 by
+    past the point cap fails before any sweep), the main term J, the
+    three band integrals with their error bars (pieces 1 and 3 by
     piece_quadrature, piece 2 by the middle-band sweep that also feeds
     the majorant chain), the main term's box integral and remainder
     bound, the far-tail bounds, and (by default) the direct count
@@ -1087,9 +1021,9 @@ def decompose(
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
     check_band_grids(params, coeffs, kernel)
     j_val = integral_J(params, coeffs, kernel)
-    p1 = piece_quadrature(1, params, coeffs, kernel, pset, j_val)
-    band = middle_band_sweep(params, coeffs, pset, kernel, j_val)
-    p3 = piece_quadrature(3, params, coeffs, kernel, pset, j_val)
+    p1 = piece_quadrature(1, params, coeffs, kernel, pset)
+    band = middle_band_sweep(params, coeffs, pset, kernel)
+    p3 = piece_quadrature(3, params, coeffs, kernel, pset)
     g1, g2, g3 = p1.value, band.gamma2, p3.value
     t_cut = piece3_truncation(params, kernel)
 
@@ -1130,5 +1064,5 @@ def decompose(
         tail=tail,
         gamma_errors=(p1.error, band.error, p3.error),
         band_points=(p1.n_points, band.n_points, p3.n_points),
-        band_refinements=(p1.refinements, band.refinements, p3.refinements),
+        band_spacings=(p1.spacing, band.spacing, p3.spacing),
     )

@@ -223,7 +223,7 @@ def test_run_checks_dichotomy_before_any_stage(tmp_path, monkeypatch, capsys):
 
 
 def test_run_checks_band_cap_before_any_stage(tmp_path, monkeypatch, capsys):
-    # the thin-range middle band needs ~3.2e10 grid points, past the
+    # the thin-range middle band needs ~3.7e9 grid points, past the
     # 2^31 cap: with decomp requested the run stops before primes and
     # kernel write anything; only the failure manifest is left
     monkeypatch.setenv("PSD_CACHE_DIR", str(tmp_path / "cache"))

@@ -18,6 +18,7 @@ from pstriples.expsums import (
     prime_exp_sum,
     ps_exp_sum,
     ps_sum_grid,
+    ps_sum_series,
     sawtooth,
     unit_phase,
 )
@@ -219,6 +220,29 @@ def test_conjugate_symmetry():
         ii = interval_integral(alpha, params)
         iim = interval_integral(-alpha, params)
         assert iim == pytest.approx(ii.conjugate(), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.03, 40.0])
+def test_ps_sum_series_sums_to_the_exponential_sum(x):
+    # sum_j D_j s^j times the carrier e(lam centre (x + s h)) is
+    # S(lam (x + s h)) for |s| <= 1, at the band walker's spacing for the
+    # lam's own spread W (2 pi W h = pi / 3); the gap is the phase
+    # rounding of the two sides, each about 4e-17 max |lam p t| of sum |w|
+    # as for ps_sum_grid (3.5e-11 of sum |w| measured at x = 40)
+    params = run70()
+    pset = pset_for(params)
+    lam = math.sqrt(2.0)
+    centre = 0.5 * (params.lambda0 * params.X + params.X)
+    spread = lam * (1.0 - params.lambda0) * params.X / 2.0
+    h = 1.0 / (6.0 * spread)
+    coeffs = ps_sum_series(pset, lam, centre, x, h, 40)
+    total = float(np.sum(pset.weight_w * pset.weight_log))
+    for j, d in enumerate(coeffs):
+        assert abs(d) <= total * (2.0 * math.pi * spread * h) ** j / math.factorial(j)
+    for s in (-1.0, 0.0, 0.5, 1.0):
+        value = np.polyval(coeffs[::-1], s) * unit_phase(lam * centre * (x + s * h))
+        want = ps_exp_sum(lam * (x + s * h), params, pset).value
+        assert abs(value - want) <= 8e-17 * lam * params.X * x * total + 1e-14 * total
 
 
 def test_phase_guard():

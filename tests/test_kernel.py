@@ -11,10 +11,12 @@ from pstriples.kernel import (
     GridTransform,
     invert_transform,
     make_kernel,
+    sinc_series,
     theta,
     theta_antiderivative,
     theta_transform,
     transform_bound,
+    transform_series,
     verify_bounds,
 )
 from pstriples.quadrature import simpson_uniform
@@ -190,6 +192,45 @@ def test_grid_transform_matches_closed_form(eps, k, h, t0):
     assert np.all(gap[~near] <= GRID_ABS_TOL * 2 * ker.a)
     if t0 == 0.0:
         assert got[0] == want[0] == 2 * ker.a
+
+
+@pytest.mark.parametrize("u, r", [
+    (0.0, 0.3), (0.2, 0.5), (-0.3, 0.4), (0.32, 1e-5), (2.0, 1.0),
+    (-5.2, 0.9), (8.0, 1e-3), (12.7, -0.3), (30.1, 0.5), (1e4 + 0.3, 0.2),
+])
+def test_sinc_series_matches_mpmath(u, r):
+    # upward, downward and both recurrences (pi |u| against j < 40), each
+    # coefficient within 3e-16 of its scale (pi |r|)^j / j! (measured
+    # 1.9e-16); the reference scales the coefficients of sinc(u + s) by r^j
+    n = 40
+    got = sinc_series(u, r, n)
+    with mp.workdps(60):
+        base = mp.taylor(lambda s: mp.sincpi(mp.mpf(u) + s), 0, n - 1)
+        worst = max(abs(mp.mpf(float(g)) - c * mp.mpf(r) ** j)
+                    / ((mp.pi * abs(r)) ** j / mp.factorial(j))
+                    for j, (g, c) in enumerate(zip(got, base)))
+    assert worst <= 3e-16
+
+
+@pytest.mark.parametrize("eps, k, x, h", [
+    (2.0, 5, 0.0373, 2.27e-3), (2.0, 9, 40.0, 3e-5), (0.05, 9, -0.002, 3e-5),
+    (1.0, 13, -7.3, 2e-2),
+])
+def test_transform_series_matches_mpmath(eps, k, x, h):
+    # Theta(x + s h): within 2e-15 of the scale 2a (2 pi eps h)^j / j!
+    # (measured 1.0e-15), below the j where that scale underflows
+    kern = make_kernel(eps, k)
+    n = 25
+    got = transform_series(kern, x, h, n)
+    with mp.workdps(60):
+        a, b = mp.mpf(kern.a), mp.mpf(kern.b)
+        base = mp.taylor(lambda s: 2 * a * mp.sincpi(2 * a * (x + s))
+                         * mp.sincpi(2 * b * (x + s)) ** k, 0, n - 1)
+        worst = max(abs(mp.mpf(float(g)) - c * mp.mpf(h) ** j)
+                    / (2 * a * (2 * mp.pi * eps * h) ** j / mp.factorial(j))
+                    for j, (g, c) in enumerate(zip(got, base)))
+    assert worst <= 2e-15
+    assert got[0] == pytest.approx(float(theta_transform(kern, x)), rel=1e-13)
 
 
 def test_grid_transform_rejects_bad_blocks():

@@ -1,10 +1,59 @@
-"""Composite Boole weights: streaming chunks, exactness, grid validation."""
+"""Endpoint-corrected trapezoid rule; composite Boole weights: streaming
+chunks, exactness, grid validation."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstriples.quadrature import boole_weight
+from pstriples.quadrature import (
+    bernoulli_even,
+    boole_weight,
+    euler_maclaurin,
+    euler_maclaurin_tail,
+)
+
+
+def test_bernoulli_numbers_exact():
+    assert bernoulli_even(5) == (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                                 Fraction(-1, 30), Fraction(5, 66))
+    assert bernoulli_even(20)[-1] == Fraction(-261082718496449122051, 13530)
+
+
+def test_euler_maclaurin_on_a_trigonometric_polynomial():
+    # g(t) = sum w e(f t) with |f| <= f_max = 3, both extremes present,
+    # on [a, a + 50 h] at f_max h = 1/2: the trapezoid sum misses the
+    # closed-form integral by 0.33, and K terms of the endpoint series
+    # leave an error under euler_maclaurin_tail (measured 10 to 200 times
+    # under it), down to rounding at K = 20
+    rng = np.random.default_rng(11)
+    f = np.concatenate([[-3.0, 3.0, 0.0], rng.uniform(-3.0, 3.0, 9)])
+    w = rng.normal(size=f.size) + 1j * rng.normal(size=f.size)
+    h, a, n = 1.0 / 6.0, 0.37, 50
+    b = a + n * h
+    g = np.exp(2j * np.pi * np.outer(a + h * np.arange(n + 1), f)) @ w
+    trap = h * (g.sum() - 0.5 * (g[0] + g[-1]))
+    nz = f != 0.0
+    exact = w[~nz].sum() * (b - a) + np.sum(
+        w[nz] * (np.exp(2j * np.pi * f[nz] * b) - np.exp(2j * np.pi * f[nz] * a))
+        / (2j * np.pi * f[nz]))
+
+    def series(x, terms):
+        j = np.arange(2 * terms)[:, None]
+        fact = np.array([math.factorial(int(i)) for i in j.ravel()])[:, None]
+        return ((2j * np.pi * h * f) ** j / fact) @ (w * np.exp(2j * np.pi * f * x))
+
+    scale = np.abs(w).sum()
+    assert abs(trap - exact) > 0.3
+    for terms in (1, 2, 4, 8, 12):
+        err = abs(trap - euler_maclaurin(h, series(a, terms), series(b, terms)) - exact)
+        assert err <= euler_maclaurin_tail(h, 0.5, scale, terms)
+    err = abs(trap - euler_maclaurin(h, series(a, 20), series(b, 20)) - exact)
+    assert err <= 1e-13 * scale * (b - a)
+    with pytest.raises(ValueError):
+        euler_maclaurin_tail(h, 1.0, scale, 20)
 
 
 def _full_grid_weights(n_points):

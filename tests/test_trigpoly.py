@@ -1,11 +1,11 @@
 """Grid evaluator on both sides of its dispatch, against an mpmath oracle.
 
 Sizes are those of the real band sweeps: n >= _DIRECT_CUTOFF samples, t0
-in the middle (40) and far (700) bands of instance A, spacing 1/(24 X):
-12 points per period of the fastest mode, 2X, between the band grids'
-base 7 and their once-refined 14.  The
-oracle is exact for the double inputs (frequencies, weights, t0 + m dt),
-so the whole gap is the evaluator's.
+in the middle (40) and far (700) bands of instance A, and the band
+grids' spacing h = 1/(2 f_max), f_max the top frequency of the band
+integrand for the coefficients (1, sqrt 2, -2) (triplesum.band_frequency).
+The oracle is exact for the double inputs (frequencies, weights, t0 + m
+dt), so the whole gap is the evaluator's.
 """
 
 import math
@@ -20,21 +20,25 @@ import pytest
 
 from pstriples import trigpoly
 from pstriples.expsums import ps_sum_grid, ps_sum_plan
-from pstriples.params import RunParameters
+from pstriples.kernel import make_kernel
+from pstriples.params import Coefficients, RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.triplesum import band_frequency
 
 LAM = math.sqrt(2)
-N = 8193            # 8m+1 like a band grid; the last block row is partial
+N = 8193            # the last block row is partial
 # Largest gap over the oracle points divided by sum |w|, measured on this
 # test's inputs (the same with one or two BLAS threads):
 #
 #   q0  path     t0=40     t0=700
-#   70  blocked  1.3e-11   2.3e-10
-#   203 NUFFT    1.0e-10   2.2e-9
+#   70  blocked  1.3e-11   2.9e-10
+#   203 NUFFT    1.3e-10   9.8e-10
 #
-# Nearly all of it is the rounding of the products f_j * t to doubles,
-# which grows with |f_j t|; with those phases exact the blocked path is
-# within 5e-15.  Tolerances are about 4x the measured gap.
+# (At the earlier spacing 1/(24 X) they read 1.3e-11, 2.3e-10, 1.0e-10
+# and 2.2e-9.)  Nearly all of it is the rounding of the products f_j * t
+# to doubles, which grows with |f_j t|; with those phases exact the
+# blocked path is within 5e-15.  Tolerances were set at about 4x the
+# gaps measured at the earlier spacing and are unchanged.
 TOL = {(70, 40.0): 5e-11, (70, 700.0): 1e-9,
        (203, 40.0): 4e-10, (203, 700.0): 1e-8}
 
@@ -44,6 +48,11 @@ def _pset(q0):
     table = sieve_primes(int(params.X) + 2)
     return params, ps_primes_in(params.lambda0 * params.X, params.X,
                                 params.gamma, table)
+
+
+def _band_spacing(params):
+    kern = make_kernel(params.epsilon_effective, params.kernel_k)
+    return 0.5 / band_frequency(params, Coefficients(1.0, LAM, -2.0, 0.0), kern)
 
 
 def _oracle(freqs, weights, t0, dt, m):
@@ -62,7 +71,7 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
     # q0 = 70 is instance A's 202-prime window, q0 = 203 instance B's 1325
     assert (pset.count <= trigpoly._BLOCKED_MAX_FREQS) == (path == "blocked")
     assert N >= trigpoly._DIRECT_CUTOFF
-    dt = 1.0 / (24.0 * params.X)
+    dt = _band_spacing(params)
     grid = ps_sum_grid(pset, LAM, t0, dt, N)
     assert grid.shape == (N,)
     freqs = LAM * pset.primes.astype(np.float64)
@@ -82,7 +91,7 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
 @pytest.mark.parametrize("q0", [70, 203])
 def test_grid_evaluator_reruns_bitwise(q0):
     params, pset = _pset(q0)
-    dt = 1.0 / (24.0 * params.X)
+    dt = _band_spacing(params)
     first = ps_sum_grid(pset, LAM, 40.0, dt, N)
     second = ps_sum_grid(pset, LAM, 40.0, dt, N)
     assert first.tobytes() == second.tobytes()
@@ -177,7 +186,7 @@ def test_shared_plans_need_one_shape():
 def test_planned_grid_matches_unplanned(q0):
     # instance A's window plans; instance B's takes the NUFFT (no plan)
     params, pset = _pset(q0)
-    dt = 1.0 / (24.0 * params.X)
+    dt = _band_spacing(params)
     plan = ps_sum_plan(pset, LAM, dt, N)
     assert (plan is None) == (pset.count > trigpoly._BLOCKED_MAX_FREQS)
     for t0 in (40.0, 700.0):

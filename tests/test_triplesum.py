@@ -12,7 +12,6 @@ from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import make_kernel, theta, theta_transform, transform_bound
 from pstriples.params import Coefficients, ParameterError, RunParameters
 from pstriples.primes import sieve_primes, ps_primes_in
-from pstriples.quadrature import QuadratureError, boole_weight
 from pstriples.triplesum import (
     big_gamma_direct,
     box_integral_B,
@@ -279,10 +278,10 @@ def test_decomposition_closes_on_feasible_instance():
     assert not res.truncation_empty
     assert res.piece3_cut > params.H_effective
     assert res.gamma3.real != 0.0
-    # at 7 points per period the bars of pieces 1 and 2 exceed 1e-9 |J|,
-    # so both are refined once; the gap sits under the summed bars
-    assert res.band_refinements == (1, 1, 0)
+    # the gap (2.0e-8) is the far band past the cut, which only piece 3's
+    # bar covers; the quadrature bars of pieces 1 and 2 sum to 1e-8
     assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
+    assert sum(res.gamma_errors[:2]) < 2e-8
 
 
 def test_decomposition_closes_with_shift():
@@ -294,22 +293,37 @@ def test_decomposition_closes_with_shift():
     # conjugate symmetry pairs t with -t for any real shift: the main
     # band stays real up to grid noise
     assert abs(res.gamma1.imag) <= 1e-8 * abs(res.gamma1)
-    assert res.band_refinements == (1, 1, 0)
     assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
 
 
 def test_decomposition_closes_on_instance_a():
     # q0 70, gamma 0.9, eps 2, l = (1, sqrt 2, -2): the benchmark's
     # decomp-A.  theta and Theta are both exact, so the gap is quadrature
-    # error, 1.9e-12 measured at the base 7 points per period, which no
-    # band leaves here; a direct-side theta off by up to 8e-7 on its
-    # ramps reads 2.65e-9
+    # error and the far band past the cut: 1.95e-13 measured with the
+    # endpoint-corrected trapezoid at f_max h = 1/2, 1.9e-12 with Boole
+    # at 7 points per period; a direct-side theta off by up to 8e-7 on
+    # its ramps reads 2.65e-9
     params, pset = _instance(70, 0.9, 0.5, 2.0)
     res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
     assert res.triples_found == 2362
     assert res.closure_error <= 1e-11
-    assert res.band_refinements == (0, 0, 0)
+    assert res.band_points == (107, 1_192_134, 259_872)
     assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
+
+
+def test_shift_past_the_reach_needs_no_dense_grid():
+    # eta 1000 puts every form far from zero, so J and the count nearly
+    # cancel; the band grids depend on the spectrum alone, 404,318
+    # points in all (Boole refined against 1e-9 |J| used 21.5e6), and
+    # gamma1 and gamma2 agree with that run's values within their bars
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    res = decompose(params, Coefficients(1.0, 1.0, -2.0, 1000.0), pset)
+    assert res.direct_value == 0.0
+    assert sum(res.band_points) < 1_000_000
+    for got, boole, bar in zip((res.gamma1, res.gamma2),
+                               (-19.12060776425254, 19.1205896344149),
+                               res.gamma_errors):
+        assert abs(got.real - boole) <= bar
 
 
 @pytest.mark.parametrize("q0, c", [
@@ -318,85 +332,25 @@ def test_decomposition_closes_on_instance_a():
     (70, Coefficients(1.0, SQRT2, -2.0, 0.0)),
 ])
 def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
-    # each bar against the piece's error, read off a run 4x denser than
-    # the final grid (whose own Boole error is ~4^6 times smaller)
+    # each bar against the piece's error, read off a run at half the
+    # spacing (f_max h = 1/4), whose correction series converges four
+    # times faster per term; the rounding part of the bar alone covers it
+    # (7.45e-9 against 8.25e-9 on A's piece 1), the truncation bound being
+    # far looser
     params, pset = _instance(q0, 0.9, 0.5, 2.0)
     res = decompose(params, c, pset, with_direct=False)
-    dense = 4 * triplesum._BASE_POINTS_PER_PERIOD * 2 ** max(res.band_refinements)
-    monkeypatch.setattr(triplesum, "_BASE_POINTS_PER_PERIOD", dense)
+    monkeypatch.setattr(triplesum, "_BAND_FH", 0.5 * triplesum._BAND_FH)
     ref = decompose(params, c, pset, with_direct=False)
-    assert ref.band_refinements == (0, 0, 0)
-    for got, want, bar in zip((res.gamma1, res.gamma2), (ref.gamma1, ref.gamma2),
-                              res.gamma_errors):
-        assert 0.0 < abs(got.real - want.real) <= bar
-
-
-def test_refinement_matches_a_fresh_sweep_at_half_spacing(monkeypatch):
-    # one refinement samples only the midpoints, each once, and folds the
-    # base grid's class sums in; a fresh sweep of the refined grid gives
-    # the same value, bar and statistics up to rounding
-    params, pset = _instance(12, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, SQRT2, -2.0, 0.3)
+    assert sum(ref.band_points) > 1.9 * sum(res.band_points)
     kern = _kernel_for(params)
-    edges = (params.Delta, params.H_effective)
-
-    def sweep(tol):
-        return triplesum._band_quadrature(
-            params, c, kern, *edges, triplesum._sum_factors(pset, c), True, tol
-        )
-
-    base, _ = sweep(math.inf)
-    sampled = []
-
-    def counting(*args, **kwargs):
-        sampled.append(args[4])
-        return grid(*args, **kwargs)
-
-    grid = expsums.ps_sum_grid
-    monkeypatch.setattr(expsums, "ps_sum_grid", counting)
-    refined, stats = sweep(0.5 * base.error)
-    monkeypatch.setattr(expsums, "ps_sum_grid", grid)
-    assert refined.refinements == 1
-    assert refined.n_points == 2 * base.n_points - 1
-    assert refined.spacing == 0.5 * base.spacing
-    assert sum(sampled) == 3 * refined.n_points
-    assert refined.error <= base.error / 32
-
-    monkeypatch.setattr(triplesum, "_band_grid",
-                        lambda *a: (refined.n_points, refined.spacing))
-    fresh, fresh_stats = sweep(math.inf)
-    assert fresh.refinements == 0
-    assert refined.value == pytest.approx(fresh.value, rel=1e-12, abs=0)
-    assert refined.error == pytest.approx(fresh.error, rel=1e-6, abs=0)
-    assert stats[0] == pytest.approx(fresh_stats[0], rel=1e-12, abs=0)
-    assert stats[1:] == pytest.approx(fresh_stats[1:], rel=1e-12, abs=0)
-
-
-def test_refinement_stops_at_the_rounding_floor(monkeypatch):
-    # a tolerance no bar can meet (0 here; in a decomposition, a J that
-    # nearly cancels) refines while each halving at least halves the
-    # bar, and stops at rounding level rather than at the point cap
-    params, pset = _instance(12, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, 1.0, -2.0, 0.0)
-    monkeypatch.setattr(triplesum, "_MAX_BAND_POINTS", 1 << 20)
-    band, _ = triplesum._band_quadrature(
-        params, c, _kernel_for(params), -params.Delta, params.Delta,
-        triplesum._sum_factors(pset, c), False, 0.0,
-    )
-    assert 1 <= band.refinements <= 6
-    assert 0.0 < band.error <= 1e-14 * abs(band.value.real)
-
-
-def test_refinement_past_the_point_cap_raises(monkeypatch):
-    # q0 12's middle band needs one refinement; with the cap just below
-    # the refined grid the band fails instead of keeping a wide bar
-    params, pset = _instance(12, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, 1.0, -2.0, 0.0)
-    kern = _kernel_for(params)
-    n_points, _ = triplesum._band_grid(params.Delta, params.H_effective, c, params)
-    monkeypatch.setattr(triplesum, "_MAX_BAND_POINTS", 2 * n_points - 2)
-    with pytest.raises(QuadratureError, match="refining passes"):
-        middle_band_sweep(params, c, pset, kern)
+    f_max = triplesum.band_frequency(params, c, kern)
+    majorant = 2.0 * kern.a * float(np.sum(pset.weight_w * pset.weight_log)) ** 3
+    pieces = zip((res.gamma1, res.gamma2), (ref.gamma1, ref.gamma2),
+                 res.gamma_errors, res.band_spacings, (1.0, 2.0))
+    for got, want, bar, h, fold in pieces:
+        tail = triplesum.euler_maclaurin_tail(h, f_max * h, majorant,
+                                              triplesum._EM_TERMS)
+        assert 0.0 < abs(got.real - want.real) <= bar - fold * tail
 
 
 def test_gamma_piece_matches_decompose():
@@ -440,7 +394,7 @@ def test_truncation_point_formula():
 
 
 def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
-    """Band value and statistics with one whole array per chunk (no
+    """Trapezoid value and statistics with one whole array per chunk (no
     blocks), theta_transform for Theta and the chunk's own sums."""
     chunk = triplesum._CHUNK
     re, im, cross, squares = [], [], [], []
@@ -451,7 +405,9 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
         s = sums[3 * c : 3 * c + 3]
         t0 = t_lo + start * h
         t_grid = t0 + h * np.arange(count)
-        wq = boole_weight(np.arange(start, start + count), n_points)
+        wq = np.ones(count)
+        wq[0] = 0.5 if start == 0 else 1.0
+        wq[-1] = 0.5 if start + count == n_points else 1.0
         integ = theta_transform(kernel, t_grid) * (s[0] * s[1] * s[2])
         integ = integ * np.exp((2j * np.pi) * np.mod(eta * t_grid, 1.0))
         re.append(float(np.dot(wq, integ.real)))
@@ -464,10 +420,9 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
         for parts, x in zip(t_ints, a):
             parts.append(float(np.dot(wq, x**2)))
         squares.append(float(np.dot(wq, small * (a[0]**2 + a[1]**2 + a[2]**2))))
-    scale = 2.0 * h / 45.0
-    value = complex(math.fsum(re) * scale, math.fsum(im) * scale)
-    stats = (tuple(math.fsum(p) * scale for p in t_ints), sup,
-             math.fsum(cross) * scale, math.fsum(squares) * scale)
+    value = complex(math.fsum(re) * h, math.fsum(im) * h)
+    stats = (tuple(math.fsum(p) * h for p in t_ints), sup,
+             math.fsum(cross) * h, math.fsum(squares) * h)
     return value, stats
 
 
@@ -475,12 +430,14 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
 def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetric):
     # two chunks (2^21 points and a ragged rest), each walked in blocks;
     # t_lo >= 0 takes Theta from GridTransform, the symmetric band from
-    # theta_transform; the reference reuses the sweep's own sums
+    # theta_transform; the reference reuses the sweep's own sums.  The
+    # endpoint correction is switched off: this checks the streamed
+    # trapezoid sums, the correction is checked on its own below
     params, pset = _instance(12, 0.9, 0.5, 0.5)
     c = Coefficients(1.0, SQRT2, -2.0, 0.3)
     kern = _kernel_for(params)
-    nu = 2.0 * params.X + 0.3
-    span = (triplesum._CHUNK + 50_001) / (triplesum._BASE_POINTS_PER_PERIOD * nu)
+    f_max = triplesum.band_frequency(params, c, kern)
+    span = (triplesum._CHUNK + 50_001) * triplesum._BAND_FH / f_max
     t_lo = -span / 2 if symmetric else params.Delta
     recorded = []
 
@@ -492,10 +449,10 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
 
     grid = expsums.ps_sum_grid
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
-    # an infinite tolerance keeps the base grid
+    monkeypatch.setattr(triplesum, "euler_maclaurin", lambda *args: 0j)
     band, stats = triplesum._band_quadrature(
-        params, c, kern, t_lo, t_lo + span, triplesum._sum_factors(pset, c),
-        True, math.inf,
+        params, c, kern, t_lo, t_lo + span,
+        triplesum._sum_factors(pset, c, triplesum._centre(params)), True,
     )
     value, n_points, h = band.value, band.n_points, band.spacing
     assert len(recorded) == 6 and n_points > triplesum._CHUNK
@@ -504,28 +461,12 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
         kern, c.eta, recorded, t_lo, h, n_points
     )
     assert value == pytest.approx(want_value, rel=1e-12, abs=0)
-    t_ints, sup, cross, squares = stats
+    t_ints, (sup, t_sup), cross, squares = stats
     assert t_ints == pytest.approx(want_stats[0], rel=1e-12, abs=0)
     assert sup == want_stats[1]
+    assert t_lo <= t_sup <= t_lo + span
     assert cross == pytest.approx(want_stats[2], rel=1e-12, abs=0)
     assert squares == pytest.approx(want_stats[3], rel=1e-12, abs=0)
-
-
-def test_class_weights_are_boole_weights():
-    # on an 8m+1 grid every index but the two ends (7) weighs its class's
-    # _BOOLE_H entry, and the even-index 4m+1 subgrid its _BOOLE_2H entry
-    # (odd classes 0); the gap weights are their difference
-    m = 5
-    idx = np.arange(8 * m + 1)
-    w_h = np.array(triplesum._BOOLE_H)[idx % 8]
-    w_h[[0, -1]] = 7.0
-    assert np.array_equal(w_h, boole_weight(idx, idx.size))
-    w_2h = np.array(triplesum._BOOLE_2H)[idx % 8]
-    w_2h[[0, -1]] = 7.0
-    assert np.array_equal(w_2h[0::2], boole_weight(np.arange(4 * m + 1), 4 * m + 1))
-    assert not w_2h[1::2].any()
-    assert triplesum._BOOLE_GAP == tuple(np.array(triplesum._BOOLE_H)
-                                         - 2.0 * np.array(triplesum._BOOLE_2H))
 
 
 def test_t_integrals_match_exact_pair_sum():
@@ -549,6 +490,9 @@ def test_t_integrals_match_exact_pair_sum():
         terms = ww[off] * sines / (2.0 * np.pi * f)
         want = (hi - lo) * math.fsum((w * w).tolist()) + math.fsum(terms.tolist())
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # the polished supremum is a true value of min(|S1|, |S2|), at least
+    # the 1261.49 that Boole's 7 points per period sampled
+    assert band.sup_small_pair >= 1261.49
 
 
 def test_majorant_chain_holds():
@@ -568,41 +512,42 @@ def test_majorant_chain_holds():
 # main term
 
 
-def _whole_array_J(params, coeffs, kernel):
-    """J with one whole array over piece 1's grid and one Boole dot
-    product: theta_transform times the product of the window integrals
-    gamma L sinc(l t L) e(l t mid) times e(eta t)."""
-    nu = max(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
-    span = 2.0 * params.Delta
-    m = max(1, math.ceil(span * triplesum._BASE_POINTS_PER_PERIOD * nu / 8.0))
-    n_points, h = 8 * m + 1, span / (8 * m)
-    t = -params.Delta + h * np.arange(n_points)
-    g = params.gamma.value
-    length = (1.0 - params.lambda0) * params.X
-    mid = 0.5 * (params.lambda0 * params.X + params.X)
-    prod = np.ones(n_points, dtype=np.complex128)
-    for l in coeffs.lambdas:
-        prod = prod * (g * length * np.sinc(l * t * length)
-                       * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0)))
-    integ = theta_transform(kernel, t) * prod
-    integ = integ * np.exp((2j * np.pi) * np.mod(coeffs.eta * t, 1.0))
-    wq = boole_weight(np.arange(n_points), n_points)
-    return complex(np.dot(wq, integ.real), np.dot(wq, integ.imag)) * (2.0 * h / 45.0)
+def _mpmath_J(params, coeffs, kernel):
+    """J's real part by mpmath quadrature at 30 digits: Theta times the
+    product of the window integrals gamma L sinc(l t L), against cos(2 pi
+    F t), F = sum l_i mid + eta (the imaginary part vanishes by
+    symmetry)."""
+    with mp.workdps(30):
+        g = mp.mpf(params.gamma.value)
+        x, lam0 = mp.mpf(params.X), mp.mpf(params.lambda0)
+        length = (1 - lam0) * x
+        mid = (1 + lam0) * x / 2
+        lams = [mp.mpf(l) for l in coeffs.lambdas]
+        freq = sum(l * mid for l in lams) + mp.mpf(coeffs.eta)
+        a, b = mp.mpf(kernel.a), mp.mpf(kernel.b)
+
+        def f(t):
+            out = 2 * a * mp.sincpi(2 * a * t) * mp.sincpi(2 * b * t) ** kernel.k
+            for l in lams:
+                out *= g * length * mp.sincpi(l * length * t)
+            return out * mp.cos(2 * mp.pi * freq * t)
+
+        delta = mp.mpf(params.Delta)
+        return float(mp.quad(f, mp.linspace(-delta, delta, 41)))
 
 
 @pytest.mark.parametrize("q0, eps, c", [
     (8, 1.0, Coefficients(1.0, 1.0, -2.0, 0.0)),
     (12, 2.0, Coefficients(1.0, SQRT2, -2.0, 0.3)),
 ])
-def test_integral_J_matches_whole_array_reference(q0, eps, c):
-    # J runs through the band walker in blocks, weighted by residue
-    # class at the end; the reference is the direct whole-grid formula
+def test_integral_J_matches_mpmath(q0, eps, c):
+    # J runs through the band walker: streamed trapezoid sums and the
+    # endpoint correction from the sinc series of its factors
     params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
     kern = _kernel_for(params)
-    want = _whole_array_J(params, c, kern)
-    assert want.real > 0.0
-    assert abs(want.imag) <= 1e-12 * want.real
-    assert integral_J(params, c, kern) == pytest.approx(want.real, rel=1e-12, abs=0)
+    want = _mpmath_J(params, c, kern)
+    assert want > 0.0
+    assert integral_J(params, c, kern) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_main_band_interval_integral_comparisons():
@@ -748,3 +693,10 @@ def test_far_tail_majorant_covers_truncated_band():
     env = far_tail_majorant(params, c, kern, pset)
     assert abs(g3) > 0.0
     assert abs(g3) <= env
+    # from the cut on, the envelope covers the 2.0e-8 the quadrature
+    # omits, and piece 3's bar carries it
+    cut = piece3_truncation(params, kern)
+    past = far_tail_majorant(params, c, kern, pset, cut)
+    assert 2.0e-8 < past < env
+    bar = triplesum.piece_quadrature(3, params, c, kern, pset).error
+    assert past < bar < 1.001 * past
