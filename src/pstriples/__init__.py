@@ -71,7 +71,6 @@ from .triplesum import (
     far_tail_majorant,
     find_triples,
     gamma2_majorant,
-    gamma_piece,
     integral_J,
     middle_band_sweep,
     phi_bound,
@@ -102,7 +101,7 @@ __all__ = [
     "continued_fraction", "dichotomy_probe", "dirichlet_approx",
     "DecompositionResult", "TripleRecord", "big_gamma_direct",
     "box_integral_B", "decompose", "far_tail_majorant", "find_triples",
-    "gamma2_majorant", "gamma_piece", "integral_J", "middle_band_sweep",
+    "gamma2_majorant", "integral_J", "middle_band_sweep",
     "phi_bound", "piece3_truncation", "tail_bound_gamma3",
     "threshold_vacuous", "triple_sum_bruteforce", "triple_threshold",
     "ConfigError", "RunConfig", "parse_config",

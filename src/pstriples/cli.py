@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -73,6 +74,8 @@ def _grid(pattern: str, name: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"{name} must be lo:hi:n, got {pattern!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name}: ends must be finite, got {pattern!r}")
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"{name}: need at least one point, got {n}")

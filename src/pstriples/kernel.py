@@ -15,11 +15,14 @@ sides differ only by quadrature error.  On the ramp theta(y) =
 F1((eps - |y|)/2b), F1 the Irwin-Hall CDF of order k (a sum of k
 uniforms on [-b, b] is 2b(U - k/2)): an integrated cardinal B-spline,
 of degree k on each unit interval (de Boor, A Practical Guide to
-Splines, 1978); its antiderivative F2 integrates theta.  Each piece is
-expanded about its midpoint with exact rational coefficients rounded
-once, and evaluated by Horner's rule.  Against mpmath at the double y
-(k in {1, 2, 9, 11, 13, 20, 64}, eps in {0.05, 0.37, 2}): theta within
-6.4e-16, its antiderivative within 1.4e-16 * 2a; the tests hold 1e-15.
+Splines, 1978); its antiderivatives F2 and F4 integrate theta once and
+three times.  Each piece is expanded about its midpoint with exact
+rational coefficients rounded once, and evaluated by Horner's rule.
+Against mpmath at the double y (k in {1, 2, 9, 11, 13, 20, 64}, eps in
+{0.05, 0.37, 2}): theta within 6.4e-16, its antiderivative within
+1.4e-16 * 2a; the third antiderivative G3 within 3.1e-16 of G3(y) +
+G3(-y) (k in {1, 2, 9, 11, 13, 64}, eps in {0.05, 2}); the tests hold
+1e-15.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class SmoothingKernel:
 
 def make_kernel(epsilon: float, k: int) -> SmoothingKernel:
     """The kernel of width epsilon and smoothness k (1 <= k <= 64): only
-    its geometry; the polynomial tables of theta and its antiderivative
+    its geometry; the polynomial tables of theta and its antiderivatives
     are built on first use, once per k."""
     if not epsilon > 0.0 or not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -125,22 +128,45 @@ def theta(kernel: SmoothingKernel, y) -> "float | np.ndarray":
     return _scalar_or_array(y, out)
 
 
-def theta_antiderivative(kernel: SmoothingKernel, y) -> "float | np.ndarray":
-    """The integral of theta over (-inf, y]: 0 for y <= -eps, exactly 2a
-    = 7eps/4 for y >= eps.  For y <= 0 it is 2b F2((eps + y)/2b), since
-    2b F2((y - a + kb)/2b), the other term of the box convolution,
-    vanishes there (a + kb = eps); F2(z) = z - k/2 for z >= k.  For y > 0
-    evenness gives 2a minus the value at -y."""
+def _antiderivatives(
+    kernel: SmoothingKernel, y
+) -> "tuple[float | np.ndarray, float | np.ndarray]":
+    """theta's first and third antiderivatives G1 and G3 at y, each the
+    integral over (-inf, y] of the one before (G2 between them).
+
+    For y <= 0 they are 2b F2(z) and (2b)^3 F4(z), z = (eps + y)/2b,
+    since 2b F_m((y - a + kb)/2b), the other term of the box
+    convolution, vanishes there (a + kb = eps).  Past the spline's
+    support, z >= k, the centred closed forms F2(z) = w and F4(z) =
+    (w^3 + k w/4)/6, w = z - k/2, replace the truncated-power sum, which
+    cancels catastrophically there.  For y > 0 evenness gives G1(y) =
+    2a - G1(-y) and G3(y) = a y^2 + a(a^2 + k b^2)/3 - G3(-y), the
+    constant being half theta's second moment."""
     y_arr = np.asarray(y, dtype=np.float64)
     mag = np.abs(y_arr)
-    low = np.zeros(mag.shape)
+    a, b, k = kernel.a, kernel.b, kernel.k
+    low1 = np.zeros(mag.shape)
+    low3 = np.zeros(mag.shape)
     inside = mag < kernel.support
-    z = (kernel.epsilon - mag[inside]) / (2.0 * kernel.b)
-    f = z - 0.5 * kernel.k
-    ramp = z < kernel.k
-    f[ramp] = _spline(kernel.k, 2, z[ramp])
-    low[inside] = (2.0 * kernel.b) * f
-    return _scalar_or_array(y, np.where(y_arr <= 0.0, low, 2.0 * kernel.a - low))
+    z = (kernel.epsilon - mag[inside]) / (2.0 * b)
+    f2 = z - 0.5 * k
+    f4 = (f2 * f2 + 0.25 * k) * f2 / 6.0
+    ramp = z < k
+    f2[ramp] = _spline(k, 2, z[ramp])
+    f4[ramp] = _spline(k, 4, z[ramp])
+    low1[inside] = (2.0 * b) * f2
+    low3[inside] = (2.0 * b) ** 3 * f4
+    upper = y_arr > 0.0
+    g1 = np.where(upper, 2.0 * a - low1, low1)
+    even = a * y_arr * y_arr + a * (a * a + k * b * b) / 3.0
+    g3 = np.where(upper, even - low3, low3)
+    return _scalar_or_array(y, g1), _scalar_or_array(y, g3)
+
+
+def theta_antiderivative(kernel: SmoothingKernel, y) -> "float | np.ndarray":
+    """The integral of theta over (-inf, y]: 0 for y <= -eps, exactly 2a
+    = 7eps/4 for y >= eps (_antiderivatives)."""
+    return _antiderivatives(kernel, y)[0]
 
 
 def _sinc(c: float, x: np.ndarray) -> np.ndarray:

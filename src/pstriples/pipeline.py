@@ -413,7 +413,6 @@ def decomp_values(res) -> "dict[str, object]":
         "scale_ratio": res.scale_ratio,
         "j_integral": res.j_integral,
         "box_integral": res.box.value,
-        "box_converged": res.box.converged,
         "box_feasible": res.box.feasible,
         "box_ratio_eps_x2": res.box.ratio_eps_x2,
         "phi_bound": res.phi.value,

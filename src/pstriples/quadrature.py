@@ -6,8 +6,8 @@ Building blocks:
   doubling until two refinements agree to a relative tolerance.  Used for
   the remainder envelope of `triplesum.phi_bound` and other smooth,
   non-oscillatory integrands.  The panel cap (_MAX_PANELS) is a hard
-  error, not a silent truncation.  (The L2 integrals and the box
-  integral run their own doubling loops.)
+  error, not a silent truncation.  (The L2 integrals run their own
+  doubling loop; the box integral is in closed form.)
 
 * `euler_maclaurin`: the trapezoid sum T_h of a g band-limited to
   |f| <= f_max, f_max h < 1, misses its integral over [a, b] by exactly

@@ -14,11 +14,12 @@ sorted meet-in-the-middle sweep; the three band integrals and the
 main-term integral J by one band walker (_band_quadrature): the
 trapezoid rule at f_max h <= 1/2 on the band-limited integrand minus
 its Euler-Maclaurin endpoint series, with an error bar per band; the
-main-term box integral and its remainder majorant, the far-tail bounds
-and the middle-band majorant chain.  Band grids are walked in fixed
-chunks whose partial sums are added exactly rounded (math.fsum), and a
-band's exponential sums come from one evaluator plan per coefficient
-(expsums.ps_sum_plan), so totals are deterministic.
+main-term box integral, exact as a signed sum of theta's third
+antiderivative over the cube's corners, and its remainder majorant; the
+far-tail bounds and the middle-band majorant chain.  Band grids are
+walked in fixed chunks whose partial sums are added exactly rounded
+(math.fsum), and a band's exponential sums come from one evaluator plan
+per coefficient (expsums.ps_sum_plan), so totals are deterministic.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -27,6 +28,7 @@ identity closes only with that factor present on the direct side.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +37,10 @@ import numpy as np
 from .kernel import (
     GridTransform,
     SmoothingKernel,
+    _antiderivatives,
     make_kernel,
     sinc_series,
     theta,
-    theta_antiderivative,
     theta_transform,
     transform_bound,
     transform_series,
@@ -76,7 +78,6 @@ __all__ = [
     "find_triples",
     "triple_threshold",
     "threshold_vacuous",
-    "gamma_piece",
     "band_frequency",
     "piece_quadrature",
     "check_band_grids",
@@ -104,12 +105,7 @@ _BLOCK = 1 << 14
 _BAND_FH = 0.5
 _EM_TERMS = 20
 
-# Main-term quadrature settings: box_integral_B doubles its Simpson
-# panels from _BOX_PANELS until two totals agree to _BOX_REL_TOL (at most
-# _BOX_MAX_PANELS); phi_bound integrates its envelope to _PHI_REL_TOL.
-_BOX_REL_TOL = 1e-5
-_BOX_PANELS = 64
-_BOX_MAX_PANELS = 4096
+# phi_bound integrates its envelope to _PHI_REL_TOL.
 _PHI_REL_TOL = 1e-7
 
 # Hard cap on band grid sizes; beyond this the quadrature is declared
@@ -191,6 +187,22 @@ def _matched_sweep(
     return total, int(forms.size), triples
 
 
+def _check_count_inputs(
+    params: RunParameters, kernel: SmoothingKernel, pset: PSPrimeSet,
+    eps_search: float,
+) -> None:
+    """The checks both triple counts make: the window set, a positive
+    search width, and a kernel of that width (the weights live on it)."""
+    check_window_set(params, pset)
+    if not eps_search > 0.0:
+        raise ParameterError(f"eps_search must be positive, got {eps_search}")
+    if not math.isclose(kernel.epsilon, eps_search, rel_tol=1e-12):
+        raise ParameterError(
+            f"kernel width {kernel.epsilon!r} does not match "
+            f"search width {eps_search!r}"
+        )
+
+
 def big_gamma_direct(
     params: RunParameters,
     coeffs: Coefficients,
@@ -207,14 +219,7 @@ def big_gamma_direct(
     within rounding of the search width may count or not depending on
     association order, but carries zero weight either way.
     """
-    check_window_set(params, pset)
-    if not eps_search > 0.0:
-        raise ParameterError(f"eps_search must be positive, got {eps_search}")
-    if not math.isclose(kernel.epsilon, eps_search, rel_tol=1e-12):
-        raise ParameterError(
-            f"kernel width {kernel.epsilon!r} does not match "
-            f"search width {eps_search!r}"
-        )
+    _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
     value, found, _ = _matched_sweep(coeffs, kernel, pset, eps_search, False)
@@ -229,9 +234,7 @@ def triple_sum_bruteforce(
     eps_search: float,
 ) -> TripleSumResult:
     """Cubic reference enumeration; oracle for the sweep on small sets."""
-    check_window_set(params, pset)
-    if not eps_search > 0.0:
-        raise ParameterError(f"eps_search must be positive, got {eps_search}")
+    _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
     if pset.count > _BRUTE_LIMIT:
@@ -606,15 +609,6 @@ def piece_quadrature(
                           2.0 * band.error + omitted, band.n_points, band.spacing)
 
 
-def gamma_piece(
-    piece: int, params: RunParameters, coeffs: Coefficients,
-    kernel: SmoothingKernel, pset: PSPrimeSet,
-) -> complex:
-    """The value of piece_quadrature: one band of the transform-side
-    integral, as a complex number."""
-    return piece_quadrature(piece, params, coeffs, kernel, pset).value
-
-
 @dataclass(frozen=True)
 class MiddleBand:
     """One-sided sweep of [Delta, H] with its byproduct statistics.
@@ -770,72 +764,37 @@ class BoxIntegral:
     value: float
     feasible: bool
     ratio_eps_x2: float
-    panels: int
-    converged: bool
 
 
 def box_integral_B(
     params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
 ) -> BoxIntegral:
-    """Main term: theta(form) integrated over the cube (lambda0*X, X]^3.
+    """Main term: gamma^3 times theta(form) integrated over the cube
+    (lambda0*X, X]^3, in closed form.
 
-    For fixed (y1, y2) the inner integral is the theta antiderivative
-    evaluated across an interval of length |l3| * (1 - lambda0) * X and
-    divided by |l3|; the antiderivative is exact (theta_antiderivative),
-    so only the outer double integral needs composite Simpson, doubled
-    from _BOX_PANELS panels until two totals agree to _BOX_REL_TOL (at
-    most _BOX_MAX_PANELS; converged reports which).  Infeasible
-    instances return zero with the flag down.
+    Integrating along each axis in turn, the cube integral is the
+    signed sum over the 8 corners c of G3(l . c + eta) / (l1 l2 l3),
+    G3 theta's third antiderivative (exact, kernel._antiderivatives),
+    the sign -1 per coordinate at the lower edge; the corners are added
+    exactly rounded (math.fsum).  Infeasible instances return zero with
+    the flag down.
     """
     feasible = feasible_box_check(
         coeffs, params.lambda0, params.X, kernel.epsilon
     )
     if not feasible:
-        return BoxIntegral(0.0, False, 0.0, 0, True)
+        return BoxIntegral(0.0, False, 0.0)
     lam1, lam2, lam3 = coeffs.lambdas
     x = params.X
-    lo_edge = params.lambda0 * x
-    shift_a = lam3 * x
-    shift_b = lam3 * lo_edge
-
-    def outer(n_panels: int) -> float:
-        nodes = np.linspace(lo_edge, x, n_panels + 1)
-        h = (x - lo_edge) / n_panels
-        w1d = np.ones(n_panels + 1)
-        w1d[1:-1:2] = 4.0
-        w1d[2:-1:2] = 2.0
-        w1d *= h / 3.0
-        total = 0.0
-        block = max(1, (1 << 22) // (n_panels + 1))
-        base_cols = lam2 * nodes + coeffs.eta
-        for s in range(0, n_panels + 1, block):
-            rows = nodes[s : s + block]
-            base = lam1 * rows[:, None] + base_cols[None, :]
-            ua = base + shift_a
-            ub = base + shift_b
-            hi = np.maximum(ua, ub)
-            lo = np.minimum(ua, ub)
-            inner = theta_antiderivative(kernel, hi)
-            inner -= theta_antiderivative(kernel, lo)
-            inner /= abs(lam3)
-            total += float(np.dot(w1d[s : s + block], inner @ w1d))
-        return total
-
-    panels = _BOX_PANELS
-    prev = outer(panels)
-    converged = False
-    while panels < _BOX_MAX_PANELS:
-        panels *= 2
-        cur = outer(panels)
-        if abs(cur - prev) <= _BOX_REL_TOL * max(abs(cur), 1e-300):
-            prev = cur
-            converged = True
-            break
-        prev = cur
-    g = params.gamma.value
-    value = g**3 * prev
+    edges = (x, params.lambda0 * x)
+    corners = list(itertools.product((0, 1), repeat=3))
+    forms = np.array([lam1 * edges[i] + lam2 * edges[j] + lam3 * edges[l]
+                      + coeffs.eta for i, j, l in corners])
+    g3 = _antiderivatives(kernel, forms)[1].tolist()
+    total = math.fsum((-1.0) ** sum(c) * v for c, v in zip(corners, g3))
+    value = params.gamma.value**3 * total / (lam1 * lam2 * lam3)
     ratio = value / (kernel.epsilon * x * x)
-    return BoxIntegral(value, True, ratio, panels, converged)
+    return BoxIntegral(value, True, ratio)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from pstriples.triplesum import (
     big_gamma_direct,
     decompose,
     find_triples,
-    gamma_piece,
+    piece_quadrature,
     tail_bound_gamma3,
     threshold_vacuous,
     triple_sum_bruteforce,
@@ -311,7 +311,7 @@ def test_criterion_11_tail_bound_dominates(inst_a, inst_b):
         if params.q0 == 70 and res_a is not None:
             piece3 = abs(res_a.gamma3)
         else:
-            piece3 = abs(gamma_piece(3, params, COEFFS, kern, pset))
+            piece3 = abs(piece_quadrature(3, params, COEFFS, kern, pset).value)
         bound = tail_bound_gamma3(params, kern)
         checks.append(piece3 <= bound.value)
         details.append(f"q0={params.q0}: |piece3| {piece3:.3g} "

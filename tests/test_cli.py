@@ -106,6 +106,25 @@ def test_sums_alpha_grid(tmp_path, capsys):
     assert abs(alpha0[2]) <= 1e-12 * alpha0[1]
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
+def test_sums_rejects_non_finite_grid_end(tmp_path, capsys, grid):
+    dest = tmp_path / "sums.csv"
+    assert main(["sums", "--kind", "S", "--alpha-grid", grid,
+                 "--q0", "12", "--gamma", "0.9", "--eps-user", "1",
+                 "--out", str(dest)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("grid", ["0.01:inf:3", "nan:1:3"])
+def test_dichotomy_rejects_non_finite_grid_end(tmp_path, capsys, grid):
+    dest = tmp_path / "dich.csv"
+    assert main(["dichotomy", "--config", DEMO,
+                 "--t-grid", grid, "--out", str(dest)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 def test_cf_lists_sqrt2_ladder(capsys):
     assert main(["cf", "--x", repr(math.sqrt(2.0)), "--terms", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pstriples.kernel import (
     GridTransform,
+    _antiderivatives,
     invert_transform,
     make_kernel,
     sinc_series,
@@ -60,6 +61,49 @@ def antiderivative_reference(y, eps, k):
         a, b = 7 * eps / 8, eps / (8 * k)
         return 2 * b * (irwin_hall((y + a + k * b) / (2 * b), k, 2)
                         - irwin_hall((y - a + k * b) / (2 * b), k, 2))
+
+
+def third_antiderivative_reference(y, eps, k):
+    """(2b)^3 (F4(zhi) - F4(zlo)), each F4 by the whole truncated-power
+    sum (no closed form past z = k), with the working precision raised
+    by the digits that sum cancels (its terms reach 2^k z^n)."""
+    def f4(z):
+        n = k + 3
+        if z <= 0:
+            return mp.mpf(0)
+        cancelled = int(k * math.log10(2) + n * math.log10(max(z, 2))) + 1
+        with mp.workdps(REF_DPS + cancelled):
+            s = mp.fsum((-1) ** j * mp.binomial(k, j) * (z - j) ** n
+                        for j in range(min(k, int(mp.floor(z))) + 1))
+            return +(s / mp.factorial(n))
+
+    with mp.workdps(REF_DPS):
+        eps, y = mp.mpf(eps), mp.mpf(y)
+        a, b = 7 * eps / 8, eps / (8 * k)
+        return (2 * b) ** 3 * (f4((y + a + k * b) / (2 * b))
+                               - f4((y - a + k * b) / (2 * b)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 11, 13, 64])
+@pytest.mark.parametrize("eps", [0.05, 2.0])
+def test_third_antiderivative_matches_mpmath(eps, k):
+    # within THETA_TOL of a y^2 + a(a^2 + k b^2)/3 = G3(y) + G3(-y),
+    # the scale of the box integral's corner values; measured 3.1e-16
+    ker = make_kernel(eps, k)
+    a, b = ker.a, ker.b
+    rng = np.random.default_rng(1000 * k + int(100 * eps))
+    ys = np.concatenate([
+        rng.uniform(0.74 * eps, 1.01 * eps, 60),     # ramp
+        -rng.uniform(0.74 * eps, 1.01 * eps, 30),
+        rng.uniform(-1.02 * eps, 1.02 * eps, 30),    # everywhere
+        [0.0, 0.75 * eps, -eps, eps, 3 * eps, -3 * eps],
+    ])
+    got = _antiderivatives(ker, ys)[1]
+    for y, g in zip(ys.tolist(), got.tolist()):
+        scale = a * y * y + a * (a * a + k * b * b) / 3.0
+        assert abs(g - third_antiderivative_reference(y, eps, k)) <= (
+            THETA_TOL * scale), (y, g)
+    assert _antiderivatives(ker, float(ys[0]))[1] == got[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 11, 13, 64])

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from pstriples import expsums, triplesum
 from pstriples.expsums import l2_integral, ps_exp_sum
-from pstriples.kernel import make_kernel, theta, theta_transform, transform_bound
+from pstriples.kernel import (
+    make_kernel, theta, theta_antiderivative, theta_transform, transform_bound,
+)
 from pstriples.params import Coefficients, ParameterError, RunParameters
 from pstriples.primes import sieve_primes, ps_primes_in
 from pstriples.triplesum import (
@@ -19,11 +21,11 @@ from pstriples.triplesum import (
     far_tail_majorant,
     find_triples,
     gamma2_majorant,
-    gamma_piece,
     integral_J,
     middle_band_sweep,
     phi_bound,
     piece3_truncation,
+    piece_quadrature,
     tail_bound_gamma3,
     threshold_vacuous,
     triple_sum_bruteforce,
@@ -125,6 +127,16 @@ def test_sweep_equals_bruteforce_property(eps, eta):
     # of the search width (theta vanishes there, so totals still agree);
     # the weighted total is the contract
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
+
+
+def test_bruteforce_rejects_width_mismatch():
+    # the cubic oracle checks its kernel's width as the sweep does
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, 1.0, -2.0, 0.0)
+    kern = make_kernel(2.0, 3)
+    for count in (big_gamma_direct, triple_sum_bruteforce):
+        with pytest.raises(ParameterError, match="search width"):
+            count(params, c, kern, pset, 1.0)
 
 
 def test_empty_set_flagged():
@@ -358,11 +370,11 @@ def test_gamma_piece_matches_decompose():
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = _kernel_for(params)
     res = decompose(params, c, pset, kernel=kern)
-    assert gamma_piece(1, params, c, kern, pset) == res.gamma1
-    assert gamma_piece(2, params, c, kern, pset) == res.gamma2
-    assert gamma_piece(3, params, c, kern, pset) == res.gamma3
+    assert piece_quadrature(1, params, c, kern, pset).value == res.gamma1
+    assert piece_quadrature(2, params, c, kern, pset).value == res.gamma2
+    assert piece_quadrature(3, params, c, kern, pset).value == res.gamma3
     with pytest.raises(ParameterError, match="piece"):
-        gamma_piece(4, params, c, kern, pset)
+        piece_quadrature(4, params, c, kern, pset)
 
 
 def test_decompose_deterministic():
@@ -557,7 +569,7 @@ def test_main_band_interval_integral_comparisons():
     j = integral_J(params, c, kern)
     box = box_integral_B(params, c, kern)
     phi = phi_bound(params, kern, c)
-    assert box.feasible and box.converged
+    assert box.feasible
     assert j > 0.0 and box.value > 0.0
     assert abs(j - box.value) <= phi.value
 
@@ -603,13 +615,48 @@ def test_box_integral_monte_carlo_oracle():
     assert abs(box.value - mc) <= 3.0 * sigma
 
 
+def _simpson_box(params, c, kern, panels):
+    """gamma^3 times the cube integral of theta(form): the inner axis by
+    the exact antiderivative, the outer two by composite Simpson."""
+    lam1, lam2, lam3 = c.lambdas
+    lo, hi = params.lambda0 * params.X, params.X
+    nodes = np.linspace(lo, hi, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (hi - lo) / (3.0 * panels)
+    total = 0.0
+    for rows in np.array_split(np.arange(panels + 1), 16):
+        base = lam1 * nodes[rows, None] + (lam2 * nodes + c.eta)[None, :]
+        ends = np.sort(np.stack([base + lam3 * lo, base + lam3 * hi]), axis=0)
+        inner = (theta_antiderivative(kern, ends[1])
+                 - theta_antiderivative(kern, ends[0]))
+        total += float(w[rows] @ inner @ w)
+    return params.gamma.value ** 3 * total / abs(lam3)
+
+
+@pytest.mark.parametrize("q0, eps, c", [
+    (8, 1.0, Coefficients(1.0, 1.0, -2.0, 0.0)),
+    (12, 2.0, Coefficients(1.0, SQRT2, -2.0, 0.3)),
+])
+def test_box_integral_matches_fine_simpson(q0, eps, c):
+    # the closed-form corner sum against a 4096-panel Simpson rule over
+    # the outer two axes (measured within 1.5e-14)
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
+    kern = _kernel_for(params)
+    box = box_integral_B(params, c, kern)
+    assert box.feasible
+    assert box.value == pytest.approx(_simpson_box(params, c, kern, 4096),
+                                      rel=1e-12, abs=0)
+    assert box.ratio_eps_x2 == box.value / (kern.epsilon * params.X ** 2)
+
+
 def test_box_ratio_stable_across_scales():
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     ratios = []
     for q0 in (8, 17, 36):
         params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         box = box_integral_B(params, c, make_kernel(1.0, 4))
-        assert box.converged
         ratios.append(box.ratio_eps_x2)
     assert max(ratios) <= 2.0 * min(ratios)
 
@@ -619,7 +666,7 @@ def test_box_infeasible_is_zero():
     c = Coefficients(1.0, 1.0, -2.0, 1.0e6)
     box = box_integral_B(params, c, make_kernel(1.0, 4))
     assert not box.feasible
-    assert box.value == 0.0 and box.converged
+    assert box.value == 0.0
 
 
 def test_box_mass_bound():
@@ -689,7 +736,7 @@ def test_far_tail_majorant_covers_truncated_band():
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = _kernel_for(params)
-    g3 = gamma_piece(3, params, c, kern, pset)
+    g3 = piece_quadrature(3, params, c, kern, pset).value
     env = far_tail_majorant(params, c, kern, pset)
     assert abs(g3) > 0.0
     assert abs(g3) <= env
