@@ -309,8 +309,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Options whose lo:hi:n value may start with a minus sign.
+_GRID_OPTIONS = ("--alpha-grid", "--t-grid")
+
+
+def _attach_grid_values(argv: "list[str]") -> "list[str]":
+    """Join '--alpha-grid -0.5:0.5:3' into '--alpha-grid=-0.5:0.5:3'.
+
+    argparse takes a token that starts with '-' and is not a plain
+    number for an option, so a grid with a negative lower end would
+    lose its value.  Only a following token that starts with '-' and
+    holds a ':' is joined; any other is left for argparse to judge."""
+    out: "list[str]" = []
+    for tok in argv:
+        joins = out and out[-1] in _GRID_OPTIONS
+        if joins and tok.startswith("-") and ":" in tok:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_grid_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

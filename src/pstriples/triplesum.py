@@ -114,6 +114,11 @@ _MAX_BAND_POINTS = 1 << 31
 
 _BRUTE_LIMIT = 512
 
+# The direct sweep takes (p1, p2) pairs in blocks of about _SWEEP_PAIRS,
+# one search and one theta call per block; the block size bounds its
+# working memory and moves no result bit.
+_SWEEP_PAIRS = 1 << 14
+
 
 def _full_weights(pset: PSPrimeSet) -> np.ndarray:
     # p^(1-gamma) * log p, the per-prime factor of the triple weight
@@ -145,46 +150,57 @@ def _matched_sweep(
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
     eps_search: float,
-    collect: bool,
 ):
     """Meet-in-the-middle sweep over sorted l3*p3 values.
 
-    For each p1 the admissible p3 of every p2 lie in an interval of the
-    sorted array, found by two binary searches; one row's intervals are
-    expanded into index arrays and weighted by one theta call.  The open
-    window |form| < eps exactly matches the kernel support, on whose
-    boundary theta vanishes, so no weight is lost at the edges.  Returns
-    the exactly rounded (math.fsum) weighted total, the window
-    population, and (with collect) the matched triples as arrays p1, p2,
-    p3, form, weight.
+    For each pair (p1, p2) the admissible p3 lie in an interval of the
+    sorted array.  The pairs are taken in blocks of whole p1 rows, about
+    _SWEEP_PAIRS pairs to a block, so the working arrays stay small
+    however large the window is.  A block makes one binary search for
+    the lower ends.  Most pairs match at most one p3, so the upper ends
+    come from two probes past the lower end into the array with +inf
+    appended: one step if the first entry lies inside the window, and
+    an exact binary search only for the pairs whose second entry does
+    too.  The intervals are expanded into index arrays and weighted by
+    one theta call per block.  The open window |form| < eps exactly
+    matches the kernel support, on whose boundary theta vanishes, so no
+    weight is lost at the edges.  Returns the matched triples as arrays
+    p1, p2, p3, form, weight, in order of p1, p2 and then l3*p3.
     """
     lam1, lam2, lam3 = coeffs.lambdas
     p_int = pset.primes
     p = p_int.astype(np.float64)
+    n = p.size
     w = _full_weights(pset)
     z3 = lam3 * p
     order = np.argsort(z3, kind="stable")
     z3s = z3[order]
+    z3x = np.append(z3s, np.inf)    # sentinel: a probe past the end misses
     w3s = w[order]
+    p3s = p_int[order]
+    rows = max(1, _SWEEP_PAIRS // n)
 
     parts = []
-    for i in range(p.size):
-        targets = (lam1 * p[i] + coeffs.eta) + lam2 * p
+    for s in range(0, n, rows):
+        # forms associate as ((l1*p1 + eta) + l2*p2) + l3*p3, one float
+        # per triple whatever the block size
+        block = lam1 * p[s:s + rows, None] + coeffs.eta
+        targets = (block + lam2 * p).ravel()
+        upper = -targets + eps_search
         lo = np.searchsorted(z3s, -targets - eps_search, side="right")
-        hi = np.searchsorted(z3s, -targets + eps_search, side="left")
-        counts = np.maximum(hi - lo, 0)
-        j = np.repeat(np.arange(p.size), counts)
+        hi = lo + (z3x[lo] < upper)
+        many = np.flatnonzero(z3x[hi] < upper)
+        hi[many] = np.searchsorted(z3s, upper[many], side="left")
+        counts = hi - lo
+        pair = np.repeat(np.arange(counts.size), counts)
         starts = np.cumsum(counts) - counts
-        k = lo[j] + np.arange(j.size) - starts[j]
-        forms = targets[j] + z3s[k]
+        k = lo[pair] + np.arange(pair.size) - starts[pair]
+        forms = targets[pair] + z3s[k]
+        i, j = np.divmod(pair, n)
+        i += s
         weights = (w[i] * w[j]) * (w3s[k] * theta(kernel, forms))
-        parts.append((np.full(j.size, i), j, k, forms, weights))
-    i1, i2, k3, forms, weights = (np.concatenate(c) for c in zip(*parts))
-    total = math.fsum(weights.tolist())
-    triples = None
-    if collect:
-        triples = (p_int[i1], p_int[i2], p_int[order][k3], forms, weights)
-    return total, int(forms.size), triples
+        parts.append((p_int[i], p_int[j], p3s[k], forms, weights))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def _check_count_inputs(
@@ -222,8 +238,10 @@ def big_gamma_direct(
     _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
-    value, found, _ = _matched_sweep(coeffs, kernel, pset, eps_search, False)
-    return TripleSumResult(value, found, False)
+    *_, weights = _matched_sweep(coeffs, kernel, pset, eps_search)
+    return TripleSumResult(
+        math.fsum(weights.tolist()), int(weights.size), False
+    )
 
 
 def triple_sum_bruteforce(
@@ -285,6 +303,12 @@ def find_triples(
 ) -> list[TripleRecord]:
     """Explicit triples with |form| < eps_search, nearest-to-zero first.
 
+    The matches of the blocked sweep (_matched_sweep) are ordered by
+    |form|, then p1, p2, p3.  Only the nearest are sorted: a partition
+    finds the max_results-th smallest |form|, every match at or under
+    it is kept, ties included, and only the kept matches are lexsorted,
+    which emits the order a full sort would.
+
     Each emitted record is re-verified from scratch: both floor-power
     membership checks and the form evaluation are redone outside the
     sweep.  Sets with fewer than three primes are degenerate and yield
@@ -299,10 +323,16 @@ def find_triples(
     if pset.count < 3:
         return []
     kern = make_kernel(eps_search, params.kernel_k)
-    _, _, (p1s, p2s, p3s, forms, weights) = _matched_sweep(
-        coeffs, kern, pset, eps_search, True
+    p1s, p2s, p3s, forms, weights = _matched_sweep(
+        coeffs, kern, pset, eps_search
     )
-    top = np.lexsort((p3s, p2s, p1s, np.abs(forms)))[:max_results]
+    mags = np.abs(forms)
+    keep = np.arange(mags.size)
+    if mags.size > max_results:
+        cut = np.partition(mags, max_results - 1)[max_results - 1]
+        keep = np.flatnonzero(mags <= cut)
+    order = np.lexsort((p3s[keep], p2s[keep], p1s[keep], mags[keep]))
+    top = keep[order[:max_results]]
     gamma = params.gamma.value
     lam1, lam2, lam3 = coeffs.lambdas
     # Recomputing the form associates the additions differently from the

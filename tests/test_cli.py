@@ -125,6 +125,24 @@ def test_dichotomy_rejects_non_finite_grid_end(tmp_path, capsys, grid):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sums", "--kind", "S", "--q0", "12", "--gamma", "0.9", "--eps-user", "1",
+     "--alpha-grid"],
+    ["dichotomy", "--config", DEMO, "--t-grid"],
+], ids=["alpha-grid", "t-grid"])
+def test_negative_grid_start_parses_space_separated(tmp_path, capsys, argv):
+    # a lo:hi:n value starting with '-' reads the same after a space as
+    # after '='
+    grid = "-10:-0.1:4" if argv[0] == "dichotomy" else "-0.5:0.5:3"
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(argv + [grid, "--out", str(spaced)]) == 0
+    assert "expected one argument" not in capsys.readouterr().err
+    argv = argv[:-1] + [f"{argv[-1]}={grid}"]
+    assert main(argv + ["--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert len(spaced.read_text().splitlines()) == 1 + int(grid.split(":")[2])
+
+
 def test_cf_lists_sqrt2_ladder(capsys):
     assert main(["cf", "--x", repr(math.sqrt(2.0)), "--terms", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()

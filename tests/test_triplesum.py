@@ -112,6 +112,56 @@ def test_sweep_equals_bruteforce(q0, coeffs, eps):
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
 
 
+def _per_row_sweep(coeffs, kern, pset, eps):
+    """One p1 row at a time, one (p1, p2) pair at a time: the matched
+    triples in the sweep's order and association, and the most p3 any
+    pair matched."""
+    l1, l2, l3 = coeffs.lambdas
+    p = pset.primes.astype(np.float64)
+    w = pset.weight_w * pset.weight_log
+    z3 = l3 * p
+    order = np.argsort(z3, kind="stable")
+    z3s = z3[order]
+    ijk, forms = [], []
+    most = 0
+    for i in range(p.size):
+        targets = (l1 * p[i] + coeffs.eta) + l2 * p
+        lo = np.searchsorted(z3s, -targets - eps, side="right")
+        hi = np.searchsorted(z3s, -targets + eps, side="left")
+        for j in range(p.size):
+            most = max(most, hi[j] - lo[j])
+            for k in range(lo[j], hi[j]):
+                ijk.append((i, j, order[k]))
+                forms.append(targets[j] + z3s[k])
+    i, j, k = np.array(ijk, dtype=np.intp).reshape(-1, 3).T
+    forms = np.array(forms, dtype=np.float64)
+    weights = (w[i] * w[j]) * (w[k] * theta(kern, forms))
+    primes = pset.primes
+    return [primes[i], primes[j], primes[k], forms, weights], most
+
+
+@pytest.mark.parametrize("eps,most", [(0.01, (0, 1)), (2.0, (1, 1)),
+                                      (37.0, (2, None))])
+def test_sweep_independent_of_block_size(monkeypatch, eps, most):
+    # 202 primes: every budget runs several blocks, the default three;
+    # width 0.01 matches few pairs, 2 at most one p3 a pair (the l3*p3
+    # lie 4 or more apart), 37 several, through the exact upper search
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    assert pset.count == 202
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    kern = make_kernel(eps, 4)
+    want, seen = _per_row_sweep(c, kern, pset, eps)
+    assert most[0] <= seen and (most[1] is None or seen <= most[1])
+    for pairs in (1, 7, 1000, triplesum._SWEEP_PAIRS):
+        monkeypatch.setattr(triplesum, "_SWEEP_PAIRS", pairs)
+        got = triplesum._matched_sweep(c, kern, pset, eps)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        res = big_gamma_direct(params, c, kern, pset, eps)
+        assert res.triples_found == want[3].size
+        assert res.value == math.fsum(want[4].tolist())
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     eps=st.floats(0.1, 5.0),
@@ -246,6 +296,26 @@ def test_find_triples_equals_bruteforce_order(q0, coeffs, eps):
     assert got == want
     cut = find_triples(params, coeffs, pset, eps, max_results=len(want) // 3)
     assert cut == recs[: len(want) // 3]
+
+
+@pytest.mark.parametrize("max_results", [1, 50, 118, 119, 200, 245, 400])
+def test_find_triples_cut_keeps_ties_at_nonzero_form(max_results):
+    # coefficients (1, 1, -1) and eta 0.5 on odd primes: every |form| is
+    # 0.5 (118 matches) or 1.5 (127); cuts fall on the first match,
+    # inside the 0.5 group, at its end, one past it, inside the 1.5
+    # group, at the last match and past it
+    params, pset = _instance(30, 0.9, 0.3, 2.0)
+    c = Coefficients(1.0, 1.0, -1.0, 0.5)
+    p1, p2, p3, forms, weights = triplesum._matched_sweep(
+        c, make_kernel(2.0, params.kernel_k), pset, 2.0
+    )
+    mags, sizes = np.unique(np.abs(forms), return_counts=True)
+    assert mags.tolist() == [0.5, 1.5] and sizes.tolist() == [118, 127]
+    top = np.lexsort((p3, p2, p1, np.abs(forms)))[:max_results]
+    want = list(zip(*(a[top].tolist() for a in (p1, p2, p3, forms, weights))))
+    recs = find_triples(params, c, pset, 2.0, max_results=max_results)
+    got = [(r.p1, r.p2, r.p3, r.form_value, r.weight) for r in recs]
+    assert got == want
 
 
 def test_triple_threshold_formula():
