@@ -138,6 +138,8 @@ def _json_default(obj):
 def format_value(value: object) -> str:
     """One report cell: ints (bools as 1/0) as ints, strings verbatim,
     everything else as a float at 17 significant digits."""
+    if isinstance(value, float):    # np.float64 too: the common cell
+        return f"{value:.17g}"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

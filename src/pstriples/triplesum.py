@@ -18,8 +18,9 @@ main-term box integral, exact as a signed sum of theta's third
 antiderivative over the cube's corners, and its remainder majorant; the
 far-tail bounds and the middle-band majorant chain.  Band grids are
 walked in fixed chunks whose partial sums are added exactly rounded
-(math.fsum), and a band's exponential sums come from one evaluator plan
-per coefficient (expsums.ps_sum_plan), so totals are deterministic.
+(module summation), and a band's exponential sums come from one
+evaluator plan per coefficient (expsums.ps_sum_plan), so totals are
+deterministic.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -62,6 +63,7 @@ from .quadrature import (
 # boole_weight is not called here (the band walker uses the trapezoid
 # rule); perfbench's tracer wraps the name triplesum.boole_weight.
 from .quadrature import boole_weight  # noqa: F401
+from .summation import exact_parts
 
 __all__ = [
     "TripleRecord",
@@ -164,8 +166,9 @@ def _matched_sweep(
     too.  The intervals are expanded into index arrays and weighted by
     one theta call per block.  The open window |form| < eps exactly
     matches the kernel support, on whose boundary theta vanishes, so no
-    weight is lost at the edges.  Returns the matched triples as arrays
-    p1, p2, p3, form, weight, in order of p1, p2 and then l3*p3.
+    weight is lost at the edges.  Yields each block's matched triples
+    as arrays p1, p2, p3, form, weight, in order of p1, p2 and then
+    l3*p3, so a caller that only sums the weights holds one block.
     """
     lam1, lam2, lam3 = coeffs.lambdas
     p_int = pset.primes
@@ -180,7 +183,6 @@ def _matched_sweep(
     p3s = p_int[order]
     rows = max(1, _SWEEP_PAIRS // n)
 
-    parts = []
     for s in range(0, n, rows):
         # forms associate as ((l1*p1 + eta) + l2*p2) + l3*p3, one float
         # per triple whatever the block size
@@ -199,8 +201,7 @@ def _matched_sweep(
         i, j = np.divmod(pair, n)
         i += s
         weights = (w[i] * w[j]) * (w3s[k] * theta(kernel, forms))
-        parts.append((p_int[i], p_int[j], p3s[k], forms, weights))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+        yield p_int[i], p_int[j], p3s[k], forms, weights
 
 
 def _check_count_inputs(
@@ -229,19 +230,25 @@ def big_gamma_direct(
     """Weighted triple count by meet-in-the-middle over sorted l3*p3.
 
     O(n^2 log n) instead of the cubic triple loop; deterministic, with
-    the per-triple weights summed exactly rounded (math.fsum), so the
-    total does not depend on enumeration order.  The window
-    population triples_found is boundary-sensitive: a form landing
+    the per-triple weights summed exactly rounded (math.fsum of each
+    block's summation.exact_parts), so the total does not depend on
+    enumeration order or block size, and only one block is held.  The
+    window population triples_found is boundary-sensitive: a form landing
     within rounding of the search width may count or not depending on
     association order, but carries zero weight either way.
     """
     _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
-    *_, weights = _matched_sweep(coeffs, kernel, pset, eps_search)
-    return TripleSumResult(
-        math.fsum(weights.tolist()), int(weights.size), False
-    )
+    parts, found = [], 0
+    for *_, weights in _matched_sweep(coeffs, kernel, pset, eps_search):
+        parts.extend(exact_parts(weights))
+        found += weights.size
+        if len(parts) > _SWEEP_PAIRS:
+            # small blocks come back as one float per term: re-extract
+            # so the list stays short
+            parts = exact_parts(np.array(parts))
+    return TripleSumResult(math.fsum(parts), found, False)
 
 
 def triple_sum_bruteforce(
@@ -274,7 +281,7 @@ def triple_sum_bruteforce(
         return TripleSumResult(0.0, 0, False)
     wprod = w[:, None, None] * w[None, :, None] * w[None, None, :]
     vals = wprod[mask] * theta(kernel, forms[mask])
-    return TripleSumResult(math.fsum(vals.tolist()), found, False)
+    return TripleSumResult(math.fsum(exact_parts(vals)), found, False)
 
 
 def triple_threshold(gamma: float, p_max: int) -> float:
@@ -323,8 +330,9 @@ def find_triples(
     if pset.count < 3:
         return []
     kern = make_kernel(eps_search, params.kernel_k)
-    p1s, p2s, p3s, forms, weights = _matched_sweep(
-        coeffs, kern, pset, eps_search
+    p1s, p2s, p3s, forms, weights = (
+        np.concatenate(c)
+        for c in zip(*_matched_sweep(coeffs, kern, pset, eps_search))
     )
     mags = np.abs(forms)
     keep = np.arange(mags.size)
@@ -548,7 +556,7 @@ def _band_quadrature(
             if start + b + n == n_points:
                 partials.append(-0.5 * q[:, n - 1])
         del sums    # freed before the next chunk's sums are built
-    trap = [h * math.fsum(row) for row in np.array(partials).T.tolist()]
+    trap = [h * math.fsum(exact_parts(row)) for row in np.array(partials).T]
 
     terms = 2 * _EM_TERMS
     freq = sum(l * _centre(params) for l in coeffs.lambdas) + eta

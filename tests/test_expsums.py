@@ -25,7 +25,8 @@ from pstriples.expsums import (
 from pstriples.params import RunParameters
 from pstriples.primes import ps_primes_in, sieve_primes
 from pstriples.quadrature import adaptive_simpson
-from pstriples.summation import compensated_sum
+from pstriples import summation
+from pstriples.summation import compensated_sum, exact_parts
 
 TABLE4 = sieve_primes(10**4)
 TABLE6 = sieve_primes(10**6)
@@ -302,6 +303,116 @@ def test_compensated_sum_exactly_rounded_and_order_free():
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(vals.size)
         assert compensated_sum(vals[perm])[0].hex() == total.hex()
+
+
+def _fsum_outcome(f, vals):
+    """f(vals)'s value as hex, or its exception's type and message."""
+    try:
+        return f(vals).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _total(vals):
+    return compensated_sum(vals)[0]
+
+
+def _reference(vals):
+    return math.fsum(vals.tolist())
+
+
+def _exact(vals):
+    return sum(map(Fraction, vals))
+
+
+@st.composite
+def _term_arrays(draw):
+    """Arrays on both sides of the extraction size test, with exponents
+    from the subnormals up to 2^1000, cancelling pairs and ties."""
+    n = draw(st.sampled_from([1, 2, 1023, 1024, 1500, 5000]))
+    lo = draw(st.integers(-1074, 1000))
+    hi = draw(st.integers(lo, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):     # exact cancellations
+        k = n // 2
+        vals[k:2 * k] = -vals[:k]
+    if draw(st.booleans()):     # a half-way tie: 1 + 2^-53 rounds to even
+        vals[0] = draw(st.sampled_from([1.0, 1.0 + 2.0**-52]))
+        vals[-1] = 2.0**-53
+    rng.shuffle(vals)
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_arrays())
+def test_exact_parts_total_exactly_rounded(vals):
+    total = _total(vals)
+    assert total == float(_exact(vals.tolist()))
+    assert total.hex() == _reference(vals).hex()
+    assert _exact(exact_parts(vals)) == _exact(vals.tolist())
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 5000])
+def test_exact_parts_edge_terms(n):
+    # extraction runs from n = 1024 on and returns a few parts; below,
+    # the terms come back as they are
+    rng = np.random.default_rng(n)
+    cases = {
+        "subnormal": rng.integers(-9, 9, n) * 2.0**-1074,
+        "wide": rng.uniform(-1, 1, n) * np.exp2(rng.integers(-1074, 1001, n)),
+        # 512 terms 2^-62 add up to half an ulp of 1: a tie, to even
+        "ties": np.concatenate([[1.0], np.full(512, 2.0**-62),
+                                np.zeros(n - 513)]),
+        "odd tie": np.concatenate([[1.0 + 2.0**-52], np.zeros(n - 2),
+                                   [2.0**-53]]),
+        "cancel": np.concatenate([np.full(n // 2, 2.0**1000),
+                                  np.full(n // 2, -2.0**1000),
+                                  np.full(n % 2, 2.0**-1074)]),
+        "zeros": np.zeros(n),
+        "negative zeros": np.full(n, -0.0),
+        "mixed zeros": np.where(np.arange(n) % 2 == 0, 0.0, -0.0),
+    }
+    for name, vals in cases.items():
+        assert vals.size == n, name
+        parts = exact_parts(vals)
+        assert _exact(parts) == _exact(vals.tolist()), name
+        if n >= summation._EXTRACT_MIN_TERMS and vals.any():
+            assert len(parts) <= 60, name
+        else:
+            assert parts == vals.tolist(), name
+        got, want = _total(vals), _reference(vals)
+        assert got.hex() == want.hex(), name
+    assert _total(cases["ties"]) == 1.0
+    assert _total(cases["odd tie"]) == 1.0 + 2.0**-51
+    assert _total(cases["cancel"]) == (2.0**-1074 if n % 2 else 0.0)
+
+
+@pytest.mark.parametrize("n", [5, 1023, 1024, 5000])
+@pytest.mark.parametrize(
+    "special",
+    [[math.inf], [-math.inf, 1.0], [math.nan], [math.inf, -math.inf],
+     [math.inf, math.nan], [1.7e308, 1.7e308, -1.7e308],
+     [-1.7e308, -1.7e308]],
+)
+def test_exact_parts_special_terms_match_fsum(n, special):
+    # inf, nan, inf - inf and intermediate overflow: the same value or
+    # the same exception as math.fsum of the terms
+    vals = np.concatenate([special, np.linspace(-1.0, 1.0, n - len(special))])
+    want = _fsum_outcome(_reference, vals)
+    assert _fsum_outcome(_total, vals) == want
+    if len(special) > 1 and abs(special[0]) == 1.7e308:
+        assert want[0] is OverflowError
+
+
+def test_extraction_keeps_sum_oracles(monkeypatch):
+    # every sum of the oracle tests, extracted whatever its size
+    monkeypatch.setattr(summation, "_EXTRACT_MIN_TERMS", 1)
+    test_ps_exp_sum_oracle()
+    test_ps_exp_sum_zero_phase()
+    test_identity_residual_small()
+    test_compensated_matches_naive()
+    test_compensated_sum_exactly_rounded_and_order_free()
 
 
 def test_middle_sum_tracks_interval_integral():

@@ -112,6 +112,12 @@ def test_sweep_equals_bruteforce(q0, coeffs, eps):
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
 
 
+def _swept(coeffs, kern, pset, eps):
+    """The blocked sweep's matches, its blocks joined."""
+    blocks = triplesum._matched_sweep(coeffs, kern, pset, eps)
+    return [np.concatenate(c) for c in zip(*blocks)]
+
+
 def _per_row_sweep(coeffs, kern, pset, eps):
     """One p1 row at a time, one (p1, p2) pair at a time: the matched
     triples in the sweep's order and association, and the most p3 any
@@ -152,14 +158,17 @@ def test_sweep_independent_of_block_size(monkeypatch, eps, most):
     kern = make_kernel(eps, 4)
     want, seen = _per_row_sweep(c, kern, pset, eps)
     assert most[0] <= seen and (most[1] is None or seen <= most[1])
+    total = math.fsum(want[4].tolist())
     for pairs in (1, 7, 1000, triplesum._SWEEP_PAIRS):
         monkeypatch.setattr(triplesum, "_SWEEP_PAIRS", pairs)
-        got = triplesum._matched_sweep(c, kern, pset, eps)
+        got = _swept(c, kern, pset, eps)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the direct total streams the blocks' exact parts: every block
+        # must reach it, whatever the budget
         res = big_gamma_direct(params, c, kern, pset, eps)
         assert res.triples_found == want[3].size
-        assert res.value == math.fsum(want[4].tolist())
+        assert res.value.hex() == total.hex()
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,7 +315,7 @@ def test_find_triples_cut_keeps_ties_at_nonzero_form(max_results):
     # group, at the last match and past it
     params, pset = _instance(30, 0.9, 0.3, 2.0)
     c = Coefficients(1.0, 1.0, -1.0, 0.5)
-    p1, p2, p3, forms, weights = triplesum._matched_sweep(
+    p1, p2, p3, forms, weights = _swept(
         c, make_kernel(2.0, params.kernel_k), pset, 2.0
     )
     mags, sizes = np.unique(np.abs(forms), return_counts=True)
