@@ -261,14 +261,14 @@ def decomposition_residual(
     v = np.power(pf + 1.0, g)
     indicator = np.floor(-u) - np.floor(-v)
     psi_diff = sawtooth(-v) - sawtooth(-u)
-    base = np.exp((1.0 - g) * np.log(pf)) * np.log(pf) * phase_factors(alpha, p)
+    log_p = np.log(pf)
+    phases = phase_factors(alpha, p)
+    base = np.exp((1.0 - g) * log_p) * log_p * phases
 
     full, _ = compensated_complex_sum(base * indicator)
     middle_exact, _ = compensated_complex_sum(base * (v - u))
     floor_err, _ = compensated_complex_sum(base * psi_diff)
-    middle_plain, _ = compensated_complex_sum(
-        g * np.log(pf) * phase_factors(alpha, p)
-    )
+    middle_plain, _ = compensated_complex_sum(g * log_p * phases)
     return DecompositionResidual(
         identity_residual=abs(full - middle_exact - floor_err),
         sigma_gap=abs(middle_exact - middle_plain),

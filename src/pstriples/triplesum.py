@@ -117,9 +117,12 @@ _MAX_BAND_POINTS = 1 << 31
 _BRUTE_LIMIT = 512
 
 # The direct sweep takes (p1, p2) pairs in blocks of about _SWEEP_PAIRS,
-# one search and one theta call per block; the block size bounds its
-# working memory and moves no result bit.
+# one search per block; the block size bounds its working memory and
+# moves no result bit.  Its occupancy table over the sorted l3*p3 has at
+# most _CELLS cells between its borders; the filter moves no result bit
+# either.
 _SWEEP_PAIRS = 1 << 14
+_CELLS = 1 << 18
 
 
 def _full_weights(pset: PSPrimeSet) -> np.ndarray:
@@ -147,49 +150,86 @@ class TripleSumResult:
     empty_set: bool
 
 
+def _occupancy(z3s: np.ndarray, width: float, tol: float):
+    """Occupancy table of the sorted l3*p3 for search width `width`.
+
+    Cell c covers [origin + c*cell, origin + (c+1)*cell).  The cells are
+    cell = max(width, span/_CELLS) wide, so at most _CELLS of them cover
+    the span [min - reach, max + reach], reach = width + tol; three more
+    lie below it and two above.  Each l3*p3 marks the cells within reach
+    of it and one guard cell on either side, so a key -(l1*p1 + eta +
+    l2*p2) within width of some l3*p3 lands in a marked cell.  The
+    outermost cells, into which keys past the span are clipped, stay
+    unmarked (the third cell below absorbs the rounding of the lowest
+    guard's index).  Returns the table, origin and 1/cell.
+    """
+    reach = width + tol
+    cell = max(width, (z3s[-1] - z3s[0] + 2.0 * reach) / _CELLS)
+    origin = z3s[0] - reach - 3.0 * cell
+    scale = 1.0 / cell
+    size = int((z3s[-1] + reach - origin) * scale) + 3
+    # each l3*p3 marks cells lo to hi: a few, as cells are >= width wide
+    lo = ((z3s - reach - origin) * scale).astype(np.intp) - 1
+    hi = ((z3s + reach - origin) * scale).astype(np.intp) + 1
+    table = np.zeros(size, dtype=bool)
+    for step in range(int((hi - lo).max()) + 1):
+        table[np.minimum(lo + step, hi)] = True
+    return table, origin, scale
+
+
 def _matched_sweep(
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    pset: PSPrimeSet,
-    eps_search: float,
+    coeffs: Coefficients, pset: PSPrimeSet, eps_search: float, tol: float
 ):
-    """Meet-in-the-middle sweep over sorted l3*p3 values.
+    """Meet-in-the-middle sweep over sorted l3*p3, narrowing on request.
 
     For each pair (p1, p2) the admissible p3 lie in an interval of the
     sorted array.  The pairs are taken in blocks of whole p1 rows, about
     _SWEEP_PAIRS pairs to a block, so the working arrays stay small
-    however large the window is.  A block makes one binary search for
-    the lower ends.  Most pairs match at most one p3, so the upper ends
-    come from two probes past the lower end into the array with +inf
-    appended: one step if the first entry lies inside the window, and
-    an exact binary search only for the pairs whose second entry does
-    too.  The intervals are expanded into index arrays and weighted by
-    one theta call per block.  The open window |form| < eps exactly
-    matches the kernel support, on whose boundary theta vanishes, so no
-    weight is lost at the edges.  Yields each block's matched triples
-    as arrays p1, p2, p3, form, weight, in order of p1, p2 and then
-    l3*p3, so a caller that only sums the weights holds one block.
+    however large the window is.  The search width starts at eps_search;
+    a caller may send() a smaller width, which holds from the next block
+    on.  No caller may widen it.
+
+    A block first maps each key -(l1*p1 + eta + l2*p2) to its cell of
+    the occupancy table (_occupancy), built for a width at least the
+    current one, with the form tolerance tol as margin, and rebuilt
+    whenever the width halves.  Only keys in marked cells go on: one
+    binary search for their lower ends, then, since most pairs match at
+    most one p3, two probes past the lower end into the array with +inf
+    appended for the upper ends (one step if the first entry lies inside
+    the window, an exact binary search only for the pairs whose second
+    entry does too).  The table only drops keys that cannot match, so
+    the matched set, its order and every bit are those of a search over
+    all keys.
+
+    Yields each block's matches as index arrays i, j, k into pset.primes
+    and their forms, in order of p1, p2 and then l3*p3.  The callers
+    gather the primes and weigh the forms with theta themselves: the
+    direct total holds one block at a time, the triple search only the
+    matches it keeps.
     """
     lam1, lam2, lam3 = coeffs.lambdas
-    p_int = pset.primes
-    p = p_int.astype(np.float64)
+    p = pset.primes.astype(np.float64)
     n = p.size
-    w = _full_weights(pset)
     z3 = lam3 * p
     order = np.argsort(z3, kind="stable")
     z3s = z3[order]
     z3x = np.append(z3s, np.inf)    # sentinel: a probe past the end misses
-    w3s = w[order]
-    p3s = p_int[order]
     rows = max(1, _SWEEP_PAIRS // n)
+    width = built = eps_search
+    table, origin, scale = _occupancy(z3s, width, tol)
 
     for s in range(0, n, rows):
         # forms associate as ((l1*p1 + eta) + l2*p2) + l3*p3, one float
         # per triple whatever the block size
         block = lam1 * p[s:s + rows, None] + coeffs.eta
         targets = (block + lam2 * p).ravel()
-        upper = -targets + eps_search
-        lo = np.searchsorted(z3s, -targets - eps_search, side="right")
+        cells = np.subtract(-origin, targets)
+        cells *= scale
+        np.clip(cells, 0, table.size - 1, out=cells)
+        hit = np.flatnonzero(table[cells.astype(np.intp)])
+        t = targets[hit]
+        upper = -t + width
+        lo = np.searchsorted(z3s, -t - width, side="right")
         hi = lo + (z3x[lo] < upper)
         many = np.flatnonzero(z3x[hi] < upper)
         hi[many] = np.searchsorted(z3s, upper[many], side="left")
@@ -197,11 +237,15 @@ def _matched_sweep(
         pair = np.repeat(np.arange(counts.size), counts)
         starts = np.cumsum(counts) - counts
         k = lo[pair] + np.arange(pair.size) - starts[pair]
-        forms = targets[pair] + z3s[k]
-        i, j = np.divmod(pair, n)
+        forms = t[pair] + z3s[k]
+        i, j = np.divmod(hit[pair], n)
         i += s
-        weights = (w[i] * w[j]) * (w3s[k] * theta(kernel, forms))
-        yield p_int[i], p_int[j], p3s[k], forms, weights
+        narrower = yield i, j, order[k], forms
+        if narrower is not None:
+            width = narrower
+            if width <= 0.5 * built:
+                built = width
+                table, origin, scale = _occupancy(z3s, width, tol)
 
 
 def _check_count_inputs(
@@ -220,6 +264,18 @@ def _check_count_inputs(
         )
 
 
+def _form_reach(params: RunParameters, coeffs: Coefficients) -> float:
+    """The largest |form| a window triple can reach."""
+    return sum(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
+
+
+def _form_tolerance(params: RunParameters, coeffs: Coefficients) -> float:
+    """Rounding allowance for a form: forms associated differently agree
+    only up to rounding at the form's dynamic range, not at the search
+    width."""
+    return 1e-12 * max(1.0, _form_reach(params, coeffs))
+
+
 def big_gamma_direct(
     params: RunParameters,
     coeffs: Coefficients,
@@ -229,19 +285,26 @@ def big_gamma_direct(
 ) -> TripleSumResult:
     """Weighted triple count by meet-in-the-middle over sorted l3*p3.
 
-    O(n^2 log n) instead of the cubic triple loop; deterministic, with
-    the per-triple weights summed exactly rounded (math.fsum of each
-    block's summation.exact_parts), so the total does not depend on
-    enumeration order or block size, and only one block is held.  The
-    window population triples_found is boundary-sensitive: a form landing
-    within rounding of the search width may count or not depending on
-    association order, but carries zero weight either way.
+    O(n^2 log n) instead of the cubic triple loop.  The sweep
+    (_matched_sweep) keeps its full width eps_search throughout; this
+    caller weighs each block's matches with theta and the prime weights
+    and keeps only the block's summation.exact_parts and the count, so
+    one block is held at a time.  The open window |form| < eps_search is
+    the kernel support, on whose boundary theta vanishes, so no weight is
+    lost at the edges.  The total is exactly rounded (math.fsum of the
+    parts), so it does not depend on enumeration order or block size.
+    The window population triples_found is boundary-sensitive: a form
+    landing within rounding of the search width may count or not
+    depending on association order, but carries zero weight either way.
     """
     _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
+    w = _full_weights(pset)
+    tol = _form_tolerance(params, coeffs)
     parts, found = [], 0
-    for *_, weights in _matched_sweep(coeffs, kernel, pset, eps_search):
+    for i, j, k, forms in _matched_sweep(coeffs, pset, eps_search, tol):
+        weights = (w[i] * w[j]) * (w[k] * theta(kernel, forms))
         parts.extend(exact_parts(weights))
         found += weights.size
         if len(parts) > _SWEEP_PAIRS:
@@ -297,8 +360,7 @@ def threshold_vacuous(params: RunParameters, coeffs: Coefficients) -> bool:
     """True when the formula width exceeds every attainable |form| on the
     window, so the per-triple threshold check cannot fail.  Desk-scale
     instances are in this regime: the tenth log power dominates."""
-    reach = sum(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
-    return params.epsilon > reach
+    return params.epsilon > _form_reach(params, coeffs)
 
 
 def find_triples(
@@ -310,11 +372,18 @@ def find_triples(
 ) -> list[TripleRecord]:
     """Explicit triples with |form| < eps_search, nearest-to-zero first.
 
-    The matches of the blocked sweep (_matched_sweep) are ordered by
-    |form|, then p1, p2, p3.  Only the nearest are sorted: a partition
-    finds the max_results-th smallest |form|, every match at or under
-    it is kept, ties included, and only the kept matches are lexsorted,
-    which emits the order a full sort would.
+    The sweep (_matched_sweep) runs nearest-first: this caller holds only
+    the matches that can still be among the max_results nearest.  After
+    each block it partitions the kept |form| at max_results - 1, keeps
+    every match at or under that cut, ties included, and sends the sweep
+    the width min(eps_search, cut + tol) for the next blocks; tol, the
+    form tolerance, covers the rounding of the narrowed search's bounds.
+    The cut never rises, and a later block's match at the cut sorts
+    after the kept ones (its p1 is larger), so no match that was dropped
+    or never searched is among the nearest.  The kept matches are
+    lexsorted by |form|, then p1, p2, p3, the order a full sort of all
+    matches would give, and theta and the weights are computed for the
+    emitted rows only.
 
     Each emitted record is re-verified from scratch: both floor-power
     membership checks and the form evaluation are redone outside the
@@ -330,27 +399,33 @@ def find_triples(
     if pset.count < 3:
         return []
     kern = make_kernel(eps_search, params.kernel_k)
-    p1s, p2s, p3s, forms, weights = (
-        np.concatenate(c)
-        for c in zip(*_matched_sweep(coeffs, kern, pset, eps_search))
-    )
-    mags = np.abs(forms)
-    keep = np.arange(mags.size)
-    if mags.size > max_results:
-        cut = np.partition(mags, max_results - 1)[max_results - 1]
-        keep = np.flatnonzero(mags <= cut)
-    order = np.lexsort((p3s[keep], p2s[keep], p1s[keep], mags[keep]))
-    top = keep[order[:max_results]]
+    tol = _form_tolerance(params, coeffs)
+    sweep = _matched_sweep(coeffs, pset, eps_search, tol)
+    kept = (np.empty(0, np.intp),) * 3 + (np.empty(0),)
+    width = None
+    while True:
+        try:
+            block = sweep.send(width)
+        except StopIteration:
+            break
+        kept = [np.concatenate(pair) for pair in zip(kept, block)]
+        mags = np.abs(kept[3])
+        if mags.size >= max_results:
+            cut = np.partition(mags, max_results - 1)[max_results - 1]
+            keep = np.flatnonzero(mags <= cut)
+            kept = [a[keep] for a in kept]
+            width = min(eps_search, cut + tol)
+    i, j, k, forms = kept
+    p_int = pset.primes
+    top = np.lexsort((p_int[k], p_int[j], p_int[i], np.abs(forms)))
+    i, j, k, forms = (a[top[:max_results]] for a in kept)
+    w = _full_weights(pset)
+    weights = (w[i] * w[j]) * (w[k] * theta(kern, forms))
     gamma = params.gamma.value
     lam1, lam2, lam3 = coeffs.lambdas
-    # Recomputing the form associates the additions differently from the
-    # sweep, so agreement is only up to rounding at the form's dynamic
-    # range, not at the search width.
-    reach = sum(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
-    tol = 1e-12 * max(1.0, reach)
     out: list[TripleRecord] = []
     for p1, p2, p3, form, weight in zip(
-        *(a[top].tolist() for a in (p1s, p2s, p3s, forms, weights))
+        *(a.tolist() for a in (p_int[i], p_int[j], p_int[k], forms, weights))
     ):
         for q in (p1, p2, p3):
             if ps_indicator(q, gamma) != 1:

@@ -1,6 +1,7 @@
 """Triple counts, band integrals, main term, and the bound chains."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -112,10 +113,16 @@ def test_sweep_equals_bruteforce(q0, coeffs, eps):
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
 
 
-def _swept(coeffs, kern, pset, eps):
-    """The blocked sweep's matches, its blocks joined."""
-    blocks = triplesum._matched_sweep(coeffs, kern, pset, eps)
-    return [np.concatenate(c) for c in zip(*blocks)]
+def _swept(params, coeffs, kern, pset, eps):
+    """The blocked sweep's matches at its full width, its blocks joined,
+    the primes gathered and the weights computed as the callers do."""
+    tol = triplesum._form_tolerance(params, coeffs)
+    blocks = triplesum._matched_sweep(coeffs, pset, eps, tol)
+    i, j, k, forms = (np.concatenate(c) for c in zip(*blocks))
+    w = pset.weight_w * pset.weight_log
+    weights = (w[i] * w[j]) * (w[k] * theta(kern, forms))
+    primes = pset.primes
+    return [primes[i], primes[j], primes[k], forms, weights]
 
 
 def _per_row_sweep(coeffs, kern, pset, eps):
@@ -161,7 +168,7 @@ def test_sweep_independent_of_block_size(monkeypatch, eps, most):
     total = math.fsum(want[4].tolist())
     for pairs in (1, 7, 1000, triplesum._SWEEP_PAIRS):
         monkeypatch.setattr(triplesum, "_SWEEP_PAIRS", pairs)
-        got = _swept(c, kern, pset, eps)
+        got = _swept(params, c, kern, pset, eps)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # the direct total streams the blocks' exact parts: every block
@@ -169,6 +176,75 @@ def test_sweep_independent_of_block_size(monkeypatch, eps, most):
         res = big_gamma_direct(params, c, kern, pset, eps)
         assert res.triples_found == want[3].size
         assert res.value.hex() == total.hex()
+
+
+def _assert_table_covers(z3s, width, tol):
+    """The occupancy table marks every cell within width + tol of an
+    l3*p3 and one guard cell past it on each side; its outermost cells,
+    where keys past the span are clipped, stay unmarked."""
+    table, origin, scale = triplesum._occupancy(z3s, width, tol)
+    reach = width + tol
+    lo = ((z3s - reach - origin) * scale).astype(np.intp) - 1
+    hi = ((z3s + reach - origin) * scale).astype(np.intp) + 1
+    assert 0 < lo.min() and hi.max() < table.size - 1
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        assert table[a:b + 1].all()
+    assert not table[0] and not table[-1]
+    assert table.size <= triplesum._CELLS + 6
+
+
+_LAMBDA = st.one_of(
+    st.sampled_from([1.0, 2.0, -1.0, -2.0]),
+    st.floats(0.3, 3.0),
+    st.floats(-3.0, -0.3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    l1=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.3, 3.0)),
+    l2=_LAMBDA,
+    l3=_LAMBDA,
+    eta=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-3.0, 3.0)),
+    eps=st.floats(0.05, 5.0),
+    most=st.sampled_from([1, 3, 17, None]),
+    pairs=st.sampled_from([1, 500, triplesum._SWEEP_PAIRS]),
+)
+def test_filtered_narrowing_sweep_matches_reference(
+    l1, l2, l3, eta, eps, most, pairs
+):
+    # 84 primes: the running cut narrows the search from block to block
+    # unless one block holds every row; integer coefficients give ties
+    params, pset = _instance(45, 0.9, 0.5, 2.0)
+    c = Coefficients(l1, l2, l3, eta)
+    kern = make_kernel(eps, params.kernel_k)
+    want, _ = _per_row_sweep(c, kern, pset, eps)
+    p1, p2, p3, forms, weights = want
+    total = math.fsum(weights.tolist())
+    if most is None:
+        most = forms.size + 1
+    top = np.lexsort((p3, p2, p1, np.abs(forms)))[:most]
+    nearest = [
+        (a, b, d, f.hex(), g.hex())
+        for a, b, d, f, g in zip(*(x[top].tolist() for x in want))
+    ]
+    z3s = np.sort(l3 * pset.primes.astype(np.float64))
+    tol = triplesum._form_tolerance(params, c)
+    for cells in (1, 3, triplesum._CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(triplesum, "_CELLS", cells)
+            patch.setattr(triplesum, "_SWEEP_PAIRS", pairs)
+            for margin in (tol, 0.5 * eps):
+                _assert_table_covers(z3s, eps, margin)
+            recs = find_triples(params, c, pset, eps, max_results=most)
+            got = [
+                (r.p1, r.p2, r.p3, r.form_value.hex(), r.weight.hex())
+                for r in recs
+            ]
+            assert got == nearest
+            res = big_gamma_direct(params, c, kern, pset, eps)
+            assert res.triples_found == forms.size
+            assert res.value.hex() == total.hex()
 
 
 @settings(max_examples=25, deadline=None)
@@ -316,7 +392,7 @@ def test_find_triples_cut_keeps_ties_at_nonzero_form(max_results):
     params, pset = _instance(30, 0.9, 0.3, 2.0)
     c = Coefficients(1.0, 1.0, -1.0, 0.5)
     p1, p2, p3, forms, weights = _swept(
-        c, make_kernel(2.0, params.kernel_k), pset, 2.0
+        params, c, make_kernel(2.0, params.kernel_k), pset, 2.0
     )
     mags, sizes = np.unique(np.abs(forms), return_counts=True)
     assert mags.tolist() == [0.5, 1.5] and sizes.tolist() == [118, 127]
@@ -325,6 +401,25 @@ def test_find_triples_cut_keeps_ties_at_nonzero_form(max_results):
     recs = find_triples(params, c, pset, 2.0, max_results=max_results)
     got = [(r.p1, r.p2, r.p3, r.form_value, r.weight) for r in recs]
     assert got == want
+
+
+def test_find_triples_holds_only_its_cut():
+    # the run-witness instance: 142,892 matches within eps 2, whose
+    # index arrays and forms joined before the cut take 4.6 MB
+    params = RunParameters(169, 0.94, 0.5, epsilon_user=2.0)
+    table = sieve_primes(math.ceil(params.X) + 1)
+    pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.94, table)
+    assert pset.count == 1468
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    eps = params.epsilon_effective
+    tracemalloc.start()
+    try:
+        recs = find_triples(params, c, pset, eps, max_results=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 1000
+    assert peak < 3e6
 
 
 def test_triple_threshold_formula():
