@@ -68,14 +68,20 @@ def _emit(text: str, out: "str | None") -> None:
         sys.stdout.write(text)
 
 
-def _grid(pattern: str, name: str) -> np.ndarray:
-    """Parse 'lo:hi:n' into n inclusive uniform points."""
+def _split(pattern: str, name: str, form: str) -> "tuple[float, float, list]":
+    """Split pattern into form's ':' fields; the first two are finite ends."""
     parts = pattern.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"{name} must be lo:hi:n, got {pattern!r}")
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"{name} must be {form}, got {pattern!r}")
     lo, hi = float(parts[0]), float(parts[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name}: ends must be finite, got {pattern!r}")
+    return lo, hi, parts
+
+
+def _grid(pattern: str, name: str) -> np.ndarray:
+    """Parse 'lo:hi:n' into n inclusive uniform points."""
+    lo, hi, parts = _split(pattern, name, "lo:hi:n")
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"{name}: need at least one point, got {n}")
@@ -89,12 +95,11 @@ def _grid(pattern: str, name: str) -> np.ndarray:
 
 
 def _cmd_ps_primes(args) -> int:
+    window = _split(args.range, "--range", "lo:hi") if args.range else None
     path = Path(args.cache) if args.cache else None
-    full = load_full_set(args.gamma, args.limit, path=path)
-    primes = full.primes
-    if args.range:
-        lo, hi = (float(v) for v in args.range.split(":", 1))
-        primes = primes[(primes > lo) & (primes <= hi)]
+    primes = load_full_set(args.gamma, args.limit, path=path).primes
+    if window:
+        primes = primes[(primes > window[0]) & (primes <= window[1])]
     _emit("\n".join(str(int(p)) for p in primes.tolist()) + "\n", args.out)
     return 0
 

@@ -15,6 +15,9 @@ exponent gamma:
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity.
+l2_integral gives their mean squares: over [0, 1] by Simpson, exact on
+that integer-frequency polynomial, and over [-Delta, Delta] by the band
+rule (module quadrature) with an error bar.
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import sinc_series
 from .params import RunParameters
 from .primes import PrimeTable, PSPrimeSet, check_window_set
-from .quadrature import QuadratureError, simpson_uniform
+from .quadrature import (
+    _EM_TERMS,
+    _band_grid,
+    euler_maclaurin_squared,
+    euler_maclaurin_tail,
+    simpson_uniform,
+)
 from .summation import SumResult, compensated_complex_sum
 from .trigpoly import BlockedPlan, plan_uniform, trig_sum_uniform
 
@@ -54,10 +64,8 @@ __all__ = [
 # beyond this the product alpha*p has no fractional bits left in a double
 PHASE_LIMIT = float(1 << 52)
 
-# l2_integral's window span doubles its panels until two values agree to
-# _L2_REL_TOL, and fails past _L2_MAX_PANELS
-_L2_REL_TOL = 1e-6
-_L2_MAX_PANELS = 1 << 22
+# ps_sum_grid's measured rounding per unit max |lam p t| of sum |w|
+_GRID_ROUNDING = 4e-17
 
 
 def sawtooth(t):
@@ -192,9 +200,10 @@ def ps_sum_grid(
     Bulk evaluation for quadrature through `trig_sum_uniform`, without
     per-term compensation: a blocked matrix product for windows of at most
     512 primes (or grids under 4096 points), the NUFFT above.  The error
-    relative to sum |w| grows with max |lam p t|, at most 4e-17 times it
-    as measured (1e-11 to 2e-11 at t = 40 on instance A's window, 1e-9 to
-    2e-9 at t = 700 on B's), mostly from rounding lam p t to doubles.
+    relative to sum |w| grows with max |lam p t|, at most _GRID_ROUNDING
+    = 4e-17 times it as measured (1e-11 to 2e-11 at t = 40 on instance
+    A's window, 1e-9 to 2e-9 at t = 700 on B's), mostly from rounding
+    lam p t to doubles.
     Reruns are bitwise identical for a fixed BLAS library and thread
     count.
 
@@ -226,6 +235,60 @@ def ps_sum_series(
     steps = [np.ones_like(d)] + [(2j * np.pi * h / j) * d for j in range(1, n)]
     phases = np.exp((2j * np.pi) * np.mod(d * x, 1.0))
     return np.cumprod(steps, axis=0) @ (_grid_weights(pset) * phases)
+
+
+def _centre(params: RunParameters) -> float:
+    """The window's midpoint; every factor is demodulated about l_i times it."""
+    return 0.5 * (params.lambda0 * params.X + params.X)
+
+
+def _sum_factors(pset: PSPrimeSet, lams, centre: float):
+    """Factor source of the band rule (triplesum._band_quadrature,
+    l2_integral), the window's sums S(l_i t), as (grid, series,
+    amplitude, rounding).  A chunk size's sums come from one plan per l_i
+    (ps_sum_plan; none on the NUFFT path) sharing work buffers, one set
+    for the full chunks and one for the ragged last; each sum is a view
+    valid until the next call."""
+    plans: dict = {}
+
+    def grid(t0: float, h: float, n: int) -> list:
+        if (h, n) not in plans:
+            plans.clear()       # the full chunks' plans go before the ragged ones
+            share, built = None, []
+            for l in lams:
+                share = ps_sum_plan(pset, l, h, n, share)
+                built.append(share)
+            plans[h, n] = built
+        return [ps_sum_grid(pset, l, t0, h, n, plan=p)
+                for l, p in zip(lams, plans[h, n])]
+
+    def series(x: float, h: float, n: int) -> list:
+        return [ps_sum_series(pset, l, centre, x, h, n) for l in lams]
+
+    total = float(np.sum(pset.weight_w * pset.weight_log))
+    p_max = float(pset.primes[-1]) if pset.count else 0.0
+    return grid, series, total, _GRID_ROUNDING * p_max * total
+
+
+def _window_factors(params: RunParameters, lams):
+    """Factor source of the main term J and of l2_integral's interval
+    kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
+    t L) * e(l_i t centre), closed forms charged no rounding."""
+    g = params.gamma.value
+    length = (1.0 - params.lambda0) * params.X
+    mid = _centre(params)
+
+    def grid(t0: float, h: float, n: int) -> list:
+        t = t0 + h * np.arange(n)
+        return [g * length * np.sinc(l * t * length)
+                * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
+                for l in lams]
+
+    def series(x: float, h: float, n: int) -> list:
+        return [g * length * sinc_series(l * length * x, l * length * h, n)
+                for l in lams]
+
+    return grid, series, g * length, 0.0
 
 
 @dataclass(frozen=True)
@@ -284,7 +347,7 @@ def decomposition_residual(
 class L2Result:
     value: float
     panels: int
-    converged: bool
+    error: float
     exact_reference: "float | None" = None
 
 
@@ -295,7 +358,7 @@ def l2_integral(
     pset: "PSPrimeSet | None" = None,
     span: str = "window",
 ) -> L2Result:
-    """Quadrature of a squared modulus.
+    """Quadrature of a squared modulus, with its error bar.
 
     kind "ps_sum":   integrand |ps_exp_sum(lam * t)|^2
     kind "interval": integrand |interval_integral(lam * t)|^2
@@ -304,13 +367,17 @@ def l2_integral(
                      phases make composite Simpson exact once the panel
                      count exceeds twice the top frequency, so one grid
                      of the smallest power of two >= 4 * spread panels
-                     (at least 256) is used, and the weight-square sum
-                     is returned as exact_reference.
+                     (at least 256) is used, the error is 0.0, and the
+                     weight-square sum is returned as exact_reference.
 
-    Over the window span, panels start at >= 8 per unit of |lam| X Delta
-    and double until the value moves by less than _L2_REL_TOL, raising
-    QuadratureError at the _L2_MAX_PANELS cap.  The ps_sum kind needs
-    the window set pset.
+    Over the window span the band rule on the walker's factor source
+    (_sum_factors or _window_factors): the trapezoid rule at f_max h <=
+    quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam| L, the top
+    frequency of |F|^2, minus _EM_TERMS terms of its endpoint series from
+    F's.  The error bar bounds the terms left out (majorant S(0)^2 or
+    (gamma L)^2) plus the evaluator's rounding as the walker charges it,
+    2 |F| |lam t| times the source's rounding per sample; panels counts
+    the grid's intervals.  The ps_sum kind needs the window set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -326,6 +393,8 @@ def l2_integral(
     if span == "unit":
         if kind != "ps_sum":
             raise ValueError("unit span applies to the ps_sum kind only")
+        if lam != 1.0:
+            raise ValueError(f"unit span integrates lam = 1 only, got {lam}")
         spread = float(pset.hi - pset.lo)
         exact = float(np.sum((pset.weight_w * pset.weight_log) ** 2))
         panels = 256
@@ -333,36 +402,25 @@ def l2_integral(
             panels *= 2
         vals = ps_sum_grid(pset, 1.0, 0.0, 1.0 / panels, panels + 1)
         value = simpson_uniform(np.abs(vals) ** 2, 1.0 / panels)
-        return L2Result(value, panels, True, exact)
+        return L2Result(value, panels, 0.0, exact)
 
     delta = params.Delta
-    osc = abs(lam) * params.X * delta
-    panels = max(64, int(math.ceil(8.0 * osc)))
-    if panels % 2:
-        panels += 1
-
-    def evaluate(n_panels: int) -> float:
-        h = 2.0 * delta / n_panels
-        if kind == "ps_sum":
-            vals = ps_sum_grid(pset, lam, -delta, h, n_panels + 1)
-            return simpson_uniform(np.abs(vals) ** 2, h)
-        ts = -delta + h * np.arange(n_panels + 1)
-        length = (1.0 - params.lambda0) * params.X
-        amps = params.gamma.value * length * np.sinc(lam * ts * length)
-        return simpson_uniform(amps**2, h)
-
-    prev = evaluate(panels)
-    while True:
-        if panels * 2 > _L2_MAX_PANELS:
-            raise QuadratureError(
-                f"no convergence below {_L2_MAX_PANELS} panels (last {prev:.6g})"
-            )
-        panels *= 2
-        cur = evaluate(panels)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= _L2_REL_TOL * scale:
-            return L2Result(cur, panels, True)
-        prev = cur
+    if kind == "ps_sum":
+        f_max = abs(lam) * (pset.hi - pset.lo)
+        grid, series, amplitude, rounding = _sum_factors(pset, [lam], _centre(params))
+    else:
+        f_max = abs(lam) * (1.0 - params.lambda0) * params.X
+        grid, series, amplitude, rounding = _window_factors(params, [lam])
+    n, h = _band_grid(-delta, delta, f_max)
+    vals = np.abs(grid(-delta, h, n)[0])
+    squares = vals * vals
+    squares[[0, -1]] *= 0.5
+    ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (-delta, delta)]
+    value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
+    t = -delta + h * np.arange(n)
+    error = (euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS)
+             + 2.0 * rounding * abs(lam) * h * float(np.dot(vals, np.abs(t))))
+    return L2Result(value, n - 1, error)
 
 
 @dataclass(frozen=True)

@@ -419,7 +419,6 @@ def decomp_values(res) -> "dict[str, object]":
         "box_ratio_eps_x2": res.box.ratio_eps_x2,
         "phi_bound": res.phi.value,
         "phi_shape_ratio": res.phi.shape_ratio,
-        "phi_cutoff": res.phi.cutoff,
         "tail_bound": res.tail.value,
         "tail_base": res.tail.base,
         "tail_below_one": res.tail.below_one,

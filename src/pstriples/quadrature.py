@@ -1,20 +1,20 @@
 """Quadrature building blocks.
 
-Building blocks:
-
-* `adaptive_simpson`: composite Simpson on a uniform grid with panel-count
-  doubling until two refinements agree to a relative tolerance.  Used for
-  the remainder envelope of `triplesum.phi_bound` and other smooth,
-  non-oscillatory integrands.  The panel cap (_MAX_PANELS) is a hard
-  error, not a silent truncation.  (The L2 integrals run their own
-  doubling loop; the box integral is in closed form.)
+* `adaptive_simpson`: composite Simpson with panel doubling until two
+  refinements agree to a relative tolerance; past _MAX_PANELS it raises.
+  Only tests and demos call it, as a reference quadrature.
 
 * `euler_maclaurin`: the trapezoid sum T_h of a g band-limited to
   |f| <= f_max, f_max h < 1, misses its integral over [a, b] by exactly
   h sum_k B_2k/(2k) (c_{2k-1}(b) - c_{2k-1}(a)), c_j(x) the s^j Taylor
   coefficient of g(x + s h), with terms falling like (f_max h)^(2k)
   (Trefethen and Weideman, SIAM Rev. 2014); `euler_maclaurin_tail`
-  bounds the terms left out.  Used by `triplesum._band_quadrature`.
+  bounds the terms left out, `euler_maclaurin_squared` takes |F|^2's
+  series from F's.
+
+* The band rule, of `triplesum._band_quadrature` and
+  `expsums.l2_integral`: the trapezoid sum on `_band_grid` (f_max h <=
+  _BAND_FH) minus the first _EM_TERMS terms of that series.
 
 * `boole_weight`: composite Boole (5-point Newton-Cotes, O(h^6)) weights
   by global sample index.  Nothing in the package calls it; the
@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .params import ParameterError
+
 __all__ = [
     "QuadratureError",
     "SimpsonResult",
@@ -39,16 +41,23 @@ __all__ = [
     "bernoulli_even",
     "euler_maclaurin",
     "euler_maclaurin_tail",
+    "euler_maclaurin_squared",
     "boole_weight",
 ]
 
 
 class QuadratureError(RuntimeError):
-    """Panel refinement hit its cap without meeting the tolerance."""
+    """A grid, or a refinement of one, would pass its point cap."""
 
 
-# adaptive_simpson never doubles past this many panels
+# adaptive_simpson never doubles past _MAX_PANELS panels; band grids past
+# _MAX_BAND_POINTS points are refused rather than attempted
 _MAX_PANELS = 1 << 22
+_MAX_BAND_POINTS = 1 << 31
+
+# the band rule's f_max h and endpoint terms (which fall like (f_max h)^2k)
+_BAND_FH = 0.5
+_EM_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,6 @@ class SimpsonResult:
     value: float
     panels: int
     last_change: float
-    converged: bool
 
 
 def simpson_uniform(fvals: np.ndarray, h: float) -> float:
@@ -102,7 +110,7 @@ def adaptive_simpson(
         cur = run(panels)
         change = abs(cur - prev)
         if change <= rel_tol * abs(cur):
-            return SimpsonResult(cur, panels, change, True)
+            return SimpsonResult(cur, panels, change)
         prev = cur
 
 
@@ -129,6 +137,27 @@ def euler_maclaurin_tail(h: float, fh: float, majorant: float, terms: int) -> fl
     if not 0.0 <= fh < 1.0:
         raise ValueError(f"f_max h must lie in [0, 1), got {fh}")
     return 4.0 * h * majorant * fh ** (2 * terms + 1) / (math.pi * (1.0 - fh * fh))
+
+
+def euler_maclaurin_squared(h: float, lo: np.ndarray, hi: np.ndarray) -> float:
+    """T_h - I for |F|^2, lo and hi holding F's c_0 .. c_{2K-1} at a and b:
+    on real s, |F(x + s h)|^2 has the series of F times its conjugate."""
+    squares = [np.convolve(c, np.conj(c))[:len(c)] for c in (lo, hi)]
+    return euler_maclaurin(h, *squares).real
+
+
+def _band_grid(t_lo: float, t_hi: float, f_max: float) -> "tuple[int, float]":
+    """(points, spacing) of the band rule's grid on [t_lo, t_hi]: the
+    fewest intervals with f_max h <= _BAND_FH."""
+    if not t_hi > t_lo:
+        raise ParameterError(f"empty band [{t_lo}, {t_hi}]")
+    intervals = max(1, math.ceil((t_hi - t_lo) * f_max / _BAND_FH))
+    if intervals + 1 > _MAX_BAND_POINTS:
+        raise QuadratureError(
+            f"band [{t_lo:.6g}, {t_hi:.6g}] needs {intervals + 1} grid points, "
+            f"beyond the {_MAX_BAND_POINTS} cap"
+        )
+    return intervals + 1, (t_hi - t_lo) / intervals
 
 
 # Composite Boole on N = 4m+1 samples: weights (2h/45) * [7, 32, 12, 32,

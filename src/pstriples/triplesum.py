@@ -35,15 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expsums import _centre, _sum_factors, _window_factors
 from .kernel import (
     GridTransform,
     SmoothingKernel,
     _antiderivatives,
     make_kernel,
-    sinc_series,
     theta,
     theta_transform,
-    transform_bound,
     transform_series,
 )
 from .params import (
@@ -55,14 +54,16 @@ from .params import (
 )
 from .primes import PSPrimeSet, check_window_set, ps_indicator
 from .quadrature import (
+    _EM_TERMS,
     QuadratureError,
-    adaptive_simpson,
+    _band_grid,
     euler_maclaurin,
+    euler_maclaurin_squared,
     euler_maclaurin_tail,
 )
-# boole_weight is not called here (the band walker uses the trapezoid
-# rule); perfbench's tracer wraps the name triplesum.boole_weight.
-from .quadrature import boole_weight  # noqa: F401
+# Nothing here calls these two; the benchmark's tracer wraps them by
+# their names in this module.
+from .quadrature import adaptive_simpson, boole_weight  # noqa: F401
 from .summation import exact_parts
 
 __all__ = [
@@ -100,19 +101,6 @@ __all__ = [
 # would move totals in the last bits: they are constants, not parameters.
 _CHUNK = 1 << 21
 _BLOCK = 1 << 14
-
-# Band rule (J and pieces 1 to 3): the trapezoid sum at f_max h <= _BAND_FH
-# (band_frequency) minus the first _EM_TERMS terms of its Euler-Maclaurin
-# endpoint series, which fall like (f_max h)^(2k).
-_BAND_FH = 0.5
-_EM_TERMS = 20
-
-# phi_bound integrates its envelope to _PHI_REL_TOL.
-_PHI_REL_TOL = 1e-7
-
-# Hard cap on band grid sizes; beyond this the quadrature is declared
-# non-convergent rather than attempted.
-_MAX_BAND_POINTS = 1 << 31
 
 _BRUTE_LIMIT = 512
 
@@ -460,77 +448,6 @@ def band_frequency(
     return max(abs(lo), abs(hi)) + kernel.epsilon
 
 
-def _band_grid(t_lo: float, t_hi: float, f_max: float) -> tuple[int, float]:
-    """(points, spacing) of the band's grid: the fewest intervals with
-    f_max h <= _BAND_FH."""
-    if not t_hi > t_lo:
-        raise ParameterError(f"empty band [{t_lo}, {t_hi}]")
-    intervals = max(1, math.ceil((t_hi - t_lo) * f_max / _BAND_FH))
-    if intervals + 1 > _MAX_BAND_POINTS:
-        raise QuadratureError(
-            f"band [{t_lo:.6g}, {t_hi:.6g}] needs {intervals + 1} grid points, "
-            f"beyond the {_MAX_BAND_POINTS} cap"
-        )
-    return intervals + 1, (t_hi - t_lo) / intervals
-
-
-def _centre(params: RunParameters) -> float:
-    """The window's midpoint; every factor is demodulated about l_i times it."""
-    return 0.5 * (params.lambda0 * params.X + params.X)
-
-
-def _sum_factors(pset: PSPrimeSet, coeffs: Coefficients, centre: float):
-    """Factor source of the band integrals, the window's sums S(l_i t), as
-    (grid, series, amplitude, rounding) for _band_quadrature.  A chunk
-    size's sums come from one plan per l_i (ps_sum_plan; none on the
-    NUFFT path) sharing work buffers, one set for the full chunks and one
-    for the ragged last; each sum is a view valid until the next call."""
-    from .expsums import ps_sum_grid, ps_sum_plan, ps_sum_series
-
-    lams = coeffs.lambdas
-    plans: dict = {}
-
-    def grid(t0: float, h: float, n: int) -> list:
-        if (h, n) not in plans:
-            plans.clear()       # the full chunks' plans go before the ragged ones
-            share, built = None, []
-            for l in lams:
-                share = ps_sum_plan(pset, l, h, n, share)
-                built.append(share)
-            plans[h, n] = built
-        return [ps_sum_grid(pset, l, t0, h, n, plan=p)
-                for l, p in zip(lams, plans[h, n])]
-
-    def series(x: float, h: float, n: int) -> list:
-        return [ps_sum_series(pset, l, centre, x, h, n) for l in lams]
-
-    total = float(np.sum(_full_weights(pset)))
-    p_max = float(pset.primes[-1]) if pset.count else 0.0
-    # ps_sum_grid's measured rounding, 4e-17 max |l p t| of sum |w|
-    return grid, series, total, 4e-17 * p_max * total
-
-
-def _window_factors(params: RunParameters, coeffs: Coefficients):
-    """Factor source of the main term J: the window integrals of
-    gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t centre),
-    closed forms charged no rounding."""
-    g = params.gamma.value
-    length = (1.0 - params.lambda0) * params.X
-    mid = _centre(params)
-
-    def grid(t0: float, h: float, n: int) -> list:
-        t = t0 + h * np.arange(n)
-        return [g * length * np.sinc(l * t * length)
-                * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
-                for l in coeffs.lambdas]
-
-    def series(x: float, h: float, n: int) -> list:
-        return [g * length * sinc_series(l * length * x, l * length * h, n)
-                for l in coeffs.lambdas]
-
-    return grid, series, g * length, 0.0
-
-
 @dataclass(frozen=True)
 class BandQuadrature:
     """A band integral, the endpoint-corrected trapezoid rule on n_points
@@ -561,11 +478,11 @@ def _band_quadrature(
     next call overwrites), series(x, h, n) the first n Taylor
     coefficients of each F_i(x + s h) demodulated about l_i * centre,
     amplitude bounds every |F_i| and rounding is their rounding per unit
-    |l_i t|.  At f_max h <= _BAND_FH (band_frequency) the trapezoid
-    rule's only error is its Euler-Maclaurin endpoint series; the first
-    _EM_TERMS terms are subtracted, from the product at each end of
-    Theta's series, the factors' and the carrier e(F (x + s h)), F =
-    sum l_i centre + eta, kept apart (multiplying raw series cancels
+    |l_i t|.  At f_max h <= quadrature._BAND_FH (band_frequency) the
+    trapezoid rule's only error is its Euler-Maclaurin endpoint series;
+    the first _EM_TERMS terms are subtracted, from the product at each
+    end of Theta's series, the factors' and the carrier e(F (x + s h)),
+    F = sum l_i centre + eta, kept apart (multiplying raw series cancels
     digits that the Bernoulli weights amplify).  The bar is the tail
     bound with majorant 2a amplitude^3 plus rounding times h sum |Theta
     t| sum_i |l_i| prod_{j != i} |F_j|.
@@ -579,7 +496,7 @@ def _band_quadrature(
     BLAS library and thread count.
 
     With collect the walk also returns the |F_i|^2 integrals, corrected
-    from F_i's series times its conjugate, the largest sampled
+    from F_i's series (euler_maclaurin_squared), the largest sampled
     min(|F1|, |F2|) with its t, and that minimum's plain trapezoid
     integrals, O(h^2), against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
     """
@@ -652,9 +569,8 @@ def _band_quadrature(
     band = BandQuadrature(value, error, n_points, h)
     if not collect:
         return band, None
-    t_ints = tuple(trap[3 + i] - euler_maclaurin(
-        h, np.convolve(lo, np.conj(lo))[:terms], np.convolve(hi, np.conj(hi))[:terms]
-    ).real for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
+    t_ints = tuple(trap[3 + i] - euler_maclaurin_squared(h, lo, hi)
+                   for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
     return band, (t_ints, (sup, t_sup), trap[6], trap[7])
 
 
@@ -715,7 +631,7 @@ def piece_quadrature(
         if t_hi <= t_lo:
             return BandQuadrature(complex(0.0, 0.0), omitted, 0, 0.0)
     band, _ = _band_quadrature(params, coeffs, kernel, t_lo, t_hi,
-                               _sum_factors(pset, coeffs, _centre(params)), False)
+                               _sum_factors(pset, coeffs.lambdas, _centre(params)), False)
     if piece == 1:
         return band
     return BandQuadrature(complex(2.0 * band.value.real, 0.0),
@@ -768,7 +684,7 @@ def middle_band_sweep(
     t_lo, t_hi = _band_edges(params, kernel)[2]
     band, (t_ints, (sup, t), cross, squares) = _band_quadrature(
         params, coeffs, kernel, t_lo, t_hi,
-        _sum_factors(pset, coeffs, _centre(params)), True)
+        _sum_factors(pset, coeffs.lambdas, _centre(params)), True)
 
     def small(u: float) -> float:
         return min(abs(ps_exp_sum(l * u, params, pset).value)
@@ -859,7 +775,7 @@ def integral_J(
     supremum."""
     t_lo, t_hi = _band_edges(params, kernel)[1]
     band, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs), False,
+        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs.lambdas), False,
     )
     value = band.value
     g = params.gamma.value
@@ -914,59 +830,51 @@ def box_integral_B(
 class PhiBound:
     value: float
     shape_ratio: float
-    cutoff: float
-    tail_part: float
 
 
 def phi_bound(
     params: RunParameters, kernel: SmoothingKernel, coeffs: Coefficients
 ) -> PhiBound:
     """Majorant for the difference between the main-band integral and
-    the box term: both half-lines |t| > Delta of |Theta| times the
-    product of min(plateau, decay) window-integral bounds, by adaptive
-    quadrature to a cutoff plus a closed-form remainder.
+    the box term: both half-lines |t| > Delta of |Theta|'s bound
+    (transform_bound) times the three window-integral bounds min(plateau,
+    1/(pi |l_i| t)), plateau = gamma (1 - lambda0) X, in closed form.
+
+    Between consecutive knots past Delta, namely 4/(7 pi eps) where 7
+    eps/4 meets 1/(pi t), the decay corner 4k/(pi eps) and 1/(pi |l_i|
+    plateau) per l_i, the envelope is a monomial C t^-m.  Each piece is
+    integrated exactly in log space (a log for m = 1); the last, with m =
+    k + 4, runs to infinity.  The pieces are added exactly rounded.
 
     The shape ratio records value / (eps / Delta^2).
     """
     g = params.gamma.value
     plateau = g * (1.0 - params.lambda0) * params.X
-    lams = coeffs.lambdas
-    delta = params.Delta
-    k = kernel.k
-    eps = kernel.epsilon
-
-    def f(t: np.ndarray) -> np.ndarray:
-        out = transform_bound(kernel, t)
-        for l in lams:
-            out = out * np.minimum(plateau, 1.0 / (np.pi * abs(l) * t))
-        return out
-
-    # the envelope spans many decades of t and decays like a power, so
-    # integrate in u = log t where it is a mild exponential profile
-    def f_log(u: np.ndarray) -> np.ndarray:
-        t = np.exp(u)
-        return f(t) * t
-
-    decay_corner = 4.0 * k / (math.pi * eps)
-    arm_corner = max(1.0 / (math.pi * abs(l) * plateau) for l in lams)
-    cutoff = max(2.0 * delta, 1.25 * decay_corner, 1.25 * arm_corner)
-    main = adaptive_simpson(
-        f_log, math.log(delta), math.log(cutoff), initial_panels=256,
-        rel_tol=_PHI_REL_TOL,
-    ).value
-    # Beyond the cutoff every min picks its decay arm and |Theta| its
-    # k-th power branch, so the remainder integrates in closed form.
-    prod_l = abs(lams[0] * lams[1] * lams[2])
-    log_tail = (
-        math.log(2.0)
-        + k * math.log(decay_corner)
-        - math.log(math.pi**4 * prod_l * (k + 3))
-        - (k + 3) * math.log(cutoff)
-    )
-    tail = math.exp(log_tail)
-    value = 2.0 * main + tail
-    shape = kernel.epsilon / (delta * delta)
-    return PhiBound(value, value / shape, cutoff, tail)
+    eps, k, delta = kernel.epsilon, kernel.k, params.Delta
+    flat_end = 4.0 / (7.0 * math.pi * eps)
+    corner = 4.0 * k / (math.pi * eps)
+    lams = [abs(l) for l in coeffs.lambdas]
+    arm_ends = [1.0 / (math.pi * l * plateau) for l in lams]
+    knots = sorted(x for x in (flat_end, corner, *arm_ends) if x > delta)
+    pieces = []
+    for lo, hi in zip([delta, *knots], [*knots, math.inf]):
+        # each min's branch on (lo, hi), which no knot splits
+        if lo < flat_end:
+            log_c, m = math.log(7.0 * eps / 4.0), 0
+        elif lo < corner:
+            log_c, m = -math.log(math.pi), 1
+        else:
+            log_c, m = k * math.log(corner) - math.log(math.pi), k + 1
+        for l, end in zip(lams, arm_ends):
+            decays = lo >= end
+            log_c += -math.log(math.pi * l) if decays else math.log(plateau)
+            m += decays
+        span = math.log(hi / lo)
+        pieces.append(math.exp(log_c) * span if m == 1 else
+                      math.exp(log_c + (1 - m) * math.log(lo))
+                      * math.expm1((1 - m) * span) / (1 - m))
+    value = 2.0 * math.fsum(pieces)
+    return PhiBound(value, value / (eps / (delta * delta)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,19 @@ def test_dichotomy_rejects_non_finite_grid_end(tmp_path, capsys, grid):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("window, message", [
+    ("nan:100", "must be finite"), ("50:inf", "must be finite"),
+    ("50", "must be lo:hi"), ("50:100:3", "must be lo:hi"),
+])
+def test_ps_primes_rejects_bad_range(tmp_path, capsys, window, message):
+    cache = tmp_path / "primes.psp"
+    assert main(["ps-primes", "--gamma", "0.9", "--limit", "500",
+                 "--cache", str(cache), "--range", window]) == 2
+    captured = capsys.readouterr()
+    assert "--range" in captured.err and message in captured.err
+    assert captured.out == "" and not cache.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sums", "--kind", "S", "--q0", "12", "--gamma", "0.9", "--eps-user", "1",
      "--alpha-grid"],

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,6 +445,7 @@ def test_l2_parseval_unit_span():
         float(np.sum((pset.weight_w * pset.weight_log) ** 2)), rel=0
     )
     assert res.value == pytest.approx(res.exact_reference, rel=1e-6)
+    assert res.error == 0.0
 
 
 def test_l2_window_interval_kind_bound():
@@ -452,7 +454,7 @@ def test_l2_window_interval_kind_bound():
     g, d = params.gamma.value, params.Delta
     cap = g**2 * 2 * d * ((1 - params.lambda0) * params.X) ** 2
     assert 0 < res.value <= cap * (1 + 1e-9)
-    assert res.converged
+    assert 0.0 < res.error <= 1e-6 * res.value
 
 
 def test_l2_window_ps_sum_trend():
@@ -461,10 +463,44 @@ def test_l2_window_ps_sum_trend():
         params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         pset = pset_for(params)
         res = l2_integral("ps_sum", math.sqrt(2), params, pset=pset)
-        assert res.converged
+        assert 0.0 < res.error <= 1e-6 * res.value
         ratios.append(res.value / (params.X * params.log_X**3))
     # bounded, not growing: measured 3.7e-4 then 2.0e-4
     assert ratios[1] <= ratios[0]
+
+
+@pytest.mark.parametrize("q0", [70, 203])
+@pytest.mark.parametrize("lam", [1.0, math.sqrt(2), -2.0])
+def test_l2_window_matches_exact_pair_sum(q0, lam):
+    # int_-Delta^Delta |S(lam t)|^2 dt = sum_p,q w_p w_q 2 Delta sinc(2 lam
+    # Delta (p - q)), summed exactly rounded (40,804 and 1,755,625 pairs)
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
+    pset = pset_for(params)
+    w = pset.weight_w * pset.weight_log
+    p = pset.primes.astype(np.float64)
+    d = params.Delta
+    pairs = np.outer(w, w) * (2.0 * d) * np.sinc(2.0 * lam * d * (p[:, None] - p[None, :]))
+    want = math.fsum(pairs.ravel().tolist())
+    res = l2_integral("ps_sum", lam, params, pset=pset)
+    assert abs(res.value - want) <= 1e-12 * want
+    assert abs(res.value - want) <= res.error
+
+
+@pytest.mark.parametrize("q0", [70, 203])
+@pytest.mark.parametrize("lam", [1.0, math.sqrt(2), -2.0])
+def test_l2_window_interval_kind_matches_si_closed_form(q0, lam):
+    # int_-Delta^Delta (gamma L sinc(lam L t))^2 dt = 2 (gamma L)^2 / (|lam|
+    # L) (Si(2 pi A) / pi - sin^2(pi A) / (pi^2 A)), A = |lam| L Delta
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
+    res = l2_integral("interval", lam, params)
+    with mp.workdps(30):
+        length = (1 - mp.mpf(params.lambda0)) * mp.mpf(params.X)
+        amp = mp.mpf(params.gamma.value) * length
+        a = abs(mp.mpf(lam)) * length * mp.mpf(params.Delta)
+        want = float(2 * amp**2 / (abs(mp.mpf(lam)) * length) * (
+            mp.si(2 * mp.pi * a) / mp.pi - mp.sin(mp.pi * a) ** 2 / (mp.pi**2 * a)))
+    assert abs(res.value - want) <= 1e-12 * want
+    assert abs(res.value - want) <= res.error
 
 
 def test_l2_argument_validation():
@@ -475,6 +511,11 @@ def test_l2_argument_validation():
         l2_integral("ps_sum", 0.0, params, pset=pset_for(params, TABLE4))
     with pytest.raises(ValueError):
         l2_integral("interval", 1.0, params, span="unit")
+    # the unit span integrates lam = 1 only
+    for lam in (2.0, math.sqrt(2), -5.0):
+        with pytest.raises(ValueError, match="lam = 1"):
+            l2_integral("ps_sum", lam, params, pset=pset_for(params, TABLE4),
+                        span="unit")
     for span in ("window", "unit"):
         with pytest.raises(ValueError, match="pset"):
             l2_integral("ps_sum", 1.0, params, span=span)

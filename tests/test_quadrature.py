@@ -1,5 +1,5 @@
-"""Endpoint-corrected trapezoid rule; composite Boole weights: streaming
-chunks, exactness, grid validation."""
+"""Endpoint-corrected trapezoid rule and the band rule's grid; composite
+Boole weights: streaming chunks, exactness, grid validation."""
 
 import math
 from fractions import Fraction
@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstriples import quadrature
+from pstriples.params import ParameterError
 from pstriples.quadrature import (
+    QuadratureError,
+    _band_grid,
     bernoulli_even,
     boole_weight,
     euler_maclaurin,
+    euler_maclaurin_squared,
     euler_maclaurin_tail,
 )
 
@@ -54,6 +59,67 @@ def test_euler_maclaurin_on_a_trigonometric_polynomial():
     assert err <= 1e-13 * scale * (b - a)
     with pytest.raises(ValueError):
         euler_maclaurin_tail(h, 1.0, scale, 20)
+
+
+def test_euler_maclaurin_squared_on_a_trigonometric_polynomial():
+    # |F|^2 for F = sum w e(f t), |f| <= 3/2, so |F|^2 has frequencies up
+    # to 3 = f_max; at f_max h = 1/2 the trapezoid sum corrected from F's
+    # own series matches the pair-sum integral to rounding, and the
+    # helper is euler_maclaurin on the series of F times its conjugate
+    rng = np.random.default_rng(12)
+    f = np.concatenate([[-1.5, 1.5], rng.uniform(-1.5, 1.5, 10)])
+    w = rng.normal(size=f.size) + 1j * rng.normal(size=f.size)
+    h, a, n = 1.0 / 6.0, -0.81, 47
+    b = a + n * h
+    g = np.abs(np.exp(2j * np.pi * np.outer(a + h * np.arange(n + 1), f)) @ w) ** 2
+    trap = h * (g.sum() - 0.5 * (g[0] + g[-1]))
+    d = f[:, None] - f[None, :]
+    ww = w[:, None] * np.conj(w[None, :])
+    safe = np.where(d == 0.0, 1.0, d)
+    pair = np.where(d == 0.0, b - a, (np.exp(2j * np.pi * d * b)
+                                      - np.exp(2j * np.pi * d * a)) / (2j * np.pi * safe))
+    exact = float(np.sum(ww * pair).real)
+
+    def series(x):
+        j = np.arange(40)[:, None]
+        fact = np.array([math.factorial(int(i)) for i in j.ravel()])[:, None]
+        return ((2j * np.pi * h * f) ** j / fact) @ (w * np.exp(2j * np.pi * f * x))
+
+    lo, hi = series(a), series(b)
+    scale = np.abs(w).sum() ** 2
+    assert abs(trap - exact) > 1e-3 * scale
+    corr = euler_maclaurin_squared(h, lo, hi)
+    assert abs(trap - corr - exact) <= 1e-13 * scale * (b - a)
+    assert corr == euler_maclaurin(
+        h, np.convolve(lo, np.conj(lo))[:40], np.convolve(hi, np.conj(hi))[:40]
+    ).real
+
+
+@pytest.mark.parametrize("t_lo, t_hi, f_max", [
+    (-0.25, 0.25, 1.0), (0.1, 7.3, 123.4), (-3e-3, 3e-3, 9949.0), (1.0, 1.5, 1e-9),
+])
+def test_band_grid_is_the_coarsest_at_the_band_limit(t_lo, t_hi, f_max):
+    n, h = _band_grid(t_lo, t_hi, f_max)
+    assert n >= 2
+    assert t_lo + (n - 1) * h == pytest.approx(t_hi, rel=1e-15, abs=1e-15)
+    assert f_max * h <= quadrature._BAND_FH * (1.0 + 1e-15)
+    if n > 2:
+        # one interval fewer would pass the band limit
+        assert f_max * (t_hi - t_lo) / (n - 2) > quadrature._BAND_FH
+
+
+def test_band_grid_refuses_empty_and_oversized_bands(monkeypatch):
+    with pytest.raises(ParameterError, match="empty band"):
+        _band_grid(1.0, 1.0, 5.0)
+    with pytest.raises(ParameterError, match="empty band"):
+        _band_grid(2.0, 1.0, 5.0)
+    cap = quadrature._MAX_BAND_POINTS
+    assert _band_grid(0.0, 1.0, (cap - 1) * quadrature._BAND_FH)[0] == cap
+    with pytest.raises(QuadratureError, match="cap"):
+        _band_grid(0.0, 1.0, cap * quadrature._BAND_FH)
+    # the rule's f_max h is read at call time: one edit moves every band
+    monkeypatch.setattr(quadrature, "_BAND_FH", 0.25)
+    assert _band_grid(0.0, 1.0, 10.0) == (41, 1.0 / 40)
 
 
 def _full_grid_weights(n_points):

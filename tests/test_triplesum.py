@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstriples import expsums, triplesum
+from pstriples import expsums, quadrature, triplesum
 from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import (
     make_kernel, theta, theta_antiderivative, theta_transform, transform_bound,
@@ -525,7 +525,7 @@ def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
     # far looser
     params, pset = _instance(q0, 0.9, 0.5, 2.0)
     res = decompose(params, c, pset, with_direct=False)
-    monkeypatch.setattr(triplesum, "_BAND_FH", 0.5 * triplesum._BAND_FH)
+    monkeypatch.setattr(quadrature, "_BAND_FH", 0.5 * quadrature._BAND_FH)
     ref = decompose(params, c, pset, with_direct=False)
     assert sum(ref.band_points) > 1.9 * sum(res.band_points)
     kern = _kernel_for(params)
@@ -534,8 +534,8 @@ def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
     pieces = zip((res.gamma1, res.gamma2), (ref.gamma1, ref.gamma2),
                  res.gamma_errors, res.band_spacings, (1.0, 2.0))
     for got, want, bar, h, fold in pieces:
-        tail = triplesum.euler_maclaurin_tail(h, f_max * h, majorant,
-                                              triplesum._EM_TERMS)
+        tail = quadrature.euler_maclaurin_tail(h, f_max * h, majorant,
+                                               quadrature._EM_TERMS)
         assert 0.0 < abs(got.real - want.real) <= bar - fold * tail
 
 
@@ -623,7 +623,7 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     c = Coefficients(1.0, SQRT2, -2.0, 0.3)
     kern = _kernel_for(params)
     f_max = triplesum.band_frequency(params, c, kern)
-    span = (triplesum._CHUNK + 50_001) * triplesum._BAND_FH / f_max
+    span = (triplesum._CHUNK + 50_001) * quadrature._BAND_FH / f_max
     t_lo = -span / 2 if symmetric else params.Delta
     recorded = []
 
@@ -636,9 +636,10 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     grid = expsums.ps_sum_grid
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
     monkeypatch.setattr(triplesum, "euler_maclaurin", lambda *args: 0j)
+    monkeypatch.setattr(triplesum, "euler_maclaurin_squared", lambda *args: 0.0)
     band, stats = triplesum._band_quadrature(
         params, c, kern, t_lo, t_lo + span,
-        triplesum._sum_factors(pset, c, triplesum._centre(params)), True,
+        triplesum._sum_factors(pset, c.lambdas, triplesum._centre(params)), True,
     )
     value, n_points, h = band.value, band.n_points, band.spacing
     assert len(recorded) == 6 and n_points > triplesum._CHUNK
@@ -856,6 +857,46 @@ def test_box_mass_bound():
 
 # ---------------------------------------------------------------------------
 # remainder and far tail
+
+
+def _mpmath_phi(params, kern, c):
+    """Both half-lines |t| > Delta of the envelope, transform_bound times
+    min(plateau, 1/(pi |l_i| t)) per l_i, by 30-digit quadrature split at
+    the envelope's knots past Delta."""
+    with mp.workdps(30):
+        eps, k = mp.mpf(kern.epsilon), kern.k
+        plateau = (mp.mpf(params.gamma.value) * (1 - mp.mpf(params.lambda0))
+                   * mp.mpf(params.X))
+        corner = 4 * k / (mp.pi * eps)
+        lams = [abs(mp.mpf(l)) for l in c.lambdas]
+
+        def envelope(t):
+            inv = 1 / (mp.pi * t)
+            out = min(7 * eps / 4, inv, inv * (corner / t) ** k)
+            for l in lams:
+                out *= min(plateau, 1 / (mp.pi * l * t))
+            return out
+
+        delta = mp.mpf(params.Delta)
+        knots = [4 / (7 * mp.pi * eps), corner] + [1 / (mp.pi * l * plateau) for l in lams]
+        inner = sorted(x for x in knots if x > delta)
+        return float(2 * mp.quad(envelope, [delta, *inner, mp.inf])), len(inner)
+
+
+@pytest.mark.parametrize("lam0", [0.5, 0.995])
+@pytest.mark.parametrize("eps", [0.05, 2.0])
+@pytest.mark.parametrize("k", [1, 4, 9, 64])
+def test_phi_bound_matches_30_digit_quadrature(k, eps, lam0):
+    # on q0 8 the |Theta| knots lie past Delta = 0.070; lambda0 = 0.995
+    # also puts the three plateau knots there (0.78/|l_i| against 0.0078)
+    params = RunParameters(8, 0.9, lam0, epsilon_user=eps)
+    kern = make_kernel(eps, k)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    want, inner = _mpmath_phi(params, kern, c)
+    assert inner == (5 if lam0 == 0.995 else 2)
+    phi = phi_bound(params, kern, c)
+    assert abs(phi.value - want) <= 1e-13 * want
+    assert phi.shape_ratio == phi.value / (eps / params.Delta**2)
 
 
 def test_phi_bound_shape_and_monotonicity():
