@@ -73,7 +73,10 @@ def _split(pattern: str, name: str, form: str) -> "tuple[float, float, list]":
     parts = pattern.split(":")
     if len(parts) != form.count(":") + 1:
         raise ValueError(f"{name} must be {form}, got {pattern!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"{name}: ends must be numbers, got {pattern!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name}: ends must be finite, got {pattern!r}")
     return lo, hi, parts
@@ -82,7 +85,10 @@ def _split(pattern: str, name: str, form: str) -> "tuple[float, float, list]":
 def _grid(pattern: str, name: str) -> np.ndarray:
     """Parse 'lo:hi:n' into n inclusive uniform points."""
     lo, hi, parts = _split(pattern, name, "lo:hi:n")
-    n = int(parts[2])
+    try:
+        n = int(parts[2])
+    except ValueError:
+        raise ValueError(f"{name}: n must be an integer, got {parts[2]!r}") from None
     if n < 1:
         raise ValueError(f"{name}: need at least one point, got {n}")
     if n == 1:

@@ -67,6 +67,10 @@ PHASE_LIMIT = float(1 << 52)
 # ps_sum_grid's measured rounding per unit max |lam p t| of sum |w|
 _GRID_ROUNDING = 4e-17
 
+# unit roundoff, and np.sinc's steepest slope max |d/dx sin(pi x)/(pi x)|
+_UNIT_ROUNDOFF = 2.0**-53
+_SINC_SLOPE = 1.3704
+
 
 def sawtooth(t):
     """Fractional part minus one half; {t} in [0, 1), so integers map to -1/2."""
@@ -273,7 +277,9 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
 def _window_factors(params: RunParameters, lams):
     """Factor source of the main term J and of l2_integral's interval
     kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
-    t L) * e(l_i t centre), closed forms charged no rounding."""
+    t L) * e(l_i t centre).  Their rounding does not grow with |l_i t|,
+    so none is reported per unit of it; l2_integral charges its own
+    per sample."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
@@ -375,9 +381,11 @@ def l2_integral(
     quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam| L, the top
     frequency of |F|^2, minus _EM_TERMS terms of its endpoint series from
     F's.  The error bar bounds the terms left out (majorant S(0)^2 or
-    (gamma L)^2) plus the evaluator's rounding as the walker charges it,
-    2 |F| |lam t| times the source's rounding per sample; panels counts
-    the grid's intervals.  The ps_sum kind needs the window set pset.
+    (gamma L)^2) plus 2 |F| times a bound on each sample's rounding,
+    summed as the walker sums its rounding weight: for ps_sum |lam t|
+    times the source's rounding, as the walker charges it; for interval
+    a count of the closed form's roundings (below).  panels counts the
+    grid's intervals.  The ps_sum kind needs the window set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -417,9 +425,21 @@ def l2_integral(
     squares[[0, -1]] *= 0.5
     ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (-delta, delta)]
     value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
-    t = -delta + h * np.arange(n)
-    error = (euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS)
-             + 2.0 * rounding * abs(lam) * h * float(np.dot(vals, np.abs(t))))
+    if kind == "ps_sum":
+        t = -delta + h * np.arange(n)
+        rounded = 2.0 * rounding * abs(lam) * h * float(np.dot(vals, np.abs(t)))
+    else:
+        # |F| = gamma L |sinc(lam t L)| is within u gamma L (8 _SINC_SLOPE
+        # A + 16) of exact, A = f_max Delta >= |lam t L|: sinc's argument
+        # takes 8 roundings of at most A (3 in t = t0 + h k, |h k| <=
+        # 2 Delta, 2 in L, one each in lam t, times L, times pi), and 16
+        # more of at most gamma L cover sin (2), the quotient, gamma L (3),
+        # the products (2), the phase factor's modulus (2), abs (2), the
+        # square and the sums (3)
+        per_sample = _UNIT_ROUNDOFF * amplitude * (
+            8.0 * _SINC_SLOPE * f_max * delta + 16.0)
+        rounded = 2.0 * per_sample * h * float(np.sum(vals))
+    error = euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS) + rounded
     return L2Result(value, n - 1, error)
 
 

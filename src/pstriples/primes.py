@@ -5,6 +5,11 @@ p = floor(n^(1/gamma)).  Membership is decided either by the indicator
 floor(-p^gamma) - floor(-(p+1)^gamma), which counts integers in
 [p^gamma, (p+1)^gamma), or by direct enumeration over n; the two agree
 exactly and the test suite holds them to that.
+
+A power that lands within _BOUNDARY_GUARD of an integer is re-decided by
+a 60-digit comparison of logarithms.  mpmath is imported only there, in
+the guard branches, so a process whose powers all clear the band never
+loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .params import GammaExponent, ParameterError, RunParameters
 
@@ -117,6 +121,8 @@ def _boundary_floor_neg(base: int, gamma: float, m: int) -> int:
     # band of integer m.  Compare gamma*log(base) with log(m) at high
     # precision; agreement below 1e-50 is treated as exact equality
     # (covers dyadic gamma like 0.5 hitting perfect powers).
+    from mpmath import mp
+
     with mp.workdps(60):
         d = gamma * mp.log(base) - mp.log(m)
         if abs(d) <= mp.mpf("1e-50"):
@@ -216,6 +222,8 @@ def _floor_root_power(n: int, inv_gamma_of: float) -> int:
     x = math.exp(math.log(n) / g)
     m = round(x)
     if m >= 1 and abs(x - m) < _BOUNDARY_GUARD * max(1.0, abs(x)):
+        from mpmath import mp
+
         with mp.workdps(60):
             d = mp.log(n) / g - mp.log(m)
             if abs(d) <= mp.mpf("1e-50"):

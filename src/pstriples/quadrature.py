@@ -10,7 +10,12 @@
   coefficient of g(x + s h), with terms falling like (f_max h)^(2k)
   (Trefethen and Weideman, SIAM Rev. 2014); `euler_maclaurin_tail`
   bounds the terms left out, `euler_maclaurin_squared` takes |F|^2's
-  series from F's.
+  series from F's.  `bernoulli_even` gives the B_2k exactly from the
+  tangent numbers, built in place by O(K^2) integer multiply-adds
+  (Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
+  numbers", 2011), with no Fraction arithmetic before the K final
+  quotients; the weights B_2k/(2k) are rounded to doubles once per term
+  count.
 
 * The band rule, of `triplesum._band_quadrature` and
   `expsums.l2_integral`: the trapezoid sum on `_band_grid` (f_max h <=
@@ -114,19 +119,31 @@ def adaptive_simpson(
         prev = cur
 
 
-@functools.lru_cache(maxsize=None)
 def bernoulli_even(count: int) -> "tuple[Fraction, ...]":
-    """B_2, B_4, ..., B_(2 count) exactly, from sum_{j <= m} C(m+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * count + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return tuple(b[2::2])
+    """B_2, B_4, ..., B_(2 count) exactly, from the tangent numbers T_k
+    (tan x = sum T_k x^(2k-1) / (2k-1)!), built in place in integers
+    (Brent and Harvey 2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = [0, 1]
+    for k in range(2, count + 1):
+        t.append((k - 1) * t[-1])
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+                 for k in range(1, count + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _em_weights(terms: int) -> np.ndarray:
+    """B_2k / (2k) as doubles, k = 1 .. terms."""
+    weights = np.array([float(b / (2 * k)) for k, b in enumerate(bernoulli_even(terms), 1)])
+    weights.flags.writeable = False
+    return weights
 
 
 def euler_maclaurin(h: float, lo: np.ndarray, hi: np.ndarray) -> complex:
     """T_h - I to K terms, lo and hi holding c_0 .. c_{2K-1} at a and b."""
-    terms = len(lo) // 2
-    weights = [float(b / (2 * k)) for k, b in enumerate(bernoulli_even(terms), 1)]
+    weights = _em_weights(len(lo) // 2)
     return complex(h * np.dot(weights, np.asarray(hi)[1::2] - np.asarray(lo)[1::2]))
 
 

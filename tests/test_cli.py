@@ -106,13 +106,17 @@ def test_sums_alpha_grid(tmp_path, capsys):
     assert abs(alpha0[2]) <= 1e-12 * alpha0[1]
 
 
-@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
-def test_sums_rejects_non_finite_grid_end(tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid, message", [
+    ("nan:1:3", "must be finite"), ("0:inf:3", "must be finite"),
+    ("0:1:x", "n must be an integer"),
+], ids=["nan:1:3", "0:inf:3", "0:1:x"])
+def test_sums_rejects_non_finite_grid_end(tmp_path, capsys, grid, message):
     dest = tmp_path / "sums.csv"
     assert main(["sums", "--kind", "S", "--alpha-grid", grid,
                  "--q0", "12", "--gamma", "0.9", "--eps-user", "1",
                  "--out", str(dest)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--alpha-grid" in err and message in err
     assert not dest.exists()
 
 
@@ -128,6 +132,7 @@ def test_dichotomy_rejects_non_finite_grid_end(tmp_path, capsys, grid):
 @pytest.mark.parametrize("window, message", [
     ("nan:100", "must be finite"), ("50:inf", "must be finite"),
     ("50", "must be lo:hi"), ("50:100:3", "must be lo:hi"),
+    ("a:100", "must be numbers"),
 ])
 def test_ps_primes_rejects_bad_range(tmp_path, capsys, window, message):
     cache = tmp_path / "primes.psp"

@@ -1,6 +1,11 @@
 """Sieve, floor-power prime indicator, cross-oracle equality, cache."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +101,43 @@ def test_indicator_near_boundary_power_of_two():
     # 1024^(0.9 as a double) lies a hair above 512; the guard must place
     # the floor on the correct side
     assert ps_indicator(1023, 0.9) == 1
+
+
+# In a fresh process with warnings as errors (in process, the test
+# modules import mpmath themselves): start-up, a decomposition and a
+# pipeline run never reach the boundary guard, so mpmath stays unloaded;
+# the guard then imports it and still decides both boundary cases
+# exactly.
+_LAZY_GUARD_SCRIPT = """
+import json, math, sys
+import pstriples.cli
+from pstriples.params import Coefficients, RunParameters
+from pstriples.primes import ps_indicator, ps_primes_in, sieve_primes
+from pstriples.triplesum import decompose
+
+params = RunParameters(12, 0.9, 0.5, epsilon_user=2.0)
+table = sieve_primes(math.ceil(params.X) + 1)
+pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.9, table)
+decompose(params, Coefficients(1.0, 1.0, -2.0, 0.0), pset)
+code = pstriples.cli.main(["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+before = "mpmath" in sys.modules
+exact = [ps_indicator(3, 0.5), ps_indicator(1023, 0.9)]
+print(json.dumps([code, before, exact, "mpmath" in sys.modules]))
+"""
+
+
+def test_boundary_guard_loads_mpmath_only_when_it_fires(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PSD_CACHE_DIR=str(tmp_path / "cache"))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _LAZY_GUARD_SCRIPT,
+         str(root / "demos" / "sqrt2_demo.conf"), str(tmp_path / "run")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    code, before, exact, after = json.loads(out.strip().splitlines()[-1])
+    assert code == 0 and (tmp_path / "run" / "manifest.json").is_file()
+    assert before is False
+    assert exact == [0, 1] and after is True
 
 
 def test_ps_primes_in_window():

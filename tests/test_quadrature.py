@@ -4,6 +4,7 @@ Boole weights: streaming chunks, exactness, grid validation."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,35 @@ from pstriples.quadrature import (
 )
 
 
+def _bernoulli_by_recurrence(count):
+    """The O(count^2) reference: sum_{j <= m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b[2::2])
+
+
 def test_bernoulli_numbers_exact():
     assert bernoulli_even(5) == (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                                  Fraction(-1, 30), Fraction(5, 66))
     assert bernoulli_even(20)[-1] == Fraction(-261082718496449122051, 13530)
+    # up to the 80 terms of an f_max h = 0.8 grid, against the classical
+    # recurrence and mpmath
+    got = bernoulli_even(80)
+    assert got == _bernoulli_by_recurrence(80)
+    assert [(b.numerator, b.denominator) for b in got] == [
+        mpmath.bernfrac(2 * k) for k in range(1, 81)]
+    assert bernoulli_even(20) == got[:20] and bernoulli_even(0) == ()
+
+
+@pytest.mark.parametrize("terms", [20, 80])
+def test_euler_maclaurin_weights_are_the_rounded_bernoulli_ratios(terms):
+    # one unit coefficient c_(2k-1) at b, h = 1, reads weight k alone
+    zeros = np.zeros(2 * terms)
+    for k, b in enumerate(bernoulli_even(terms), 1):
+        unit = zeros.copy()
+        unit[2 * k - 1] = 1.0
+        assert euler_maclaurin(1.0, zeros, unit) == float(b / (2 * k))
 
 
 def test_euler_maclaurin_on_a_trigonometric_polynomial():
