@@ -38,7 +38,7 @@ from .quadrature import (
     simpson_uniform,
 )
 from .summation import SumResult, compensated_complex_sum
-from .trigpoly import BlockedPlan, plan_uniform, trig_sum_uniform
+from .trigpoly import BlockedPlan, error_floor, plan_uniform, trig_sum_uniform
 
 __all__ = [
     "PHASE_LIMIT",
@@ -249,10 +249,12 @@ def _centre(params: RunParameters) -> float:
 def _sum_factors(pset: PSPrimeSet, lams, centre: float):
     """Factor source of the band rule (triplesum._band_quadrature,
     l2_integral), the window's sums S(l_i t), as (grid, series,
-    amplitude, rounding).  A chunk size's sums come from one plan per l_i
-    (ps_sum_plan; none on the NUFFT path) sharing work buffers, one set
-    for the full chunks and one for the ragged last; each sum is a view
-    valid until the next call."""
+    amplitude, rounding, floor): rounding bounds each sum's error per
+    unit |l_i t| and floor its error at small |l_i t|
+    (trigpoly.error_floor), both absolute.  A chunk size's sums come from
+    one plan per l_i (ps_sum_plan; none on the NUFFT path) sharing work
+    buffers, one set for the full chunks and one for the ragged last;
+    each sum is a view valid until the next call."""
     plans: dict = {}
 
     def grid(t0: float, h: float, n: int) -> list:
@@ -271,15 +273,16 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
 
     total = float(np.sum(pset.weight_w * pset.weight_log))
     p_max = float(pset.primes[-1]) if pset.count else 0.0
-    return grid, series, total, _GRID_ROUNDING * p_max * total
+    return (grid, series, total, _GRID_ROUNDING * p_max * total,
+            error_floor(pset.count) * total)
 
 
 def _window_factors(params: RunParameters, lams):
     """Factor source of the main term J and of l2_integral's interval
     kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
     t L) * e(l_i t centre).  Their rounding does not grow with |l_i t|,
-    so none is reported per unit of it; l2_integral charges its own
-    per sample."""
+    so none is reported per unit of it, and no floor either;
+    l2_integral charges its own per sample."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
@@ -294,7 +297,7 @@ def _window_factors(params: RunParameters, lams):
         return [g * length * sinc_series(l * length * x, l * length * h, n)
                 for l in lams]
 
-    return grid, series, g * length, 0.0
+    return grid, series, g * length, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -383,9 +386,10 @@ def l2_integral(
     F's.  The error bar bounds the terms left out (majorant S(0)^2 or
     (gamma L)^2) plus 2 |F| times a bound on each sample's rounding,
     summed as the walker sums its rounding weight: for ps_sum |lam t|
-    times the source's rounding, as the walker charges it; for interval
-    a count of the closed form's roundings (below).  panels counts the
-    grid's intervals.  The ps_sum kind needs the window set pset.
+    times the source's rounding plus its floor, as the walker charges
+    them; for interval a count of the closed form's roundings (below).
+    panels counts the grid's intervals.  The ps_sum kind needs the window
+    set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -415,10 +419,10 @@ def l2_integral(
     delta = params.Delta
     if kind == "ps_sum":
         f_max = abs(lam) * (pset.hi - pset.lo)
-        grid, series, amplitude, rounding = _sum_factors(pset, [lam], _centre(params))
+        grid, series, amplitude, rounding, floor = _sum_factors(pset, [lam], _centre(params))
     else:
         f_max = abs(lam) * (1.0 - params.lambda0) * params.X
-        grid, series, amplitude, rounding = _window_factors(params, [lam])
+        grid, series, amplitude, _, _ = _window_factors(params, [lam])
     n, h = _band_grid(-delta, delta, f_max)
     vals = np.abs(grid(-delta, h, n)[0])
     squares = vals * vals
@@ -427,7 +431,7 @@ def l2_integral(
     value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
     if kind == "ps_sum":
         t = -delta + h * np.arange(n)
-        rounded = 2.0 * rounding * abs(lam) * h * float(np.dot(vals, np.abs(t)))
+        rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * np.abs(t) + floor))
     else:
         # |F| = gamma L |sinc(lam t L)| is within u gamma L (8 _SINC_SLOPE
         # A + 16) of exact, A = f_max Delta >= |lam t L|: sinc's argument

@@ -54,8 +54,14 @@ as the largest gap relative to sum |w_j| (see tests/test_trigpoly.py):
 it grows in proportion to max |f_j t|, at most 4e-17 max |f_j t| on
 either path (3e-12 at 1e5, 1e-11 to 2e-11 at 5.6e5, 1e-10 at 5.6e6,
 1e-9 to 2e-9 at 1e8).  Nearly all of it is the rounding of the products
-f_j t0 and f_j dt to doubles, which both paths share; with exact phase
-products the blocked path is within 5e-15.
+f_j t0 and f_j dt to doubles, which both paths share.  Below it, at
+small |f_j t|, each path has a floor that does not fall with t
+(`error_floor`): with exact phase products the blocked path is within
+5.2e-15 (tests/test_trigpoly.py), the NUFFT within 1.6e-12 (dyadic
+inputs, 513 to 4287 frequencies, 4096 to 2^21 points, f_max dt 0.4 to
+0.8) and 1.7e-12 on the window of q0 120 near t = Delta, from its
+Kaiser-Bessel window; the NUFFT's floor exceeds 4e-17 max |f_j t| while
+max |f_j t| < 4e4.
 
 Determinism: reruns are bitwise identical for fixed inputs, a fixed BLAS
 library and a fixed BLAS thread count.  The blocked path's bits depend on
@@ -67,7 +73,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BlockedPlan", "plan_uniform", "trig_sum_uniform"]
+__all__ = ["BlockedPlan", "error_floor", "plan_uniform", "trig_sum_uniform"]
 
 _SPREAD_WIDTH = 13          # Kaiser-Bessel support in fine-grid cells (odd)
 _OVERSAMPLING = 2.0
@@ -75,6 +81,9 @@ _BETA = np.pi * _SPREAD_WIDTH * (1.0 - 1.0 / (2.0 * _OVERSAMPLING))
 _DIRECT_CUTOFF = 4096       # below this many samples the blocked path wins
 _BLOCKED_MAX_FREQS = 512    # up to this many frequencies the blocked path wins
 _MIRROR_ROWS = 128          # mirrored row pairs per pair of real products
+# each path's error at small |f_j t| relative to sum |w_j| (module docstring)
+_BLOCKED_FLOOR = 5.2e-15
+_NUFFT_FLOOR = 2e-12
 
 
 def _phase_factors(phase: np.ndarray, count: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -249,6 +258,14 @@ def _deconvolution(n: int, m_fine: int) -> np.ndarray:
             _DECONV_CACHE.clear()
         _DECONV_CACHE[key] = cached
     return cached
+
+
+def error_floor(n_freqs: int) -> float:
+    """A bound on trig_sum_uniform's error at small |f_j t|, relative to
+    sum |w_j|: the blocked path's where every grid takes it (at most
+    _BLOCKED_MAX_FREQS frequencies), else the NUFFT's (1.7e-12 measured,
+    charged 2e-12), which also covers that window's short grids."""
+    return _BLOCKED_FLOOR if n_freqs <= _BLOCKED_MAX_FREQS else _NUFFT_FLOOR
 
 
 def trig_sum_uniform(

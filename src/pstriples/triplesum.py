@@ -12,7 +12,7 @@ Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
 This module computes both sides at desk scale: the count directly by a
 sorted meet-in-the-middle sweep; the three band integrals and the
 main-term integral J by one band walker (_band_quadrature): the
-trapezoid rule at f_max h <= 1/2 on the band-limited integrand minus
+trapezoid rule at f_max h <= 0.8 on the band-limited integrand minus
 its Euler-Maclaurin endpoint series, with an error bar per band; the
 main-term box integral, exact as a signed sum of theta's third
 antiderivative over the cube's corners, and its remainder majorant; the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import _centre, _sum_factors, _window_factors
+from .expsums import _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors
 from .kernel import (
     GridTransform,
     SmoothingKernel,
@@ -111,6 +111,18 @@ _BRUTE_LIMIT = 512
 # either.
 _SWEEP_PAIRS = 1 << 14
 _CELLS = 1 << 18
+
+# Theta's error (module kernel): relative where 2 pi a |t| < 1, in units
+# of 2a elsewhere; GridTransform's on one-sided bands, theta_transform's
+# on symmetric ones
+_THETA_ERROR = {True: (5.8e-15, 3.1e-15), False: (2.1e-15, 5.4e-16)}
+# roundings, in units of u, of each sample of the band integrand relative
+# to |Theta F1 F2 F3| and of its share of the sum: two complex products
+# (sqrt 5 each, no FMA), the carrier (its product, 2 pi frac, np.pi's
+# error, exp's two ulps), the factor Theta, a block's pairwise sum (depth
+# at most 32 for _BLOCK points), the exactly rounded total, h and h's own
+# rounding
+_SAMPLE_ROUNDINGS = 3.0 * math.sqrt(5.0) + 2.0 * math.pi + 4.2 + 1.0 + 32.0 + 3.0
 
 
 def _full_weights(pset: PSPrimeSet) -> np.ndarray:
@@ -440,10 +452,11 @@ def find_triples(
 def band_frequency(
     params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
 ) -> float:
-    """f_max, the top frequency of every band integrand: Theta's spectrum
+    """f_max, the top frequency of the band integrand: Theta's spectrum
     is theta's support [-eps, eps] and S(l_i t)'s the l_i p, so that of
     Theta * S1 * S2 * S3 * e(eta t), as of J's integrand, lies in [lo -
-    eps, hi + eps], [lo, hi] the form's range over the window cube."""
+    eps, hi + eps], [lo, hi] the form's range over the window cube.  The
+    middle band's grid also covers the squares it collects (_band_edges)."""
     lo, hi = form_range(coeffs, params.lambda0, params.X)
     return max(abs(lo), abs(hi)) + kernel.epsilon
 
@@ -452,8 +465,10 @@ def band_frequency(
 class BandQuadrature:
     """A band integral, the endpoint-corrected trapezoid rule on n_points
     at the given spacing, with its error bar: a bound on the omitted
-    Euler-Maclaurin terms (euler_maclaurin_tail) plus the evaluator's
-    rounding over the samples, an empirical figure."""
+    Euler-Maclaurin terms (euler_maclaurin_tail) plus the samples'
+    rounding, which grows with |t| and has a floor that does not, each
+    charged from measured error figures of the evaluators and a count of
+    the walker's own roundings."""
 
     value: complex
     error: float
@@ -467,25 +482,34 @@ def _band_quadrature(
     kernel: SmoothingKernel,
     t_lo: float,
     t_hi: float,
+    f_max: float,
     factors,
     collect: bool,
 ):
     """Theta * F1 * F2 * F3 * e(eta t) integrated over [t_lo, t_hi], with
     its error bar.
 
-    factors is (grid, series, amplitude, rounding): grid(t0, h, count)
-    gives the three factors on a chunk's grid (possibly views that the
-    next call overwrites), series(x, h, n) the first n Taylor
+    factors is (grid, series, amplitude, rounding, floor): grid(t0, h,
+    count) gives the three factors on a chunk's grid (possibly views that
+    the next call overwrites), series(x, h, n) the first n Taylor
     coefficients of each F_i(x + s h) demodulated about l_i * centre,
-    amplitude bounds every |F_i| and rounding is their rounding per unit
-    |l_i t|.  At f_max h <= quadrature._BAND_FH (band_frequency) the
-    trapezoid rule's only error is its Euler-Maclaurin endpoint series;
-    the first _EM_TERMS terms are subtracted, from the product at each
-    end of Theta's series, the factors' and the carrier e(F (x + s h)),
-    F = sum l_i centre + eta, kept apart (multiplying raw series cancels
-    digits that the Bernoulli weights amplify).  The bar is the tail
-    bound with majorant 2a amplitude^3 plus rounding times h sum |Theta
-    t| sum_i |l_i| prod_{j != i} |F_j|.
+    amplitude bounds every |F_i|, rounding bounds their error per unit
+    |l_i t| and floor their error at small |l_i t|.  f_max bounds the
+    frequencies of every integrand the walk sums (_band_edges); at f_max
+    h <= quadrature._BAND_FH the trapezoid rule's only error is its
+    Euler-Maclaurin endpoint series, and the first _EM_TERMS terms are
+    subtracted, from the product at each end of Theta's series, the
+    factors' and the carrier e(F (x + s h)), F = sum l_i centre + eta,
+    kept apart (multiplying raw series cancels digits that the Bernoulli
+    weights amplify).
+
+    The bar is the tail bound with majorant 2a amplitude^3 plus h times
+    two rounding rows summed over the samples.  One grows with |t|:
+    rounding times |Theta t| sum_i |l_i| prod_{j != i} |F_j|.  The other
+    is the floor, which the first misses near t = 0: floor times |Theta|
+    sum_i prod_{j != i} |F_j|, plus |F1 F2 F3| times Theta's error
+    (_THETA_ERROR) and the sample's and the sum's roundings
+    (_SAMPLE_ROUNDINGS), plus the carrier's phase error from eta t.
 
     The grid is walked in chunks of _CHUNK points and blocks of _BLOCK
     points in reused buffers, Theta from GridTransform where t_lo >= 0
@@ -500,13 +524,22 @@ def _band_quadrature(
     min(|F1|, |F2|) with its t, and that minimum's plain trapezoid
     integrals, O(h^2), against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
     """
-    grid, series, amplitude, rounding = factors
-    f_max = band_frequency(params, coeffs, kernel)
+    grid, series, amplitude, rounding, floor = factors
     n_points, h = _band_grid(t_lo, t_hi, f_max)
     eta = coeffs.eta
     l1, l2, l3 = (abs(l) for l in coeffs.lambdas)
-    # rows: Re, Im, rounding weight; with collect |F_i|^2 and two minima
-    q_buf = np.empty((8 if collect else 3, _BLOCK))
+    # The floor's coefficients.  Theta's error is charged as the larger of
+    # its relative and its absolute form.  A sample's t is within u (2 |t|
+    # + |t_lo|) of the factors' grid point, which moves Theta by at most 3
+    # (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta| (3 |t| + |t_lo|)
+    # with eta t's own rounding.
+    u = _UNIT_ROUNDOFF
+    theta_rel, theta_abs = _THETA_ERROR[t_lo >= 0.0]
+    theta_abs *= 2.0 * kernel.a
+    sample_rel = u * (_SAMPLE_ROUNDINGS + 3.0 * (kernel.k + 1)) + 2.0 * math.pi * u * abs(eta * t_lo)
+    per_t = 6.0 * math.pi * u * abs(eta)
+    # rows: Re, Im, the two rounding rows; with collect |F_i|^2 and two minima
+    q_buf = np.empty((9 if collect else 4, _BLOCK))
     offsets = np.arange(_BLOCK, dtype=np.float64)
     t_buf, theta_buf = np.empty(_BLOCK), np.empty(_BLOCK)
     prod_buf = np.empty(_BLOCK, dtype=np.complex128)
@@ -533,15 +566,26 @@ def _band_quadrature(
             np.multiply(prod.imag, wt, out=q[1])
             for i in range(3):
                 np.abs(sums[i][blk], out=a[i])
-            q[2] = ((l1 * a[1] + l2 * a[0]) * a[2] + l3 * a[0] * a[1]) * np.abs(wt * t)
+            aw = np.abs(wt)
+            awt = aw * np.abs(t)
+            pair = a[0] * a[1]
+            triple = pair * a[2]
+            q[2] = ((l1 * a[1] + l2 * a[0]) * a[2] + l3 * pair) * awt
+            theta_err = np.maximum(theta_rel * aw, theta_abs)
+            theta_err += sample_rel * aw
+            np.multiply(theta_err, triple, out=q[3])
+            if floor:
+                q[3] += floor * aw * (pair + a[2] * (a[0] + a[1]))
+            if eta != 0.0:
+                q[3] += per_t * awt * triple
             if collect:
                 small = np.minimum(a[0], a[1])
                 j = int(np.argmax(small))
                 if small[j] > sup:
                     sup, t_sup = float(small[j]), float(t[j])
-                np.multiply(a, a, out=q[3:6])
-                q[6] = small * a[2] * (a[0] + a[1])
-                q[7] = small * (q[3] + q[4] + q[5])
+                np.multiply(a, a, out=q[4:7])
+                q[7] = small * a[2] * (a[0] + a[1])
+                q[8] = small * (q[4] + q[5] + q[6])
             partials.append(q.sum(axis=1))
             if start + b == 0:
                 partials.append(-0.5 * q[:, 0])
@@ -565,22 +609,31 @@ def _band_quadrature(
     (g_lo, f_lo), (g_hi, f_hi) = ends
     value = complex(trap[0], trap[1]) - euler_maclaurin(h, g_lo, g_hi)
     majorant = 2.0 * kernel.a * amplitude**3
-    error = euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS) + rounding * trap[2]
+    error = (euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS)
+             + rounding * trap[2] + trap[3])
     band = BandQuadrature(value, error, n_points, h)
     if not collect:
         return band, None
-    t_ints = tuple(trap[3 + i] - euler_maclaurin_squared(h, lo, hi)
+    t_ints = tuple(trap[4 + i] - euler_maclaurin_squared(h, lo, hi)
                    for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
-    return band, (t_ints, (sup, t_sup), trap[6], trap[7])
+    return band, (t_ints, (sup, t_sup), trap[7], trap[8])
 
 
-def _band_edges(params: RunParameters, kernel: SmoothingKernel):
-    """[t_lo, t_hi] of each band by piece: |t| < Delta for 1 (and the
-    main term J), [Delta, H] for 2, [H, piece3_truncation] for 3 (empty
-    when t_hi <= t_lo)."""
-    return {1: (-params.Delta, params.Delta),
-            2: (params.Delta, params.H_effective),
-            3: (params.H_effective, piece3_truncation(params, kernel))}
+def _band_edges(params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel):
+    """(t_lo, t_hi, f_max) of each band by piece: |t| < Delta for 1 (and
+    the main term J), [Delta, H] for 2, [H, piece3_truncation] for 3
+    (empty when t_hi <= t_lo).  f_max is band_frequency's, and on the
+    middle band, whose walk also integrates |S(l_k t)|^2 (spectrum within
+    |l_k| L, L the window's length), the larger of that and max |l_k| L:
+    where eta centres the form's range the squares can reach higher than
+    the product, as (1, 1, -5) at eta 2.25 X does (2.5 X against 1.75 X).
+    The middle band has this one grid for gamma2 alone or collected."""
+    f_max = band_frequency(params, coeffs, kernel)
+    length = (1.0 - params.lambda0) * params.X
+    f_mid = max(f_max, max(abs(l) for l in coeffs.lambdas) * length)
+    return {1: (-params.Delta, params.Delta, f_max),
+            2: (params.Delta, params.H_effective, f_mid),
+            3: (params.H_effective, piece3_truncation(params, kernel), f_max)}
 
 
 def check_band_grids(
@@ -588,8 +641,7 @@ def check_band_grids(
 ) -> None:
     """Size every band decompose integrates, evaluating nothing, so that
     a band past the point cap raises QuadratureError up front."""
-    f_max = band_frequency(params, coeffs, kernel)
-    for piece, (t_lo, t_hi) in _band_edges(params, kernel).items():
+    for piece, (t_lo, t_hi, f_max) in _band_edges(params, coeffs, kernel).items():
         if piece < 3 or t_hi > t_lo:
             _band_grid(t_lo, t_hi, f_max)
 
@@ -624,13 +676,13 @@ def piece_quadrature(
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
     check_window_set(params, pset)
-    t_lo, t_hi = _band_edges(params, kernel)[piece]
+    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[piece]
     omitted = 0.0
     if piece == 3:
         omitted = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi))
         if t_hi <= t_lo:
             return BandQuadrature(complex(0.0, 0.0), omitted, 0, 0.0)
-    band, _ = _band_quadrature(params, coeffs, kernel, t_lo, t_hi,
+    band, _ = _band_quadrature(params, coeffs, kernel, t_lo, t_hi, f_max,
                                _sum_factors(pset, coeffs.lambdas, _centre(params)), False)
     if piece == 1:
         return band
@@ -644,7 +696,7 @@ class MiddleBand:
 
     half_integral is the one-sided integral of Theta * S1 * S2 * S3 *
     e(eta t); t_integrals those of |S(l_k t)|^2, endpoint-corrected too
-    (converging fast while |l_k| is at most the other two |l| summed);
+    (the band's grid is sized for their top frequencies as well);
     sup_small_pair the largest min(|S1|, |S2|) found, a lower estimate
     of the supremum (1261.91 on instance A, the grid samples alone
     1219.41); cross_integral and squares_integral that minimum's plain
@@ -681,9 +733,9 @@ def middle_band_sweep(
     from .expsums import ps_exp_sum
 
     check_window_set(params, pset)
-    t_lo, t_hi = _band_edges(params, kernel)[2]
+    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[2]
     band, (t_ints, (sup, t), cross, squares) = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi,
+        params, coeffs, kernel, t_lo, t_hi, f_max,
         _sum_factors(pset, coeffs.lambdas, _centre(params)), True)
 
     def small(u: float) -> float:
@@ -773,9 +825,10 @@ def integral_J(
     walker; real by conjugate symmetry, with the imaginary residue
     checked against an absolute scale set by the integrand's
     supremum."""
-    t_lo, t_hi = _band_edges(params, kernel)[1]
+    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[1]
     band, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, _window_factors(params, coeffs.lambdas), False,
+        params, coeffs, kernel, t_lo, t_hi, f_max,
+        _window_factors(params, coeffs.lambdas), False,
     )
     value = band.value
     g = params.gamma.value

@@ -96,10 +96,11 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
     assert values["decomp"]["closure_error"] <= 1e-4
     gap = abs(values["decomp"]["j_integral"] - values["decomp"]["box_integral"])
     assert gap <= values["decomp"]["phi_bound"]
-    # band grids at f_max h <= 1/2 (Boole at 7 points per period, refined
-    # once on pieces 1 and 2, used 7.55e6 points here)
+    # band grids at f_max h <= 0.8, a pin of the grid sizes and no
+    # accuracy gate (Boole at 7 points per period, refined once on pieces
+    # 1 and 2, used 7.55e6 points here)
     assert [values["decomp"][f"gamma{p}_points"] for p in (1, 2, 3)] == [
-        74, 443_937, 637_148]
+        47, 277_461, 398_218]
     assert values["decomp"]["gamma2_points"] == values["decomp"]["middle_points"]
     closure_gap = abs(values["decomp"]["gamma_total"][0] - values["decomp"]["direct_value"])
     assert closure_gap <= sum(values["decomp"][f"gamma{p}_error"] for p in (1, 2, 3))

@@ -134,6 +134,28 @@ def test_mirrored_evaluator_against_plain_sum(n):
     assert np.max(np.abs(got - want)) <= 2e-14 * np.sum(np.abs(weights))
 
 
+@pytest.mark.parametrize("nf, n", [(600, 4096), (929, 2**14 + 3), (2000, 2**18)])
+def test_nufft_error_floor_on_exact_phases(nf, n):
+    # dyadic frequencies, t0 and dt at f_max dt 0.4 to 0.8 keep every
+    # phase product exact, so the gap is the NUFFT's own error, which does
+    # not fall with t: 4.0e-13 to 8.4e-13 of sum |w| here (at most 1.6e-12
+    # over 50 such cases), under error_floor's 2e-12; the blocked path's
+    # floor is the 5.2e-15 above
+    rng = np.random.default_rng(nf)
+    freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
+    weights = (0.5 + rng.random(nf)).astype(np.complex128)
+    dt = 2.0 ** np.floor(np.log2(0.8 / np.max(np.abs(freqs))))
+    t0 = 37 * dt / 64
+    assert not trigpoly._takes_blocked(n, nf)
+    got = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
+    idx = np.append(np.arange(0, n, n // 256), n - 1)
+    phase = np.outer(t0 + dt * idx, freqs)
+    want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
+    gap = np.max(np.abs(got[idx] - want)) / np.sum(np.abs(weights))
+    assert gap <= trigpoly.error_floor(nf) == 2e-12
+    assert trigpoly.error_floor(trigpoly._BLOCKED_MAX_FREQS) == 5.2e-15
+
+
 @pytest.mark.parametrize("n", [5, 4095, 8193, 3 * 2**11 + 5, 2**17 + 5])
 def test_plan_matches_fresh_calls_bitwise(n):
     # one plan per frequency set at several t0, the second and third

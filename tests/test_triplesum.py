@@ -1,5 +1,6 @@
 """Triple counts, band integrals, main term, and the bound chains."""
 
+import functools
 import math
 import tracemalloc
 
@@ -465,7 +466,7 @@ def test_decomposition_closes_on_feasible_instance():
     assert res.piece3_cut > params.H_effective
     assert res.gamma3.real != 0.0
     # the gap (2.0e-8) is the far band past the cut, which only piece 3's
-    # bar covers; the quadrature bars of pieces 1 and 2 sum to 1e-8
+    # bar covers; the quadrature bars of pieces 1 and 2 sum to 8.9e-9
     assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
     assert sum(res.gamma_errors[:2]) < 2e-8
 
@@ -485,58 +486,142 @@ def test_decomposition_closes_with_shift():
 def test_decomposition_closes_on_instance_a():
     # q0 70, gamma 0.9, eps 2, l = (1, sqrt 2, -2): the benchmark's
     # decomp-A.  theta and Theta are both exact, so the gap is quadrature
-    # error and the far band past the cut: 1.95e-13 measured with the
-    # endpoint-corrected trapezoid at f_max h = 1/2, 1.9e-12 with Boole
-    # at 7 points per period; a direct-side theta off by up to 8e-7 on
-    # its ramps reads 2.65e-9
+    # error and the far band past the cut: 1.08e-13 measured with the
+    # endpoint-corrected trapezoid at f_max h = 0.8, 1.9e-12 with Boole at
+    # 7 points per period; a direct-side theta off by up to 8e-7 on its
+    # ramps reads 2.65e-9.  band_points pins the grid sizes; it is no
+    # accuracy gate
     params, pset = _instance(70, 0.9, 0.5, 2.0)
     res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
     assert res.triples_found == 2362
     assert res.closure_error <= 1e-11
-    assert res.band_points == (107, 1_192_134, 259_872)
+    assert res.band_points == (68, 745_084, 162_420)
     assert abs(res.gamma_total.real - res.direct_value) <= sum(res.gamma_errors)
+
+
+@pytest.mark.parametrize("fh", [0.75, 0.8, 0.85])
+def test_instance_a_closes_across_a_fan_of_grids(monkeypatch, fh):
+    # the closure sits on a rounding floor that moves from grid to grid,
+    # so one grid's value says little: it must hold at each grid of a fan
+    # around the band rule's f_max h
+    monkeypatch.setattr(quadrature, "_BAND_FH", fh)
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
+    f_max = triplesum.band_frequency(params, Coefficients(1.0, SQRT2, -2.0, 0.0),
+                                     _kernel_for(params))
+    assert f_max * res.band_spacings[1] == pytest.approx(fh, rel=1e-3)
+    assert res.closure_error <= 1e-11
 
 
 def test_shift_past_the_reach_needs_no_dense_grid():
     # eta 1000 puts every form far from zero, so J and the count nearly
-    # cancel; the band grids depend on the spectrum alone, 404,318
+    # cancel; the band grids depend on the spectrum alone, 252,701
     # points in all (Boole refined against 1e-9 |J| used 21.5e6), and
-    # gamma1 and gamma2 agree with that run's values within their bars
+    # gamma1 and gamma2 agree within their bars with references: gamma1's
+    # from the 30-digit oracle (_piece1_oracle; the Boole value
+    # -19.12060776425254 was 5.65e-11 off it), gamma2's from the Boole run
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     res = decompose(params, Coefficients(1.0, 1.0, -2.0, 1000.0), pset)
     assert res.direct_value == 0.0
     assert sum(res.band_points) < 1_000_000
-    for got, boole, bar in zip((res.gamma1, res.gamma2),
-                               (-19.12060776425254, 19.1205896344149),
-                               res.gamma_errors):
-        assert abs(got.real - boole) <= bar
+    for got, want, bar in zip((res.gamma1, res.gamma2),
+                              (-19.120607764196032, 19.1205896344149),
+                              res.gamma_errors):
+        assert abs(got.real - want) <= bar
 
 
-@pytest.mark.parametrize("q0, c", [
+def _piece1_oracle(params, coeffs, kernel, pset):
+    """Piece 1, the integral of Theta(t) S(l1 t) S(l2 t) S(l3 t) e(eta t)
+    over |t| < Delta, at 30 digits for the double inputs the walker takes
+    (the weights w_p, l_i, eta, a, b, Delta): its real part by degree-4
+    Gauss-Legendre (24 nodes per panel) on ceil(f_max 2 Delta) panels,
+    about one period of the top frequency each.  On instance A, 53 and
+    106 panels agree to 24 digits."""
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with mp.workdps(30):
+        a, b = mp.mpf(kernel.a), mp.mpf(kernel.b)
+        w = [mp.mpf(x) for x in (pset.weight_w * pset.weight_log).tolist()]
+        p = [int(x) for x in pset.primes]
+        lams = [mp.mpf(l) for l in coeffs.lambdas]
+        eta = mp.mpf(coeffs.eta)
+
+        def f(t):
+            out = 2 * a * mp.sincpi(2 * a * t) * mp.sincpi(2 * b * t) ** kernel.k
+            out *= mp.expjpi(2 * eta * t)
+            for l in lams:
+                out *= mp.fsum(wq * mp.expjpi(2 * l * q * t) for wq, q in zip(w, p))
+            return mp.re(out)
+
+        delta = mp.mpf(params.Delta)
+        f_max = triplesum.band_frequency(params, coeffs, kernel)
+        edges = mp.linspace(-delta, delta, math.ceil(f_max * 2 * params.Delta) + 1)
+        rule = GaussLegendre(mp.mp)
+        nodes = rule.get_nodes(-1, 1, 4, mp.mp.prec)
+        return +mp.fsum(wx * f(x) for lo, hi in zip(edges, edges[1:])
+                        for x, wx in rule.transform_nodes(nodes, lo, hi))
+
+
+# _piece1_oracle on instance A (q0 70, eps 2, l = (1, sqrt 2, -2)); it
+# takes about 20 s, so the value is pinned
+_PIECE1_A = "21894335.5829187616399654"
+_PIECE1_CASES = [
     (12, Coefficients(1.0, 1.0, -2.0, 0.0)),
     (12, Coefficients(1.0, 1.0, -2.0, 0.3)),
+    (12, Coefficients(1.0, 1.0, -2.0, 1000.0)),
     (70, Coefficients(1.0, SQRT2, -2.0, 0.0)),
-])
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _piece1_reference(q0, c):
+    if q0 == 70:
+        with mp.workdps(30):
+            return mp.mpf(_PIECE1_A)
+    params, pset = _instance(q0, 0.9, 0.5, 2.0)
+    return _piece1_oracle(params, c, _kernel_for(params), pset)
+
+
+def _em_tail(params, c, pset, h):
+    """The band rule's truncation bound at spacing h."""
+    kern = _kernel_for(params)
+    f_max = triplesum.band_frequency(params, c, kern)
+    majorant = 2.0 * kern.a * float(np.sum(pset.weight_w * pset.weight_log)) ** 3
+    return quadrature.euler_maclaurin_tail(h, f_max * h, majorant, quadrature._EM_TERMS)
+
+
+@pytest.mark.parametrize("q0, c", _PIECE1_CASES)
+def test_piece1_bar_covers_30_digit_oracle(q0, c):
+    # piece 1 lies around t = 0, where the rounding charged per unit |t|
+    # vanishes, so its bar holds by the floor: the evaluator's error at
+    # small |l t|, Theta's and the walker's own roundings.  The errors
+    # are 6.4e-13, 1.1e-12, 2.8e-12 and 2.39e-8 (7.5 u h sum |Theta F1 F2
+    # F3| on A), and the rounding part of the bar alone covers each; on A
+    # the bar without the floor is 9.96e-9
+    params, pset = _instance(q0, 0.9, 0.5, 2.0)
+    band = piece_quadrature(1, params, c, _kernel_for(params), pset)
+    err = abs(mp.mpf(band.value.real) - _piece1_reference(q0, c))
+    assert 0.0 < err <= band.error - _em_tail(params, c, pset, band.spacing)
+
+
+@pytest.mark.parametrize("q0, c", [_PIECE1_CASES[0], _PIECE1_CASES[1], _PIECE1_CASES[3]])
 def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
-    # each bar against the piece's error, read off a run at half the
-    # spacing (f_max h = 1/4), whose correction series converges four
-    # times faster per term; the rounding part of the bar alone covers it
-    # (7.45e-9 against 8.25e-9 on A's piece 1), the truncation bound being
-    # far looser
+    # each bar against the piece's error: piece 1's from the 30-digit
+    # oracle (a run at half the spacing shares its rounding, and on q0 12
+    # reads bit for bit the same), piece 2's from a run at half the
+    # spacing (f_max h = 0.4), whose correction series converges four
+    # times faster per term; the rounding part of the bar alone covers
+    # each, the truncation bound being looser
     params, pset = _instance(q0, 0.9, 0.5, 2.0)
     res = decompose(params, c, pset, with_direct=False)
     monkeypatch.setattr(quadrature, "_BAND_FH", 0.5 * quadrature._BAND_FH)
     ref = decompose(params, c, pset, with_direct=False)
     assert sum(ref.band_points) > 1.9 * sum(res.band_points)
-    kern = _kernel_for(params)
-    f_max = triplesum.band_frequency(params, c, kern)
-    majorant = 2.0 * kern.a * float(np.sum(pset.weight_w * pset.weight_log)) ** 3
-    pieces = zip((res.gamma1, res.gamma2), (ref.gamma1, ref.gamma2),
+    pieces = zip((res.gamma1, res.gamma2), (_piece1_reference(q0, c), ref.gamma2.real),
                  res.gamma_errors, res.band_spacings, (1.0, 2.0))
     for got, want, bar, h, fold in pieces:
-        tail = quadrature.euler_maclaurin_tail(h, f_max * h, majorant,
-                                               quadrature._EM_TERMS)
-        assert 0.0 < abs(got.real - want.real) <= bar - fold * tail
+        err = abs(mp.mpf(got.real) - want)
+        assert 0.0 < err <= bar - fold * _em_tail(params, c, pset, h)
 
 
 def test_gamma_piece_matches_decompose():
@@ -638,7 +723,7 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     monkeypatch.setattr(triplesum, "euler_maclaurin", lambda *args: 0j)
     monkeypatch.setattr(triplesum, "euler_maclaurin_squared", lambda *args: 0.0)
     band, stats = triplesum._band_quadrature(
-        params, c, kern, t_lo, t_lo + span,
+        params, c, kern, t_lo, t_lo + span, f_max,
         triplesum._sum_factors(pset, c.lambdas, triplesum._centre(params)), True,
     )
     value, n_points, h = band.value, band.n_points, band.spacing
@@ -659,10 +744,11 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
 def test_t_integrals_match_exact_pair_sum():
     # int_Delta^H |S(l t)|^2 dt = (H - Delta) sum w^2 + the sum over
     # p != p' of w_p w_p' (sin 2 pi f H - sin 2 pi f Delta) / (2 pi f),
-    # f = l (p - p'): 40,804 pairs on instance A, summed exactly rounded
+    # f = l (p - p'): 40,804 pairs on instance A, summed exactly rounded.
+    # In the second case eta 2.25 X centres the form's range: the product
+    # reaches 1.75 X, |S3|^2 2.5 X, which a grid sized for the product
+    # aliases
     params, pset = _instance(70, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
-    band = middle_band_sweep(params, c, pset, _kernel_for(params))
     lo, hi = params.Delta, params.H_effective
     w = pset.weight_w * pset.weight_log
     p = pset.primes.astype(np.float64)
@@ -670,16 +756,20 @@ def test_t_integrals_match_exact_pair_sum():
     d = (p[:, None] - p[None, :]).ravel()
     off = d != 0.0
     assert off.sum() == pset.count * (pset.count - 1) == 40_602
-    for lam, got in zip(c.lambdas, band.t_integrals):
-        f = lam * d[off]
-        sines = (np.sin(2.0 * np.pi * np.mod(f * hi, 1.0))
-                 - np.sin(2.0 * np.pi * np.mod(f * lo, 1.0)))
-        terms = ww[off] * sines / (2.0 * np.pi * f)
-        want = (hi - lo) * math.fsum((w * w).tolist()) + math.fsum(terms.tolist())
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
-    # the polished supremum is a true value of min(|S1|, |S2|), at least
-    # the 1261.49 that Boole's 7 points per period sampled
-    assert band.sup_small_pair >= 1261.49
+    for c in (Coefficients(1.0, SQRT2, -2.0, 0.0),
+              Coefficients(1.0, 1.0, -5.0, 2.25 * params.X)):
+        band = middle_band_sweep(params, c, pset, _kernel_for(params))
+        for lam, got in zip(c.lambdas, band.t_integrals):
+            f = lam * d[off]
+            sines = (np.sin(2.0 * np.pi * np.mod(f * hi, 1.0))
+                     - np.sin(2.0 * np.pi * np.mod(f * lo, 1.0)))
+            terms = ww[off] * sines / (2.0 * np.pi * f)
+            want = (hi - lo) * math.fsum((w * w).tolist()) + math.fsum(terms.tolist())
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        if c.lambda2 == SQRT2:
+            # the polished supremum is a true value of min(|S1|, |S2|),
+            # at least the 1261.49 that Boole's 7 points per period sampled
+            assert band.sup_small_pair >= 1261.49
 
 
 def test_majorant_chain_holds():
