@@ -44,10 +44,10 @@ def main():
           f"asymptotic shape predicts {res.tail.value:.1e})")
     f_max = band_frequency(params, coeffs, kern)
     print(f"  band grids at the integrand's top frequency f_max = {f_max:.1f}:")
-    for p, n, h, bar in zip((1, 2, 3), res.band_points, res.band_spacings,
-                            res.gamma_errors):
-        print(f"    piece {p}: {n:9d} points, f_max h = {f_max * h:.4f}, "
-              f"bar {bar:.2e}")
+    for p in (1, 2, 3):
+        band = res.bands[p]
+        print(f"    piece {p}: {band.n_points:9d} points, "
+              f"f_max h = {f_max * band.spacing:.4f}, bar {band.error:.2e}")
     print("    (piece 3's bar covers the far band past the cut as well)")
     print(f"  total                       : {res.gamma_total.real:14.4f}")
     print(f"  direct count                : {res.direct_value:14.4f}")
@@ -55,7 +55,8 @@ def main():
     print()
 
     print("bound chain ------------------------------------")
-    print(f"  main band target integral J = {res.j_integral:.4f}")
+    print(f"  main band target integral J = {res.j_integral:.4f} "
+          f"(bar {res.bands['J'].error:.1e})")
     print(f"  box lower term            B = {res.box.value:.4f}")
     print(f"  |J - B| = {abs(res.j_integral - res.box.value):.4f} "
           f"<= envelope {res.phi.value:.4f}")

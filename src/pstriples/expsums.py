@@ -64,12 +64,15 @@ __all__ = [
 # beyond this the product alpha*p has no fractional bits left in a double
 PHASE_LIMIT = float(1 << 52)
 
-# ps_sum_grid's measured rounding per unit max |lam p t| of sum |w|
-_GRID_ROUNDING = 4e-17
-
 # unit roundoff, and np.sinc's steepest slope max |d/dx sin(pi x)/(pi x)|
 _UNIT_ROUNDOFF = 2.0**-53
 _SINC_SLOPE = 1.3704
+
+# ps_sum_grid's rounding per unit max |lam p| (|t0| + m dt) of sum |w|:
+# the phase of term p is built from the products f = lam p, f t0 and f dt
+# (taken m times), each off by at most u relative, so it is off by at most
+# 2 u |f| (|t0| + m dt) turns and the term by 2 pi times that
+_GRID_ROUNDING = 4.0 * math.pi * _UNIT_ROUNDOFF
 
 
 def sawtooth(t):
@@ -204,10 +207,12 @@ def ps_sum_grid(
     Bulk evaluation for quadrature through `trig_sum_uniform`, without
     per-term compensation: a blocked matrix product for windows of at most
     512 primes (or grids under 4096 points), the NUFFT above.  The error
-    relative to sum |w| grows with max |lam p t|, at most _GRID_ROUNDING
-    = 4e-17 times it as measured (1e-11 to 2e-11 at t = 40 on instance
-    A's window, 1e-9 to 2e-9 at t = 700 on B's), mostly from rounding
-    lam p t to doubles.
+    relative to sum |w| grows with max |lam p| (|t0| + m dt), which is
+    max |lam p t| where t0 >= 0, from rounding the phase products to
+    doubles: at most _GRID_ROUNDING = 4 pi u times it (derived, u = 2^-53;
+    the measured gap reaches 0.32 of that on q0 12's 9 primes and 0.06
+    on instance A's 202, whose terms' errors partly cancel), plus the
+    evaluator's floor (trigpoly.error_floor).
     Reruns are bitwise identical for a fixed BLAS library and thread
     count.
 
@@ -250,7 +255,8 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
     """Factor source of the band rule (triplesum._band_quadrature,
     l2_integral), the window's sums S(l_i t), as (grid, series,
     amplitude, rounding, floor): rounding bounds each sum's error per
-    unit |l_i t| and floor its error at small |l_i t|
+    unit |l_i| r, r = |t0| + (t - t0) on the grid from t0
+    (_GRID_ROUNDING), and floor its error that does not grow with r
     (trigpoly.error_floor), both absolute.  A chunk size's sums come from
     one plan per l_i (ps_sum_plan; none on the NUFFT path) sharing work
     buffers, one set for the full chunks and one for the ragged last;
@@ -280,24 +286,33 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
 def _window_factors(params: RunParameters, lams):
     """Factor source of the main term J and of l2_integral's interval
     kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
-    t L) * e(l_i t centre).  Their rounding does not grow with |l_i t|,
-    so none is reported per unit of it, and no floor either;
-    l2_integral charges its own per sample."""
+    t L) * e(l_i t centre), rounding and floor as _sum_factors's.  On the
+    grid from t0 a sample's t is within 2 u r of its node; sinc's argument
+    adds 6 roundings relative to |l_i| r L (l_i t, times L, L's own 2,
+    times pi, np.pi's error), moving sinc by _SINC_SLOPE per unit, and the
+    phase's 4 relative to |l_i| r centre (l_i t, times centre, centre's
+    own 2), 2 pi radians per turn.  The floor counts roundings of gamma L:
+    sin and the quotient (2), gamma L times sinc (4), the complex product
+    (1), the phase's 2 pi frac with np.pi's error (4 pi) and exp (2)."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
+    amplitude = g * length
+    u = _UNIT_ROUNDOFF
 
     def grid(t0: float, h: float, n: int) -> list:
         t = t0 + h * np.arange(n)
-        return [g * length * np.sinc(l * t * length)
+        return [amplitude * np.sinc(l * t * length)
                 * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
                 for l in lams]
 
     def series(x: float, h: float, n: int) -> list:
-        return [g * length * sinc_series(l * length * x, l * length * h, n)
+        return [amplitude * sinc_series(l * length * x, l * length * h, n)
                 for l in lams]
 
-    return grid, series, g * length, 0.0, 0.0
+    rounding = u * amplitude * (8.0 * _SINC_SLOPE * length + 12.0 * math.pi * mid)
+    floor = u * amplitude * (9.0 + 4.0 * math.pi)
+    return grid, series, amplitude, rounding, floor
 
 
 @dataclass(frozen=True)
@@ -384,12 +399,11 @@ def l2_integral(
     quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam| L, the top
     frequency of |F|^2, minus _EM_TERMS terms of its endpoint series from
     F's.  The error bar bounds the terms left out (majorant S(0)^2 or
-    (gamma L)^2) plus 2 |F| times a bound on each sample's rounding,
-    summed as the walker sums its rounding weight: for ps_sum |lam t|
-    times the source's rounding plus its floor, as the walker charges
-    them; for interval a count of the closed form's roundings (below).
-    panels counts the grid's intervals.  The ps_sum kind needs the window
-    set pset.
+    (gamma L)^2) plus 2 |F| times each sample's error, summed as the
+    walker sums its rounding row: |lam| r times the source's rounding
+    plus its floor, r = Delta + (t + Delta) on the grid from -Delta.  panels
+    counts the grid's intervals.  The ps_sum kind needs the window set
+    pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -419,30 +433,19 @@ def l2_integral(
     delta = params.Delta
     if kind == "ps_sum":
         f_max = abs(lam) * (pset.hi - pset.lo)
-        grid, series, amplitude, rounding, floor = _sum_factors(pset, [lam], _centre(params))
+        factors = _sum_factors(pset, [lam], _centre(params))
     else:
         f_max = abs(lam) * (1.0 - params.lambda0) * params.X
-        grid, series, amplitude, _, _ = _window_factors(params, [lam])
+        factors = _window_factors(params, [lam])
+    grid, series, amplitude, rounding, floor = factors
     n, h = _band_grid(-delta, delta, f_max)
     vals = np.abs(grid(-delta, h, n)[0])
     squares = vals * vals
     squares[[0, -1]] *= 0.5
     ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (-delta, delta)]
     value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
-    if kind == "ps_sum":
-        t = -delta + h * np.arange(n)
-        rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * np.abs(t) + floor))
-    else:
-        # |F| = gamma L |sinc(lam t L)| is within u gamma L (8 _SINC_SLOPE
-        # A + 16) of exact, A = f_max Delta >= |lam t L|: sinc's argument
-        # takes 8 roundings of at most A (3 in t = t0 + h k, |h k| <=
-        # 2 Delta, 2 in L, one each in lam t, times L, times pi), and 16
-        # more of at most gamma L cover sin (2), the quotient, gamma L (3),
-        # the products (2), the phase factor's modulus (2), abs (2), the
-        # square and the sums (3)
-        per_sample = _UNIT_ROUNDOFF * amplitude * (
-            8.0 * _SINC_SLOPE * f_max * delta + 16.0)
-        rounded = 2.0 * per_sample * h * float(np.sum(vals))
+    r = h * np.arange(n) + delta        # |t0| + (t - t0), t0 = -Delta
+    rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * r + floor))
     error = euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS) + rounded
     return L2Result(value, n - 1, error)
 

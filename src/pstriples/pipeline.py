@@ -395,17 +395,15 @@ def _complex_pair(z: complex) -> "list[float]":
 
 def decomp_values(res) -> "dict[str, object]":
     """Flatten a decomposition result for the manifest (bounds, ratios,
-    and each piece's error bar and grid size)."""
+    each piece's error bar and grid size, and J's bar)."""
     m = res.middle
     mj = res.majorant
     pieces = {}
-    for p, z, err, n in zip(
-        (1, 2, 3), (res.gamma1, res.gamma2, res.gamma3), res.gamma_errors,
-        res.band_points,
-    ):
-        pieces[f"gamma{p}"] = _complex_pair(z)
-        pieces[f"gamma{p}_error"] = err
-        pieces[f"gamma{p}_points"] = n
+    for p in (1, 2, 3):
+        band = res.bands[p]
+        pieces[f"gamma{p}"] = _complex_pair(band.value)
+        pieces[f"gamma{p}_error"] = band.error
+        pieces[f"gamma{p}_points"] = band.n_points
     return {
         **pieces,
         "gamma_total": _complex_pair(res.gamma_total),
@@ -414,6 +412,7 @@ def decomp_values(res) -> "dict[str, object]":
         "closure_error": res.closure_error,
         "scale_ratio": res.scale_ratio,
         "j_integral": res.j_integral,
+        "j_integral_error": res.bands["J"].error,
         "box_integral": res.box.value,
         "box_feasible": res.box.feasible,
         "box_ratio_eps_x2": res.box.ratio_eps_x2,

@@ -14,6 +14,7 @@ loads it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -59,10 +60,6 @@ class PrimeTable:
     @property
     def count(self) -> int:
         return int(self.primes.size)
-
-    def contains(self, p: int) -> bool:
-        i = int(np.searchsorted(self.primes, p))
-        return i < self.primes.size and int(self.primes[i]) == p
 
 
 @dataclass(frozen=True)
@@ -261,32 +258,28 @@ def ps_enumerate_oracle(
                       primes=keep, weight_w=w, weight_log=wl)
 
 
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
-_MASK64 = (1 << 64) - 1
+# the cache's magic; files of an older format fail on it and are rebuilt
+_MAGIC = b"PSP2"
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+def _checksum(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=8).digest()
 
 
 def cache_store(pset: PSPrimeSet, path: "str | os.PathLike") -> None:
     """Write the binary cache: magic, gamma bits, limit, count, p values,
-    trailing FNV-1a checksum of everything before it.  Full-range sets
+    trailing 8-byte BLAKE2b digest of everything before it.  Full-range sets
     only: the format carries no lower bound."""
     if pset.lo != 0.0:
         raise CacheFormatError("cache format stores full-range (0, limit] sets only")
     if pset.hi != math.floor(pset.hi) or pset.hi < 2:
         raise CacheFormatError(f"cache requires an integer limit >= 2, got {pset.hi}")
-    payload = b"PSP1"
+    payload = _MAGIC
     payload += struct.pack("<d", pset.gamma.value)
     payload += struct.pack("<Q", int(pset.hi))
     payload += struct.pack("<Q", pset.primes.size)
     payload += pset.primes.astype("<u8").tobytes()
-    payload += struct.pack("<Q", _fnv1a(payload))
+    payload += _checksum(payload)
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -304,10 +297,9 @@ def cache_load(
         blob = fh.read()
     if len(blob) < 4 + 8 + 8 + 8 + 8:
         raise CacheFormatError("file too short for a valid cache")
-    if blob[:4] != b"PSP1":
+    if blob[:4] != _MAGIC:
         raise CacheFormatError(f"bad magic {blob[:4]!r}")
-    stored_sum = struct.unpack("<Q", blob[-8:])[0]
-    if _fnv1a(blob[:-8]) != stored_sum:
+    if _checksum(blob[:-8]) != blob[-8:]:
         raise CacheFormatError("checksum mismatch (file truncated or corrupted)")
     g_val = struct.unpack("<d", blob[4:12])[0]
     limit = struct.unpack("<Q", blob[12:20])[0]

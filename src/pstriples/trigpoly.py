@@ -49,19 +49,22 @@ blocked path wins below ~1100 frequencies with one thread and ~1600
 with two, and 512 sits below both; no benchmark workload has a window
 that wide, so the constant is not raised.
 
-Accuracy, measured against an mpmath oracle exact for the double inputs,
-as the largest gap relative to sum |w_j| (see tests/test_trigpoly.py):
-it grows in proportion to max |f_j t|, at most 4e-17 max |f_j t| on
-either path (3e-12 at 1e5, 1e-11 to 2e-11 at 5.6e5, 1e-10 at 5.6e6,
-1e-9 to 2e-9 at 1e8).  Nearly all of it is the rounding of the products
-f_j t0 and f_j dt to doubles, which both paths share.  Below it, at
-small |f_j t|, each path has a floor that does not fall with t
+Accuracy, against an mpmath oracle exact for the double inputs, as the
+largest gap relative to sum |w_j| (see tests/test_trigpoly.py).  Nearly
+all of it is the rounding of the products f_j t0 and f_j dt to doubles,
+which both paths share: each is off by at most u = 2^-53 relative, so
+the phase of term j at t0 + m dt is off by at most u |f_j| (|t0| + m dt)
+turns and the gap by 2 pi u max |f_j| (|t0| + m dt) (the blocked path;
+the NUFFT forms its phases about the grid's midpoint).  Measured, the
+gap reaches 0.63 of that on 9 frequencies at t up to 14, and about 4e-17
+max |f_j t| on 202 to 1325, whose errors partly cancel (3e-12 at 1e5,
+1e-11 to 2e-11 at 5.6e5, 1e-10 at 5.6e6, 1e-9 to 2e-9 at 1e8).  Below
+it, at small |f_j t|, each path has a floor that does not fall with t
 (`error_floor`): with exact phase products the blocked path is within
 5.2e-15 (tests/test_trigpoly.py), the NUFFT within 1.6e-12 (dyadic
 inputs, 513 to 4287 frequencies, 4096 to 2^21 points, f_max dt 0.4 to
 0.8) and 1.7e-12 on the window of q0 120 near t = Delta, from its
-Kaiser-Bessel window; the NUFFT's floor exceeds 4e-17 max |f_j t| while
-max |f_j t| < 4e4.
+Kaiser-Bessel window.
 
 Determinism: reruns are bitwise identical for fixed inputs, a fixed BLAS
 library and a fixed BLAS thread count.  The blocked path's bits depend on

@@ -11,9 +11,10 @@ Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
 
 This module computes both sides at desk scale: the count directly by a
 sorted meet-in-the-middle sweep; the three band integrals and the
-main-term integral J by one band walker (_band_quadrature): the
+main-term integral J, each defined once in the table _BANDS and walked
+once by the band walker (_band_quadrature) into one record: the
 trapezoid rule at f_max h <= 0.8 on the band-limited integrand minus
-its Euler-Maclaurin endpoint series, with an error bar per band; the
+its Euler-Maclaurin endpoint series, with its error bar; the
 main-term box integral, exact as a signed sum of theta's third
 antiderivative over the cube's corners, and its remainder majorant; the
 far-tail bounds and the middle-band majorant chain.  Band grids are
@@ -32,10 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expsums import _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors
+from .expsums import _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors, ps_exp_sum
 from .kernel import (
     GridTransform,
     SmoothingKernel,
@@ -456,9 +458,50 @@ def band_frequency(
     is theta's support [-eps, eps] and S(l_i t)'s the l_i p, so that of
     Theta * S1 * S2 * S3 * e(eta t), as of J's integrand, lies in [lo -
     eps, hi + eps], [lo, hi] the form's range over the window cube.  The
-    middle band's grid also covers the squares it collects (_band_edges)."""
+    middle band's grid also covers the squares it collects (_band_span)."""
     lo, hi = form_range(coeffs, params.lambda0, params.X)
     return max(abs(lo), abs(hi)) + kernel.epsilon
+
+
+class _Band(NamedTuple):
+    """A band of the transform-side integral.  edges(params, kernel) gives
+    (t_lo, t_hi); sums takes the factors from the window's sums
+    (_sum_factors), else from their window integrals (_window_factors);
+    collect gathers the middle band's statistics (MiddleBand); far adds
+    the far band past t_hi to the bar (far_tail_majorant), and only such
+    a band may be empty."""
+
+    edges: Callable
+    sums: bool = True
+    collect: bool = False
+    far: bool = False
+
+
+# The bands decompose integrates, by key: the main term J and pieces 1
+# (|t| < Delta), 2 ([Delta, H]) and 3 ([H, piece3_truncation]); 2 and 3,
+# with t_lo >= 0, are folded onto -t (BandQuadrature).
+_BANDS = {
+    "J": _Band(lambda params, kernel: (-params.Delta, params.Delta), sums=False),
+    1: _Band(lambda params, kernel: (-params.Delta, params.Delta)),
+    2: _Band(lambda params, kernel: (params.Delta, params.H_effective), collect=True),
+    3: _Band(lambda params, kernel: (params.H_effective, piece3_truncation(params, kernel)),
+             far=True),
+}
+
+
+def _band_span(key, params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel):
+    """(t_lo, t_hi, f_max) of band key.  f_max is band_frequency's, and
+    on a band that collects the squares |S(l_k t)|^2 (spectrum within
+    |l_k| L, L the window's length) the larger of that and max |l_k| L:
+    where eta centres the form's range the squares can reach higher than
+    the product, as (1, 1, -5) at eta 2.25 X does (2.5 X against 1.75 X)."""
+    band = _BANDS[key]
+    t_lo, t_hi = band.edges(params, kernel)
+    f_max = band_frequency(params, coeffs, kernel)
+    if band.collect:
+        length = (1.0 - params.lambda0) * params.X
+        f_max = max(f_max, max(abs(l) for l in coeffs.lambdas) * length)
+    return t_lo, t_hi, f_max
 
 
 @dataclass(frozen=True)
@@ -466,9 +509,10 @@ class BandQuadrature:
     """A band integral, the endpoint-corrected trapezoid rule on n_points
     at the given spacing, with its error bar: a bound on the omitted
     Euler-Maclaurin terms (euler_maclaurin_tail) plus the samples'
-    rounding, which grows with |t| and has a floor that does not, each
-    charged from measured error figures of the evaluators and a count of
-    the walker's own roundings."""
+    rounding, charged from the error figures of the factors and of Theta
+    and a count of the walker's own roundings.  A band with t_lo >= 0 is
+    folded onto -t, where the integrand is its conjugate: value is twice
+    the real part of the one-sided integral and error twice its bar."""
 
     value: complex
     error: float
@@ -476,40 +520,55 @@ class BandQuadrature:
     spacing: float
 
 
-def _band_quadrature(
-    params: RunParameters,
-    coeffs: Coefficients,
-    kernel: SmoothingKernel,
-    t_lo: float,
-    t_hi: float,
-    f_max: float,
-    factors,
-    collect: bool,
-):
-    """Theta * F1 * F2 * F3 * e(eta t) integrated over [t_lo, t_hi], with
-    its error bar.
+@dataclass(frozen=True)
+class MiddleBand(BandQuadrature):
+    """The middle band [Delta, H], gamma2, with the statistics its walk
+    collects for the majorant chain.
 
-    factors is (grid, series, amplitude, rounding, floor): grid(t0, h,
-    count) gives the three factors on a chunk's grid (possibly views that
-    the next call overwrites), series(x, h, n) the first n Taylor
-    coefficients of each F_i(x + s h) demodulated about l_i * centre,
-    amplitude bounds every |F_i|, rounding bounds their error per unit
-    |l_i t| and floor their error at small |l_i t|.  f_max bounds the
-    frequencies of every integrand the walk sums (_band_edges); at f_max
-    h <= quadrature._BAND_FH the trapezoid rule's only error is its
-    Euler-Maclaurin endpoint series, and the first _EM_TERMS terms are
-    subtracted, from the product at each end of Theta's series, the
-    factors' and the carrier e(F (x + s h)), F = sum l_i centre + eta,
-    kept apart (multiplying raw series cancels digits that the Bernoulli
-    weights amplify).
+    t_integrals are the one-sided integrals of |S(l_k t)|^2,
+    endpoint-corrected too (the band's grid is sized for their top
+    frequencies as well); sup_small_pair the largest min(|S1|, |S2|)
+    found, a lower estimate of the supremum (1261.91 on instance A, the
+    grid samples alone 1219.41); cross_integral and squares_integral that
+    minimum's plain one-sided trapezoid integrals, O(h^2), against
+    |S3|(|S1|+|S2|) and |S1|^2+|S2|^2+|S3|^2.
+    """
+
+    t_integrals: tuple[float, float, float]
+    sup_small_pair: float
+    cross_integral: float
+    squares_integral: float
+
+
+def _band_quadrature(
+    key, params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel,
+    pset: "PSPrimeSet | None" = None,
+) -> BandQuadrature:
+    """Band key of _BANDS: Theta * F1 * F2 * F3 * e(eta t) integrated over
+    [t_lo, t_hi] (_band_span), with its error bar, folded where t_lo >= 0
+    (BandQuadrature); a MiddleBand where the band collects.
+
+    The band's factor source gives (grid, series, amplitude, rounding,
+    floor): grid(t0, h, count) the three factors on a chunk's grid
+    (possibly views that the next call overwrites), series(x, h, n) the
+    first n Taylor coefficients of each F_i(x + s h) demodulated about
+    l_i * centre, amplitude a bound on every |F_i|, rounding a bound on
+    F_i's error per unit |l_i| r and floor one on its error that does not
+    grow with r, r = |t0| + (t - t0) for a sample t of the grid from t0
+    (|t| where t0 >= 0).  At f_max h <= quadrature._BAND_FH the trapezoid
+    rule's only error is its Euler-Maclaurin endpoint series, and the
+    first _EM_TERMS terms are subtracted, from the product at each end of
+    Theta's series, the factors' and the carrier e(F (x + s h)), F = sum
+    l_i centre + eta, kept apart (multiplying raw series cancels digits
+    that the Bernoulli weights amplify).
 
     The bar is the tail bound with majorant 2a amplitude^3 plus h times
-    two rounding rows summed over the samples.  One grows with |t|:
-    rounding times |Theta t| sum_i |l_i| prod_{j != i} |F_j|.  The other
-    is the floor, which the first misses near t = 0: floor times |Theta|
-    sum_i prod_{j != i} |F_j|, plus |F1 F2 F3| times Theta's error
-    (_THETA_ERROR) and the sample's and the sum's roundings
-    (_SAMPLE_ROUNDINGS), plus the carrier's phase error from eta t.
+    one rounding row summed over the samples: rounding times |Theta| r
+    sum_i |l_i| prod_{j != i} |F_j|, floor times |Theta| sum_i prod_{j
+    != i} |F_j|, and |F1 F2 F3| times Theta's error (_THETA_ERROR), the
+    sample's and the sum's roundings (_SAMPLE_ROUNDINGS) and the
+    carrier's phase error from eta t.  A far band's bar adds
+    far_tail_majorant past t_hi; empty, the band is that bar alone.
 
     The grid is walked in chunks of _CHUNK points and blocks of _BLOCK
     points in reused buffers, Theta from GridTransform where t_lo >= 0
@@ -519,27 +578,37 @@ def _band_quadrature(
     added exactly rounded: results are bitwise reproducible at a fixed
     BLAS library and thread count.
 
-    With collect the walk also returns the |F_i|^2 integrals, corrected
-    from F_i's series (euler_maclaurin_squared), the largest sampled
-    min(|F1|, |F2|) with its t, and that minimum's plain trapezoid
-    integrals, O(h^2), against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
+    A collecting walk also gives the |F_i|^2 integrals, corrected from
+    F_i's series (euler_maclaurin_squared), the largest sampled min(|F1|,
+    |F2|), polished by a golden-section search about its t
+    (_polished_sup), and that minimum's plain trapezoid integrals, O(h^2),
+    against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
     """
+    band = _BANDS[key]
+    t_lo, t_hi, f_max = _band_span(key, params, coeffs, kernel)
+    far = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
+    if band.far and t_hi <= t_lo:
+        return BandQuadrature(complex(0.0, 0.0), far, 0, 0.0)
+    if band.sums:
+        factors = _sum_factors(pset, coeffs.lambdas, _centre(params))
+    else:
+        factors = _window_factors(params, coeffs.lambdas)
     grid, series, amplitude, rounding, floor = factors
     n_points, h = _band_grid(t_lo, t_hi, f_max)
     eta = coeffs.eta
-    l1, l2, l3 = (abs(l) for l in coeffs.lambdas)
-    # The floor's coefficients.  Theta's error is charged as the larger of
-    # its relative and its absolute form.  A sample's t is within u (2 |t|
-    # + |t_lo|) of the factors' grid point, which moves Theta by at most 3
-    # (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta| (3 |t| + |t_lo|)
-    # with eta t's own rounding.
+    r1, r2, r3 = (rounding * abs(l) for l in coeffs.lambdas)
+    # The row's other coefficients.  Theta's error is charged as the
+    # larger of its relative and its absolute form.  A sample's t is
+    # within u (2 |t| + |t_lo|) of the factors' grid point, which moves
+    # Theta by at most 3 (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta|
+    # (3 |t| + |t_lo|) with eta t's own rounding (charged at r >= |t|).
     u = _UNIT_ROUNDOFF
     theta_rel, theta_abs = _THETA_ERROR[t_lo >= 0.0]
     theta_abs *= 2.0 * kernel.a
     sample_rel = u * (_SAMPLE_ROUNDINGS + 3.0 * (kernel.k + 1)) + 2.0 * math.pi * u * abs(eta * t_lo)
-    per_t = 6.0 * math.pi * u * abs(eta)
-    # rows: Re, Im, the two rounding rows; with collect |F_i|^2 and two minima
-    q_buf = np.empty((9 if collect else 4, _BLOCK))
+    per_r = 6.0 * math.pi * u * abs(eta)
+    # rows: Re, Im, the bar; collecting, also |F_i|^2 and two minima
+    q_buf = np.empty((8 if band.collect else 3, _BLOCK))
     offsets = np.arange(_BLOCK, dtype=np.float64)
     t_buf, theta_buf = np.empty(_BLOCK), np.empty(_BLOCK)
     prod_buf = np.empty(_BLOCK, dtype=np.complex128)
@@ -567,25 +636,24 @@ def _band_quadrature(
             for i in range(3):
                 np.abs(sums[i][blk], out=a[i])
             aw = np.abs(wt)
-            awt = aw * np.abs(t)
+            awr = aw * (t - 2.0 * t0) if t0 < 0.0 else aw * t     # |Theta| r
             pair = a[0] * a[1]
             triple = pair * a[2]
-            q[2] = ((l1 * a[1] + l2 * a[0]) * a[2] + l3 * pair) * awt
-            theta_err = np.maximum(theta_rel * aw, theta_abs)
-            theta_err += sample_rel * aw
-            np.multiply(theta_err, triple, out=q[3])
-            if floor:
-                q[3] += floor * aw * (pair + a[2] * (a[0] + a[1]))
+            err = np.maximum(theta_rel * aw, theta_abs)
+            err += sample_rel * aw
             if eta != 0.0:
-                q[3] += per_t * awt * triple
-            if collect:
+                err += per_r * awr
+            np.multiply(err, triple, out=q[2])
+            q[2] += ((r1 * a[1] + r2 * a[0]) * a[2] + r3 * pair) * awr
+            q[2] += floor * aw * (pair + a[2] * (a[0] + a[1]))
+            if band.collect:
                 small = np.minimum(a[0], a[1])
                 j = int(np.argmax(small))
                 if small[j] > sup:
                     sup, t_sup = float(small[j]), float(t[j])
-                np.multiply(a, a, out=q[4:7])
-                q[7] = small * a[2] * (a[0] + a[1])
-                q[8] = small * (q[4] + q[5] + q[6])
+                np.multiply(a, a, out=q[3:6])
+                q[6] = small * a[2] * (a[0] + a[1])
+                q[7] = small * (q[3] + q[4] + q[5])
             partials.append(q.sum(axis=1))
             if start + b == 0:
                 partials.append(-0.5 * q[:, 0])
@@ -609,31 +677,44 @@ def _band_quadrature(
     (g_lo, f_lo), (g_hi, f_hi) = ends
     value = complex(trap[0], trap[1]) - euler_maclaurin(h, g_lo, g_hi)
     majorant = 2.0 * kernel.a * amplitude**3
-    error = (euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS)
-             + rounding * trap[2] + trap[3])
-    band = BandQuadrature(value, error, n_points, h)
-    if not collect:
-        return band, None
-    t_ints = tuple(trap[4 + i] - euler_maclaurin_squared(h, lo, hi)
+    error = euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS) + trap[2]
+    if t_lo >= 0.0:
+        value, error = complex(2.0 * value.real, 0.0), 2.0 * error
+    error += far
+    if not band.collect:
+        return BandQuadrature(value, error, n_points, h)
+    t_ints = tuple(trap[3 + i] - euler_maclaurin_squared(h, lo, hi)
                    for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
-    return band, (t_ints, (sup, t_sup), trap[7], trap[8])
+    sup = _polished_sup(params, coeffs, pset, sup,
+                        max(t_lo, t_sup - h), min(t_hi, t_sup + h))
+    return MiddleBand(value, error, n_points, h, t_ints, sup, trap[6], trap[7])
 
 
-def _band_edges(params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel):
-    """(t_lo, t_hi, f_max) of each band by piece: |t| < Delta for 1 (and
-    the main term J), [Delta, H] for 2, [H, piece3_truncation] for 3
-    (empty when t_hi <= t_lo).  f_max is band_frequency's, and on the
-    middle band, whose walk also integrates |S(l_k t)|^2 (spectrum within
-    |l_k| L, L the window's length), the larger of that and max |l_k| L:
-    where eta centres the form's range the squares can reach higher than
-    the product, as (1, 1, -5) at eta 2.25 X does (2.5 X against 1.75 X).
-    The middle band has this one grid for gamma2 alone or collected."""
-    f_max = band_frequency(params, coeffs, kernel)
-    length = (1.0 - params.lambda0) * params.X
-    f_mid = max(f_max, max(abs(l) for l in coeffs.lambdas) * length)
-    return {1: (-params.Delta, params.Delta, f_max),
-            2: (params.Delta, params.H_effective, f_mid),
-            3: (params.H_effective, piece3_truncation(params, kernel), f_max)}
+def _polished_sup(
+    params: RunParameters, coeffs: Coefficients, pset: PSPrimeSet,
+    sup: float, a: float, b: float,
+) -> float:
+    """sup, the best sampled min(|S1|, |S2|), raised by a golden-section
+    search on [a, b], the sample's neighbours within the band; every
+    value it takes is a true one (ps_exp_sum), so the result stays a
+    lower estimate."""
+
+    def small(u: float) -> float:
+        return min(abs(ps_exp_sum(l * u, params, pset).value)
+                   for l in coeffs.lambdas[:2])
+
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = small(c), small(d)
+    for _ in range(40):         # the bracket shrinks to 4e-9 of its width
+        sup = max(sup, fc, fd)
+        if fc >= fd:    # the maximum is taken in [a, d]
+            b, d, fd, c = d, c, fc, d - ratio * (d - a)
+            fc = small(c)
+        else:
+            a, c, fc, d = c, d, fd, c + ratio * (b - c)
+            fd = small(d)
+    return max(sup, fc, fd)
 
 
 def check_band_grids(
@@ -641,8 +722,9 @@ def check_band_grids(
 ) -> None:
     """Size every band decompose integrates, evaluating nothing, so that
     a band past the point cap raises QuadratureError up front."""
-    for piece, (t_lo, t_hi, f_max) in _band_edges(params, coeffs, kernel).items():
-        if piece < 3 or t_hi > t_lo:
+    for key, band in _BANDS.items():
+        t_lo, t_hi, f_max = _band_span(key, params, coeffs, kernel)
+        if not band.far or t_hi > t_lo:
             _band_grid(t_lo, t_hi, f_max)
 
 
@@ -662,60 +744,21 @@ def piece_quadrature(
     piece: int, params: RunParameters, coeffs: Coefficients,
     kernel: SmoothingKernel, pset: PSPrimeSet,
 ) -> BandQuadrature:
-    """One band of the transform-side integral with its error bar.
+    """One band of the transform-side integral with its error bar
+    (_band_quadrature).
 
     Piece 1 covers |t| < Delta on a symmetric grid, so its imaginary
-    part is a quadrature diagnostic.  Pieces 2 and 3 pair t with -t (the
-    integrand there is the conjugate): twice the real part of the
-    one-sided integral, with twice its bar.  Piece 3 is truncated where
-    the transform's decay branch is negligible (an empty band is 0 with
-    no grid), and its bar is against the whole far band |t| > H: it adds
-    far_tail_majorant from the cut (from H if empty).  The standard
-    decomposition's kernel has the search width and k = params.kernel_k.
+    part is a quadrature diagnostic.  Pieces 2 and 3 are folded onto -t,
+    real.  Piece 2 is the middle band's record (MiddleBand, as from
+    middle_band_sweep).  Piece 3 is truncated where the transform's decay
+    branch is negligible (an empty band is 0 with no grid), and its bar
+    is against the whole far band |t| > H.  The standard decomposition's
+    kernel has the search width and k = params.kernel_k.
     """
     if piece not in (1, 2, 3):
         raise ParameterError(f"piece must be 1, 2, or 3, got {piece!r}")
     check_window_set(params, pset)
-    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[piece]
-    omitted = 0.0
-    if piece == 3:
-        omitted = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi))
-        if t_hi <= t_lo:
-            return BandQuadrature(complex(0.0, 0.0), omitted, 0, 0.0)
-    band, _ = _band_quadrature(params, coeffs, kernel, t_lo, t_hi, f_max,
-                               _sum_factors(pset, coeffs.lambdas, _centre(params)), False)
-    if piece == 1:
-        return band
-    return BandQuadrature(complex(2.0 * band.value.real, 0.0),
-                          2.0 * band.error + omitted, band.n_points, band.spacing)
-
-
-@dataclass(frozen=True)
-class MiddleBand:
-    """One-sided sweep of [Delta, H] with its byproduct statistics.
-
-    half_integral is the one-sided integral of Theta * S1 * S2 * S3 *
-    e(eta t); t_integrals those of |S(l_k t)|^2, endpoint-corrected too
-    (the band's grid is sized for their top frequencies as well);
-    sup_small_pair the largest min(|S1|, |S2|) found, a lower estimate
-    of the supremum (1261.91 on instance A, the grid samples alone
-    1219.41); cross_integral and squares_integral that minimum's plain
-    trapezoid integrals, O(h^2), against |S3|(|S1|+|S2|) and
-    |S1|^2+|S2|^2+|S3|^2.  error is the bar of gamma2.
-    """
-
-    half_integral: complex
-    t_integrals: tuple[float, float, float]
-    sup_small_pair: float
-    cross_integral: float
-    squares_integral: float
-    n_points: int
-    spacing: float
-    error: float
-
-    @property
-    def gamma2(self) -> complex:
-        return complex(2.0 * self.half_integral.real, 0.0)
+    return _band_quadrature(piece, params, coeffs, kernel, pset)
 
 
 def middle_band_sweep(
@@ -724,38 +767,11 @@ def middle_band_sweep(
     pset: PSPrimeSet,
     kernel: SmoothingKernel,
 ) -> MiddleBand:
-    """Single pass over [Delta, H] collecting the middle-band integral
-    together with everything the majorant chain needs, so the expensive
-    sweep is never run twice.  The best sampled min(|S1|, |S2|) at t is
-    polished by a golden-section search on [t - h, t + h] within the
-    band; every value it takes is a true one (ps_exp_sum), so the
-    result stays a lower estimate."""
-    from .expsums import ps_exp_sum
-
+    """Piece 2, [Delta, H], in one walk that also collects everything
+    the majorant chain needs, so the expensive sweep is never run twice
+    (_band_quadrature)."""
     check_window_set(params, pset)
-    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[2]
-    band, (t_ints, (sup, t), cross, squares) = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, f_max,
-        _sum_factors(pset, coeffs.lambdas, _centre(params)), True)
-
-    def small(u: float) -> float:
-        return min(abs(ps_exp_sum(l * u, params, pset).value)
-                   for l in coeffs.lambdas[:2])
-
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = max(t_lo, t - band.spacing), min(t_hi, t + band.spacing)
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = small(c), small(d)
-    for _ in range(40):         # the bracket shrinks to 4e-9 of its width
-        sup = max(sup, fc, fd)
-        if fc >= fd:    # the maximum is taken in [a, d]
-            b, d, fd, c = d, c, fc, d - ratio * (d - a)
-            fc = small(c)
-        else:
-            a, c, fc, d = c, d, fd, c + ratio * (b - c)
-            fd = small(d)
-    return MiddleBand(band.value, t_ints, max(sup, fc, fd), cross, squares,
-                      band.n_points, band.spacing, 2.0 * band.error)
+    return _band_quadrature(2, params, coeffs, kernel, pset)
 
 
 @dataclass(frozen=True)
@@ -819,26 +835,22 @@ def gamma2_majorant(params: RunParameters, band: MiddleBand) -> Gamma2Majorant:
 
 def integral_J(
     params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel
-) -> float:
-    """Main-band integral with the exponential sums replaced by their
-    window integrals (_window_factors), on piece 1's grid by the band
-    walker; real by conjugate symmetry, with the imaginary residue
-    checked against an absolute scale set by the integrand's
-    supremum."""
-    t_lo, t_hi, f_max = _band_edges(params, coeffs, kernel)[1]
-    band, _ = _band_quadrature(
-        params, coeffs, kernel, t_lo, t_hi, f_max,
-        _window_factors(params, coeffs.lambdas), False,
-    )
-    value = band.value
+) -> BandQuadrature:
+    """The main term J, band J of the walker: the main band's integral
+    with the exponential sums replaced by their window integrals
+    (_window_factors), on piece 1's grid, with its error bar.  Real by
+    conjugate symmetry; the imaginary residue is checked against an
+    absolute scale set by the integrand's supremum."""
+    band = _band_quadrature("J", params, coeffs, kernel)
     g = params.gamma.value
-    sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * (t_hi - t_lo)
-    if abs(value.imag) > 1e-9 * sup_scale:
+    span = (band.n_points - 1) * band.spacing
+    sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * span
+    if abs(band.value.imag) > 1e-9 * sup_scale:
         raise QuadratureError(
-            f"main-band integral has imaginary residue {value.imag!r} "
+            f"main-band integral has imaginary residue {band.value.imag!r} "
             f"beyond the symmetry tolerance"
         )
-    return value.real
+    return band
 
 
 @dataclass(frozen=True)
@@ -999,36 +1011,37 @@ def far_tail_majorant(
 class DecompositionResult:
     """Both sides of the transform identity with every bound attached.
 
-    gamma1..3 are the three band integrals (piece 2 and 3 real by
-    construction), gamma_total their sum; direct_value and triples_found
-    come from the meet-in-the-middle count when requested, with
-    closure_error the relative gap between the two sides.  The scale
-    ratio reports Re(gamma_total) / (eps X^2) without asserting any
-    constant.  The main-term box integral, its remainder majorant and
-    the far-tail bound are box.value, phi.value and tail.value.
-    gamma_errors, band_points and band_spacings give each piece's error
-    bar, grid size and spacing (BandQuadrature); gamma3's bar is against
-    the whole far band |t| > H (an empty piece 3 has 0 points)."""
+    bands holds one record per band of the walker, by key: "J" the main
+    term J (integral_J), 1 to 3 the band integrals gamma1..3 (pieces 2
+    and 3 real by construction), 2 the middle band with its statistics
+    (middle).  Each carries its error bar, grid size and spacing
+    (BandQuadrature); gamma3's bar is against the whole far band |t| > H
+    (an empty piece 3 has 0 points).  gamma_total is the three pieces'
+    sum; direct_value and triples_found come from the meet-in-the-middle
+    count when requested, with closure_error the relative gap between the
+    two sides.  The scale ratio reports Re(gamma_total) / (eps X^2)
+    without asserting any constant.  The main-term box integral, its
+    remainder majorant and the far-tail bound are box.value, phi.value
+    and tail.value."""
 
-    gamma1: complex
-    gamma2: complex
-    gamma3: complex
+    bands: dict
     gamma_total: complex
-    j_integral: float
     direct_value: "float | None"
     triples_found: "int | None"
     closure_error: "float | None"
     scale_ratio: float
     piece3_cut: float
     truncation_empty: bool
-    middle: MiddleBand
     majorant: Gamma2Majorant
     box: BoxIntegral
     phi: PhiBound
     tail: TailBound3
-    gamma_errors: tuple[float, float, float]
-    band_points: tuple[int, int, int]
-    band_spacings: tuple[float, float, float]
+
+    gamma1 = property(lambda self: self.bands[1].value)
+    gamma2 = property(lambda self: self.bands[2].value)
+    gamma3 = property(lambda self: self.bands[3].value)
+    j_integral = property(lambda self: self.bands["J"].value.real)
+    middle = property(lambda self: self.bands[2])
 
 
 def decompose(
@@ -1042,29 +1055,27 @@ def decompose(
 
     Builds the canonical kernel (effective width, k = params.kernel_k)
     unless one is supplied, sizes every band (check_band_grids: a band
-    past the point cap fails before any sweep), the main term J, the
-    three band integrals with their error bars (pieces 1 and 3 by
+    past the point cap fails before any sweep), walks each band once,
+    with its error bar (the main term J by integral_J, pieces 1 and 3 by
     piece_quadrature, piece 2 by the middle-band sweep that also feeds
-    the majorant chain), the main term's box integral and remainder
-    bound, the far-tail bounds, and (by default) the direct count
-    closing the transform identity.
+    the majorant chain), and adds the main term's box integral and
+    remainder bound, the far-tail bounds, and (by default) the direct
+    count closing the transform identity.
     """
     check_window_set(params, pset)
     if kernel is None:
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
     check_band_grids(params, coeffs, kernel)
-    j_val = integral_J(params, coeffs, kernel)
-    p1 = piece_quadrature(1, params, coeffs, kernel, pset)
-    band = middle_band_sweep(params, coeffs, pset, kernel)
-    p3 = piece_quadrature(3, params, coeffs, kernel, pset)
-    g1, g2, g3 = p1.value, band.gamma2, p3.value
+    bands = {
+        "J": integral_J(params, coeffs, kernel),
+        1: piece_quadrature(1, params, coeffs, kernel, pset),
+        2: middle_band_sweep(params, coeffs, pset, kernel),
+        3: piece_quadrature(3, params, coeffs, kernel, pset),
+    }
+    total = bands[1].value + bands[2].value + bands[3].value
     t_cut = piece3_truncation(params, kernel)
 
-    total = g1 + g2 + g3
-
-    direct_value = None
-    found = None
-    closure = None
+    direct_value = found = closure = None
     if with_direct:
         direct = big_gamma_direct(params, coeffs, kernel, pset, kernel.epsilon)
         direct_value = direct.value
@@ -1072,30 +1083,18 @@ def decompose(
         if direct_value != 0.0:
             closure = abs(total.real - direct_value) / abs(direct_value)
 
-    box = box_integral_B(params, coeffs, kernel)
-    phi = phi_bound(params, kernel, coeffs)
-    tail = tail_bound_gamma3(params, kernel)
-    majorant = gamma2_majorant(params, band)
     eps = params.epsilon_effective
-    scale_ratio = total.real / (eps * params.X * params.X)
     return DecompositionResult(
-        gamma1=g1,
-        gamma2=g2,
-        gamma3=g3,
+        bands=bands,
         gamma_total=total,
-        j_integral=j_val,
         direct_value=direct_value,
         triples_found=found,
         closure_error=closure,
-        scale_ratio=scale_ratio,
+        scale_ratio=total.real / (eps * params.X * params.X),
         piece3_cut=t_cut,
         truncation_empty=t_cut <= params.H_effective,
-        middle=band,
-        majorant=majorant,
-        box=box,
-        phi=phi,
-        tail=tail,
-        gamma_errors=(p1.error, band.error, p3.error),
-        band_points=(p1.n_points, band.n_points, p3.n_points),
-        band_spacings=(p1.spacing, band.spacing, p3.spacing),
+        majorant=gamma2_majorant(params, bands[2]),
+        box=box_integral_B(params, coeffs, kernel),
+        phi=phi_bound(params, kernel, coeffs),
+        tail=tail_bound_gamma3(params, kernel),
     )

@@ -250,7 +250,7 @@ def test_criterion_09_decomposition_closes(inst_a):
     res = decompose(params, COEFFS, pset, kernel=kern, with_direct=True)
     _CACHE["res_a"] = res
     # the error bars of the three pieces, summed, relative to the count
-    bars = sum(res.gamma_errors) / abs(res.direct_value)
+    bars = sum(res.bands[p].error for p in (1, 2, 3)) / abs(res.direct_value)
     _finish(9, "three band pieces rebuild the direct count", t0,
             f"closure {res.closure_error:.3g} under bars {bars:.3g}, "
             f"direct {res.direct_value:.8g}, {res.triples_found} triples",

@@ -242,6 +242,24 @@ def test_cache_bad_magic(tmp_path):
         cache_load(path)
 
 
+def test_cache_older_format_and_flipped_byte_rejected(tmp_path):
+    # a file of the older format (magic PSP1, FNV-1a checksum) fails on
+    # its magic, which callers log and rebuild; a flipped prime byte
+    # fails the checksum
+    table = sieve_primes(50)
+    path = tmp_path / "c.psp"
+    cache_store(ps_primes_in(0, 50, 0.9, table), path)
+    blob = path.read_bytes()
+    path.write_bytes(b"PSP1" + blob[4:])
+    with pytest.raises(CacheFormatError, match="bad magic"):
+        cache_load(path)
+    flipped = bytearray(blob)
+    flipped[30] ^= 1
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(CacheFormatError, match="checksum"):
+        cache_load(path)
+
+
 def test_cache_rejects_windowed_set(tmp_path):
     table = sieve_primes(50)
     windowed = ps_primes_in(10, 50, 0.9, table)

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pstriples import trigpoly
+from pstriples import expsums, trigpoly
 from pstriples.expsums import ps_sum_grid, ps_sum_plan
 from pstriples.kernel import make_kernel
 from pstriples.params import Coefficients, RunParameters
@@ -86,6 +86,25 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
         gap = abs(grid[m] - _oracle(freqs, weights, t0, dt, m))
         worst = max(worst, gap / scale)
     assert worst <= TOL[q0, t0]
+
+
+@pytest.mark.parametrize("lam", [1.0, LAM, -2.0])
+def test_grid_rounding_covers_a_small_window(lam):
+    # q0 12's window has 9 primes, too few for the terms' phase errors to
+    # cancel: at t in [1, 14] the gap reaches 4.4e-16 max |f t| of sum |w|
+    # (lam sqrt 2), 0.32 of the derived expsums._GRID_ROUNDING that the
+    # band bars charge; on instance A's 202 primes it stays near 4e-17
+    params, pset = _pset(12)
+    assert pset.count == 9
+    t0, dt, n = 1.0, 13 / 8191, 8192
+    grid = ps_sum_grid(pset, lam, t0, dt, n)
+    freqs = lam * pset.primes.astype(np.float64)
+    weights = pset.weight_w * pset.weight_log
+    scale = float(np.sum(np.abs(weights)))
+    for m in range(0, n, 97):
+        gap = abs(grid[m] - _oracle(freqs, weights, t0, dt, m)) / scale
+        reach = np.max(np.abs(freqs)) * (abs(t0) + m * dt)
+        assert gap <= expsums._GRID_ROUNDING * reach + trigpoly.error_floor(pset.count)
 
 
 @pytest.mark.parametrize("q0", [70, 203])
