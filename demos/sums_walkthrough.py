@@ -39,8 +39,8 @@ def main():
 
     print("floor split ------------------------------------")
     worst = 0.0
-    for alpha in (0.05, 0.31, 0.73, 0.99):
-        res = decomposition_residual(alpha, params, table)
+    alphas = (0.05, 0.31, 0.73, 0.99)
+    for alpha, res in zip(alphas, decomposition_residual(alphas, params, table)):
         worst = max(worst, abs(res.identity_residual))
         print(f"  alpha = {alpha:4.2f}: smooth + floor-error rebuilds S "
               f"to {abs(res.identity_residual):.2e}")

@@ -154,23 +154,18 @@ def _cmd_sums(args) -> int:
             return interval_integral(alpha, params)
         return chebyshev_sum(alpha, params.X, table).value
 
-    rows = []
-    for a in alphas.tolist():
-        z = value(a)
-        rows.append((a, z.real, z.imag, abs(z)))
-    _emit(csv_text(["alpha", "re", "im", "abs"], rows), args.out)
+    zs = [value(a) for a in alphas.tolist()]
+    cols = [alphas, [z.real for z in zs], [z.imag for z in zs], [abs(z) for z in zs]]
+    _emit(csv_text(["alpha", "re", "im", "abs"], cols), args.out)
     return 0
 
 
 def _cmd_cf(args) -> int:
     seq = continued_fraction(args.x, args.terms)
-    rows = [
-        (i, a, r.a, r.q)
-        for i, (a, r) in enumerate(
-            zip(seq.partial_quotients, seq.convergents), start=1
-        )
-    ]
-    _emit(csv_text(["i", "a", "p", "q"], rows), args.out)
+    conv = seq.convergents
+    cols = [range(1, len(conv) + 1), seq.partial_quotients,
+            [r.a for r in conv], [r.q for r in conv]]
+    _emit(csv_text(["i", "a", "p", "q"], cols), args.out)
     if seq.rational_at_precision:
         print("terminated: remainder below the precision floor", file=sys.stderr)
     return 0

@@ -14,7 +14,8 @@ exponent gamma:
 
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
-in floating point; decomposition_residual measures this identity.
+in floating point; decomposition_residual measures this identity over a
+grid of alpha.
 l2_integral gives their mean squares: over [0, 1] by Simpson, exact on
 that integer-frequency polynomial, and over [-Delta, Delta] by the band
 rule (module quadrature) with an error bar.
@@ -329,42 +330,55 @@ class DecompositionResidual:
 
 
 def decomposition_residual(
-    alpha: float, params: RunParameters, table: PrimeTable
-) -> DecompositionResidual:
-    """Measure |full - middle' - floor_error| and |middle' - middle|.
+    alphas, params: RunParameters, table: PrimeTable
+) -> "list[DecompositionResidual]":
+    """Measure |full - middle' - floor_error| and |middle' - middle| at
+    each alpha of the 1-D grid alphas; one record per alpha, in order.
 
     All three sums reuse the same doubles u = p^gamma, v = (p+1)^gamma,
     so the per-term identity floor(-u) - floor(-v) = (v - u) +
     sawtooth(-v) - sawtooth(-u) holds exactly (the subtractions are
     Sterbenz-exact); only accumulation noise remains.  The indicator here
     is deliberately the raw-double floor difference, not the guarded one.
+    The arrays that do not depend on alpha are built once; each alpha's
+    phases carry their own 2^52 guard and its four sums are exactly
+    rounded, so a record is the same at any grid it sits in.
     """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be a 1-D grid, got shape {alphas.shape}")
     p = _window_primes(params, table)
     g = params.gamma.value
     if p.size == 0:
-        return DecompositionResidual(0.0, 0.0, 0j, 0j, 0j, 0j, 0)
+        return [DecompositionResidual(0.0, 0.0, 0j, 0j, 0j, 0j, 0)] * alphas.size
     pf = p.astype(np.float64)
     u = np.power(pf, g)
     v = np.power(pf + 1.0, g)
     indicator = np.floor(-u) - np.floor(-v)
+    smooth = v - u
     psi_diff = sawtooth(-v) - sawtooth(-u)
     log_p = np.log(pf)
-    phases = phase_factors(alpha, p)
-    base = np.exp((1.0 - g) * log_p) * log_p * phases
+    weight = np.exp((1.0 - g) * log_p) * log_p
+    density = g * log_p
 
-    full, _ = compensated_complex_sum(base * indicator)
-    middle_exact, _ = compensated_complex_sum(base * (v - u))
-    floor_err, _ = compensated_complex_sum(base * psi_diff)
-    middle_plain, _ = compensated_complex_sum(g * log_p * phases)
-    return DecompositionResidual(
-        identity_residual=abs(full - middle_exact - floor_err),
-        sigma_gap=abs(middle_exact - middle_plain),
-        sum_value=full,
-        middle_exact=middle_exact,
-        middle_plain=middle_plain,
-        floor_error=floor_err,
-        term_count=int(p.size),
-    )
+    out = []
+    for alpha in alphas.tolist():
+        phases = phase_factors(alpha, p)
+        base = weight * phases
+        full, _ = compensated_complex_sum(base * indicator)
+        middle_exact, _ = compensated_complex_sum(base * smooth)
+        floor_err, _ = compensated_complex_sum(base * psi_diff)
+        middle_plain, _ = compensated_complex_sum(density * phases)
+        out.append(DecompositionResidual(
+            identity_residual=abs(full - middle_exact - floor_err),
+            sigma_gap=abs(middle_exact - middle_plain),
+            sum_value=full,
+            middle_exact=middle_exact,
+            middle_plain=middle_plain,
+            floor_error=floor_err,
+            term_count=int(p.size),
+        ))
+    return out
 
 
 @dataclass(frozen=True)

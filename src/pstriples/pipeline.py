@@ -17,8 +17,11 @@ per-stage wall times and values, and a sha256 digest of every file
 written.  All report files are plain CSV written by `csv_text` (ints as
 ints, floats at 17 significant digits, strings verbatim), so identical
 inputs reproduce identical bytes; the manifest's wall times are the only
-run-to-run variation.  Requesting only a late stage does not emit the
-earlier stages' files.  The kernel, dichotomy and triples tables are
+run-to-run variation.  `csv_text` takes columns, not rows: it formats a
+whole table with one % operation over a row template whose cell format
+follows each column's element type, and prints every cell as the
+per-cell `format_value` does.  Requesting only a late stage does not
+emit the earlier stages' files.  The kernel, dichotomy and triples tables are
 built by `theta_table`, `transform_table`, `dichotomy_table` and
 `triples_table`, which the CLI uses too.
 """
@@ -34,6 +37,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -147,11 +151,46 @@ def format_value(value: object) -> str:
     return f"{float(value):.17g}"
 
 
-def csv_text(header: "list[str]", rows) -> str:
-    """Header line plus one line per row, cells by format_value."""
-    lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _cell_format(kind: type) -> "str | None":
+    """The %-format that prints a cell of this type as format_value does,
+    or None for a type without one."""
+    if kind is float or kind is np.float64:
+        return "%.17g"
+    if kind is str:
+        return "%s"
+    if issubclass(kind, (int, np.integer, np.bool_)):
+        return "%d"
+    return None
+
+
+def csv_text(header: "list[str]", columns) -> str:
+    """Header line plus one line per row of the given columns (arrays or
+    sequences, one per header entry, of equal length).
+
+    The body is one % operation over a row template that takes each
+    column's cell format from its element types (_cell_format); a column
+    whose types share no one format is formatted cell by cell.  Every
+    cell reads as format_value prints it.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len(cols) != len(header):
+        raise ValueError(f"{len(cols)} columns for {len(header)} header entries")
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError("columns differ in length")
+    formats = []
+    for i, col in enumerate(cols):
+        kinds = {_cell_format(t) for t in set(map(type, col))}
+        if len(kinds) == 1 and None not in kinds:
+            formats.append(kinds.pop())
+        else:
+            cols[i] = [format_value(v) for v in col]
+            formats.append("%s")
+    head = ",".join(header) + "\n"
+    if n == 0:
+        return head
+    row = ",".join(formats) + "\n"
+    return head + (row * n) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _write(path: Path, text: str) -> OutputRecord:
@@ -163,43 +202,38 @@ def _transform_points(kern) -> np.ndarray:
     return np.geomspace(1e-3 / kern.epsilon, 1e3 / kern.epsilon, 513)
 
 
+def _record_table(fields: "list[str]", records) -> str:
+    """CSV of the named fields of records, one row per record."""
+    return csv_text(fields, [[getattr(r, f) for r in records] for f in fields])
+
+
 def theta_table(kern) -> str:
     """CSV of theta at 2^14 + 1 evenly spaced y in [-eps, eps]: y, theta."""
     y = np.linspace(-kern.epsilon, kern.epsilon, (1 << 14) + 1)
-    return csv_text(["y", "theta"], zip(y.tolist(), theta(kern, y).tolist()))
+    return csv_text(["y", "theta"], [y, theta(kern, y)])
 
 
 def transform_table(kern) -> str:
     """CSV of the transform and its decay bound at 513 log-spaced points
     from 1e-3/eps to 1e3/eps: x, transform, bound."""
     x = _transform_points(kern)
-    return csv_text(
-        ["x", "transform", "bound"],
-        zip(x.tolist(), theta_transform(kern, x).tolist(),
-            transform_bound(kern, x).tolist()),
-    )
+    return csv_text(["x", "transform", "bound"],
+                    [x, theta_transform(kern, x), transform_bound(kern, x)])
 
 
 def dichotomy_table(coeffs: Coefficients, conv, params: RunParameters, ts):
     """Probe each t of ts; returns (CSV text, the reports)."""
     reports = [dichotomy_probe(coeffs, conv, params, t) for t in ts]
-    text = csv_text(
-        ["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"],
-        ((r.t, r.a1, r.q1, r.a2, r.q2, r.class1, r.class2, r.case)
-         for r in reports),
-    )
-    return text, reports
+    return _record_table(
+        ["t", "a1", "q1", "a2", "q2", "class1", "class2", "case"], reports
+    ), reports
 
 
 def triples_table(params: RunParameters, coeffs: Coefficients, pset: PSPrimeSet):
     """Verified triples at the effective search width, nearest first;
     returns (CSV text, the records)."""
     records = find_triples(params, coeffs, pset, params.epsilon_effective)
-    text = csv_text(
-        ["p1", "p2", "p3", "form_value", "weight"],
-        ((r.p1, r.p2, r.p3, r.form_value, r.weight) for r in records),
-    )
-    return text, records
+    return _record_table(["p1", "p2", "p3", "form_value", "weight"], records), records
 
 
 def params_dict(cfg: RunConfig) -> "dict[str, object]":
@@ -295,8 +329,10 @@ class Instance:
 
 def _stage_primes(cfg: RunConfig, inst: Instance, out: Path):
     pset = inst.window_set
-    rows = zip(pset.primes.tolist(), pset.weight_w, pset.weight_log)
-    rec = _write(out / "primes.csv", csv_text(["p", "weight_w", "weight_log"], rows))
+    rec = _write(out / "primes.csv", csv_text(
+        ["p", "weight_w", "weight_log"],
+        [pset.primes, pset.weight_w, pset.weight_log],
+    ))
     cache_path = out / "psprimes.psp"
     cache_store(inst.full_set, cache_path)
     values = {
@@ -328,26 +364,22 @@ def _stage_kernel(cfg: RunConfig, inst: Instance, out: Path):
 def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     pset = inst.window_set
-    table = inst.table
     alphas = np.linspace(0.0, 1.0, _SUMS_ALPHA_POINTS)
-    rows = []
-    res_rows = []
-    worst = 0.0
-    for a in alphas.tolist():
-        s = ps_exp_sum(a, params, pset).value
-        rows.append((a, s.real, s.imag, abs(s)))
-        r = decomposition_residual(a, params, table)
-        res_rows.append((a, r.identity_residual, r.sigma_gap))
-        worst = max(worst, r.identity_residual)
-    rec_s = _write(out / "sums.csv", csv_text(["alpha", "re", "im", "abs"], rows))
-    rec_r = _write(
-        out / "sums_residual.csv",
-        csv_text(["alpha", "identity_residual", "sigma_gap"], res_rows),
-    )
+    sums = [ps_exp_sum(a, params, pset).value for a in alphas.tolist()]
+    res = decomposition_residual(alphas, params, inst.table)
+    rec_s = _write(out / "sums.csv", csv_text(
+        ["alpha", "re", "im", "abs"],
+        [alphas, [z.real for z in sums], [z.imag for z in sums],
+         [abs(z) for z in sums]],
+    ))
+    rec_r = _write(out / "sums_residual.csv", csv_text(
+        ["alpha", "identity_residual", "sigma_gap"],
+        [alphas, [r.identity_residual for r in res], [r.sigma_gap for r in res]],
+    ))
     values = {
         "alpha_points": int(alphas.size),
         "term_count": pset.count,
-        "max_identity_residual": worst,
+        "max_identity_residual": max(r.identity_residual for r in res),
     }
     return (rec_s, rec_r), values
 

@@ -387,11 +387,12 @@ def find_triples(
     matches would give, and theta and the weights are computed for the
     emitted rows only.
 
-    Each emitted record is re-verified from scratch: both floor-power
-    membership checks and the form evaluation are redone outside the
-    sweep.  Sets with fewer than three primes are degenerate and yield
-    no triples.  The threshold fields compare |form| against the
-    admissibility width at the triple's largest prime.
+    Each emitted record is re-verified from scratch: floor-power
+    membership (scalar ps_indicator, once per distinct prime) and the form
+    evaluation are redone outside the sweep.  Sets with fewer than three
+    primes are degenerate and yield no triples.  The threshold fields
+    compare |form| against the admissibility width at the triple's
+    largest prime.
     """
     check_window_set(params, pset)
     if not eps_search > 0.0:
@@ -426,14 +427,18 @@ def find_triples(
     gamma = params.gamma.value
     lam1, lam2, lam3 = coeffs.lambdas
     out: list[TripleRecord] = []
+    verified: set[int] = set()
     for p1, p2, p3, form, weight in zip(
         *(a.tolist() for a in (p_int[i], p_int[j], p_int[k], forms, weights))
     ):
         for q in (p1, p2, p3):
+            if q in verified:
+                continue
             if ps_indicator(q, gamma) != 1:
                 raise RuntimeError(
                     f"re-verification failed: {q} is not a floor-power prime"
                 )
+            verified.add(q)
         check = lam1 * p1 + lam2 * p2 + lam3 * p3 + coeffs.eta
         if not (abs(check) < eps_search + tol and abs(check - form) <= tol):
             raise RuntimeError(

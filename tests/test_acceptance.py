@@ -124,7 +124,7 @@ def test_criterion_03_floor_decomposition_identity(table6):
         g = float(rng.uniform(0.72, 0.995))
         alpha = float(rng.uniform(0.0, 1.0))
         params = RunParameters(203, g, 0.5, epsilon_user=1.0)
-        res = decomposition_residual(alpha, params, table6)
+        res, = decomposition_residual([alpha], params, table6)
         worst = max(worst, abs(res.identity_residual))
     _finish(3, "sum splits exactly into smooth and floor parts", t0,
             f"worst residual {worst:.3g}", worst <= 1e-8)

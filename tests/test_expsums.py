@@ -1,5 +1,6 @@
 """Phase sums, the exact splitting identity, L2 integrals, bound shapes."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -262,24 +263,48 @@ def test_phase_guard():
 def test_identity_residual_small():
     rng = np.random.default_rng(5)
     params = RunParameters(203, 0.98, 0.5, epsilon_user=1.0)
-    for alpha in rng.uniform(-3, 3, size=5):
-        d = decomposition_residual(float(alpha), params, TABLE6)
+    for d in decomposition_residual(rng.uniform(-3, 3, size=5), params, TABLE6):
         assert d.identity_residual <= 1e-8
         assert d.term_count > 0
 
 
 def test_identity_residual_empty():
     params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
-    d = decomposition_residual(0.3, params, TABLE4)
-    assert d.identity_residual == 0.0 and d.term_count == 0
+    records = decomposition_residual([0.3, -1.0, 7.5], params, TABLE4)
+    assert len(records) == 3
+    for d in records:
+        assert d.identity_residual == 0.0 and d.term_count == 0
 
 
 def test_sigma_gap_scale():
     params = run70()
-    d = decomposition_residual(0.3, params, TABLE4)
+    d, = decomposition_residual([0.3], params, TABLE4)
     # measured 9e-5 at this instance; the gap is far below log^2 X
     assert d.sigma_gap / params.log_X**2 < 0.1
     assert d.sigma_gap > 0
+
+
+def test_residual_grid_matches_one_alpha_calls():
+    params = run70()
+    alphas = np.linspace(-1.0, 1.0, 9)
+    records = decomposition_residual(alphas, params, TABLE4)
+    assert len(records) == alphas.size
+    for a, rec in zip(alphas.tolist(), records):
+        one, = decomposition_residual([a], params, TABLE4)
+        for field in dataclasses.fields(rec):
+            assert getattr(rec, field.name) == getattr(one, field.name), field.name
+        # the plain middle sum is prime_exp_sum's, term for term
+        assert rec.middle_plain == prime_exp_sum(a, params, TABLE4).value
+        assert rec.term_count > 0
+
+
+def test_residual_grid_guards_each_alpha():
+    params = run70()
+    for bad in (1e12, -1e12):
+        with pytest.raises(ValueError, match="2\\^52"):
+            decomposition_residual([0.1, bad, 0.2], params, TABLE4)
+    with pytest.raises(ValueError, match="1-D"):
+        decomposition_residual(np.zeros((2, 2)), params, TABLE4)
 
 
 def test_compensated_matches_naive():

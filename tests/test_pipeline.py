@@ -4,11 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pstriples import pipeline
 from pstriples.config import parse_config
 from pstriples.params import ParameterError
-from pstriples.pipeline import STAGES, Instance, run_pipeline
+from pstriples.pipeline import STAGES, Instance, csv_text, format_value, run_pipeline
 from pstriples.primes import ps_primes_in, sieve_primes
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "sqrt2_demo.conf"
@@ -149,3 +151,84 @@ def test_csv_floats_round_trip(demo_cfg, tmp_path, monkeypatch):
     g = demo_cfg.params.gamma.value
     assert float(w) == float(int(p)) ** (1.0 - g)
     assert float(wl) == math.log(float(int(p)))
+
+
+def reference_csv(header, columns) -> str:
+    """The per-cell writer: rows of the columns' own elements, each cell
+    by format_value."""
+    rows = zip(*[list(c) for c in columns])
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_column_writer_matches_per_cell_reference_on_awkward_cells():
+    inf, nan = float("inf"), float("nan")
+    floats = [-0.0, inf, -inf, nan, 5e-324, 1e16, 0.1, np.float64(1.0 / 3.0)]
+    ints = [2**53 + 1, 2**70, -(2**63) - 1, np.int64(-7), np.uint64(2**64 - 1),
+            True, np.bool_(False), 0]
+    words = ["a", "", "x y", "%d", "%s%%", "nan", "-0", "1e16"]
+    columns = [
+        floats,
+        np.array(floats, dtype=np.float64),
+        ints,
+        np.array([2**53 + 1, -3, 0, 1, 2, 3, 4, 5], dtype=np.int64),
+        np.array([True, False] * 4),
+        [np.bool_(True), np.bool_(False)] * 4,
+        words,
+        # mixed kinds and types without a %-format go cell by cell
+        [1e16, 2**53 + 1, "s", True, np.float32(0.1), -0.0, 3, np.int64(9)],
+        [np.float32(0.1)] * 8,
+        range(8),
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    text = csv_text(header, columns)
+    assert text == reference_csv(header, columns)
+    assert text.splitlines()[1].split(",")[:3] == ["-0", "-0", "9007199254740993"]
+
+
+def test_column_writer_edge_shapes():
+    assert csv_text(["a", "b"], [[], np.empty(0)]) == "a,b\n"
+    assert csv_text(["a"], [[1.5]]) == "a\n1.5\n"
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [[1.0]])
+
+
+def test_column_writer_matches_per_cell_reference_on_demo_run(
+    demo_cfg, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("PSD_CACHE_DIR", str(tmp_path / "cache"))
+    written = []
+    real = pipeline.csv_text
+
+    def recording(header, columns):
+        columns = list(columns)
+        text = real(header, columns)
+        written.append((text, reference_csv(header, columns)))
+        return text
+
+    monkeypatch.setattr(pipeline, "csv_text", recording)
+    out = tmp_path / "run"
+    stages = tuple(s for s in STAGES if s != "decomp")
+    run_pipeline(demo_cfg, stages=stages, out_dir=out)
+    files = sorted(out.glob("*.csv"))
+    assert [f.name for f in files] == [
+        "dichotomy.csv", "kernel_theta.csv", "kernel_transform.csv",
+        "primes.csv", "sums.csv", "sums_residual.csv", "triples.csv",
+    ]
+    assert len(written) == len(files)
+    for text, ref in written:
+        assert text == ref
+    assert sorted(f.read_text() for f in files) == sorted(t for t, _ in written)
+
+
+def test_public_and_traced_names_resolve():
+    assert len(set(pipeline.__all__)) == len(pipeline.__all__)
+    assert all(hasattr(pipeline, name) for name in pipeline.__all__)
+    # the names an outside tracer wraps where the pipeline resolves them
+    for name in ("decomposition_residual", "ps_exp_sum", "theta",
+                 "theta_transform", "find_triples", "dichotomy_probe",
+                 "cache_store", "sieve_primes", "ps_primes_in", "make_kernel"):
+        assert callable(getattr(pipeline, name)), name

@@ -355,6 +355,31 @@ def test_find_triples_re_verified_and_sorted():
         )
 
 
+def test_find_triples_decides_each_prime_once(monkeypatch):
+    params, pset = _instance(70, 0.98, 0.5, 0.05)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    asked = []
+    real = triplesum.ps_indicator
+
+    def counting(p, gamma):
+        asked.append(p)
+        return real(p, gamma)
+
+    monkeypatch.setattr(triplesum, "ps_indicator", counting)
+    recs = find_triples(params, c, pset, 0.05, max_results=500)
+    primes = {p for r in recs for p in (r.p1, r.p2, r.p3)}
+    assert len(recs) * 3 > len(primes)
+    assert sorted(asked) == sorted(primes)
+
+    # a prime the scalar indicator rejects still fails the search
+    bad = recs[1].p2
+    monkeypatch.setattr(triplesum, "ps_indicator",
+                        lambda p, gamma: 0 if p == bad else real(p, gamma))
+    with pytest.raises(RuntimeError,
+                       match=f"re-verification failed: {bad} is not a floor-power prime"):
+        find_triples(params, c, pset, 0.05, max_results=500)
+
+
 @pytest.mark.parametrize(
     "q0,coeffs,eps",
     [
