@@ -50,9 +50,9 @@ def main():
     print("mean square ------------------------------------")
     res = l2_integral("ps_sum", 1.0, params, pset, span="unit")
     gap = abs(res.value - res.exact_reference) / res.exact_reference
-    print(f"  quadrature of int_0^1 |S|^2 on {res.panels} panels: {res.value:.6f}")
+    print(f"  mean of |S|^2 over {res.panels} points on [0, 1): {res.value:.6f}")
     print(f"  sum of squared weights:                  {res.exact_reference:.6f}")
-    print(f"  relative gap {gap:.2e}")
+    print(f"  relative gap {gap:.2e}, error bar {res.error / res.exact_reference:.2e}")
     print()
 
     print("interval integral ------------------------------")

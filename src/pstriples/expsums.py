@@ -16,9 +16,11 @@ ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
 grid of alpha.
-l2_integral gives their mean squares: over [0, 1] by Simpson, exact on
-that integer-frequency polynomial, and over [-Delta, Delta] by the band
-rule (module quadrature) with an error bar.
+l2_integral gives their mean squares, each with an error bar: over
+[0, 1] as the plain mean over a power-of-two grid finer than the
+window, exact on that integer-frequency polynomial up to the
+evaluator's error, and over [-Delta, Delta] by the band rule (module
+quadrature).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .quadrature import (
     _band_grid,
     euler_maclaurin_squared,
     euler_maclaurin_tail,
-    simpson_uniform,
 )
 from .summation import SumResult, compensated_complex_sum
 from .trigpoly import BlockedPlan, error_floor, plan_uniform, trig_sum_uniform
@@ -401,12 +402,14 @@ def l2_integral(
     kind "ps_sum":   integrand |ps_exp_sum(lam * t)|^2
     kind "interval": integrand |interval_integral(lam * t)|^2
     span "window":   over [-Delta, Delta] (effective Delta of the run)
-    span "unit":     over [0, 1] with lam = 1, ps_sum only; integer
-                     phases make composite Simpson exact once the panel
-                     count exceeds twice the top frequency, so one grid
-                     of the smallest power of two >= 4 * spread panels
-                     (at least 256) is used, the error is 0.0, and the
-                     weight-square sum is returned as exact_reference.
+    span "unit":     over [0, 1) with lam = 1, ps_sum only: the mean
+                     of |S|^2 over N equally spaced points, N the
+                     smallest power of two above hi - lo, is exact for
+                     its integer frequencies |p - q| < N, so the error
+                     bar charges only the evaluator, 2/N sum |S(t_j)|
+                     (t_j times _sum_factors's rounding plus its floor);
+                     panels is N and the weight-square sum Parseval
+                     gives is returned as exact_reference.
 
     Over the window span the band rule on the walker's factor source
     (_sum_factors or _window_factors): the trapezoid rule at f_max h <=
@@ -435,14 +438,14 @@ def l2_integral(
             raise ValueError("unit span applies to the ps_sum kind only")
         if lam != 1.0:
             raise ValueError(f"unit span integrates lam = 1 only, got {lam}")
-        spread = float(pset.hi - pset.lo)
+        grid, _, _, rounding, floor = _sum_factors(pset, [1.0], 0.0)
+        n = 1 << int(pset.hi - pset.lo).bit_length()
+        vals = np.abs(grid(0.0, 1.0 / n, n)[0])
+        value = math.fsum((vals * vals).tolist()) / n
+        t = np.arange(n) / n
+        error = 2.0 / n * float(np.dot(vals, rounding * t + floor))
         exact = float(np.sum((pset.weight_w * pset.weight_log) ** 2))
-        panels = 256
-        while panels < 4 * max(spread, 2.0):
-            panels *= 2
-        vals = ps_sum_grid(pset, 1.0, 0.0, 1.0 / panels, panels + 1)
-        value = simpson_uniform(np.abs(vals) ** 2, 1.0 / panels)
-        return L2Result(value, panels, 0.0, exact)
+        return L2Result(value, n, error, exact)
 
     delta = params.Delta
     if kind == "ps_sum":
@@ -476,13 +479,14 @@ class MinorArcReport:
 
 def minor_arc_check(
     a: int, q: int, params: RunParameters, table: PrimeTable,
-    pset: "PSPrimeSet | None" = None,
+    pset: PSPrimeSet,
 ) -> MinorArcReport:
     """Evaluate the window sums at alpha = a/q against their bound shapes.
 
     The denominator window is [X^(1/13), X^(12/13)]; outside it the
     rational point is flagged as not estimable by the window argument.
-    Ratios use natural-log powers of log X.
+    Ratios use natural-log powers of log X.  pset is the run's window
+    set of floor-power primes, as ps_exp_sum takes it.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
@@ -494,10 +498,6 @@ def minor_arc_check(
     in_window = x ** (1.0 / 13.0) <= q <= x ** (12.0 / 13.0)
 
     sigma = prime_exp_sum(alpha, params, table).value
-    if pset is None:
-        from .primes import ps_primes_in
-
-        pset = ps_primes_in(params.lambda0 * x, x, params.gamma, table)
     s_val = ps_exp_sum(alpha, params, pset).value
     psi_val = chebyshev_sum(alpha, x, table).value
 

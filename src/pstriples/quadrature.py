@@ -2,7 +2,8 @@
 
 * `adaptive_simpson`: composite Simpson with panel doubling until two
   refinements agree to a relative tolerance; past _MAX_PANELS it raises.
-  Only tests and demos call it, as a reference quadrature.
+  Only tests and demos call it, as a reference quadrature; every
+  computation in the package uses the band rule below.
 
 * `euler_maclaurin`: the trapezoid sum T_h of a g band-limited to
   |f| <= f_max, f_max h < 1, misses its integral over [a, b] by exactly
@@ -17,12 +18,12 @@
   quotients; the weights B_2k/(2k) are rounded to doubles once per term
   count.
 
-* The band rule, of `triplesum._band_quadrature` and
-  `expsums.l2_integral`: the trapezoid sum on `_band_grid` (f_max h <=
-  _BAND_FH = 0.8) minus the first _EM_TERMS = 80 terms of that series.
-  The omitted terms fall like 0.8^(2k), so the tail bound carries a
-  factor 0.8^161 = 2.5e-16, and the grid has 37% fewer points than at
-  f_max h <= 1/2.
+* The band rule, of `triplesum._band_quadrature`, `expsums.l2_integral`
+  and `kernel.invert_transform`: the trapezoid sum on `_band_grid`
+  (f_max h <= _BAND_FH = 0.8) minus the first _EM_TERMS = 80 terms of
+  that series.  The omitted terms fall like 0.8^(2k), so the tail bound
+  carries a factor 0.8^161 = 2.5e-16, and the grid has 37% fewer points
+  than at f_max h <= 1/2.
 
 * `boole_weight`: composite Boole (5-point Newton-Cotes, O(h^6)) weights
   by global sample index.  Nothing in the package calls it; the
@@ -45,7 +46,6 @@ __all__ = [
     "QuadratureError",
     "SimpsonResult",
     "adaptive_simpson",
-    "simpson_uniform",
     "bernoulli_even",
     "euler_maclaurin",
     "euler_maclaurin_tail",
@@ -75,16 +75,6 @@ class SimpsonResult:
     last_change: float
 
 
-def simpson_uniform(fvals: np.ndarray, h: float) -> float:
-    """Composite Simpson over 2m+1 uniform samples with spacing h."""
-    fvals = np.asarray(fvals, dtype=np.float64)
-    n = fvals.size
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson needs an odd sample count >= 3")
-    s = fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-1:2].sum()
-    return float(s * h / 3.0)
-
-
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -105,8 +95,9 @@ def adaptive_simpson(
         panels += 1
 
     def run(n_panels: int) -> float:
-        x = np.linspace(a, b, n_panels + 1)
-        return simpson_uniform(f(x), (b - a) / n_panels)
+        y = np.asarray(f(np.linspace(a, b, n_panels + 1)), dtype=np.float64)
+        s = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
+        return float(s * ((b - a) / n_panels) / 3.0)
 
     prev = run(panels)
     while True:

@@ -74,6 +74,8 @@ OPENBLAS_NUM_THREADS=1 and 2); the NUFFT path's do not.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["BlockedPlan", "error_floor", "plan_uniform", "trig_sum_uniform"]
@@ -247,20 +249,14 @@ def _kb_transform(nu: np.ndarray) -> np.ndarray:
     return out * (2.0 * half / _bessel_i0(_BETA))
 
 
-_DECONV_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _deconvolution(n: int, m_fine: int) -> np.ndarray:
-    """1 / window-transform for output modes m' = m - n//2, m = 0..n-1."""
-    key = (n, m_fine)
-    cached = _DECONV_CACHE.get(key)
-    if cached is None:
-        m_prime = np.arange(n, dtype=np.float64) - (n // 2)
-        cached = 1.0 / _kb_transform(m_prime / m_fine)
-        if len(_DECONV_CACHE) > 8:
-            _DECONV_CACHE.clear()
-        _DECONV_CACHE[key] = cached
-    return cached
+    """1 / window-transform for output modes m' = m - n//2, m = 0..n-1;
+    read-only, as one cached array serves every caller."""
+    m_prime = np.arange(n, dtype=np.float64) - (n // 2)
+    out = 1.0 / _kb_transform(m_prime / m_fine)
+    out.flags.writeable = False
+    return out
 
 
 def error_floor(n_freqs: int) -> float:

@@ -468,14 +468,19 @@ def test_grid_evaluator_matches_pointwise():
 
 
 def test_l2_parseval_unit_span():
-    params = run70()
-    pset = pset_for(params, TABLE4)
-    res = l2_integral("ps_sum", 1.0, params, pset=pset, span="unit")
-    assert res.exact_reference == pytest.approx(
-        float(np.sum((pset.weight_w * pset.weight_log) ** 2)), rel=0
-    )
-    assert res.value == pytest.approx(res.exact_reference, rel=1e-6)
-    assert res.error == 0.0
+    # the mean over the smallest power of two above hi - lo is exact for
+    # the integer frequencies, so only the evaluator's error is left (the
+    # NUFFT's on q0 203: 1.0e-12 relative) and the bar must cover it
+    for q0, points in ((29, 1024), (70, 8192), (203, 65536)):
+        params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
+        pset = pset_for(params)
+        res = l2_integral("ps_sum", 1.0, params, pset=pset, span="unit")
+        assert res.exact_reference == pytest.approx(
+            float(np.sum((pset.weight_w * pset.weight_log) ** 2)), rel=0
+        )
+        assert res.panels == points > pset.hi - pset.lo >= points // 2
+        assert abs(res.value - res.exact_reference) <= res.error
+        assert 0.0 < res.error <= 1e-8 * res.exact_reference
 
 
 def test_l2_window_interval_kind_bound():
@@ -559,11 +564,12 @@ def test_l2_argument_validation():
 
 def test_minor_arc_report():
     params = RunParameters(203, 0.9, 0.5, epsilon_user=1.0)
-    rep = minor_arc_check(1, 2, params, TABLE6)
+    pset = pset_for(params)
+    rep = minor_arc_check(1, 2, params, TABLE6, pset)
     assert not rep.in_window  # q=2 sits below X^(1/13) ~ 2.42
     assert rep.chebyshev_ratio < 1.0
-    rep7 = minor_arc_check(3, 7, params, TABLE6)
+    rep7 = minor_arc_check(3, 7, params, TABLE6, pset)
     assert rep7.in_window
     assert rep7.prime_sum_ratio < 1.0 and rep7.ps_sum_ratio < 1.0
     with pytest.raises(ValueError, match="gcd"):
-        minor_arc_check(2, 4, params, TABLE6)
+        minor_arc_check(2, 4, params, TABLE6, pset)

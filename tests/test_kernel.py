@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pstriples.kernel import (
     GridTransform,
     _antiderivatives,
+    _inversion_cutoff,
     invert_transform,
     make_kernel,
     sinc_series,
@@ -20,7 +21,6 @@ from pstriples.kernel import (
     transform_series,
     verify_bounds,
 )
-from pstriples.quadrature import simpson_uniform
 
 # theta within THETA_TOL absolute and its antiderivative within
 # THETA_TOL * 2a of the 50-digit reference at the double y; measured
@@ -289,12 +289,17 @@ def test_grid_transform_rejects_bad_blocks():
 
 
 def test_transform_matches_quadrature():
+    # Theta(x) = 2 int_0^eps theta(y) cos(2 pi x y) dy by 64-point
+    # Gauss-Legendre on each piece between theta's knots (the plateau's
+    # end and eps - 2b i), where theta is a polynomial of degree k
     ker = make_kernel(1.0, 3)
-    ys = np.linspace(-1.0, 1.0, (1 << 14) + 1)
-    th = theta(ker, ys)
-    h = ys[1] - ys[0]
+    knots = np.concatenate([[0.0], ker.epsilon - 2.0 * ker.b * np.arange(ker.k, -1, -1)])
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    mid, half = (knots[1:] + knots[:-1]) / 2, (knots[1:] - knots[:-1]) / 2
+    ys = (mid[:, None] + half[:, None] * nodes).ravel()
+    ws = (half[:, None] * weights).ravel() * theta(ker, ys)
     for x in np.linspace(-10.0, 10.0, 41):
-        quad = simpson_uniform(th * np.cos(2 * np.pi * x * ys), h)
+        quad = 2.0 * float(np.dot(ws, np.cos(2 * np.pi * x * ys)))
         assert abs(quad - theta_transform(ker, x)) <= 1e-4 * ker.epsilon
 
 
@@ -330,20 +335,39 @@ def test_bound_no_overflow_extreme():
 
 
 def test_inversion_auto_cutoff():
-    for k in (1, 2, 5, 20):
+    for k in (1, 2, 3, 5, 20):
         ker = make_kernel(1.0, k)
         ys = np.linspace(-1.2, 1.2, 121)
         approx = invert_transform(ker, ys, tol=1e-3)
         assert np.max(np.abs(approx - theta(ker, ys))) <= 1e-3
 
 
-def test_inversion_fixed_cutoff_higher_orders():
-    # at T = 50k/eps the transform tail is already below 1e-3 for k >= 2
-    for k in (2, 3, 5):
-        ker = make_kernel(1.0, k)
-        ys = np.linspace(-1.1, 1.1, 89)
-        approx = invert_transform(ker, ys, tol=1e-3, t_cutoff=50.0 * k)
-        assert np.max(np.abs(approx - theta(ker, ys))) <= 1e-3
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_inversion_matches_truncated_integral(k):
+    # 2 int_0^T Theta(x) cos(2 pi x y) dx by 32-point Gauss-Legendre on
+    # two pieces per period of the top frequency 2.1 eps: the band rule
+    # matches it to 2.2e-15 (measured); without its endpoint series it
+    # is off by 1e-8 to 7e-6
+    ker = make_kernel(1.0, k)
+    ys = np.linspace(-1.1, 1.1, 23)
+    t_cut = _inversion_cutoff(ker, 1e-3)
+    edges = np.linspace(0.0, t_cut, int(4.2 * t_cut) + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    xs = (mid[:, None] + half[:, None] * nodes).ravel()
+    ws = (half[:, None] * weights).ravel() * theta_transform(ker, xs)
+    want = np.array([2.0 * np.dot(ws, np.cos(2 * np.pi * xs * y)) for y in ys])
+    assert np.max(np.abs(invert_transform(ker, ys, tol=1e-3) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [3, 5, 20])
+def test_inversion_error_follows_tolerance(k):
+    # the band rule leaves only the transform's tail past the cutoff, so
+    # the error falls with tol (measured 1.6e-11, 3.8e-11, 2.2e-15)
+    ker = make_kernel(1.0, k)
+    ys = np.linspace(-1.2, 1.2, 121)
+    approx = invert_transform(ker, ys, tol=1e-9)
+    assert np.max(np.abs(approx - theta(ker, ys))) <= 1e-9
 
 
 def test_parameter_validation():
