@@ -143,18 +143,18 @@ def _cmd_sums(args) -> int:
     inst = Instance(params)
     table = inst.table
 
-    def value(alpha: float) -> complex:
+    if args.kind == "I":
+        zs = [interval_integral(a, params) for a in alphas.tolist()]
+    else:
         if args.kind == "S":
-            return ps_exp_sum(alpha, params, inst.window_set).value
-        if args.kind == "Sigma":
-            return prime_exp_sum(alpha, params, table).value
-        if args.kind == "Omega":
-            return floor_error_sum(alpha, params, table).value
-        if args.kind == "I":
-            return interval_integral(alpha, params)
-        return chebyshev_sum(alpha, params.X, table).value
-
-    zs = [value(a) for a in alphas.tolist()]
+            sums = ps_exp_sum(alphas, params, inst.window_set)
+        elif args.kind == "Sigma":
+            sums = prime_exp_sum(alphas, params, table)
+        elif args.kind == "Omega":
+            sums = floor_error_sum(alphas, params, table)
+        else:
+            sums = chebyshev_sum(alphas, params.X, table)
+        zs = [r.value for r in sums]
     cols = [alphas, [z.real for z in zs], [z.imag for z in zs], [abs(z) for z in zs]]
     _emit(csv_text(["alpha", "re", "im", "abs"], cols), args.out)
     return 0

@@ -12,6 +12,9 @@ exponent gamma:
   interval_integral the window integral gamma int e(alpha y) dy
   chebyshev_sum     sum over all p <= X of e(alpha p) log p
 
+The four sums take alpha as a float (one SumResult) or as a 1-D grid
+(one per alpha); either way each alpha's terms go through one block
+whose rows are extracted together (_phase_sums).
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import classify_denominator
 from .kernel import sinc_series
 from .params import RunParameters
 from .primes import PrimeTable, PSPrimeSet, check_window_set
@@ -39,7 +43,7 @@ from .quadrature import (
     euler_maclaurin_squared,
     euler_maclaurin_tail,
 )
-from .summation import SumResult, compensated_complex_sum
+from .summation import SumResult, row_parts
 from .trigpoly import BlockedPlan, error_floor, plan_uniform, trig_sum_uniform
 
 __all__ = [
@@ -108,8 +112,52 @@ def phase_factors(alpha: float, p: np.ndarray) -> np.ndarray:
     """e(alpha p) for an integer array p, with the 2^52 guard."""
     if p.size:
         _check_phase_range(alpha, float(p[-1]))
-    frac = (alpha * p.astype(np.float64)) % 1.0
-    return np.exp(2j * np.pi * frac)
+    x = alpha * p.astype(np.float64)
+    return np.exp(2j * np.pi * (x - np.floor(x)))   # x % 1.0 bit for bit, no divmod
+
+
+def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
+    """Per alpha of grid, the exactly rounded sums of fl(fl(w e(alpha p)) c)
+    for each (w, c) of rows (c None: of w e(alpha p)) as complex totals,
+    with the (2 len(rows), p.size) block of their real and imaginary terms,
+    valid until the next alpha.
+
+    The rows of the block are fl(w cos) c and fl(w sin) c: the real and
+    imaginary parts of the complex products (w + 0j) e(alpha p) and its
+    product with c + 0j, bit for bit up to the sign of a zero.  As
+    |e| <= 1 and rounding is monotone, every row is bounded by
+    max fl(|w| |c|) at every alpha: the bound of its first extraction
+    level (summation.row_parts), known before the loop.
+    """
+    bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c)))
+                        for w, c in rows], 2)
+    block = np.empty((2 * len(rows), p.size))
+    pairs = block.reshape(len(rows), 2, p.size)
+    for alpha in grid.tolist():
+        cos_sin = phase_factors(alpha, p).view(np.float64).reshape(-1, 2).T
+        for pair, (w, c) in zip(pairs, rows):
+            np.multiply(w, cos_sin, out=pair)
+            if c is not None:
+                pair *= c
+        totals = [math.fsum(parts) for parts in row_parts(block, bounds)]
+        yield [complex(re, im) for re, im in zip(totals[::2], totals[1::2])], block
+
+
+def _sum_results(alpha, p: np.ndarray, w: np.ndarray):
+    """The sum of w e(alpha p) as a SumResult at a float alpha, or one per
+    alpha of a 1-D grid; compensation_residual is the larger gap of
+    np.sum to the exact real and imaginary totals."""
+    grid = np.asarray(alpha, dtype=np.float64)
+    if grid.ndim > 1:
+        raise ValueError(f"alpha must be a float or a 1-D grid, got shape {grid.shape}")
+    if p.size == 0:
+        results = [SumResult(0j, 0, 0.0)] * grid.size
+    else:
+        results = []
+        for (z,), block in _phase_sums(grid.ravel(), p, [(w, None)]):
+            re, im = block.sum(axis=1).tolist()
+            results.append(SumResult(z, int(p.size), max(abs(z.real - re), abs(z.imag - im))))
+    return results if grid.ndim else results[0]
 
 
 def _window_primes(params: RunParameters, table: PrimeTable) -> np.ndarray:
@@ -121,39 +169,30 @@ def _window_primes(params: RunParameters, table: PrimeTable) -> np.ndarray:
     return table.primes[i:j]
 
 
-def ps_exp_sum(alpha: float, params: RunParameters, pset: PSPrimeSet) -> SumResult:
-    """Sum of p^(1-gamma) e(alpha p) log p over the floor-power primes."""
+def ps_exp_sum(alpha, params: RunParameters, pset: PSPrimeSet):
+    """Sum of p^(1-gamma) e(alpha p) log p over the floor-power primes:
+    a SumResult at a float alpha, a list of them over a 1-D grid."""
     check_window_set(params, pset)
-    if pset.count == 0:
-        return SumResult(0j, 0, 0.0)
-    terms = pset.weight_w * pset.weight_log * phase_factors(alpha, pset.primes)
-    value, resid = compensated_complex_sum(terms)
-    return SumResult(value, pset.count, resid)
+    return _sum_results(alpha, pset.primes, pset.weight_w * pset.weight_log)
 
 
-def prime_exp_sum(alpha: float, params: RunParameters, table: PrimeTable) -> SumResult:
-    """gamma times the log-weighted phase sum over all window primes."""
+def prime_exp_sum(alpha, params: RunParameters, table: PrimeTable):
+    """gamma times the log-weighted phase sum over all window primes, at
+    a float alpha or over a 1-D grid (as ps_exp_sum)."""
     p = _window_primes(params, table)
-    if p.size == 0:
-        return SumResult(0j, 0, 0.0)
-    terms = params.gamma.value * np.log(p.astype(np.float64)) * phase_factors(alpha, p)
-    value, resid = compensated_complex_sum(terms)
-    return SumResult(value, int(p.size), resid)
+    return _sum_results(alpha, p, params.gamma.value * np.log(p.astype(np.float64)))
 
 
-def floor_error_sum(alpha: float, params: RunParameters, table: PrimeTable) -> SumResult:
-    """Sawtooth-difference weighted sum over all window primes."""
+def floor_error_sum(alpha, params: RunParameters, table: PrimeTable):
+    """Sawtooth-difference weighted sum over all window primes, at a
+    float alpha or over a 1-D grid (as ps_exp_sum)."""
     p = _window_primes(params, table)
-    if p.size == 0:
-        return SumResult(0j, 0, 0.0)
     g = params.gamma.value
     pf = p.astype(np.float64)
     u = np.power(pf, g)
     v = np.power(pf + 1.0, g)
     weight = np.exp((1.0 - g) * np.log(pf)) * (sawtooth(-v) - sawtooth(-u))
-    terms = weight * np.log(pf) * phase_factors(alpha, p)
-    value, resid = compensated_complex_sum(terms)
-    return SumResult(value, int(p.size), resid)
+    return _sum_results(alpha, p, weight * np.log(pf))
 
 
 def interval_integral(alpha: float, params: RunParameters) -> complex:
@@ -169,17 +208,14 @@ def interval_integral(alpha: float, params: RunParameters) -> complex:
     )
 
 
-def chebyshev_sum(alpha: float, X: float, table: PrimeTable) -> SumResult:
-    """Sum of e(alpha p) log p over all primes p <= X."""
+def chebyshev_sum(alpha, X: float, table: PrimeTable):
+    """Sum of e(alpha p) log p over all primes p <= X, at a float alpha
+    or over a 1-D grid (as ps_exp_sum)."""
     if X > table.limit:
         raise ValueError(f"X={X} exceeds table limit {table.limit}")
     j = int(np.searchsorted(table.primes, X, side="right"))
     p = table.primes[:j]
-    if p.size == 0:
-        return SumResult(0j, 0, 0.0)
-    terms = np.log(p.astype(np.float64)) * phase_factors(alpha, p)
-    value, resid = compensated_complex_sum(terms)
-    return SumResult(value, int(p.size), resid)
+    return _sum_results(alpha, p, np.log(p.astype(np.float64)))
 
 
 def _grid_weights(pset: PSPrimeSet) -> np.ndarray:
@@ -343,7 +379,8 @@ def decomposition_residual(
     is deliberately the raw-double floor difference, not the guarded one.
     The arrays that do not depend on alpha are built once; each alpha's
     phases carry their own 2^52 guard and its four sums are exactly
-    rounded, so a record is the same at any grid it sits in.
+    rounded, extracted together from one block (_phase_sums), so a
+    record is the same at any grid it sits in.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1:
@@ -361,15 +398,10 @@ def decomposition_residual(
     log_p = np.log(pf)
     weight = np.exp((1.0 - g) * log_p) * log_p
     density = g * log_p
+    rows = [(weight, indicator), (weight, smooth), (weight, psi_diff), (density, None)]
 
     out = []
-    for alpha in alphas.tolist():
-        phases = phase_factors(alpha, p)
-        base = weight * phases
-        full, _ = compensated_complex_sum(base * indicator)
-        middle_exact, _ = compensated_complex_sum(base * smooth)
-        floor_err, _ = compensated_complex_sum(base * psi_diff)
-        middle_plain, _ = compensated_complex_sum(density * phases)
+    for (full, middle_exact, floor_err, middle_plain), _ in _phase_sums(alphas, p, rows):
         out.append(DecompositionResidual(
             identity_residual=abs(full - middle_exact - floor_err),
             sigma_gap=abs(middle_exact - middle_plain),
@@ -485,6 +517,8 @@ def minor_arc_check(
 
     The denominator window is [X^(1/13), X^(12/13)]; outside it the
     rational point is flagged as not estimable by the window argument.
+    The edges are approx.classify_denominator's, snapped to integers, so
+    q = b at X = b^13 is inside whatever the rounding of X^(1/13).
     Ratios use natural-log powers of log X.  pset is the run's window
     set of floor-power primes, as ps_exp_sum takes it.
     """
@@ -495,7 +529,7 @@ def minor_arc_check(
     x = params.X
     lx = params.log_X
     alpha = a / q
-    in_window = x ** (1.0 / 13.0) <= q <= x ** (12.0 / 13.0)
+    in_window = classify_denominator(q, x) == "estimable"
 
     sigma = prime_exp_sum(alpha, params, table).value
     s_val = ps_exp_sum(alpha, params, pset).value

@@ -365,7 +365,7 @@ def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     pset = inst.window_set
     alphas = np.linspace(0.0, 1.0, _SUMS_ALPHA_POINTS)
-    sums = [ps_exp_sum(a, params, pset).value for a in alphas.tolist()]
+    sums = [r.value for r in ps_exp_sum(alphas, params, pset)]
     res = decomposition_residual(alphas, params, inst.table)
     rec_s = _write(out / "sums.csv", csv_text(
         ["alpha", "re", "im", "abs"],

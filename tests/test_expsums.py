@@ -25,7 +25,7 @@ from pstriples.expsums import (
     unit_phase,
 )
 from pstriples.params import RunParameters
-from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.primes import PrimeTable, PSPrimeSet, ps_primes_in, sieve_primes
 from pstriples.quadrature import (
     _EM_TERMS,
     _band_grid,
@@ -33,7 +33,7 @@ from pstriples.quadrature import (
     euler_maclaurin_tail,
 )
 from pstriples import summation
-from pstriples.summation import compensated_sum, exact_parts
+from pstriples.summation import SumResult, compensated_sum, exact_parts
 
 TABLE4 = sieve_primes(10**4)
 TABLE6 = sieve_primes(10**6)
@@ -307,6 +307,88 @@ def test_residual_grid_guards_each_alpha():
         decomposition_residual(np.zeros((2, 2)), params, TABLE4)
 
 
+def _reference_sum(terms):
+    """The per-alpha path the grid form replaced: one exactly rounded sum
+    of each of the real and imaginary parts of a complex term array,
+    and the larger gap of np.sum to them."""
+    re, im = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
+    resid = max(abs(re - float(np.sum(terms.real))), abs(im - float(np.sum(terms.imag))))
+    return complex(re, im), resid
+
+
+def _reference_phases(alpha, p):
+    return np.exp(2j * np.pi * ((alpha * p.astype(np.float64)) % 1.0))
+
+
+def test_grid_sums_match_per_alpha_path_above_extraction_size():
+    # q0 169: 1468 floor-power primes and 3096 window primes, both above
+    # the 1024 terms from which the sums are extracted in row blocks
+    params = RunParameters(169, 0.94, 0.5, epsilon_user=2.0)
+    pset = pset_for(params)
+    p = TABLE6.primes[(TABLE6.primes > params.lambda0 * params.X)
+                      & (TABLE6.primes <= params.X)]
+    assert pset.count > summation._EXTRACT_MIN_TERMS < p.size
+    rng = np.random.default_rng(169)
+    alphas = np.concatenate([[0.0, 0.5, 1.0, -0.25], rng.uniform(-50.0, 50.0, 12)])
+
+    g = params.gamma.value
+    pf = p.astype(np.float64)
+    u, v = np.power(pf, g), np.power(pf + 1.0, g)
+    log_p = np.log(pf)
+    psi_diff = sawtooth(-v) - sawtooth(-u)
+    all_primes = TABLE6.primes[TABLE6.primes <= params.X]
+    weights = {
+        ps_exp_sum: (pset.primes, pset.weight_w * pset.weight_log),
+        prime_exp_sum: (p, g * log_p),
+        floor_error_sum: (p, np.exp((1.0 - g) * log_p) * psi_diff * log_p),
+        chebyshev_sum: (all_primes, np.log(all_primes.astype(np.float64))),
+    }
+    grids = {
+        ps_exp_sum: ps_exp_sum(alphas, params, pset),
+        prime_exp_sum: prime_exp_sum(alphas, params, TABLE6),
+        floor_error_sum: floor_error_sum(alphas, params, TABLE6),
+        chebyshev_sum: chebyshev_sum(alphas, params.X, TABLE6),
+    }
+    weight = np.exp((1.0 - g) * log_p) * log_p
+    records = decomposition_residual(alphas, params, TABLE6)
+    for i, a in enumerate(alphas.tolist()):
+        for f, (primes, w) in weights.items():
+            value, resid = _reference_sum(w * _reference_phases(a, primes))
+            assert grids[f][i] == SumResult(value, int(primes.size), resid), (f.__name__, a)
+        phases = _reference_phases(a, p)
+        base = weight * phases
+        full = _reference_sum(base * (np.floor(-u) - np.floor(-v)))[0]
+        middle = _reference_sum(base * (v - u))[0]
+        floor_err = _reference_sum(base * psi_diff)[0]
+        plain = _reference_sum(g * log_p * phases)[0]
+        assert records[i] == dataclasses.replace(
+            records[i], identity_residual=abs(full - middle - floor_err),
+            sigma_gap=abs(middle - plain), sum_value=full, middle_exact=middle,
+            middle_plain=plain, floor_error=floor_err, term_count=int(p.size)), a
+
+
+def test_sums_take_a_float_or_a_grid():
+    params = run70()
+    pset = pset_for(params, TABLE4)
+    calls = [
+        lambda a: ps_exp_sum(a, params, pset),
+        lambda a: prime_exp_sum(a, params, TABLE4),
+        lambda a: floor_error_sum(a, params, TABLE4),
+        lambda a: chebyshev_sum(a, params.X, TABLE4),
+    ]
+    for call in calls:
+        one = call(0.3)
+        assert isinstance(one, SumResult)
+        assert call(np.float64(0.3)) == one == call(np.array(0.3))
+        assert call([0.3]) == [one]
+        assert call(np.array([0.1, 0.3]))[1] == one
+        assert call(np.array([])) == []
+        with pytest.raises(ValueError, match="1-D"):
+            call(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="2\\^52"):
+            call([0.1, 1e12])
+
+
 def test_compensated_matches_naive():
     params = RunParameters(585, 0.9, 0.5, epsilon_user=1.0)
     pset = pset_for(params)
@@ -560,6 +642,23 @@ def test_l2_argument_validation():
     for span in ("window", "unit"):
         with pytest.raises(ValueError, match="pset"):
             l2_integral("ps_sum", 1.0, params, span=span)
+
+
+def test_minor_arc_window_edges_are_snapped():
+    # X = b^13 (q0 = b^6) puts q = b on the window's lower edge; X^(1/13)
+    # rounds to just above b for b = 5, 6, 11, and the report must still
+    # place b inside, as approx.classify_denominator does.  The flag does
+    # not depend on the primes, so the table is empty.
+    for b in (5, 6, 11):
+        params = RunParameters(b**6, 0.9, 0.5, epsilon_user=1.0)
+        assert params.X ** (1.0 / 13.0) > b
+        table = PrimeTable(math.ceil(params.X), np.zeros(0, dtype=np.int64))
+        empty = np.zeros(0)
+        pset = PSPrimeSet(params.gamma, params.lambda0 * params.X, params.X,
+                          np.zeros(0, dtype=np.int64), empty, empty)
+        rep = minor_arc_check(1, b, params, table, pset)
+        assert rep.in_window, b
+        assert not minor_arc_check(1, b - 1, params, table, pset).in_window, b
 
 
 def test_minor_arc_report():

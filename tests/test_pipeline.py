@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pstriples import pipeline
+from pstriples import pipeline, summation
 from pstriples.config import parse_config
 from pstriples.params import ParameterError
 from pstriples.pipeline import STAGES, Instance, csv_text, format_value, run_pipeline
@@ -232,3 +232,4 @@ def test_public_and_traced_names_resolve():
                  "theta_transform", "find_triples", "dichotomy_probe",
                  "cache_store", "sieve_primes", "ps_primes_in", "make_kernel"):
         assert callable(getattr(pipeline, name)), name
+    assert callable(summation.compensated_sum)
