@@ -21,8 +21,8 @@ terms.  The caller passes each row's bound B >= max |row| for the first
 level, so no pass over the block measures it; a loose B only costs
 levels.  A later level needs no measurement either: the remainder is
 at most ulp(sigma)/2, which puts its sigma at sigma 2^(m-52).
-`exact_parts` is the one-row case, with the row's
-measured max as its bound.  A row comes back as its terms below
+`exact_parts` is the one-row case, with the row's measured max as its
+bound.  A row comes back as its terms below
 _EXTRACT_MIN_TERMS of them, where `math.fsum` alone is faster, when a
 term is non-finite, when B > 2^(1020-m) (sigma + r could overflow) and
 when every term is zero.  There `math.fsum` itself decides the value,
@@ -51,9 +51,10 @@ def row_parts(block: np.ndarray, bounds) -> list[list[float]]:
     exact sum is the row's; bounds[i] >= max |block[i]| is row i's bound.
 
     math.fsum of a row's list equals math.fsum of its terms bit for bit.
-    All rows below _EXTRACT_MIN_TERMS terms, and rows whose terms are
-    non-finite or all zero or whose bound is not in (0, 2^(1020-m)],
-    come back as their own list of floats.  The block is only read.
+    All rows below _EXTRACT_MIN_TERMS terms, and rows with a NaN term,
+    with all terms zero or with a bound outside (0, 2^(1020-m)], come
+    back as their own list of floats; so does a row with an infinite
+    term, whose bound is infinite.  The block is only read.
     """
     k, n = block.shape
     if n < _EXTRACT_MIN_TERMS:
@@ -62,27 +63,26 @@ def row_parts(block: np.ndarray, bounds) -> list[list[float]]:
     bounds = np.asarray(bounds, dtype=np.float64)
     rows = np.flatnonzero((bounds > 0.0) & (bounds <= math.ldexp(1.0, 1020 - m)))
     sigma = [math.ldexp(1.0, math.frexp(b)[1] + m) for b in bounds[rows].tolist()]
+    shrink = math.ldexp(1.0, m - 52)  # a level's sigma over the one before
     r = block[rows]                   # the remainders, extracted in place
     q = np.empty_like(r)
     parts: list[list[float]] = [[] for _ in range(k)]
     runs = _runs(sigma)
-    # inf - inf in a non-finite row is harmless: the row returns its terms
-    with np.errstate(invalid="ignore"):
-        while rows.size:
-            for a, b in runs:         # a scalar sigma keeps numpy's fast loop
-                np.add(r[a:b], sigma[a], out=q[a:b])
-                np.subtract(q[a:b], sigma[a], out=q[a:b])
-            sums = q.sum(axis=1)
-            for i, part in zip(rows.tolist(), sums.tolist()):
-                parts[i].append(part)
-            r -= q
-            live = r.any(axis=1) & np.isfinite(sums)
-            if not live.all():
-                keep = np.flatnonzero(live)
-                rows, r, q = rows[keep], r[keep], q[:keep.size]
-                sigma = [sigma[i] for i in keep.tolist()]
-                runs = _runs(sigma)
-            sigma = [x * math.ldexp(1.0, m - 52) for x in sigma]
+    while rows.size:
+        for a, b in runs:             # a scalar sigma keeps numpy's fast loop
+            np.add(r[a:b], sigma[a], out=q[a:b])
+            np.subtract(q[a:b], sigma[a], out=q[a:b])
+        sums = q.sum(axis=1)
+        for i, part in zip(rows.tolist(), sums.tolist()):
+            parts[i].append(part)
+        r -= q
+        live = r.any(axis=1) & np.isfinite(sums)    # a NaN ends its row
+        if not live.all():
+            keep = np.flatnonzero(live)
+            rows, r, q = rows[keep], r[keep], q[:keep.size]
+            sigma = [sigma[i] for i in keep.tolist()]
+            runs = _runs(sigma)
+        sigma = [x * shrink for x in sigma]
     for i, got in enumerate(parts):
         if not got or not math.isfinite(got[0]) or not (any(got) or block[i].any()):
             parts[i] = block[i].tolist()

@@ -84,8 +84,9 @@ def test_loose_bounds_cost_levels_not_bits(n):
 @pytest.mark.parametrize("n", _SIZES)
 def test_fallback_rows_come_back_as_terms(n):
     # all-zero rows (the sign of their sum is fsum's), rows with a bound
-    # outside (0, 2^(1020-m)] and non-finite rows are their own terms;
-    # the other rows of the block still extract
+    # outside (0, 2^(1020-m)] (an infinite term's is) and rows with a NaN
+    # term, as a NaN alpha gives, are their own terms; the other rows of
+    # the block still extract
     rng = np.random.default_rng(n + 1)
     fine = rng.uniform(-1.0, 1.0, n)
     rows = {
@@ -94,7 +95,7 @@ def test_fallback_rows_come_back_as_terms(n):
         "zero bound": (np.full(n, -0.0), 0.0),
         "near overflow": (rng.uniform(-1.0, 1.0, n) * 2.0**1012, 2.0**1012),
         "nan": (np.where(np.arange(n) == 7, math.nan, fine), 1.0),
-        "inf": (np.where(np.arange(n) == 7, math.inf, fine), 1.0),
+        "inf": (np.where(np.arange(n) == 7, math.inf, fine), math.inf),
         "nan bound": (fine, math.nan),
         "fine": (fine, 1.0),
     }
