@@ -143,7 +143,7 @@ def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
         yield [complex(re, im) for re, im in zip(totals[::2], totals[1::2])], block
 
 
-def _sum_results(alpha, p: np.ndarray, w: np.ndarray):
+def _sum_results(alpha, p: np.ndarray, w: np.ndarray) -> "SumResult | list[SumResult]":
     """The sum of w e(alpha p) as a SumResult at a float alpha, or one per
     alpha of a 1-D grid; compensation_residual is the larger gap of
     np.sum to the exact real and imaginary totals."""
@@ -169,21 +169,27 @@ def _window_primes(params: RunParameters, table: PrimeTable) -> np.ndarray:
     return table.primes[i:j]
 
 
-def ps_exp_sum(alpha, params: RunParameters, pset: PSPrimeSet):
+def ps_exp_sum(
+    alpha, params: RunParameters, pset: PSPrimeSet
+) -> "SumResult | list[SumResult]":
     """Sum of p^(1-gamma) e(alpha p) log p over the floor-power primes:
     a SumResult at a float alpha, a list of them over a 1-D grid."""
     check_window_set(params, pset)
     return _sum_results(alpha, pset.primes, pset.weight_w * pset.weight_log)
 
 
-def prime_exp_sum(alpha, params: RunParameters, table: PrimeTable):
+def prime_exp_sum(
+    alpha, params: RunParameters, table: PrimeTable
+) -> "SumResult | list[SumResult]":
     """gamma times the log-weighted phase sum over all window primes, at
     a float alpha or over a 1-D grid (as ps_exp_sum)."""
     p = _window_primes(params, table)
     return _sum_results(alpha, p, params.gamma.value * np.log(p.astype(np.float64)))
 
 
-def floor_error_sum(alpha, params: RunParameters, table: PrimeTable):
+def floor_error_sum(
+    alpha, params: RunParameters, table: PrimeTable
+) -> "SumResult | list[SumResult]":
     """Sawtooth-difference weighted sum over all window primes, at a
     float alpha or over a 1-D grid (as ps_exp_sum)."""
     p = _window_primes(params, table)
@@ -208,7 +214,7 @@ def interval_integral(alpha: float, params: RunParameters) -> complex:
     )
 
 
-def chebyshev_sum(alpha, X: float, table: PrimeTable):
+def chebyshev_sum(alpha, X: float, table: PrimeTable) -> "SumResult | list[SumResult]":
     """Sum of e(alpha p) log p over all primes p <= X, at a float alpha
     or over a 1-D grid (as ps_exp_sum)."""
     if X > table.limit:
