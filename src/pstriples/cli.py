@@ -207,7 +207,7 @@ def _cmd_gamma_decomp(args) -> int:
         vals: dict[str, object] = {}
         for p in pieces:
             band = piece_quadrature(p, params, cfg.coeffs, kern, pset)
-            vals[f"gamma{p}"] = [band.value.real, band.value.imag]
+            vals[f"gamma{p}"] = [band.value, 0.0]    # [re, im], as decomp_values writes
             vals[f"gamma{p}_error"] = band.error
         report["values"] = vals
     wall["decomposition"] = time.perf_counter() - t0

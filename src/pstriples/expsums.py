@@ -22,8 +22,8 @@ grid of alpha.
 l2_integral gives their mean squares, each with an error bar: over
 [0, 1] as the plain mean over a power-of-two grid finer than the
 window, exact on that integer-frequency polynomial up to the
-evaluator's error, and over [-Delta, Delta] by the band rule (module
-quadrature).
+evaluator's error, and over [-Delta, Delta] as twice the band rule
+(module quadrature) on [0, Delta], the squared moduli being even.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def ps_sum_series(
     = |lam| max |p - centre|, far below the raw sum's coefficients."""
     d = lam * (pset.primes.astype(np.float64) - centre)
     steps = [np.ones_like(d)] + [(2j * np.pi * h / j) * d for j in range(1, n)]
-    phases = np.exp((2j * np.pi) * np.mod(d * x, 1.0))
+    phases = unit_phase(d * x)
     return np.cumprod(steps, axis=0) @ (_grid_weights(pset) * phases)
 
 
@@ -299,8 +299,8 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
     """Factor source of the band rule (triplesum._band_quadrature,
     l2_integral), the window's sums S(l_i t), as (grid, series,
     amplitude, rounding, floor): rounding bounds each sum's error per
-    unit |l_i| r, r = |t0| + (t - t0) on the grid from t0
-    (_GRID_ROUNDING), and floor its error that does not grow with r
+    unit |l_i| t at a sample t of a grid from t0 >= 0 (_GRID_ROUNDING),
+    and floor its error that does not grow with t
     (trigpoly.error_floor), both absolute.  A chunk size's sums come from
     one plan per l_i (ps_sum_plan; none on the NUFFT path) sharing work
     buffers, one set for the full chunks and one for the ragged last;
@@ -330,14 +330,15 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
 def _window_factors(params: RunParameters, lams):
     """Factor source of the main term J and of l2_integral's interval
     kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
-    t L) * e(l_i t centre), rounding and floor as _sum_factors's.  On the
-    grid from t0 a sample's t is within 2 u r of its node; sinc's argument
-    adds 6 roundings relative to |l_i| r L (l_i t, times L, L's own 2,
-    times pi, np.pi's error), moving sinc by _SINC_SLOPE per unit, and the
-    phase's 4 relative to |l_i| r centre (l_i t, times centre, centre's
-    own 2), 2 pi radians per turn.  The floor counts roundings of gamma L:
-    sin and the quotient (2), gamma L times sinc (4), the complex product
-    (1), the phase's 2 pi frac with np.pi's error (4 pi) and exp (2)."""
+    t L) * e(l_i t centre), rounding and floor as _sum_factors's, per
+    unit |l_i| t on a grid from t0 >= 0.  A sample's t is within 2 u t
+    of its node; sinc's argument adds 6 roundings relative to |l_i| t L
+    (l_i t, times L, L's own 2, times pi, np.pi's error), moving sinc by
+    _SINC_SLOPE per unit, and the phase's 4 relative to |l_i| t centre
+    (l_i t, times centre, centre's own 2), 2 pi radians per turn.  The
+    floor counts roundings of gamma L: sin and the quotient (2), gamma L
+    times sinc (4), the complex product (1), the phase's 2 pi frac with
+    np.pi's error (4 pi) and exp (2)."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
@@ -346,8 +347,7 @@ def _window_factors(params: RunParameters, lams):
 
     def grid(t0: float, h: float, n: int) -> list:
         t = t0 + h * np.arange(n)
-        return [amplitude * np.sinc(l * t * length)
-                * np.exp((2j * np.pi) * np.mod(l * t * mid, 1.0))
+        return [amplitude * np.sinc(l * t * length) * unit_phase(l * t * mid)
                 for l in lams]
 
     def series(x: float, h: float, n: int) -> list:
@@ -439,7 +439,9 @@ def l2_integral(
 
     kind "ps_sum":   integrand |ps_exp_sum(lam * t)|^2
     kind "interval": integrand |interval_integral(lam * t)|^2
-    span "window":   over [-Delta, Delta] (effective Delta of the run)
+    span "window":   over [-Delta, Delta] (effective Delta of the run),
+                     as twice the integral over [0, Delta], |F|^2
+                     being even
     span "unit":     over [0, 1) with lam = 1, ps_sum only: the mean
                      of |S|^2 over N equally spaced points, N the
                      smallest power of two above hi - lo, is exact for
@@ -450,15 +452,15 @@ def l2_integral(
                      gives is returned as exact_reference.
 
     Over the window span the band rule on the walker's factor source
-    (_sum_factors or _window_factors): the trapezoid rule at f_max h <=
-    quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam| L, the top
-    frequency of |F|^2, minus _EM_TERMS terms of its endpoint series from
-    F's.  The error bar bounds the terms left out (majorant S(0)^2 or
-    (gamma L)^2) plus 2 |F| times each sample's error, summed as the
-    walker sums its rounding row: |lam| r times the source's rounding
-    plus its floor, r = Delta + (t + Delta) on the grid from -Delta.  panels
-    counts the grid's intervals.  The ps_sum kind needs the window set
-    pset.
+    (_sum_factors or _window_factors) on [0, Delta]: the trapezoid rule
+    at f_max h <= quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam|
+    L, the top frequency of |F|^2, minus _EM_TERMS terms of its endpoint
+    series from F's.  Its error bar bounds the terms left out (majorant
+    S(0)^2 or (gamma L)^2) plus 2 |F| times each sample's error, summed
+    as the walker sums its rounding row: |lam| t times the source's
+    rounding plus its floor.  Value and bar are twice these.  panels
+    counts the grid's intervals on [0, Delta].  The ps_sum kind needs
+    the window set pset.
     """
     if kind not in ("ps_sum", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -493,16 +495,16 @@ def l2_integral(
         f_max = abs(lam) * (1.0 - params.lambda0) * params.X
         factors = _window_factors(params, [lam])
     grid, series, amplitude, rounding, floor = factors
-    n, h = _band_grid(-delta, delta, f_max)
-    vals = np.abs(grid(-delta, h, n)[0])
+    n, h = _band_grid(0.0, delta, f_max)
+    vals = np.abs(grid(0.0, h, n)[0])
     squares = vals * vals
     squares[[0, -1]] *= 0.5
-    ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (-delta, delta)]
+    ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (0.0, delta)]
     value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
-    r = h * np.arange(n) + delta        # |t0| + (t - t0), t0 = -Delta
-    rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * r + floor))
+    t = h * np.arange(n)
+    rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * t + floor))
     error = euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS) + rounded
-    return L2Result(value, n - 1, error)
+    return L2Result(2.0 * value, n - 1, 2.0 * error)
 
 
 @dataclass(frozen=True)

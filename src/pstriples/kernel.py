@@ -222,7 +222,14 @@ def sinc_series(u: float, r: float, n: int) -> np.ndarray:
     scale (pi r)^j / j! of |f_j| a step up multiplies the carried error
     by j / (pi |u|) and a step down by its inverse, so the recurrence
     runs up while j <= pi |u| and down from zeros far enough past n to
-    damp the start below rounding."""
+    damp the start below rounding.  At u = 0 the coefficients are taken
+    from sinc(r s) = sum_i (-1)^i (pi r s)^(2i) / (2i + 1)! instead, so
+    f_0 is exactly 1 (the descent's sigma_1 / r is off by its roundings)."""
+    if u == 0.0:
+        f = np.cumprod([1.0] + [math.pi * r / (j + 1) for j in range(1, n)])
+        f[1::2] = 0.0
+        f[2::4] *= -1.0
+        return f
     top = int(math.pi * abs(u))
     up = min(top + 1, n) if top else 0     # coefficients taken upward
     m = n if up == n else n + 30 + top     # where the descent starts
@@ -269,7 +276,7 @@ class GridTransform:
     relative at k = 64).  Both terms of the rotated sine have the sign
     of the sine while c t < 1/4, which keeps the small-t values accurate
     relative to themselves; with a negative anchor they would cancel, so
-    blocks must start at t_b >= 0 (symmetric grids use theta_transform).
+    blocks must start at t_b >= 0.
     """
 
     def __init__(self, kernel: SmoothingKernel, h: float, size: int) -> None:

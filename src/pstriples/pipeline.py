@@ -421,8 +421,10 @@ def _stage_dichotomy(cfg: RunConfig, inst: Instance, out: Path):
     return (rec,), values
 
 
-def _complex_pair(z: complex) -> "list[float]":
-    return [z.real, z.imag]
+def _re_im_pair(x: float) -> "list[float]":
+    """A band value as the [re, im] pair of the manifest and the
+    gamma-decomp JSON; band values are real, so im is 0.0."""
+    return [x, 0.0]
 
 
 def decomp_values(res) -> "dict[str, object]":
@@ -433,12 +435,12 @@ def decomp_values(res) -> "dict[str, object]":
     pieces = {}
     for p in (1, 2, 3):
         band = res.bands[p]
-        pieces[f"gamma{p}"] = _complex_pair(band.value)
+        pieces[f"gamma{p}"] = _re_im_pair(band.value)
         pieces[f"gamma{p}_error"] = band.error
         pieces[f"gamma{p}_points"] = band.n_points
     return {
         **pieces,
-        "gamma_total": _complex_pair(res.gamma_total),
+        "gamma_total": _re_im_pair(res.gamma_total),
         "direct_value": res.direct_value,
         "triples_found": res.triples_found,
         "closure_error": res.closure_error,

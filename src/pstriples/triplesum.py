@@ -7,14 +7,18 @@ each triple weighted by theta(form) * (p1*p2*p3)^(1-gamma) * log p1 *
 log p2 * log p3.  Expanding theta through its transform turns that count
 into an integral of Theta(t) times three exponential sums and a unit
 phase, which splits into three bands: |t| < Delta (main term),
-Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).
+Delta <= |t| <= H (oscillatory middle), and |t| > H (far tail).  The
+weights are real and Theta is even, so the integrand at -t is the
+conjugate of that at t: each band integral is twice the real part of its
+half on t >= 0.
 
 This module computes both sides at desk scale: the count directly by a
 sorted meet-in-the-middle sweep; the three band integrals and the
 main-term integral J, each defined once in the table _BANDS and walked
-once by the band walker (_band_quadrature) into one record: the
-trapezoid rule at f_max h <= 0.8 on the band-limited integrand minus
-its Euler-Maclaurin endpoint series, with its error bar; the
+once by the band walker (_band_quadrature) into one record: on the
+band's half t >= 0, the trapezoid rule at f_max h <= 0.8 on the
+band-limited integrand minus its Euler-Maclaurin endpoint series,
+folded to twice its real part, with its error bar; the
 main-term box integral, exact as a signed sum of theta's third
 antiderivative over the cube's corners, and its remainder majorant; the
 far-tail bounds and the middle-band majorant chain.  Band grids are
@@ -37,14 +41,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expsums import _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors, ps_exp_sum
+from .expsums import (
+    _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors, ps_exp_sum, unit_phase,
+)
 from .kernel import (
     GridTransform,
     SmoothingKernel,
     _antiderivatives,
     make_kernel,
     theta,
-    theta_transform,
     transform_series,
 )
 from .params import (
@@ -57,14 +62,14 @@ from .params import (
 from .primes import PSPrimeSet, check_window_set, ps_indicator
 from .quadrature import (
     _EM_TERMS,
-    QuadratureError,
     _band_grid,
     euler_maclaurin,
     euler_maclaurin_squared,
     euler_maclaurin_tail,
 )
-# Nothing here calls these two; the benchmark's tracer wraps them by
+# Nothing here calls these three; the benchmark's tracer wraps them by
 # their names in this module.
+from .kernel import theta_transform  # noqa: F401
 from .quadrature import adaptive_simpson, boole_weight  # noqa: F401
 from .summation import exact_parts
 
@@ -114,10 +119,9 @@ _BRUTE_LIMIT = 512
 _SWEEP_PAIRS = 1 << 14
 _CELLS = 1 << 18
 
-# Theta's error (module kernel): relative where 2 pi a |t| < 1, in units
-# of 2a elsewhere; GridTransform's on one-sided bands, theta_transform's
-# on symmetric ones
-_THETA_ERROR = {True: (5.8e-15, 3.1e-15), False: (2.1e-15, 5.4e-16)}
+# Theta's error (kernel.GridTransform): relative where 2 pi a t < 1, in
+# units of 2a elsewhere
+_THETA_ERROR = (5.8e-15, 3.1e-15)
 # roundings, in units of u, of each sample of the band integrand relative
 # to |Theta F1 F2 F3| and of its share of the sum: two complex products
 # (sqrt 5 each, no FMA), the carrier (its product, 2 pi frac, np.pi's
@@ -470,11 +474,11 @@ def band_frequency(
 
 class _Band(NamedTuple):
     """A band of the transform-side integral.  edges(params, kernel) gives
-    (t_lo, t_hi); sums takes the factors from the window's sums
-    (_sum_factors), else from their window integrals (_window_factors);
-    collect gathers the middle band's statistics (MiddleBand); far adds
-    the far band past t_hi to the bar (far_tail_majorant), and only such
-    a band may be empty."""
+    (t_lo, t_hi), 0 <= t_lo, the band's half t >= 0; sums takes the
+    factors from the window's sums (_sum_factors), else from their window
+    integrals (_window_factors); collect gathers the middle band's
+    statistics (MiddleBand); far adds the far band past t_hi to the bar
+    (far_tail_majorant), and only such a band may be empty."""
 
     edges: Callable
     sums: bool = True
@@ -483,11 +487,12 @@ class _Band(NamedTuple):
 
 
 # The bands decompose integrates, by key: the main term J and pieces 1
-# (|t| < Delta), 2 ([Delta, H]) and 3 ([H, piece3_truncation]); 2 and 3,
-# with t_lo >= 0, are folded onto -t (BandQuadrature).
+# (|t| < Delta), 2 (Delta <= |t| <= H) and 3 (H <= |t| <=
+# piece3_truncation), each given by its half t >= 0, [0, Delta], [Delta,
+# H] and [H, piece3_truncation], and folded onto -t (BandQuadrature).
 _BANDS = {
-    "J": _Band(lambda params, kernel: (-params.Delta, params.Delta), sums=False),
-    1: _Band(lambda params, kernel: (-params.Delta, params.Delta)),
+    "J": _Band(lambda params, kernel: (0.0, params.Delta), sums=False),
+    1: _Band(lambda params, kernel: (0.0, params.Delta)),
     2: _Band(lambda params, kernel: (params.Delta, params.H_effective), collect=True),
     3: _Band(lambda params, kernel: (params.H_effective, piece3_truncation(params, kernel)),
              far=True),
@@ -511,15 +516,16 @@ def _band_span(key, params: RunParameters, coeffs: Coefficients, kernel: Smoothi
 
 @dataclass(frozen=True)
 class BandQuadrature:
-    """A band integral, the endpoint-corrected trapezoid rule on n_points
-    at the given spacing, with its error bar: a bound on the omitted
-    Euler-Maclaurin terms (euler_maclaurin_tail) plus the samples'
-    rounding, charged from the error figures of the factors and of Theta
-    and a count of the walker's own roundings.  A band with t_lo >= 0 is
-    folded onto -t, where the integrand is its conjugate: value is twice
-    the real part of the one-sided integral and error twice its bar."""
+    """A band integral, from the endpoint-corrected trapezoid rule on
+    n_points at the given spacing over the band's half t >= 0, with its
+    error bar: a bound on the omitted Euler-Maclaurin terms
+    (euler_maclaurin_tail) plus the samples' rounding, charged from the
+    error figures of the factors and of Theta and a count of the walker's
+    own roundings.  The band is folded onto -t, where the integrand is
+    its conjugate: value is twice the real part of the one-sided integral
+    and error twice its bar."""
 
-    value: complex
+    value: float
     error: float
     n_points: int
     spacing: float
@@ -550,38 +556,36 @@ def _band_quadrature(
     pset: "PSPrimeSet | None" = None,
 ) -> BandQuadrature:
     """Band key of _BANDS: Theta * F1 * F2 * F3 * e(eta t) integrated over
-    [t_lo, t_hi] (_band_span), with its error bar, folded where t_lo >= 0
-    (BandQuadrature); a MiddleBand where the band collects.
+    [t_lo, t_hi] (_band_span, t_lo >= 0), with its error bar, folded onto
+    -t (BandQuadrature); a MiddleBand where the band collects.
 
     The band's factor source gives (grid, series, amplitude, rounding,
     floor): grid(t0, h, count) the three factors on a chunk's grid
     (possibly views that the next call overwrites), series(x, h, n) the
     first n Taylor coefficients of each F_i(x + s h) demodulated about
     l_i * centre, amplitude a bound on every |F_i|, rounding a bound on
-    F_i's error per unit |l_i| r and floor one on its error that does not
-    grow with r, r = |t0| + (t - t0) for a sample t of the grid from t0
-    (|t| where t0 >= 0).  At f_max h <= quadrature._BAND_FH the trapezoid
-    rule's only error is its Euler-Maclaurin endpoint series, and the
-    first _EM_TERMS terms are subtracted, from the product at each end of
-    Theta's series, the factors' and the carrier e(F (x + s h)), F = sum
-    l_i centre + eta, kept apart (multiplying raw series cancels digits
-    that the Bernoulli weights amplify).
+    F_i's error per unit |l_i| t at a sample t >= 0 and floor one on its
+    error that does not grow with t.  At f_max h <= quadrature._BAND_FH
+    the trapezoid rule's only error is its Euler-Maclaurin endpoint
+    series, and the first _EM_TERMS terms are subtracted, from the
+    product at each end of Theta's series, the factors' and the carrier
+    e(F (x + s h)), F = sum l_i centre + eta, kept apart (multiplying raw
+    series cancels digits that the Bernoulli weights amplify).
 
     The bar is the tail bound with majorant 2a amplitude^3 plus h times
-    one rounding row summed over the samples: rounding times |Theta| r
+    one rounding row summed over the samples: rounding times |Theta| t
     sum_i |l_i| prod_{j != i} |F_j|, floor times |Theta| sum_i prod_{j
     != i} |F_j|, and |F1 F2 F3| times Theta's error (_THETA_ERROR), the
     sample's and the sum's roundings (_SAMPLE_ROUNDINGS) and the
     carrier's phase error from eta t.  A far band's bar adds
     far_tail_majorant past t_hi; empty, the band is that bar alone.
 
-    The grid is walked in chunks of _CHUNK points and blocks of _BLOCK
-    points in reused buffers, Theta from GridTransform where t_lo >= 0
-    and from theta_transform on the symmetric band.  Each block adds one
-    plain sum per quantity, row by row so that its bits do not depend on
-    the other rows, the end samples weigh 1/2, and the block sums are
-    added exactly rounded: results are bitwise reproducible at a fixed
-    BLAS library and thread count.
+    The grid is walked in chunks of _CHUNK points and blocks of at most
+    _BLOCK points in reused buffers, Theta from GridTransform.  Each block
+    adds one plain sum per quantity, row by row so that its bits do not
+    depend on the other rows, the end samples weigh 1/2, and the block
+    sums are added exactly rounded: results are bitwise reproducible at a
+    fixed BLAS library and thread count.
 
     A collecting walk also gives the |F_i|^2 integrals, corrected from
     F_i's series (euler_maclaurin_squared), the largest sampled min(|F1|,
@@ -593,7 +597,7 @@ def _band_quadrature(
     t_lo, t_hi, f_max = _band_span(key, params, coeffs, kernel)
     far = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
     if band.far and t_hi <= t_lo:
-        return BandQuadrature(complex(0.0, 0.0), far, 0, 0.0)
+        return BandQuadrature(0.0, far, 0, 0.0)
     if band.sums:
         factors = _sum_factors(pset, coeffs.lambdas, _centre(params))
     else:
@@ -604,21 +608,23 @@ def _band_quadrature(
     r1, r2, r3 = (rounding * abs(l) for l in coeffs.lambdas)
     # The row's other coefficients.  Theta's error is charged as the
     # larger of its relative and its absolute form.  A sample's t is
-    # within u (2 |t| + |t_lo|) of the factors' grid point, which moves
-    # Theta by at most 3 (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta|
-    # (3 |t| + |t_lo|) with eta t's own rounding (charged at r >= |t|).
+    # within u (2 t + t_lo) of the factors' grid point, which moves Theta
+    # by at most 3 (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta| (3 t +
+    # t_lo) with eta t's own rounding.
     u = _UNIT_ROUNDOFF
-    theta_rel, theta_abs = _THETA_ERROR[t_lo >= 0.0]
+    theta_rel, theta_abs = _THETA_ERROR
     theta_abs *= 2.0 * kernel.a
     sample_rel = u * (_SAMPLE_ROUNDINGS + 3.0 * (kernel.k + 1)) + 2.0 * math.pi * u * abs(eta * t_lo)
     per_r = 6.0 * math.pi * u * abs(eta)
-    # rows: Re, Im, the bar; collecting, also |F_i|^2 and two minima
-    q_buf = np.empty((8 if band.collect else 3, _BLOCK))
-    offsets = np.arange(_BLOCK, dtype=np.float64)
-    t_buf, theta_buf = np.empty(_BLOCK), np.empty(_BLOCK)
-    prod_buf = np.empty(_BLOCK, dtype=np.complex128)
-    mod_buf = np.empty((3, _BLOCK))
-    rotated = GridTransform(kernel, h, _BLOCK) if t_lo >= 0.0 else None
+    # buffers (and Theta's tables) for the largest block
+    size = min(_BLOCK, n_points)
+    # rows: Re, the bar; collecting, also |F_i|^2 and two minima
+    q_buf = np.empty((7 if band.collect else 2, size))
+    offsets = np.arange(size, dtype=np.float64)
+    t_buf, theta_buf = np.empty(size), np.empty(size)
+    prod_buf = np.empty(size, dtype=np.complex128)
+    mod_buf = np.empty((3, size))
+    rotated = GridTransform(kernel, h, size)
     partials, sup, t_sup = [], 0.0, t_lo
     for start in range(0, n_points, _CHUNK):
         n_chunk = min(_CHUNK, n_points - start)
@@ -630,35 +636,34 @@ def _band_quadrature(
             t = np.add(offsets[:n], b, out=t_buf[:n])
             t *= h
             t += t0                 # bit for bit t0 + h * arange(count)
-            wt = rotated(t, theta_buf) if rotated else theta_transform(kernel, t)
+            wt = rotated(t, theta_buf)
             prod = np.multiply(sums[0][blk], sums[1][blk], out=prod_buf[:n])
             prod *= sums[2][blk]
             if eta != 0.0:
-                prod *= np.exp((2j * np.pi) * np.mod(eta * t, 1.0))
+                prod *= unit_phase(eta * t)
             q, a = q_buf[:, :n], mod_buf[:, :n]
             np.multiply(prod.real, wt, out=q[0])
-            np.multiply(prod.imag, wt, out=q[1])
             for i in range(3):
                 np.abs(sums[i][blk], out=a[i])
             aw = np.abs(wt)
-            awr = aw * (t - 2.0 * t0) if t0 < 0.0 else aw * t     # |Theta| r
+            awr = aw * t                # |Theta| t
             pair = a[0] * a[1]
             triple = pair * a[2]
             err = np.maximum(theta_rel * aw, theta_abs)
             err += sample_rel * aw
             if eta != 0.0:
                 err += per_r * awr
-            np.multiply(err, triple, out=q[2])
-            q[2] += ((r1 * a[1] + r2 * a[0]) * a[2] + r3 * pair) * awr
-            q[2] += floor * aw * (pair + a[2] * (a[0] + a[1]))
+            np.multiply(err, triple, out=q[1])
+            q[1] += ((r1 * a[1] + r2 * a[0]) * a[2] + r3 * pair) * awr
+            q[1] += floor * aw * (pair + a[2] * (a[0] + a[1]))
             if band.collect:
                 small = np.minimum(a[0], a[1])
                 j = int(np.argmax(small))
                 if small[j] > sup:
                     sup, t_sup = float(small[j]), float(t[j])
-                np.multiply(a, a, out=q[3:6])
-                q[6] = small * a[2] * (a[0] + a[1])
-                q[7] = small * (q[3] + q[4] + q[5])
+                np.multiply(a, a, out=q[2:5])
+                q[5] = small * a[2] * (a[0] + a[1])
+                q[6] = small * (q[2] + q[3] + q[4])
             partials.append(q.sum(axis=1))
             if start + b == 0:
                 partials.append(-0.5 * q[:, 0])
@@ -680,19 +685,18 @@ def _band_quadrature(
             g = np.convolve(g, f)[:terms]
         ends.append((g, fs))
     (g_lo, f_lo), (g_hi, f_hi) = ends
-    value = complex(trap[0], trap[1]) - euler_maclaurin(h, g_lo, g_hi)
+    value = trap[0] - euler_maclaurin(h, g_lo, g_hi).real
     majorant = 2.0 * kernel.a * amplitude**3
-    error = euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS) + trap[2]
-    if t_lo >= 0.0:
-        value, error = complex(2.0 * value.real, 0.0), 2.0 * error
-    error += far
+    error = euler_maclaurin_tail(h, f_max * h, majorant, _EM_TERMS) + trap[1]
+    # folded onto -t: twice the real part and twice the bar
+    value, error = 2.0 * value, 2.0 * error + far
     if not band.collect:
         return BandQuadrature(value, error, n_points, h)
-    t_ints = tuple(trap[3 + i] - euler_maclaurin_squared(h, lo, hi)
+    t_ints = tuple(trap[2 + i] - euler_maclaurin_squared(h, lo, hi)
                    for i, (lo, hi) in enumerate(zip(f_lo, f_hi)))
     sup = _polished_sup(params, coeffs, pset, sup,
                         max(t_lo, t_sup - h), min(t_hi, t_sup + h))
-    return MiddleBand(value, error, n_points, h, t_ints, sup, trap[6], trap[7])
+    return MiddleBand(value, error, n_points, h, t_ints, sup, trap[5], trap[6])
 
 
 def _polished_sup(
@@ -752,9 +756,9 @@ def piece_quadrature(
     """One band of the transform-side integral with its error bar
     (_band_quadrature).
 
-    Piece 1 covers |t| < Delta on a symmetric grid, so its imaginary
-    part is a quadrature diagnostic.  Pieces 2 and 3 are folded onto -t,
-    real.  Piece 2 is the middle band's record (MiddleBand, as from
+    Piece 1 covers |t| < Delta, piece 2 Delta <= |t| <= H and piece 3
+    |t| >= H, each folded from its half t >= 0, so every value is real.
+    Piece 2 is the middle band's record (MiddleBand, as from
     middle_band_sweep).  Piece 3 is truncated where the transform's decay
     branch is negligible (an empty band is 0 with no grid), and its bar
     is against the whole far band |t| > H.  The standard decomposition's
@@ -843,19 +847,10 @@ def integral_J(
 ) -> BandQuadrature:
     """The main term J, band J of the walker: the main band's integral
     with the exponential sums replaced by their window integrals
-    (_window_factors), on piece 1's grid, with its error bar.  Real by
-    conjugate symmetry; the imaginary residue is checked against an
-    absolute scale set by the integrand's supremum."""
-    band = _band_quadrature("J", params, coeffs, kernel)
-    g = params.gamma.value
-    span = (band.n_points - 1) * band.spacing
-    sup_scale = (g * (1.0 - params.lambda0) * params.X) ** 3 * span
-    if abs(band.value.imag) > 1e-9 * sup_scale:
-        raise QuadratureError(
-            f"main-band integral has imaginary residue {band.value.imag!r} "
-            f"beyond the symmetry tolerance"
-        )
-    return band
+    (_window_factors), on piece 1's grid over [0, Delta], with its error
+    bar.  Real by construction: folded onto -t, where the integrand is
+    its conjugate (BandQuadrature)."""
+    return _band_quadrature("J", params, coeffs, kernel)
 
 
 @dataclass(frozen=True)
@@ -1017,20 +1012,20 @@ class DecompositionResult:
     """Both sides of the transform identity with every bound attached.
 
     bands holds one record per band of the walker, by key: "J" the main
-    term J (integral_J), 1 to 3 the band integrals gamma1..3 (pieces 2
-    and 3 real by construction), 2 the middle band with its statistics
-    (middle).  Each carries its error bar, grid size and spacing
-    (BandQuadrature); gamma3's bar is against the whole far band |t| > H
-    (an empty piece 3 has 0 points).  gamma_total is the three pieces'
-    sum; direct_value and triples_found come from the meet-in-the-middle
-    count when requested, with closure_error the relative gap between the
-    two sides.  The scale ratio reports Re(gamma_total) / (eps X^2)
-    without asserting any constant.  The main-term box integral, its
-    remainder majorant and the far-tail bound are box.value, phi.value
-    and tail.value."""
+    term J (integral_J), 1 to 3 the band integrals gamma1..3, 2 the
+    middle band with its statistics (middle).  Each carries its value,
+    real by construction (folded from the band's half t >= 0), its error
+    bar, grid size and spacing (BandQuadrature); gamma3's bar is against
+    the whole far band |t| > H (an empty piece 3 has 0 points).
+    gamma_total is the three pieces' sum; direct_value and triples_found
+    come from the meet-in-the-middle count when requested, with
+    closure_error the relative gap between the two sides.  The scale
+    ratio reports gamma_total / (eps X^2) without asserting any
+    constant.  The main-term box integral, its remainder majorant and
+    the far-tail bound are box.value, phi.value and tail.value."""
 
     bands: dict
-    gamma_total: complex
+    gamma_total: float
     direct_value: "float | None"
     triples_found: "int | None"
     closure_error: "float | None"
@@ -1045,7 +1040,7 @@ class DecompositionResult:
     gamma1 = property(lambda self: self.bands[1].value)
     gamma2 = property(lambda self: self.bands[2].value)
     gamma3 = property(lambda self: self.bands[3].value)
-    j_integral = property(lambda self: self.bands["J"].value.real)
+    j_integral = property(lambda self: self.bands["J"].value)
     middle = property(lambda self: self.bands[2])
 
 
@@ -1086,7 +1081,7 @@ def decompose(
         direct_value = direct.value
         found = direct.triples_found
         if direct_value != 0.0:
-            closure = abs(total.real - direct_value) / abs(direct_value)
+            closure = abs(total - direct_value) / abs(direct_value)
 
     eps = params.epsilon_effective
     return DecompositionResult(
@@ -1095,7 +1090,7 @@ def decompose(
         direct_value=direct_value,
         triples_found=found,
         closure_error=closure,
-        scale_ratio=total.real / (eps * params.X * params.X),
+        scale_ratio=total / (eps * params.X * params.X),
         piece3_cut=t_cut,
         truncation_empty=t_cut <= params.H_effective,
         majorant=gamma2_majorant(params, bands[2]),

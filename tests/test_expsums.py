@@ -609,13 +609,15 @@ def test_l2_window_interval_kind_matches_si_closed_form(q0, lam):
     # int_-Delta^Delta (gamma L sinc(lam L t))^2 dt = 2 (gamma L)^2 / (|lam|
     # L) (Si(2 pi A) / pi - sin^2(pi A) / (pi^2 A)), A = |lam| L Delta; the
     # rounding part of the bar alone covers the error (1 to 5 ulps), the
-    # truncation bound being far looser
+    # truncation bound being far looser.  The window span is twice the
+    # band rule on [0, Delta], so the bar holds the truncation bound twice
     params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
     res = l2_integral("interval", lam, params)
     f_max = abs(lam) * (1.0 - params.lambda0) * params.X
-    _, h = _band_grid(-params.Delta, params.Delta, f_max)
+    n, h = _band_grid(0.0, params.Delta, f_max)
+    assert res.panels == n - 1
     amplitude = params.gamma.value * (1.0 - params.lambda0) * params.X
-    tail = euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS)
+    tail = 2.0 * euler_maclaurin_tail(h, f_max * h, amplitude**2, _EM_TERMS)
     with mp.workdps(30):
         length = (1 - mp.mpf(params.lambda0)) * mp.mpf(params.X)
         amp = mp.mpf(params.gamma.value) * length

@@ -102,7 +102,7 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
     # accuracy gate (Boole at 7 points per period, refined once on pieces
     # 1 and 2, used 7.55e6 points here)
     assert [values["decomp"][f"gamma{p}_points"] for p in (1, 2, 3)] == [
-        47, 277_461, 398_218]
+        24, 277_461, 398_218]
     assert values["decomp"]["gamma2_points"] == values["decomp"]["middle_points"]
     closure_gap = abs(values["decomp"]["gamma_total"][0] - values["decomp"]["direct_value"])
     assert closure_gap <= sum(values["decomp"][f"gamma{p}_error"] for p in (1, 2, 3))

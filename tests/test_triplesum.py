@@ -487,21 +487,21 @@ def test_decomposition_closes_on_feasible_instance():
     assert res.closure_error is not None
     assert res.closure_error <= 0.01
     assert res.closure_error <= 1e-8
-    # symmetric-grid band: imaginary residue at grid noise
-    assert abs(res.gamma1.imag) <= 1e-8 * abs(res.gamma1)
+    # every band is folded from its half t >= 0: real by construction
+    assert res.gamma1.imag == 0.0
     assert res.gamma2.imag == 0.0
     assert res.gamma3.imag == 0.0
     # the truncated far band is genuinely nonempty on this instance
     assert not res.truncation_empty
     assert res.piece3_cut > params.H_effective
-    assert res.gamma3.real != 0.0
+    assert res.gamma3 != 0.0
     # the gap (2.0e-8) is the far band past the cut, which piece 3's bar
     # covers; the quadrature bars of pieces 1 and 2 sum to 7.3e-8, nearly
     # all of it the evaluator's phase rounding (expsums._GRID_ROUNDING,
     # 4 pi u per unit |l p| r), whose true size on this 9-prime window
     # (0.32 of the figure, tests/test_trigpoly.py) alone puts them above
     # the gap
-    assert abs(res.gamma_total.real - res.direct_value) <= _bars(res)
+    assert abs(res.gamma_total - res.direct_value) <= _bars(res)
     assert _bars(res, (1, 2)) < 1e-7
 
 
@@ -512,15 +512,15 @@ def test_decomposition_closes_with_shift():
     assert res.direct_value and res.direct_value > 0.0
     assert res.closure_error <= 1e-5
     # conjugate symmetry pairs t with -t for any real shift: the main
-    # band stays real up to grid noise
-    assert abs(res.gamma1.imag) <= 1e-8 * abs(res.gamma1)
-    assert abs(res.gamma_total.real - res.direct_value) <= _bars(res)
+    # band, folded from t >= 0, is real by construction
+    assert res.gamma1.imag == 0.0
+    assert abs(res.gamma_total - res.direct_value) <= _bars(res)
 
 
 def test_decomposition_closes_on_instance_a():
     # q0 70, gamma 0.9, eps 2, l = (1, sqrt 2, -2): the benchmark's
     # decomp-A.  theta and Theta are both exact, so the gap is quadrature
-    # error and the far band past the cut: 1.08e-13 measured with the
+    # error and the far band past the cut: 1.07e-13 measured with the
     # endpoint-corrected trapezoid at f_max h = 0.8, 1.9e-12 with Boole at
     # 7 points per period; a direct-side theta off by up to 8e-7 on its
     # ramps reads 2.65e-9.  band_points pins the grid sizes; it is no
@@ -529,8 +529,8 @@ def test_decomposition_closes_on_instance_a():
     res = decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset)
     assert res.triples_found == 2362
     assert res.closure_error <= 1e-11
-    assert tuple(res.bands[p].n_points for p in (1, 2, 3)) == (68, 745_084, 162_420)
-    assert abs(res.gamma_total.real - res.direct_value) <= _bars(res)
+    assert tuple(res.bands[p].n_points for p in (1, 2, 3)) == (35, 745_084, 162_420)
+    assert abs(res.gamma_total - res.direct_value) <= _bars(res)
 
 
 @pytest.mark.parametrize("fh", [0.75, 0.8, 0.85])
@@ -549,7 +549,7 @@ def test_instance_a_closes_across_a_fan_of_grids(monkeypatch, fh):
 
 def test_shift_past_the_reach_needs_no_dense_grid():
     # eta 1000 puts every form far from zero, so J and the count nearly
-    # cancel; the band grids depend on the spectrum alone, 252,701
+    # cancel; the band grids depend on the spectrum alone, 252,644
     # points in all (Boole refined against 1e-9 |J| used 21.5e6), and
     # gamma1 and gamma2 agree within their bars with references: gamma1's
     # from the 30-digit oracle (_piece1_oracle; the Boole value
@@ -559,7 +559,7 @@ def test_shift_past_the_reach_needs_no_dense_grid():
     assert res.direct_value == 0.0
     assert sum(res.bands[p].n_points for p in (1, 2, 3)) < 1_000_000
     for p, want in zip((1, 2), (-19.120607764196032, 19.1205896344149)):
-        assert abs(res.bands[p].value.real - want) <= res.bands[p].error
+        assert abs(res.bands[p].value - want) <= res.bands[p].error
 
 
 def _piece1_oracle(params, coeffs, kernel, pset):
@@ -624,23 +624,22 @@ def _em_tail(params, c, pset, h):
 
 @pytest.mark.parametrize("q0, c", _PIECE1_CASES)
 def test_piece1_bar_covers_30_digit_oracle(q0, c):
-    # piece 1 lies around t = 0 on a grid from -Delta, where none of the
-    # bar's rounding charges vanishes: the evaluator's phase rounding
-    # grows with r = Delta + (t + Delta), not |t|, and its floor, Theta's
-    # and the walker's own roundings do not fall.  The errors are 6.4e-13,
-    # 1.1e-12, 2.8e-12 and 2.39e-8 (7.5 u h sum |Theta F1 F2 F3| on A),
-    # and the rounding part of the bar alone covers each (1.06e-5 on A)
+    # piece 1 is walked on [0, Delta] and folded, so its bar is twice the
+    # half's: the evaluator's phase rounding grows with t from 0, while
+    # its floor, Theta's and the walker's own roundings do not fall
+    # there.  The errors are 6.4e-13, 2.9e-12, 5.2e-12 and 8.97e-9 on A,
+    # and the rounding part of the bar alone covers each (1.37e-6 on A)
     params, pset = _instance(q0, 0.9, 0.5, 2.0)
     band = piece_quadrature(1, params, c, _kernel_for(params), pset)
-    err = abs(mp.mpf(band.value.real) - _piece1_reference(q0, c))
-    assert 0.0 < err <= band.error - _em_tail(params, c, pset, band.spacing)
+    err = abs(mp.mpf(band.value) - _piece1_reference(q0, c))
+    assert 0.0 < err <= band.error - 2.0 * _em_tail(params, c, pset, band.spacing)
 
 
 @pytest.mark.parametrize("q0, c", [_PIECE1_CASES[0], _PIECE1_CASES[1], _PIECE1_CASES[3]])
 def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
     # each bar against the piece's error: piece 1's from the 30-digit
-    # oracle (a run at half the spacing shares its rounding, and on q0 12
-    # reads bit for bit the same), piece 2's from a run at half the
+    # oracle (a run at half the spacing shares its rounding floor: on q0
+    # 12 it moves piece 1 by 1.8e-12 only), piece 2's from a run at half the
     # spacing (f_max h = 0.4), whose correction series converges four
     # times faster per term; the rounding part of the bar alone covers
     # each, the truncation bound being looser
@@ -650,11 +649,11 @@ def test_error_bars_cover_pieces_1_and_2(monkeypatch, q0, c):
     ref = decompose(params, c, pset, with_direct=False)
     assert (sum(ref.bands[p].n_points for p in (1, 2, 3))
             > 1.9 * sum(res.bands[p].n_points for p in (1, 2, 3)))
-    for p, want, fold in zip((1, 2), (_piece1_reference(q0, c), ref.gamma2.real),
-                             (1.0, 2.0)):
+    for p, want in zip((1, 2), (_piece1_reference(q0, c), ref.gamma2)):
         band = res.bands[p]
-        err = abs(mp.mpf(band.value.real) - want)
-        assert 0.0 < err <= band.error - fold * _em_tail(params, c, pset, band.spacing)
+        err = abs(mp.mpf(band.value) - want)
+        # both bands are folded: their truncation bounds count twice
+        assert 0.0 < err <= band.error - 2.0 * _em_tail(params, c, pset, band.spacing)
 
 
 def test_gamma_piece_matches_decompose():
@@ -698,10 +697,11 @@ def test_truncation_point_formula():
 
 
 def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
-    """Trapezoid value and statistics with one whole array per chunk (no
-    blocks), theta_transform for Theta and the chunk's own sums."""
+    """Trapezoid value (its real part) and statistics with one whole array
+    per chunk (no blocks), theta_transform for Theta and the chunk's own
+    sums."""
     chunk = triplesum._CHUNK
-    re, im, cross, squares = [], [], [], []
+    re, cross, squares = [], [], []
     t_ints = ([], [], [])
     sup = 0.0
     for c, start in enumerate(range(0, n_points, chunk)):
@@ -715,7 +715,6 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
         integ = theta_transform(kernel, t_grid) * (s[0] * s[1] * s[2])
         integ = integ * np.exp((2j * np.pi) * np.mod(eta * t_grid, 1.0))
         re.append(float(np.dot(wq, integ.real)))
-        im.append(float(np.dot(wq, integ.imag)))
         del integ
         a = [np.abs(x) for x in s]
         small = np.minimum(a[0], a[1])
@@ -724,25 +723,25 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
         for parts, x in zip(t_ints, a):
             parts.append(float(np.dot(wq, x**2)))
         squares.append(float(np.dot(wq, small * (a[0]**2 + a[1]**2 + a[2]**2))))
-    value = complex(math.fsum(re) * h, math.fsum(im) * h)
+    value = math.fsum(re) * h
     stats = (tuple(math.fsum(p) * h for p in t_ints), sup,
              math.fsum(cross) * h, math.fsum(squares) * h)
     return value, stats
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetric):
-    # two chunks (2^21 points and a ragged rest), each walked in blocks;
-    # t_lo >= 0 takes Theta from GridTransform, the symmetric band from
-    # theta_transform; the reference reuses the sweep's own sums.  The
-    # endpoint correction is switched off: this checks the streamed
-    # trapezoid sums, the correction is checked on its own below
+def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
+    # two chunks (2^21 points and a ragged rest), each walked in blocks,
+    # Theta from GridTransform; the reference takes it from
+    # theta_transform, the carrier's reduction from np.mod, and reuses the
+    # sweep's own sums.  The endpoint correction is switched off: this
+    # checks the streamed trapezoid sums, the correction is checked on its
+    # own below
     params, pset = _instance(12, 0.9, 0.5, 0.5)
     c = Coefficients(1.0, SQRT2, -2.0, 0.3)
     kern = _kernel_for(params)
     f_max = triplesum.band_frequency(params, c, kern)
     span = (triplesum._CHUNK + 50_001) * quadrature._BAND_FH / f_max
-    t_lo = -span / 2 if symmetric else params.Delta
+    t_lo = params.Delta
     recorded = []
 
     def recording(*args, **kwargs):
@@ -770,15 +769,49 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch, symmetri
     want_value, want_stats = _whole_chunk_reference(
         kern, c.eta, recorded, t_lo, h, n_points
     )
-    if not symmetric:
-        # folded onto -t: twice the real part
-        want_value = complex(2.0 * want_value.real, 0.0)
-    assert band.value == pytest.approx(want_value, rel=1e-12, abs=0)
+    # folded onto -t: twice the real part
+    assert band.value == pytest.approx(2.0 * want_value, rel=1e-12, abs=0)
     assert band.t_integrals == pytest.approx(want_stats[0], rel=1e-12, abs=0)
     assert band.sup_small_pair == want_stats[1]
     assert points and all(t_lo <= x / c.lambda1 <= t_lo + span for x in points[::2])
     assert band.cross_integral == pytest.approx(want_stats[2], rel=1e-12, abs=0)
     assert band.squares_integral == pytest.approx(want_stats[3], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("key", ["J", 1])
+def test_folded_band_equals_symmetric_trapezoid(monkeypatch, key):
+    # J and piece 1 are walked on [0, Delta] and folded.  The integrand at
+    # -t is the conjugate of that at t, so the walker's value must be 2 Re
+    # of the trapezoid on [-Delta, 0], and so the real part of that on
+    # [-Delta, Delta], both built here on t = -Delta + h j, j <= 2 (n - 1),
+    # from theta_transform and the factors at negative t.  The endpoint
+    # correction is switched off, as above
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, 1.0, -2.0, 0.3)
+    kern = _kernel_for(params)
+    monkeypatch.setattr(triplesum, "euler_maclaurin", lambda *args: 0j)
+    band = triplesum._band_quadrature(key, params, c, kern, pset)
+    n, h = band.n_points, band.spacing
+    if key == "J":
+        factors = expsums._window_factors(params, c.lambdas)
+    else:
+        factors = expsums._sum_factors(pset, c.lambdas, expsums._centre(params))
+    count = 2 * n - 1
+    t = -params.Delta + h * np.arange(count)
+    f1, f2, f3 = factors[0](-params.Delta, h, count)
+    integ = theta_transform(kern, t) * (f1 * f2 * f3)
+    integ *= np.exp((2j * np.pi) * np.mod(c.eta * t, 1.0))
+
+    def trapezoid(z):
+        w = np.ones(z.size)
+        w[[0, -1]] = 0.5
+        return h * complex(math.fsum((w * z.real).tolist()), math.fsum((w * z.imag).tolist()))
+
+    half, full = trapezoid(integ[:n]), trapezoid(integ)
+    assert abs(full.imag) <= 1e-12 * abs(full.real)
+    assert isinstance(band.value, float)
+    assert band.value == pytest.approx(2.0 * half.real, rel=1e-12, abs=0)
+    assert band.value == pytest.approx(full.real, rel=1e-12, abs=0)
 
 
 def test_t_integrals_match_exact_pair_sum():
@@ -867,16 +900,16 @@ def test_integral_J_matches_mpmath(q0, eps, c):
     kern = _kernel_for(params)
     want = float(_mpmath_J(params, c, kern))
     assert want > 0.0
-    assert integral_J(params, c, kern).value.real == pytest.approx(want, rel=1e-12, abs=0)
+    assert integral_J(params, c, kern).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("q0, eps, c", _J_CASES)
 def test_integral_J_bar_covers_mpmath(q0, eps, c):
     # J's bar charges its window integrals' roundings (_window_factors);
-    # the errors are 6.8e-13 and 1.8e-12 under bars of 4.3e-10 and 5.9e-9
+    # the errors are 2.4e-13 and 2.5e-12 under bars of 5.2e-11 and 5.4e-10
     params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
     band = integral_J(params, c, _kernel_for(params))
-    err = abs(mp.mpf(band.value.real) - _mpmath_J(params, c, _kernel_for(params)))
+    err = abs(mp.mpf(band.value) - _mpmath_J(params, c, _kernel_for(params)))
     assert 0.0 < err <= band.error
 
 
@@ -884,7 +917,7 @@ def test_main_band_interval_integral_comparisons():
     params, pset = _instance(8, 0.9, 0.5, 1.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = _kernel_for(params)
-    j = integral_J(params, c, kern).value.real
+    j = integral_J(params, c, kern).value
     box = box_integral_B(params, c, kern)
     phi = phi_bound(params, kern, c)
     assert box.feasible
@@ -895,8 +928,8 @@ def test_main_band_interval_integral_comparisons():
 def test_main_band_vanishes_for_huge_shift():
     params, _ = _instance(8, 0.9, 0.5, 1.0)
     kern = _kernel_for(params)
-    j0 = integral_J(params, Coefficients(1.0, 1.0, -2.0, 0.0), kern).value.real
-    jh = integral_J(params, Coefficients(1.0, 1.0, -2.0, 1.0e6), kern).value.real
+    j0 = integral_J(params, Coefficients(1.0, 1.0, -2.0, 0.0), kern).value
+    jh = integral_J(params, Coefficients(1.0, 1.0, -2.0, 1.0e6), kern).value
     assert abs(jh) <= 1e-6 * abs(j0)
 
 
@@ -906,7 +939,7 @@ def test_main_band_scales_like_x_squared():
     for q0 in (8, 17, 36):
         params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         kern = _kernel_for(params)
-        ratios.append(integral_J(params, c, kern).value.real / params.X**2)
+        ratios.append(integral_J(params, c, kern).value / params.X**2)
     assert max(ratios) / min(ratios) <= 1.01
 
 
