@@ -283,11 +283,22 @@ def ps_sum_series(
     """D_0 .. D_{n-1}, ps_exp_sum(lam (x + s h)) = e(lam centre (x + s h))
     sum_j D_j s^j: D_j = sum_p w_p e(lam (p - centre) x) (2 pi i lam (p -
     centre) h)^j / j!.  Centred, |D_j| <= sum |w| (2 pi W h)^j / j! with W
-    = |lam| max |p - centre|, far below the raw sum's coefficients."""
+    = |lam| max |p - centre|, far below the raw sum's coefficients.
+
+    The terms are one (n, primes) table: row j > 0 holds the steps c_j d
+    with c_j = 2 pi i h / j, its cumulative product along j the powers
+    (2 pi i d h)^j / j!, each row then scaled by v = w e(d x) and summed
+    by numpy's pairwise row sum.  No BLAS call, so the bits do not depend
+    on the BLAS library or its thread count; 160 terms of instance A's 202
+    primes take about 0.5 ms on a 2-vCPU Xeon."""
     d = lam * (pset.primes.astype(np.float64) - centre)
-    steps = [np.ones_like(d)] + [(2j * np.pi * h / j) * d for j in range(1, n)]
-    phases = unit_phase(d * x)
-    return np.cumprod(steps, axis=0) @ (_grid_weights(pset) * phases)
+    table = np.empty((n, d.size), dtype=np.complex128)
+    table[0] = 1.0
+    np.multiply(np.array([2j * np.pi * h / j for j in range(1, n)])[:, None], d,
+                out=table[1:])
+    np.cumprod(table, axis=0, out=table)
+    table *= _grid_weights(pset) * unit_phase(d * x)
+    return table.sum(axis=1)
 
 
 def _centre(params: RunParameters) -> float:
@@ -304,7 +315,10 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
     (trigpoly.error_floor), both absolute.  A chunk size's sums come from
     one plan per l_i (ps_sum_plan; none on the NUFFT path) sharing work
     buffers, one set for the full chunks and one for the ragged last;
-    each sum is a view valid until the next call."""
+    each sum is a view valid until the next call.  series gives each
+    sum's endpoint Taylor coefficients (ps_sum_series): one table per l_i
+    reduced in numpy, no BLAS call, so unlike the blocked grid sums their
+    bits do not depend on the BLAS thread count."""
     plans: dict = {}
 
     def grid(t0: float, h: float, n: int) -> list:

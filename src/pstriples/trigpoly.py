@@ -67,9 +67,11 @@ inputs, 513 to 4287 frequencies, 4096 to 2^21 points, f_max dt 0.4 to
 Kaiser-Bessel window.
 
 Determinism: reruns are bitwise identical for fixed inputs, a fixed BLAS
-library and a fixed BLAS thread count.  The blocked path's bits depend on
-the BLAS build and thread count (they differ between
-OPENBLAS_NUM_THREADS=1 and 2); the NUFFT path's do not.
+library and a fixed BLAS thread count.  Only the blocked path's grid sums
+depend on the BLAS build and thread count (they differ between
+OPENBLAS_NUM_THREADS=1 and 2); the NUFFT path's do not, and neither do
+the band rule's endpoint series (expsums.ps_sum_series), which make no
+BLAS call.
 """
 
 from __future__ import annotations

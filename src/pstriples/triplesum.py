@@ -705,12 +705,12 @@ def _polished_sup(
 ) -> float:
     """sup, the best sampled min(|S1|, |S2|), raised by a golden-section
     search on [a, b], the sample's neighbours within the band; every
-    value it takes is a true one (ps_exp_sum), so the result stays a
-    lower estimate."""
+    value it takes is a true one (ps_exp_sum, one call per probe on the
+    grid [l1 u, l2 u]), so the result stays a lower estimate."""
 
     def small(u: float) -> float:
-        return min(abs(ps_exp_sum(l * u, params, pset).value)
-                   for l in coeffs.lambdas[:2])
+        return min(abs(r.value)
+                   for r in ps_exp_sum([l * u for l in coeffs.lambdas[:2]], params, pset))
 
     ratio = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - ratio * (b - a), a + ratio * (b - a)

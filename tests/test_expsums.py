@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstriples import expsums, triplesum
 from pstriples.expsums import (
     chebyshev_sum,
     decomposition_residual,
@@ -24,6 +25,7 @@ from pstriples.expsums import (
     sawtooth,
     unit_phase,
 )
+from pstriples.kernel import make_kernel
 from pstriples.params import RunParameters
 from pstriples.primes import PrimeTable, PSPrimeSet, ps_primes_in, sieve_primes
 from pstriples.quadrature import (
@@ -251,6 +253,45 @@ def test_ps_sum_series_sums_to_the_exponential_sum(x):
         value = np.polyval(coeffs[::-1], s) * unit_phase(lam * centre * (x + s * h))
         want = ps_exp_sum(lam * (x + s * h), params, pset).value
         assert abs(value - want) <= 8e-17 * lam * params.X * x * total + 1e-14 * total
+
+
+def test_ps_sum_series_matches_mpmath_at_the_walkers_size():
+    # the band walker's 2 _EM_TERMS = 160 terms on instance A at band 2's
+    # spacing, at x = 0, Delta and H for each lam, and at x = 0 with
+    # h = 1e-6, where the tail underflows to 0.  Against a 30-digit sum of
+    # v_p z_p^j / j!, z_p = 2 pi i h d_p, v_p the double w e(d x) the code
+    # scales by, the gap of D_j stays within 2 (j + 1) u of its bound
+    # sum |w| (2 pi W h)^j / j! (0.47 (j + 1) u measured, at j = 0 and
+    # x = H for lam 1)
+    params = RunParameters(70, 0.9, 0.5, epsilon_user=2.0)
+    pset = pset_for(params)
+    coeffs = triplesum.Coefficients(1.0, math.sqrt(2.0), -2.0, 0.0)
+    kern = make_kernel(params.epsilon_effective, params.kernel_k)
+    t_lo, t_hi, f_max = triplesum._band_span(2, params, coeffs, kern)
+    _, h_band = _band_grid(t_lo, t_hi, f_max)
+    centre = expsums._centre(params)
+    n = 2 * _EM_TERMS
+    u = 2.0**-53
+    weights = pset.weight_w * pset.weight_log
+    total = float(np.sum(np.abs(weights)))
+    cases = [(x, h_band) for x in (0.0, params.Delta, params.H_effective)] + [(0.0, 1e-6)]
+    for lam in coeffs.lambdas:
+        d = lam * (pset.primes.astype(np.float64) - centre)
+        ratio = 2.0 * math.pi * float(np.max(np.abs(d)))
+        for x, h in cases:
+            got = ps_sum_series(pset, lam, centre, x, h, n)
+            assert got.shape == (n,) and np.all(np.isfinite(got))
+            bounds = [total]
+            for j in range(1, n):
+                bounds.append(bounds[-1] * ratio * h / j)
+            assert np.all(np.abs(got) <= bounds)
+            with mp.workdps(30):
+                v = [mp.mpc(complex(a)) for a in weights * unit_phase(d * x)]
+                z = [2j * mp.pi * mp.mpf(h) * mp.mpf(float(a)) for a in d]
+                want = [complex(mp.fsum(a * b**j for a, b in zip(v, z)) / mp.factorial(j))
+                        for j in (0, 1, 2, 40, 80, 120, 159)]
+            for j, w in zip((0, 1, 2, 40, 80, 120, 159), want):
+                assert abs(got[j] - w) <= 2.0 * (j + 1) * u * bounds[j], (lam, x, h, j)
 
 
 def test_phase_guard():

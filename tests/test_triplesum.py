@@ -750,10 +750,10 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
         recorded.append(out.copy())
         return out
 
-    def polled(alpha, params, pset):
+    def polled(alphas, params, pset):
         # the polish of the best sample raises nothing; its points are kept
-        points.append(alpha)
-        return SumResult(0j, 0, 0.0)
+        points.extend(alphas)
+        return [SumResult(0j, 0, 0.0)] * len(alphas)
 
     grid, points = expsums.ps_sum_grid, []
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
