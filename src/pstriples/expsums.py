@@ -44,7 +44,7 @@ from .quadrature import (
     euler_maclaurin_tail,
 )
 from .summation import SumResult, row_parts
-from .trigpoly import BlockedPlan, error_floor, plan_uniform, trig_sum_uniform
+from .trigpoly import BlockedPlan, NufftPlan, error_floor, plan_uniform, trig_sum_uniform
 
 __all__ = [
     "PHASE_LIMIT",
@@ -230,12 +230,12 @@ def _grid_weights(pset: PSPrimeSet) -> np.ndarray:
 
 def ps_sum_plan(
     pset: PSPrimeSet, lam: float, dt: float, n: int,
-    share: "BlockedPlan | None" = None,
-) -> "BlockedPlan | None":
+    share: "BlockedPlan | NufftPlan | None" = None,
+) -> "BlockedPlan | NufftPlan | None":
     """A plan for repeated ps_sum_grid(pset, lam, t0, dt, n) calls at
-    several t0 (trigpoly.plan_uniform): None for an empty set and where
-    the NUFFT evaluates the grid.  share is another plan of this window
-    and grid size whose work buffers the new one reuses."""
+    several t0 (trigpoly.plan_uniform), on either evaluator: None only
+    for an empty window.  share is another plan of this window and grid
+    size whose work buffers the new one reuses."""
     if pset.count == 0:
         return None
     freqs = lam * pset.primes.astype(np.float64)
@@ -244,7 +244,7 @@ def ps_sum_plan(
 
 def ps_sum_grid(
     pset: PSPrimeSet, lam: float, t0: float, dt: float, n: int,
-    plan: "BlockedPlan | None" = None,
+    plan: "BlockedPlan | NufftPlan | None" = None,
 ) -> np.ndarray:
     """ps_exp_sum(lam * t) on the uniform grid t = t0 + j dt, j < n.
 
@@ -260,9 +260,9 @@ def ps_sum_grid(
     Reruns are bitwise identical for a fixed BLAS library and thread
     count.
 
-    With plan = ps_sum_plan(pset, lam, dt, n) the blocked tables are
+    With plan = ps_sum_plan(pset, lam, dt, n) the evaluator's tables are
     reused and the bits are the same; the result is then a view of the
-    plan's output rows, valid until the plan's next call.
+    plan's output, valid until the plan's next call.
     """
     if pset.count == 0:
         return np.zeros(n, dtype=np.complex128)
@@ -312,25 +312,21 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
     amplitude, rounding, floor): rounding bounds each sum's error per
     unit |l_i| t at a sample t of a grid from t0 >= 0 (_GRID_ROUNDING),
     and floor its error that does not grow with t
-    (trigpoly.error_floor), both absolute.  A chunk size's sums come from
-    one plan per l_i (ps_sum_plan; none on the NUFFT path) sharing work
-    buffers, one set for the full chunks and one for the ragged last;
-    each sum is a view valid until the next call.  series gives each
-    sum's endpoint Taylor coefficients (ps_sum_series): one table per l_i
-    reduced in numpy, no BLAS call, so unlike the blocked grid sums their
-    bits do not depend on the BLAS thread count."""
-    plans: dict = {}
+    (trigpoly.error_floor), both absolute.  grid's first call builds one
+    plan per l_i (ps_sum_plan, on either evaluator; None only for an
+    empty window), sharing work buffers, for that call's (h, n), and
+    every later call must use the same (h, n): the walker calls it for
+    equal chunks.  Each sum is a view valid until the next call.  series
+    gives each sum's endpoint Taylor coefficients (ps_sum_series): one
+    table per l_i reduced in numpy, no BLAS call, so unlike the blocked
+    grid sums their bits do not depend on the BLAS thread count."""
+    plans: list = []
 
     def grid(t0: float, h: float, n: int) -> list:
-        if (h, n) not in plans:
-            plans.clear()       # the full chunks' plans go before the ragged ones
-            share, built = None, []
+        if not plans:
             for l in lams:
-                share = ps_sum_plan(pset, l, h, n, share)
-                built.append(share)
-            plans[h, n] = built
-        return [ps_sum_grid(pset, l, t0, h, n, plan=p)
-                for l, p in zip(lams, plans[h, n])]
+                plans.append(ps_sum_plan(pset, l, h, n, plans[-1] if plans else None))
+        return [ps_sum_grid(pset, l, t0, h, n, plan=p) for l, p in zip(lams, plans)]
 
     def series(x: float, h: float, n: int) -> list:
         return [ps_sum_series(pset, l, centre, x, h, n) for l in lams]

@@ -23,31 +23,33 @@ by one of two evaluators, chosen from the sizes alone:
   af Klinteberg, SISC 2019).  Cost O(M log M) per call.  Only this path
   needs scipy (scipy.fft, scipy.special), imported on its first call.
 
-Plans.  Everything the blocked path builds that does not depend on t0
-(phi, the mirrored tables C and S, the exp tables of the phase powers
-and the output rows) lives in a `BlockedPlan`; `plan_uniform` returns
-one where the dispatch picks the blocked path and None where it picks
-the NUFFT, which has no plan.  A call plan(t0) builds the lead phase and
-the complex table, runs the products and adds and subtracts them into
-the plan's output rows, and returns a view of those rows that is valid
-until the plan's next call.  Its bits are those of trig_sum_uniform,
-which is one plan built and called once.  Plans may share their table
-and product buffer (same frequency count and n) when called one at a
-time, as the band sweep's three sums are.  Per 2^21-point call at 202
-frequencies on a 2-vCPU Xeon (OpenBLAS, medians of 24 calls): products
-22 ms at two BLAS threads (36-39 ms at one), add and subtract 6.6 ms,
-lead phase and tables 2.4 ms; building the plan costs 3-4.5 ms once, and
-a fresh output of that size took 7.6-37 ms to fill against 4.0-4.8 ms
-for the plan's reused one.
+Plans.  Everything a path builds that does not depend on t0 lives in a
+plan, a `BlockedPlan` (phi, the mirrored tables C and S, the exp tables
+of the phase powers and the output rows) or a `NufftPlan` (the fine-grid
+size, the tap indices and window values, the gather index, the
+deconvolution, the fine grid and the output); `plan_uniform` returns the
+one the dispatch picks.  A call plan(t0) does only the work that depends
+on t0 and returns a view of the plan's output that is valid until the
+plan's next call.  Its bits are those of trig_sum_uniform, which is one
+plan built and called once.  Plans may share their work buffers (same
+frequency count and n) when called one at a time, as the band sweep's
+three sums are.  Per 2^18-point call (the band walk's chunk) on a 2-vCPU
+Xeon, medians of 24 calls: blocked at 202 frequencies 2.8 ms at two
+OpenBLAS threads (products 1.7-2.0 ms) and 4.2-4.4 ms at one (products
+3.1-3.2 ms), add and subtract 0.44 ms, lead phase and tables 0.4 ms,
+plan built once in 1.2-1.7 ms; NUFFT 13.4 ms at 929 frequencies and 13.6
+ms at 7,916 (the FFT of 2^19 points 8-10 ms, window and spreading 0.7
+and 3.4 ms, gather and deconvolution 1.3 ms), plan built once in 3.0 and
+7.9 ms.
 
-Crossover on one 2^21-point chunk at t0 = 40 on a 2-vCPU Xeon, medians
-of 5 alternating calls (blocked / NUFFT, s).  One BLAS thread: 202
-frequencies 0.05-0.06 / 0.25-0.27, 800 0.17 / 0.23, 1000 0.21 / 0.25,
-1500 0.34-0.38 / 0.25-0.28.  Two BLAS threads: 400 0.06 / 0.24, 1000
-0.15 / 0.25, 1500 0.22-0.24 / 0.25-0.26, 2000 0.35 / 0.27.  So the
-blocked path wins below ~1100 frequencies with one thread and ~1600
-with two, and 512 sits below both; no benchmark workload has a window
-that wide, so the constant is not raised.
+Crossover on one 2^18-point chunk at t0 = 40 on a 2-vCPU Xeon, medians
+of 5 alternating planned calls (blocked / NUFFT, ms).  One BLAS thread:
+202 frequencies 4.4 / 13.7, 400 8.1 / 14.4, 800 15.3 / 12.5, 1000 20.5 /
+15.5, 1500 28.0 / 12.5.  Two BLAS threads: 400 4.8 / 13.5, 800 8.7 /
+11.9, 1000 11.1 / 11.0, 1500 15.7 / 11.3, 2000 21.0 / 12.1.  So the
+blocked path wins below ~700 frequencies with one thread and ~1000 with
+two, and 512 sits below both; no benchmark workload has a window of 300
+to 512 primes, so the constant is not moved.
 
 Accuracy, against an mpmath oracle exact for the double inputs, as the
 largest gap relative to sum |w_j| (see tests/test_trigpoly.py).  Nearly
@@ -80,14 +82,13 @@ import functools
 
 import numpy as np
 
-__all__ = ["BlockedPlan", "error_floor", "plan_uniform", "trig_sum_uniform"]
+__all__ = ["BlockedPlan", "NufftPlan", "error_floor", "plan_uniform", "trig_sum_uniform"]
 
 _SPREAD_WIDTH = 13          # Kaiser-Bessel support in fine-grid cells (odd)
 _OVERSAMPLING = 2.0
 _BETA = np.pi * _SPREAD_WIDTH * (1.0 - 1.0 / (2.0 * _OVERSAMPLING))
 _DIRECT_CUTOFF = 4096       # below this many samples the blocked path wins
 _BLOCKED_MAX_FREQS = 512    # up to this many frequencies the blocked path wins
-_MIRROR_ROWS = 128          # mirrored row pairs per pair of real products
 # each path's error at small |f_j t| relative to sum |w_j| (module docstring)
 _BLOCKED_FLOOR = 5.2e-15
 _NUFFT_FLOOR = 2e-12
@@ -126,10 +127,11 @@ class BlockedPlan:
     Everything that does not depend on t0 is built here: phi, the
     mirrored tables C and S, the two exp tables whose outer product is
     e(phi_j m1), and the output rows.  A call builds the lead phase
-    w_j e(f_j t0) e(psi_j r0) and AT, writes C @ AT into rows r0 + d,
-    rebuilds the same table as iAT = i AT, and adds S @ iAT to and
-    subtracts it from those rows, _MIRROR_ROWS row pairs at a time.  It
-    returns a view of the output rows, valid until the next call.
+    w_j e(f_j t0) e(psi_j r0) and AT, writes C @ AT into rows r0 + d in
+    one product, rebuilds the same table as iAT = i AT, writes S @ iAT
+    into an odd buffer of r0 + 1 rows (at most half the output) in one
+    more, and adds it to and subtracts it from those rows.  It returns a
+    view of the output rows, valid until the next call.
     Plans built with share=other (same frequency count and n) use
     other's table and product buffer, so they are called one at a time.
     """
@@ -160,8 +162,9 @@ class BlockedPlan:
         self._out = np.empty((2 * r0 + 1, size), dtype=np.complex128)
         if share is None:
             self._table = np.empty((freqs.size, size), dtype=np.complex128)
-            self._odd_f = np.empty((min(_MIRROR_ROWS, r0 + 1), 2 * size))
-        elif share._table.shape == (freqs.size, size) and share._r0 == r0:
+            self._odd_f = np.empty((r0 + 1, 2 * size))
+        elif (isinstance(share, BlockedPlan) and share._r0 == r0
+              and share._table.shape == (freqs.size, size)):
             self._table, self._odd_f = share._table, share._odd_f
         else:
             raise ValueError("shared plans need the same frequency count and n")
@@ -179,23 +182,14 @@ class BlockedPlan:
         theta -= np.floor(theta)
         lead = self._weights * np.exp((2j * np.pi) * theta) * self._mid
         at_f = self._fill(lead)
-        upper_f = out[r0:].view(np.float64)
-        for d0 in range(0, r0 + 1, _MIRROR_ROWS):
-            d1 = min(d0 + _MIRROR_ROWS, r0 + 1)
-            np.matmul(self._cos[d0:d1], at_f, out=upper_f[d0:d1])
+        np.matmul(self._cos, at_f, out=out[r0:].view(np.float64))
         iat_f = self._fill(1j * lead)
-        for d0 in range(0, r0 + 1, _MIRROR_ROWS):
-            d1 = min(d0 + _MIRROR_ROWS, r0 + 1)
-            odd_f = np.matmul(self._sin[d0:d1], iat_f, out=self._odd_f[: d1 - d0])
-            odd = odd_f.view(np.complex128)
-            even = out[r0 + d0 : r0 + d1]
-            lower = out[r0 - d0 :: -1][: d1 - d0]
-            if d0 == 0:
-                # row r0 is its own mirror and takes even - odd
-                np.subtract(even[:1], odd[:1], out=even[:1])
-                even, odd, lower = even[1:], odd[1:], lower[1:]
-            np.subtract(even, odd, out=lower)
-            np.add(even, odd, out=even)
+        odd = np.matmul(self._sin, iat_f, out=self._odd_f).view(np.complex128)
+        even, lower = out[r0:], out[r0::-1]
+        # row r0 is its own mirror and takes even - odd
+        np.subtract(even[:1], odd[:1], out=even[:1])
+        np.subtract(even[1:], odd[1:], out=lower[1:])
+        np.add(even[1:], odd[1:], out=even[1:])
         return out.reshape(-1)[: self.n]
 
 
@@ -207,15 +201,18 @@ def _takes_blocked(n: int, n_freqs: int) -> bool:
 
 def plan_uniform(
     freqs: np.ndarray, weights: np.ndarray, dt: float, n: int,
-    share: "BlockedPlan | None" = None,
-) -> "BlockedPlan | None":
-    """A BlockedPlan for repeated trig_sum_uniform(freqs, weights, t0, dt, n)
-    calls at several t0, bit for bit equal to them; None where
-    trig_sum_uniform takes the NUFFT, which has no plan."""
+    share: "BlockedPlan | NufftPlan | None" = None,
+) -> "BlockedPlan | NufftPlan":
+    """A plan for repeated trig_sum_uniform(freqs, weights, t0, dt, n)
+    calls at several t0, bit for bit equal to them: a BlockedPlan where
+    the dispatch picks the blocked path, a NufftPlan where it picks the
+    NUFFT.  share is a plan of the same frequency count and n whose work
+    buffers the new one reuses."""
     freqs = np.asarray(freqs, dtype=np.float64)
-    if not _takes_blocked(n, freqs.size):
-        return None
-    return BlockedPlan(freqs, np.asarray(weights, dtype=np.complex128), dt, n, share)
+    weights = np.asarray(weights, dtype=np.complex128)
+    if _takes_blocked(n, freqs.size):
+        return BlockedPlan(freqs, weights, dt, n, share)
+    return NufftPlan(freqs, weights, dt, n, share)
 
 
 def _kb_window(s: np.ndarray) -> np.ndarray:
@@ -280,51 +277,78 @@ def trig_sum_uniform(
 
     The blocked matrix-product evaluator when n < _DIRECT_CUTOFF or there
     are at most _BLOCKED_MAX_FREQS frequencies, the NUFFT otherwise (see
-    the module docstring for the measured crossover and errors).  Callers
-    keep |f_j t| below 2**52.  Bitwise identical on reruns with fixed
-    inputs and a fixed BLAS library and thread count; the choice of
-    evaluator, the fine-grid size and the FFT plan depend only on
-    (n, len(freqs)).
+    the module docstring for the measured crossover and errors): one plan
+    (plan_uniform) built and called once.  Callers keep |f_j t| below
+    2**52.  Bitwise identical on reruns with fixed inputs and a fixed BLAS
+    library and thread count; the choice of evaluator, the fine-grid size
+    and the FFT plan depend only on (n, len(freqs)).
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.complex128)
-    if _takes_blocked(n, freqs.size):
-        return BlockedPlan(freqs, weights, dt, n)(t0)
-    return _nufft_sum(freqs, weights, t0, dt, n)
+    return plan_uniform(freqs, weights, dt, n)(t0)
 
 
-def _nufft_sum(
-    freqs: np.ndarray, weights: np.ndarray, t0: float, dt: float, n: int
-) -> np.ndarray:
-    """trig_sum_uniform by spreading, one FFT and deconvolution."""
-    import scipy.fft as _fft
+class NufftPlan:
+    """The NUFFT evaluator for fixed (freqs, weights, dt, n), built once
+    and called with each grid start t0.
 
-    m0 = n // 2
-    # fold the grid midpoint into the source weights so output modes are
-    # centered: out[m] = sum_j wj e(f_j t_mid) e(phi_j (m - m0))
-    t_mid = t0 + dt * m0
-    theta = freqs * t_mid
-    theta -= np.floor(theta)
-    w_eff = weights * np.exp((2j * np.pi) * theta)
+    The output modes are centred on the grid's midpoint m0 = n // 2:
+    out[m] = sum_j w_j e(f_j t_mid) e(phi_j (m - m0)), t_mid = t0 + dt
+    m0 and phi_j = {f_j dt}.  Source j sits at x_j = phi_j M on a fine
+    grid of M >= 2n cells and is spread onto the _SPREAD_WIDTH cells
+    nearest it with a Kaiser-Bessel window; one unnormalized inverse FFT
+    evaluates the grid, modes m - m0 are gathered from it and the
+    window's transform is divided out.
 
-    phi = freqs * dt
-    phi -= np.floor(phi)
+    Everything that does not depend on t0 is built here: M, phi, the tap
+    indices and window values, the gather index, the deconvolution and
+    the fine grid.  A call forms w_j e(f_j t_mid), spreads it with
+    np.add.at into the zeroed fine grid, transforms the grid in place,
+    gathers and deconvolves into the plan's output and returns it, valid
+    until the next call.  Plans built with share=other (same n) use
+    other's fine grid, so they are called one at a time.
+    """
 
-    m_fine = _fft.next_fast_len(int(np.ceil(_OVERSAMPLING * n)), real=False)
-    x = phi * m_fine                      # source positions on the fine grid
-    centers = np.rint(x)
-    offsets = np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2)
-    # spread: fine[c + u] += w * win(c + u - x) for each tap u
-    taps = centers[:, None] + offsets[None, :]
-    vals = _kb_window(taps - x[:, None]) * w_eff[:, None]
-    fine = np.zeros(m_fine, dtype=np.complex128)
-    idx = np.mod(taps.astype(np.int64), m_fine)
-    np.add.at(fine.real, idx, vals.real)
-    np.add.at(fine.imag, idx, vals.imag)
+    def __init__(
+        self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int,
+        share: "NufftPlan | None" = None,
+    ) -> None:
+        import scipy.fft as _fft
 
-    # unnormalized inverse DFT: F[m] = sum_g fine[g] e(+g m / M)
-    spectrum = _fft.ifft(fine, norm="forward")
-    m_prime = np.arange(n) - m0
-    out = spectrum[np.mod(m_prime, m_fine)]
-    out *= _deconvolution(n, m_fine)
-    return out
+        n = int(n)
+        self.freqs, self.dt, self.n = freqs, dt, n
+        self._weights = weights
+        self._m0 = n // 2
+        phi = freqs * dt
+        phi -= np.floor(phi)
+        m_fine = _fft.next_fast_len(int(np.ceil(_OVERSAMPLING * n)), real=False)
+        x = phi * m_fine                      # source positions on the fine grid
+        offsets = np.arange(_SPREAD_WIDTH) - (_SPREAD_WIDTH // 2)
+        # spread: fine[c + u] += w * win(c + u - x) for each tap u
+        taps = np.rint(x)[:, None] + offsets[None, :]
+        self._window = _kb_window(taps - x[:, None])
+        self._taps = np.mod(taps.astype(np.int64), m_fine)
+        self._gather = np.mod(np.arange(n) - self._m0, m_fine)
+        self._deconv = _deconvolution(n, m_fine)
+        self._out = np.empty(n, dtype=np.complex128)
+        self._ifft = _fft.ifft
+        if share is None:
+            self._fine = np.empty(m_fine, dtype=np.complex128)
+        elif isinstance(share, NufftPlan) and share.n == n:
+            self._fine = share._fine
+        else:
+            raise ValueError("shared plans need the same frequency count and n")
+
+    def __call__(self, t0: float) -> np.ndarray:
+        # fold the grid midpoint into the source weights so output modes
+        # are centred
+        theta = self.freqs * (t0 + self.dt * self._m0)
+        theta -= np.floor(theta)
+        vals = self._window * (self._weights * np.exp((2j * np.pi) * theta))[:, None]
+        fine = self._fine
+        fine[:] = 0.0
+        np.add.at(fine.real, self._taps, vals.real)
+        np.add.at(fine.imag, self._taps, vals.imag)
+        # unnormalized inverse DFT, in place: F[m] = sum_g fine[g] e(+g m / M)
+        spectrum = self._ifft(fine, norm="forward", overwrite_x=True)
+        out = np.take(spectrum, self._gather, out=self._out)
+        out *= self._deconv
+        return out

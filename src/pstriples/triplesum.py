@@ -22,7 +22,7 @@ folded to twice its real part, with its error bar; the
 main-term box integral, exact as a signed sum of theta's third
 antiderivative over the cube's corners, and its remainder majorant; the
 far-tail bounds and the middle-band majorant chain.  Band grids are
-walked in fixed chunks whose partial sums are added exactly rounded
+walked in equal chunks whose partial sums are added exactly rounded
 (module summation), and a band's exponential sums come from one
 evaluator plan per coefficient (expsums.ps_sum_plan), so totals are
 deterministic.
@@ -102,11 +102,15 @@ __all__ = [
     "decompose",
 ]
 
-# Band grids are evaluated in chunks of _CHUNK points (one evaluator call
-# per sum) and walked in blocks of _BLOCK points whose buffers stay in
-# cache.  Each block's sums round within it, so changing either size
-# would move totals in the last bits: they are constants, not parameters.
-_CHUNK = 1 << 21
+# A band of n grid points is evaluated in c = ceil(n / _CHUNK) equal
+# chunks of ceil(n / c) points (one evaluator call per sum, all from one
+# plan set built for the band), so a walk holds one chunk's sums at a time;
+# the last chunk's at most c - 1 surplus points past the band's end are
+# evaluated but not walked.  Chunks are walked in blocks of _BLOCK points
+# whose buffers stay in cache.  Each block's sums round within it, so
+# changing either size would move totals in the last bits: they are
+# constants, not parameters.
+_CHUNK = 1 << 18
 _BLOCK = 1 << 14
 
 _BRUTE_LIMIT = 512
@@ -560,17 +564,18 @@ def _band_quadrature(
     -t (BandQuadrature); a MiddleBand where the band collects.
 
     The band's factor source gives (grid, series, amplitude, rounding,
-    floor): grid(t0, h, count) the three factors on a chunk's grid
-    (possibly views that the next call overwrites), series(x, h, n) the
-    first n Taylor coefficients of each F_i(x + s h) demodulated about
-    l_i * centre, amplitude a bound on every |F_i|, rounding a bound on
-    F_i's error per unit |l_i| t at a sample t >= 0 and floor one on its
-    error that does not grow with t.  At f_max h <= quadrature._BAND_FH
-    the trapezoid rule's only error is its Euler-Maclaurin endpoint
-    series, and the first _EM_TERMS terms are subtracted, from the
-    product at each end of Theta's series, the factors' and the carrier
-    e(F (x + s h)), F = sum l_i centre + eta, kept apart (multiplying raw
-    series cancels digits that the Bernoulli weights amplify).
+    floor): grid(t0, h, count) the three factors on a chunk's grid, one
+    count for every chunk (possibly views that the next call overwrites),
+    series(x, h, n) the first n Taylor coefficients of each F_i(x + s h)
+    demodulated about l_i * centre, amplitude a bound on every |F_i|,
+    rounding a bound on F_i's error per unit |l_i| t at a sample t >= 0
+    and floor one on its error that does not grow with t.  At f_max h <=
+    quadrature._BAND_FH the trapezoid rule's only error is its
+    Euler-Maclaurin endpoint series, and the first _EM_TERMS terms are
+    subtracted, from the product at each end of Theta's series, the
+    factors' and the carrier e(F (x + s h)), F = sum l_i centre + eta,
+    kept apart (multiplying raw series cancels digits that the Bernoulli
+    weights amplify).
 
     The bar is the tail bound with majorant 2a amplitude^3 plus h times
     one rounding row summed over the samples: rounding times |Theta| t
@@ -580,12 +585,15 @@ def _band_quadrature(
     carrier's phase error from eta t.  A far band's bar adds
     far_tail_majorant past t_hi; empty, the band is that bar alone.
 
-    The grid is walked in chunks of _CHUNK points and blocks of at most
-    _BLOCK points in reused buffers, Theta from GridTransform.  Each block
-    adds one plain sum per quantity, row by row so that its bits do not
-    depend on the other rows, the end samples weigh 1/2, and the block
-    sums are added exactly rounded: results are bitwise reproducible at a
-    fixed BLAS library and thread count.
+    The grid is evaluated in equal chunks of at most _CHUNK points, each
+    chunk's factors from the same plans (the last chunk's surplus samples
+    past t_hi are not walked), so one chunk's factors are held at a time.
+    Each chunk is walked in blocks of at most _BLOCK points in reused
+    buffers, Theta from GridTransform.  Each block adds one plain sum per
+    quantity, row by row so that its bits do not depend on the other
+    rows, the end samples weigh 1/2, and the block sums are added exactly
+    rounded: results are bitwise reproducible at a fixed BLAS library and
+    thread count.
 
     A collecting walk also gives the |F_i|^2 integrals, corrected from
     F_i's series (euler_maclaurin_squared), the largest sampled min(|F1|,
@@ -626,10 +634,12 @@ def _band_quadrature(
     mod_buf = np.empty((3, size))
     rotated = GridTransform(kernel, h, size)
     partials, sup, t_sup = [], 0.0, t_lo
-    for start in range(0, n_points, _CHUNK):
-        n_chunk = min(_CHUNK, n_points - start)
+    # ceil(n / c) points in each of c = ceil(n / _CHUNK) chunks
+    chunk = -(-n_points // -(-n_points // _CHUNK))
+    for start in range(0, n_points, chunk):
+        n_chunk = min(chunk, n_points - start)
         t0 = t_lo + start * h
-        sums = grid(t0, h, n_chunk)
+        sums = grid(t0, h, chunk)
         for b in range(0, n_chunk, _BLOCK):
             n = min(_BLOCK, n_chunk - b)
             blk = slice(b, b + n)
@@ -669,7 +679,6 @@ def _band_quadrature(
                 partials.append(-0.5 * q[:, 0])
             if start + b + n == n_points:
                 partials.append(-0.5 * q[:, n - 1])
-        del sums    # freed before the next chunk's sums are built
     trap = [h * math.fsum(exact_parts(row)) for row in np.array(partials).T]
 
     terms = 2 * _EM_TERMS

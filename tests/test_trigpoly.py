@@ -88,6 +88,29 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
     assert worst <= TOL[q0, t0]
 
 
+def test_blocked_plan_against_mpmath_past_one_slab():
+    # instance A's window on one 2^18-point band chunk, as the walker
+    # plans it: 257 mirrored rows, past the 128-row slabs the products
+    # were once split into, so each real table is now one product.  The
+    # oracle points sit on rows 0 and 2 r0 (d = r0), r0 +- 129, r0 +- 200
+    # and r0; the same gates as at N points
+    params, pset = _pset(70)
+    dt = _band_spacing(params)
+    n = 2**18
+    plan = ps_sum_plan(pset, LAM, dt, n)
+    assert isinstance(plan, trigpoly.BlockedPlan) and plan._r0 + 1 > 128
+    freqs = LAM * pset.primes.astype(np.float64)
+    weights = pset.weight_w * pset.weight_log
+    scale = float(np.sum(np.abs(weights)))
+    size, r0 = 1 << (n.bit_length() // 2), plan._r0
+    points = [0, 1, size - 1, (r0 - 129) * size + 7, (r0 - 200) * size + 300,
+              r0 * size, (r0 + 129) * size + 5, (r0 + 200) * size, n - 1]
+    for t0 in (40.0, 700.0):
+        grid = ps_sum_grid(pset, LAM, t0, dt, n, plan=plan)
+        worst = max(abs(grid[m] - _oracle(freqs, weights, t0, dt, m)) for m in points)
+        assert worst / scale <= TOL[70, t0]
+
+
 @pytest.mark.parametrize("lam", [1.0, LAM, -2.0])
 def test_grid_rounding_covers_a_small_window(lam):
     # q0 12's window has 9 primes, too few for the terms' phase errors to
@@ -200,18 +223,49 @@ def test_plan_matches_fresh_calls_bitwise(n):
     assert np.shares_memory(first, plans[0](2.0))
 
 
-def test_nufft_sizes_get_no_plan():
-    # the dispatch rule lives in trigpoly: wide windows on long grids
-    # take the NUFFT and get no plan; below the sample cutoff they plan
+@pytest.mark.parametrize("nf, n", [(61, 2**18), (202, 2**17 + 5),
+                                   (513, 4096), (929, 2**14 + 3)])
+def test_plan_reuse_at_a_b_a(nf, n):
+    # a plan called at t0 = a, b, a: both a results are bitwise equal and
+    # each result equals a fresh trig_sum_uniform.  The blocked cases have
+    # 257 and 129 mirrored rows, more than one 128-row slab of the old
+    # product loop; the others take the NUFFT (over 512 frequencies,
+    # n >= 4096)
+    rng = np.random.default_rng(nf)
+    freqs = rng.uniform(-3e4, 3e4, nf)
+    weights = rng.normal(size=nf) + 1j * rng.normal(size=nf)
+    dt = 0.4 / 3e4
+    plan = trigpoly.plan_uniform(freqs, weights, dt, n)
+    if trigpoly._takes_blocked(n, nf):
+        assert isinstance(plan, trigpoly.BlockedPlan) and plan._r0 + 1 > 128
+    else:
+        assert isinstance(plan, trigpoly.NufftPlan) and n >= trigpoly._DIRECT_CUTOFF
+    got = []
+    for t0 in (40.0, 700.125, 40.0):
+        got.append(plan(t0).copy())
+        assert got[-1].shape == (n,)
+        assert np.array_equal(got[-1], trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n))
+    assert got[0].tobytes() == got[2].tobytes()
+    assert not np.array_equal(got[0], got[1])
+
+
+def test_plan_uniform_plans_every_nonempty_input():
+    # the dispatch rule lives in trigpoly and picks the plan's kind: wide
+    # windows on long grids take the NUFFT, the rest the blocked path, and
+    # every nonempty input gets a plan equal to trig_sum_uniform
     nf = trigpoly._BLOCKED_MAX_FREQS + 1
     freqs, weights = np.linspace(1.0, 2.0, nf), np.ones(nf)
-    assert trigpoly.plan_uniform(freqs, weights, 1e-3, trigpoly._DIRECT_CUTOFF) is None
-    assert trigpoly.plan_uniform(freqs, weights, 1e-3, 8193) is None
-    small = trigpoly.plan_uniform(freqs, weights, 1e-3, trigpoly._DIRECT_CUTOFF - 1)
-    assert isinstance(small, trigpoly.BlockedPlan)
-    assert np.array_equal(small(3.0), trigpoly.trig_sum_uniform(
-        freqs, weights, 3.0, 1e-3, trigpoly._DIRECT_CUTOFF - 1))
-    assert trigpoly.plan_uniform(freqs[:-1], weights[:-1], 1e-3, 8193) is not None
+    for n, kind in [(trigpoly._DIRECT_CUTOFF, trigpoly.NufftPlan),
+                    (8193, trigpoly.NufftPlan),
+                    (trigpoly._DIRECT_CUTOFF - 1, trigpoly.BlockedPlan),
+                    (1, trigpoly.BlockedPlan)]:
+        plan = trigpoly.plan_uniform(freqs, weights, 1e-3, n)
+        assert isinstance(plan, kind)
+        assert np.array_equal(plan(3.0), trigpoly.trig_sum_uniform(freqs, weights, 3.0, 1e-3, n))
+    assert isinstance(trigpoly.plan_uniform(freqs[:-1], weights[:-1], 1e-3, 8193),
+                      trigpoly.BlockedPlan)
+    assert isinstance(trigpoly.plan_uniform(freqs[:1], weights[:1], 1e-3, 2**18),
+                      trigpoly.BlockedPlan)
 
 
 def test_shared_plans_need_one_shape():
@@ -221,23 +275,29 @@ def test_shared_plans_need_one_shape():
         trigpoly.plan_uniform(freqs, weights, 1e-3, 4097, plan)
     with pytest.raises(ValueError, match="same frequency count and n"):
         trigpoly.plan_uniform(freqs[:1], weights[:1], 1e-3, 8193, plan)
+    wide = np.linspace(1.0, 2.0, trigpoly._BLOCKED_MAX_FREQS + 1)
+    nufft = trigpoly.plan_uniform(wide, np.ones(wide.size), 1e-3, 8193)
+    with pytest.raises(ValueError, match="same frequency count and n"):
+        trigpoly.plan_uniform(wide, np.ones(wide.size), 1e-3, 4097, nufft)
+    with pytest.raises(ValueError, match="same frequency count and n"):
+        trigpoly.plan_uniform(freqs, weights, 1e-3, 8193, nufft)
 
 
 @pytest.mark.parametrize("q0", [70, 203])
 def test_planned_grid_matches_unplanned(q0):
-    # instance A's window plans; instance B's takes the NUFFT (no plan)
+    # instance A's window plans the blocked path, instance B's the NUFFT
     params, pset = _pset(q0)
     dt = _band_spacing(params)
     plan = ps_sum_plan(pset, LAM, dt, N)
-    assert (plan is None) == (pset.count > trigpoly._BLOCKED_MAX_FREQS)
+    blocked = pset.count <= trigpoly._BLOCKED_MAX_FREQS
+    assert isinstance(plan, trigpoly.BlockedPlan if blocked else trigpoly.NufftPlan)
     for t0 in (40.0, 700.0):
         want = ps_sum_grid(pset, LAM, t0, dt, N)
         assert np.array_equal(ps_sum_grid(pset, LAM, t0, dt, N, plan=plan), want)
-    if plan is not None:
-        with pytest.raises(ValueError, match="another window"):
-            ps_sum_grid(pset, LAM, 40.0, dt, N - 4, plan=plan)
-        with pytest.raises(ValueError, match="another window"):
-            ps_sum_grid(pset, 1.0, 40.0, dt, N, plan=plan)
+    with pytest.raises(ValueError, match="another window"):
+        ps_sum_grid(pset, LAM, 40.0, dt, N - 4, plan=plan)
+    with pytest.raises(ValueError, match="another window"):
+        ps_sum_grid(pset, 1.0, 40.0, dt, N, plan=plan)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstriples import expsums, quadrature, triplesum
+from pstriples import expsums, quadrature, trigpoly, triplesum
 from pstriples.expsums import l2_integral, ps_exp_sum
 from pstriples.kernel import (
     make_kernel, theta, theta_antiderivative, theta_transform, transform_bound,
@@ -699,14 +699,16 @@ def test_truncation_point_formula():
 def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
     """Trapezoid value (its real part) and statistics with one whole array
     per chunk (no blocks), theta_transform for Theta and the chunk's own
-    sums."""
-    chunk = triplesum._CHUNK
+    sums, each sliced to the chunk's walked count: the chunks are equal,
+    and the last one's surplus samples past the band's end are not
+    walked."""
+    chunk = sums[0].size
     re, cross, squares = [], [], []
     t_ints = ([], [], [])
     sup = 0.0
     for c, start in enumerate(range(0, n_points, chunk)):
         count = min(chunk, n_points - start)
-        s = sums[3 * c : 3 * c + 3]
+        s = [x[:count] for x in sums[3 * c : 3 * c + 3]]
         t0 = t_lo + start * h
         t_grid = t0 + h * np.arange(count)
         wq = np.ones(count)
@@ -730,7 +732,8 @@ def _whole_chunk_reference(kernel, eta, sums, t_lo, h, n_points):
 
 
 def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
-    # two chunks (2^21 points and a ragged rest), each walked in blocks,
+    # two equal chunks (about 156k points each; the last one's walked
+    # count is not a whole number of blocks), each walked in blocks,
     # Theta from GridTransform; the reference takes it from
     # theta_transform, the carrier's reduction from np.mod, and reuses the
     # sweep's own sums.  The endpoint correction is switched off: this
@@ -764,8 +767,10 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
         lambda params, kernel: (t_lo, t_lo + span), collect=True))
     band = triplesum._band_quadrature(2, params, c, kern, pset)
     n_points, h = band.n_points, band.spacing
-    assert len(recorded) == 6 and n_points > triplesum._CHUNK
-    assert (n_points - triplesum._CHUNK) % triplesum._BLOCK != 0
+    chunk = -(-n_points // 2)
+    assert len(recorded) == 6 and triplesum._CHUNK < n_points <= 2 * triplesum._CHUNK
+    assert all(x.size == chunk for x in recorded)
+    assert (n_points - chunk) % triplesum._BLOCK != 0
     want_value, want_stats = _whole_chunk_reference(
         kern, c.eta, recorded, t_lo, h, n_points
     )
@@ -776,6 +781,32 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
     assert points and all(t_lo <= x / c.lambda1 <= t_lo + span for x in points[::2])
     assert band.cross_integral == pytest.approx(want_stats[2], rel=1e-12, abs=0)
     assert band.squares_integral == pytest.approx(want_stats[3], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("nufft, bound_mib", [(False, 28), (True, 44)])
+def test_middle_band_memory_is_bounded_by_one_chunk(monkeypatch, nufft, bound_mib):
+    # instance A's middle band (745,084 points) is walked in three equal
+    # chunks of 248,362 points, each chunk's sums from one plan set built
+    # once: 21.4 MiB at peak as it dispatches (blocked) and 33.3 MiB with
+    # the NUFFT forced.  With one 2^21-point chunk holding the band's three
+    # whole sums it read 47.1 and 100.8 MiB.  Bounds about 1.3x the peaks
+    import scipy.fft, scipy.special  # noqa: F401  (loaded outside the trace)
+
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    assert pset.count == 202
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    kern = make_kernel(params.epsilon_effective, params.kernel_k)
+    if nufft:
+        monkeypatch.setattr(trigpoly, "_BLOCKED_MAX_FREQS", 0)
+    trigpoly._deconvolution.cache_clear()
+    tracemalloc.start()
+    try:
+        band = middle_band_sweep(params, c, pset, kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.n_points == 745084
+    assert peak <= bound_mib * 2**20
 
 
 @pytest.mark.parametrize("key", ["J", 1])
