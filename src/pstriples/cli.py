@@ -36,6 +36,7 @@ from .params import ParameterError, RunParameters, parse_q0
 from .pipeline import (
     STAGES,
     Instance,
+    _re_im_pair,
     csv_text,
     decomp_values,
     dichotomy_orientation,
@@ -188,7 +189,7 @@ def _cmd_gamma_decomp(args) -> int:
     cfg = _config_with_override(args)
     params = cfg.params
     pieces = tuple(int(p) for p in args.pieces.split(",")) if args.pieces else (1, 2, 3)
-    if any(p not in (1, 2, 3) for p in pieces) or not pieces:
+    if any(p not in (1, 2, 3) for p in pieces):
         raise ValueError(f"--pieces must select from 1,2,3, got {args.pieces!r}")
     inst = Instance(params)
     pset, kern = inst.window_set, inst.kernel
@@ -207,7 +208,7 @@ def _cmd_gamma_decomp(args) -> int:
         vals: dict[str, object] = {}
         for p in pieces:
             band = piece_quadrature(p, params, cfg.coeffs, kern, pset)
-            vals[f"gamma{p}"] = [band.value, 0.0]    # [re, im], as decomp_values writes
+            vals[f"gamma{p}"] = _re_im_pair(band.value)
             vals[f"gamma{p}_error"] = band.error
         report["values"] = vals
     wall["decomposition"] = time.perf_counter() - t0

@@ -230,16 +230,14 @@ def _grid_weights(pset: PSPrimeSet) -> np.ndarray:
 
 def ps_sum_plan(
     pset: PSPrimeSet, lam: float, dt: float, n: int,
-    share: "BlockedPlan | NufftPlan | None" = None,
 ) -> "BlockedPlan | NufftPlan | None":
     """A plan for repeated ps_sum_grid(pset, lam, t0, dt, n) calls at
     several t0 (trigpoly.plan_uniform), on either evaluator: None only
-    for an empty window.  share is another plan of this window and grid
-    size whose work buffers the new one reuses."""
+    for an empty window."""
     if pset.count == 0:
         return None
     freqs = lam * pset.primes.astype(np.float64)
-    return plan_uniform(freqs, _grid_weights(pset), dt, n, share)
+    return plan_uniform(freqs, _grid_weights(pset), dt, n)
 
 
 def ps_sum_grid(
@@ -306,30 +304,26 @@ def _centre(params: RunParameters) -> float:
     return 0.5 * (params.lambda0 * params.X + params.X)
 
 
-def _sum_factors(pset: PSPrimeSet, lams, centre: float):
+def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
     """Factor source of the band rule (triplesum._band_quadrature,
-    l2_integral), the window's sums S(l_i t), as (grid, series,
-    amplitude, rounding, floor): rounding bounds each sum's error per
-    unit |l_i| t at a sample t of a grid from t0 >= 0 (_GRID_ROUNDING),
-    and floor its error that does not grow with t
-    (trigpoly.error_floor), both absolute.  grid's first call builds one
-    plan per l_i (ps_sum_plan, on either evaluator; None only for an
-    empty window), sharing work buffers, for that call's (h, n), and
-    every later call must use the same (h, n): the walker calls it for
-    equal chunks.  Each sum is a view valid until the next call.  series
-    gives each sum's endpoint Taylor coefficients (ps_sum_series): one
-    table per l_i reduced in numpy, no BLAS call, so unlike the blocked
-    grid sums their bits do not depend on the BLAS thread count."""
-    plans: list = []
+    l2_integral) on grids of n points at spacing h: the window's sums
+    S(l_i t), as (grid, series, amplitude, rounding, floor).  rounding
+    bounds each sum's error per unit |l_i| t at a sample t of a grid from
+    t0 >= 0 (_GRID_ROUNDING), and floor its error that does not grow
+    with t (trigpoly.error_floor), both absolute.  One plan per l_i is
+    built here (ps_sum_plan, on either evaluator; None only for an empty
+    window), and grid(t0) gives the sums at t0 + j h, j < n, each a view
+    valid until that sum's next call.  series(x, terms) gives each sum's
+    endpoint Taylor coefficients in steps of h (ps_sum_series): one table
+    per l_i reduced in numpy, no BLAS call, so unlike the blocked grid
+    sums their bits do not depend on the BLAS thread count."""
+    plans = [ps_sum_plan(pset, l, h, n) for l in lams]
 
-    def grid(t0: float, h: float, n: int) -> list:
-        if not plans:
-            for l in lams:
-                plans.append(ps_sum_plan(pset, l, h, n, plans[-1] if plans else None))
+    def grid(t0: float) -> list:
         return [ps_sum_grid(pset, l, t0, h, n, plan=p) for l, p in zip(lams, plans)]
 
-    def series(x: float, h: float, n: int) -> list:
-        return [ps_sum_series(pset, l, centre, x, h, n) for l in lams]
+    def series(x: float, terms: int) -> list:
+        return [ps_sum_series(pset, l, centre, x, h, terms) for l in lams]
 
     total = float(np.sum(pset.weight_w * pset.weight_log))
     p_max = float(pset.primes[-1]) if pset.count else 0.0
@@ -337,31 +331,31 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float):
             error_floor(pset.count) * total)
 
 
-def _window_factors(params: RunParameters, lams):
+def _window_factors(params: RunParameters, lams, h: float, n: int):
     """Factor source of the main term J and of l2_integral's interval
-    kind: the window integrals of gamma * e(l_i t y), gamma * L * sinc(l_i
-    t L) * e(l_i t centre), rounding and floor as _sum_factors's, per
-    unit |l_i| t on a grid from t0 >= 0.  A sample's t is within 2 u t
-    of its node; sinc's argument adds 6 roundings relative to |l_i| t L
-    (l_i t, times L, L's own 2, times pi, np.pi's error), moving sinc by
-    _SINC_SLOPE per unit, and the phase's 4 relative to |l_i| t centre
-    (l_i t, times centre, centre's own 2), 2 pi radians per turn.  The
-    floor counts roundings of gamma L: sin and the quotient (2), gamma L
-    times sinc (4), the complex product (1), the phase's 2 pi frac with
-    np.pi's error (4 pi) and exp (2)."""
+    kind on grids of n points at spacing h, as _sum_factors's: the window
+    integrals of gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t
+    centre), rounding and floor per unit |l_i| t on a grid from t0 >= 0.
+    A sample's t is within 2 u t of its node; sinc's argument adds 6
+    roundings relative to |l_i| t L (l_i t, times L, L's own 2, times pi,
+    np.pi's error), moving sinc by _SINC_SLOPE per unit, and the phase's
+    4 relative to |l_i| t centre (l_i t, times centre, centre's own 2),
+    2 pi radians per turn.  The floor counts roundings of gamma L: sin and
+    the quotient (2), gamma L times sinc (4), the complex product (1), the
+    phase's 2 pi frac with np.pi's error (4 pi) and exp (2)."""
     g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
     amplitude = g * length
     u = _UNIT_ROUNDOFF
 
-    def grid(t0: float, h: float, n: int) -> list:
+    def grid(t0: float) -> list:
         t = t0 + h * np.arange(n)
         return [amplitude * np.sinc(l * t * length) * unit_phase(l * t * mid)
                 for l in lams]
 
-    def series(x: float, h: float, n: int) -> list:
-        return [amplitude * sinc_series(l * length * x, l * length * h, n)
+    def series(x: float, terms: int) -> list:
+        return [amplitude * sinc_series(l * length * x, l * length * h, terms)
                 for l in lams]
 
     rounding = u * amplitude * (8.0 * _SINC_SLOPE * length + 12.0 * math.pi * mid)
@@ -488,9 +482,9 @@ def l2_integral(
             raise ValueError("unit span applies to the ps_sum kind only")
         if lam != 1.0:
             raise ValueError(f"unit span integrates lam = 1 only, got {lam}")
-        grid, _, _, rounding, floor = _sum_factors(pset, [1.0], 0.0)
         n = 1 << int(pset.hi - pset.lo).bit_length()
-        vals = np.abs(grid(0.0, 1.0 / n, n)[0])
+        grid, _, _, rounding, floor = _sum_factors(pset, [1.0], 0.0, 1.0 / n, n)
+        vals = np.abs(grid(0.0)[0])
         value = math.fsum((vals * vals).tolist()) / n
         t = np.arange(n) / n
         error = 2.0 / n * float(np.dot(vals, rounding * t + floor))
@@ -500,16 +494,18 @@ def l2_integral(
     delta = params.Delta
     if kind == "ps_sum":
         f_max = abs(lam) * (pset.hi - pset.lo)
-        factors = _sum_factors(pset, [lam], _centre(params))
     else:
         f_max = abs(lam) * (1.0 - params.lambda0) * params.X
-        factors = _window_factors(params, [lam])
-    grid, series, amplitude, rounding, floor = factors
     n, h = _band_grid(0.0, delta, f_max)
-    vals = np.abs(grid(0.0, h, n)[0])
+    if kind == "ps_sum":
+        factors = _sum_factors(pset, [lam], _centre(params), h, n)
+    else:
+        factors = _window_factors(params, [lam], h, n)
+    grid, series, amplitude, rounding, floor = factors
+    vals = np.abs(grid(0.0)[0])
     squares = vals * vals
     squares[[0, -1]] *= 0.5
-    ends = [series(x, h, 2 * _EM_TERMS)[0] for x in (0.0, delta)]
+    ends = [series(x, 2 * _EM_TERMS)[0] for x in (0.0, delta)]
     value = h * math.fsum(squares) - euler_maclaurin_squared(h, *ends)
     t = h * np.arange(n)
     rounded = 2.0 * h * float(np.dot(vals, rounding * abs(lam) * t + floor))

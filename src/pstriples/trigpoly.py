@@ -27,14 +27,14 @@ Plans.  Everything a path builds that does not depend on t0 lives in a
 plan, a `BlockedPlan` (phi, the mirrored tables C and S, the exp tables
 of the phase powers and the output rows) or a `NufftPlan` (the fine-grid
 size, the tap indices and window values, the gather index, the
-deconvolution, the fine grid and the output); `plan_uniform` returns the
-one the dispatch picks.  A call plan(t0) does only the work that depends
-on t0 and returns a view of the plan's output that is valid until the
-plan's next call.  Its bits are those of trig_sum_uniform, which is one
-plan built and called once.  Plans may share their work buffers (same
-frequency count and n) when called one at a time, as the band sweep's
-three sums are.  Per 2^18-point call (the band walk's chunk) on a 2-vCPU
-Xeon, medians of 24 calls: blocked at 202 frequencies 2.8 ms at two
+deconvolution and the output); `plan_uniform` returns the one the
+dispatch picks.  A call plan(t0) does only the work that depends on t0,
+in work arrays of its own (the blocked table and odd product, the NUFFT
+fine grid), and returns a view of the plan's output that is valid until
+that plan's next call.  Its bits are those of trig_sum_uniform, which is
+one plan built and called once.  Plans are independent: no plan holds
+another's buffers.  Per 2^18-point call (the band walk's chunk) on a
+2-vCPU Xeon, medians of 24 calls: blocked at 202 frequencies 2.8 ms at two
 OpenBLAS threads (products 1.7-2.0 ms) and 4.2-4.4 ms at one (products
 3.1-3.2 ms), add and subtract 0.44 ms, lead phase and tables 0.4 ms,
 plan built once in 1.2-1.7 ms; NUFFT 13.4 ms at 929 frequencies and 13.6
@@ -127,19 +127,15 @@ class BlockedPlan:
     Everything that does not depend on t0 is built here: phi, the
     mirrored tables C and S, the two exp tables whose outer product is
     e(phi_j m1), and the output rows.  A call builds the lead phase
-    w_j e(f_j t0) e(psi_j r0) and AT, writes C @ AT into rows r0 + d in
-    one product, rebuilds the same table as iAT = i AT, writes S @ iAT
-    into an odd buffer of r0 + 1 rows (at most half the output) in one
-    more, and adds it to and subtracts it from those rows.  It returns a
-    view of the output rows, valid until the next call.
-    Plans built with share=other (same frequency count and n) use
-    other's table and product buffer, so they are called one at a time.
+    w_j e(f_j t0) e(psi_j r0) and AT in a table of its own, writes C @ AT
+    into rows r0 + d in one product, rebuilds the same table as
+    iAT = i AT, takes S @ iAT as an odd product of r0 + 1 rows (at most
+    half the output) in one more, and adds it to and subtracts it from
+    those rows.  It returns a view of the output rows, valid until the
+    next call.
     """
 
-    def __init__(
-        self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int,
-        share: "BlockedPlan | None" = None,
-    ) -> None:
+    def __init__(self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int) -> None:
         n = int(n)
         size = 1 << (n.bit_length() // 2)
         rows = -(-n // size)
@@ -160,31 +156,24 @@ class BlockedPlan:
         # e(phi_j m1) for m1 < L, scaled by the lead phase per call
         self._coarse, self._fine = _phase_factors(phi, size)
         self._out = np.empty((2 * r0 + 1, size), dtype=np.complex128)
-        if share is None:
-            self._table = np.empty((freqs.size, size), dtype=np.complex128)
-            self._odd_f = np.empty((r0 + 1, 2 * size))
-        elif (isinstance(share, BlockedPlan) and share._r0 == r0
-              and share._table.shape == (freqs.size, size)):
-            self._table, self._odd_f = share._table, share._odd_f
-        else:
-            raise ValueError("shared plans need the same frequency count and n")
 
-    def _fill(self, scale: np.ndarray) -> np.ndarray:
-        """The table scale_j e(phi_j m1), written in place; its float view."""
+    def _fill(self, scale: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The table scale_j e(phi_j m1), written into table; its float view."""
         coarse = self._coarse * scale[:, None]
         np.multiply(coarse[:, :, None], self._fine[:, None, :],
-                    out=self._table.reshape(coarse.shape + self._fine.shape[1:]))
-        return self._table.view(np.float64)
+                    out=table.reshape(coarse.shape + self._fine.shape[1:]))
+        return table.view(np.float64)
 
     def __call__(self, t0: float) -> np.ndarray:
         r0, out = self._r0, self._out
         theta = self.freqs * t0
         theta -= np.floor(theta)
         lead = self._weights * np.exp((2j * np.pi) * theta) * self._mid
-        at_f = self._fill(lead)
+        table = np.empty((self.freqs.size, out.shape[1]), dtype=np.complex128)
+        at_f = self._fill(lead, table)
         np.matmul(self._cos, at_f, out=out[r0:].view(np.float64))
-        iat_f = self._fill(1j * lead)
-        odd = np.matmul(self._sin, iat_f, out=self._odd_f).view(np.complex128)
+        iat_f = self._fill(1j * lead, table)
+        odd = np.matmul(self._sin, iat_f).view(np.complex128)
         even, lower = out[r0:], out[r0::-1]
         # row r0 is its own mirror and takes even - odd
         np.subtract(even[:1], odd[:1], out=even[:1])
@@ -201,18 +190,16 @@ def _takes_blocked(n: int, n_freqs: int) -> bool:
 
 def plan_uniform(
     freqs: np.ndarray, weights: np.ndarray, dt: float, n: int,
-    share: "BlockedPlan | NufftPlan | None" = None,
 ) -> "BlockedPlan | NufftPlan":
     """A plan for repeated trig_sum_uniform(freqs, weights, t0, dt, n)
     calls at several t0, bit for bit equal to them: a BlockedPlan where
     the dispatch picks the blocked path, a NufftPlan where it picks the
-    NUFFT.  share is a plan of the same frequency count and n whose work
-    buffers the new one reuses."""
+    NUFFT."""
     freqs = np.asarray(freqs, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.complex128)
     if _takes_blocked(n, freqs.size):
-        return BlockedPlan(freqs, weights, dt, n, share)
-    return NufftPlan(freqs, weights, dt, n, share)
+        return BlockedPlan(freqs, weights, dt, n)
+    return NufftPlan(freqs, weights, dt, n)
 
 
 def _kb_window(s: np.ndarray) -> np.ndarray:
@@ -227,15 +214,16 @@ def _kb_window(s: np.ndarray) -> np.ndarray:
     return out / _bessel_i0(_BETA)
 
 
-def _kb_transform(nu: np.ndarray) -> np.ndarray:
-    """Continuous Fourier transform of the spreading window at frequency nu
-    (cycles per fine-grid cell).  Real and even; sinh branch inside the
-    window's main lobe, sinc-like oscillatory branch beyond it.
+def _kb_transform(nu: np.ndarray, width: int, beta: float) -> np.ndarray:
+    """Continuous Fourier transform at frequency nu (cycles per fine-grid
+    cell) of the Kaiser-Bessel window of that width and beta.  Real and
+    even; sinh branch inside the window's main lobe, sinc-like
+    oscillatory branch beyond it.
     """
     from scipy.special import i0 as _bessel_i0
 
-    half = _SPREAD_WIDTH / 2.0
-    arg = _BETA**2 - (2.0 * np.pi * nu * half) ** 2
+    half = width / 2.0
+    arg = beta**2 - (2.0 * np.pi * nu * half) ** 2
     out = np.empty_like(arg)
     pos = arg > 0.0
     rt = np.sqrt(arg[pos])
@@ -245,15 +233,16 @@ def _kb_transform(nu: np.ndarray) -> np.ndarray:
     # sinh(ix)/(ix) = sin(x)/x; the x -> 0 limit of both branches is 1
     with np.errstate(invalid="ignore"):
         out[neg] = np.where(rtn > 0.0, np.sin(rtn) / np.where(rtn > 0, rtn, 1.0), 1.0)
-    return out * (2.0 * half / _bessel_i0(_BETA))
+    return out * (2.0 * half / _bessel_i0(beta))
 
 
 @functools.lru_cache(maxsize=8)
-def _deconvolution(n: int, m_fine: int) -> np.ndarray:
-    """1 / window-transform for output modes m' = m - n//2, m = 0..n-1;
-    read-only, as one cached array serves every caller."""
+def _deconvolution(n: int, m_fine: int, width: int, beta: float) -> np.ndarray:
+    """1 / window-transform for output modes m' = m - n//2, m = 0..n-1,
+    of the window of that width and beta; read-only, as one cached array
+    serves every caller."""
     m_prime = np.arange(n, dtype=np.float64) - (n // 2)
-    out = 1.0 / _kb_transform(m_prime / m_fine)
+    out = 1.0 / _kb_transform(m_prime / m_fine, width, beta)
     out.flags.writeable = False
     return out
 
@@ -299,18 +288,14 @@ class NufftPlan:
     window's transform is divided out.
 
     Everything that does not depend on t0 is built here: M, phi, the tap
-    indices and window values, the gather index, the deconvolution and
-    the fine grid.  A call forms w_j e(f_j t_mid), spreads it with
-    np.add.at into the zeroed fine grid, transforms the grid in place,
-    gathers and deconvolves into the plan's output and returns it, valid
-    until the next call.  Plans built with share=other (same n) use
-    other's fine grid, so they are called one at a time.
+    indices and window values, the gather index and the deconvolution.
+    A call forms w_j e(f_j t_mid), spreads it with np.add.at into a
+    zeroed fine grid of its own, transforms the grid (which the FFT may
+    overwrite), gathers and deconvolves into the plan's output and
+    returns it, valid until the next call.
     """
 
-    def __init__(
-        self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int,
-        share: "NufftPlan | None" = None,
-    ) -> None:
+    def __init__(self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int) -> None:
         import scipy.fft as _fft
 
         n = int(n)
@@ -327,15 +312,10 @@ class NufftPlan:
         self._window = _kb_window(taps - x[:, None])
         self._taps = np.mod(taps.astype(np.int64), m_fine)
         self._gather = np.mod(np.arange(n) - self._m0, m_fine)
-        self._deconv = _deconvolution(n, m_fine)
+        self._deconv = _deconvolution(n, m_fine, _SPREAD_WIDTH, _BETA)
+        self._m_fine = m_fine
         self._out = np.empty(n, dtype=np.complex128)
         self._ifft = _fft.ifft
-        if share is None:
-            self._fine = np.empty(m_fine, dtype=np.complex128)
-        elif isinstance(share, NufftPlan) and share.n == n:
-            self._fine = share._fine
-        else:
-            raise ValueError("shared plans need the same frequency count and n")
 
     def __call__(self, t0: float) -> np.ndarray:
         # fold the grid midpoint into the source weights so output modes
@@ -343,8 +323,7 @@ class NufftPlan:
         theta = self.freqs * (t0 + self.dt * self._m0)
         theta -= np.floor(theta)
         vals = self._window * (self._weights * np.exp((2j * np.pi) * theta))[:, None]
-        fine = self._fine
-        fine[:] = 0.0
+        fine = np.zeros(self._m_fine, dtype=np.complex128)
         np.add.at(fine.real, self._taps, vals.real)
         np.add.at(fine.imag, self._taps, vals.imag)
         # unnormalized inverse DFT, in place: F[m] = sum_g fine[g] e(+g m / M)

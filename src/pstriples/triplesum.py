@@ -563,11 +563,11 @@ def _band_quadrature(
     [t_lo, t_hi] (_band_span, t_lo >= 0), with its error bar, folded onto
     -t (BandQuadrature); a MiddleBand where the band collects.
 
-    The band's factor source gives (grid, series, amplitude, rounding,
-    floor): grid(t0, h, count) the three factors on a chunk's grid, one
-    count for every chunk (possibly views that the next call overwrites),
-    series(x, h, n) the first n Taylor coefficients of each F_i(x + s h)
-    demodulated about l_i * centre, amplitude a bound on every |F_i|,
+    The band's factor source, built for one chunk's grid, gives (grid,
+    series, amplitude, rounding, floor): grid(t0) the three factors at
+    t0 + j h, j < chunk (possibly views that the next call overwrites),
+    series(x, terms) the first terms Taylor coefficients of each
+    F_i(x + s h) demodulated about l_i * centre, amplitude a bound on every |F_i|,
     rounding a bound on F_i's error per unit |l_i| t at a sample t >= 0
     and floor one on its error that does not grow with t.  At f_max h <=
     quadrature._BAND_FH the trapezoid rule's only error is its
@@ -586,8 +586,9 @@ def _band_quadrature(
     far_tail_majorant past t_hi; empty, the band is that bar alone.
 
     The grid is evaluated in equal chunks of at most _CHUNK points, each
-    chunk's factors from the same plans (the last chunk's surplus samples
-    past t_hi are not walked), so one chunk's factors are held at a time.
+    chunk's factors from the plans the source built with the band (the
+    last chunk's surplus samples past t_hi are not walked), so one
+    chunk's factors are held at a time.
     Each chunk is walked in blocks of at most _BLOCK points in reused
     buffers, Theta from GridTransform.  Each block adds one plain sum per
     quantity, row by row so that its bits do not depend on the other
@@ -606,14 +607,10 @@ def _band_quadrature(
     far = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
     if band.far and t_hi <= t_lo:
         return BandQuadrature(0.0, far, 0, 0.0)
-    if band.sums:
-        factors = _sum_factors(pset, coeffs.lambdas, _centre(params))
-    else:
-        factors = _window_factors(params, coeffs.lambdas)
-    grid, series, amplitude, rounding, floor = factors
     n_points, h = _band_grid(t_lo, t_hi, f_max)
+    # ceil(n / c) points in each of c = ceil(n / _CHUNK) chunks
+    chunk = -(-n_points // -(-n_points // _CHUNK))
     eta = coeffs.eta
-    r1, r2, r3 = (rounding * abs(l) for l in coeffs.lambdas)
     # The row's other coefficients.  Theta's error is charged as the
     # larger of its relative and its absolute form.  A sample's t is
     # within u (2 t + t_lo) of the factors' grid point, which moves Theta
@@ -633,13 +630,19 @@ def _band_quadrature(
     prod_buf = np.empty(size, dtype=np.complex128)
     mod_buf = np.empty((3, size))
     rotated = GridTransform(kernel, h, size)
+    # the source and its plans after the block buffers: built before
+    # them, a fresh decompose on A took 21k minor page faults, not 12k
+    if band.sums:
+        factors = _sum_factors(pset, coeffs.lambdas, _centre(params), h, chunk)
+    else:
+        factors = _window_factors(params, coeffs.lambdas, h, chunk)
+    grid, series, amplitude, rounding, floor = factors
+    r1, r2, r3 = (rounding * abs(l) for l in coeffs.lambdas)
     partials, sup, t_sup = [], 0.0, t_lo
-    # ceil(n / c) points in each of c = ceil(n / _CHUNK) chunks
-    chunk = -(-n_points // -(-n_points // _CHUNK))
     for start in range(0, n_points, chunk):
         n_chunk = min(chunk, n_points - start)
         t0 = t_lo + start * h
-        sums = grid(t0, h, chunk)
+        sums = grid(t0)
         for b in range(0, n_chunk, _BLOCK):
             n = min(_BLOCK, n_chunk - b)
             blk = slice(b, b + n)
@@ -685,7 +688,7 @@ def _band_quadrature(
     freq = sum(l * _centre(params) for l in coeffs.lambdas) + eta
     ends = []
     for x in (t_lo, t_hi):
-        fs = series(x, h, terms)
+        fs = series(x, terms)
         # the carrier's coefficients e(F x) (2 pi i F h)^j / j!
         carrier = np.cumprod([np.exp(2j * np.pi * math.fmod(freq * x, 1.0))]
                              + [2j * np.pi * freq * h / j for j in range(1, terms)])

@@ -176,13 +176,10 @@ def test_mirrored_evaluator_against_plain_sum(n):
     assert np.max(np.abs(got - want)) <= 2e-14 * np.sum(np.abs(weights))
 
 
-@pytest.mark.parametrize("nf, n", [(600, 4096), (929, 2**14 + 3), (2000, 2**18)])
-def test_nufft_error_floor_on_exact_phases(nf, n):
+def _dyadic_nufft_gap(nf, n):
     # dyadic frequencies, t0 and dt at f_max dt 0.4 to 0.8 keep every
-    # phase product exact, so the gap is the NUFFT's own error, which does
-    # not fall with t: 4.0e-13 to 8.4e-13 of sum |w| here (at most 1.6e-12
-    # over 50 such cases), under error_floor's 2e-12; the blocked path's
-    # floor is the 5.2e-15 above
+    # phase product exact, so the gap to the plain sum, relative to
+    # sum |w|, is the NUFFT's own error
     rng = np.random.default_rng(nf)
     freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
     weights = (0.5 + rng.random(nf)).astype(np.complex128)
@@ -193,33 +190,54 @@ def test_nufft_error_floor_on_exact_phases(nf, n):
     idx = np.append(np.arange(0, n, n // 256), n - 1)
     phase = np.outer(t0 + dt * idx, freqs)
     want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
-    gap = np.max(np.abs(got[idx] - want)) / np.sum(np.abs(weights))
-    assert gap <= trigpoly.error_floor(nf) == 2e-12
+    return np.max(np.abs(got[idx] - want)) / np.sum(np.abs(weights))
+
+
+@pytest.mark.parametrize("nf, n", [(600, 4096), (929, 2**14 + 3), (2000, 2**18)])
+def test_nufft_error_floor_on_exact_phases(nf, n):
+    # the NUFFT's error does not fall with t: 4.0e-13 to 8.4e-13 of
+    # sum |w| here (at most 1.6e-12 over 50 such cases), under
+    # error_floor's 2e-12; the blocked path's floor is the 5.2e-15 above
+    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf) == 2e-12
     assert trigpoly.error_floor(trigpoly._BLOCKED_MAX_FREQS) == 5.2e-15
+
+
+def test_deconvolution_follows_the_window(monkeypatch):
+    # the deconvolution is cached per grid size and window: after a plan
+    # of width 13 at this size, a plan of width 17 (with its beta) must
+    # divide out its own window's transform, not the cached width-13 one
+    # (that gap is 0.185 of sum |w|; the width-17 table's 6.7e-16)
+    nf, n = 929, 2**14 + 3
+    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf)
+    width = 17
+    monkeypatch.setattr(trigpoly, "_SPREAD_WIDTH", width)
+    monkeypatch.setattr(trigpoly, "_BETA",
+                        np.pi * width * (1.0 - 1.0 / (2.0 * trigpoly._OVERSAMPLING)))
+    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf)
 
 
 @pytest.mark.parametrize("n", [5, 4095, 8193, 3 * 2**11 + 5, 2**17 + 5])
 def test_plan_matches_fresh_calls_bitwise(n):
-    # one plan per frequency set at several t0, the second and third
-    # sharing the first one's work buffers and called in turn, as the
-    # band sweep calls them; each call equals a fresh trig_sum_uniform
+    # one plan per frequency set at several t0, called in turn as the band
+    # sweep calls them; each call equals a fresh trig_sum_uniform
     rng = np.random.default_rng(n)
     nf = 61
     sets = [(rng.uniform(-3e4, 3e4, nf),
              rng.normal(size=nf) + 1j * rng.normal(size=nf)) for _ in range(3)]
     dt = 1.0 / (24.0 * 3e4)
-    plans = []
-    for freqs, weights in sets:
-        plans.append(trigpoly.plan_uniform(freqs, weights, dt, n,
-                                           plans[-1] if plans else None))
+    plans = [trigpoly.plan_uniform(freqs, weights, dt, n) for freqs, weights in sets]
     for t0 in (0.25, 40.0, 700.125, 40.0):
         for plan, (freqs, weights) in zip(plans, sets):
             got = plan(t0)
             want = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
             assert got.shape == (n,)
             assert np.array_equal(got, want)
-    # a call returns a view of the plan's buffer, overwritten by the next
+    # a call returns a view of the plan's own buffer: the other plans'
+    # calls leave it alone, and the plan's next call overwrites it
     first = plans[0](1.0)
+    kept = first.copy()
+    plans[1](1.0), plans[2](1.0)
+    assert np.array_equal(first, kept)
     assert np.shares_memory(first, plans[0](2.0))
 
 
@@ -266,21 +284,6 @@ def test_plan_uniform_plans_every_nonempty_input():
                       trigpoly.BlockedPlan)
     assert isinstance(trigpoly.plan_uniform(freqs[:1], weights[:1], 1e-3, 2**18),
                       trigpoly.BlockedPlan)
-
-
-def test_shared_plans_need_one_shape():
-    freqs, weights = np.array([0.5, 1.5]), np.ones(2)
-    plan = trigpoly.plan_uniform(freqs, weights, 1e-3, 8193)
-    with pytest.raises(ValueError, match="same frequency count and n"):
-        trigpoly.plan_uniform(freqs, weights, 1e-3, 4097, plan)
-    with pytest.raises(ValueError, match="same frequency count and n"):
-        trigpoly.plan_uniform(freqs[:1], weights[:1], 1e-3, 8193, plan)
-    wide = np.linspace(1.0, 2.0, trigpoly._BLOCKED_MAX_FREQS + 1)
-    nufft = trigpoly.plan_uniform(wide, np.ones(wide.size), 1e-3, 8193)
-    with pytest.raises(ValueError, match="same frequency count and n"):
-        trigpoly.plan_uniform(wide, np.ones(wide.size), 1e-3, 4097, nufft)
-    with pytest.raises(ValueError, match="same frequency count and n"):
-        trigpoly.plan_uniform(freqs, weights, 1e-3, 8193, nufft)
 
 
 @pytest.mark.parametrize("q0", [70, 203])

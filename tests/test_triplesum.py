@@ -533,6 +533,28 @@ def test_decomposition_closes_on_instance_a():
     assert abs(res.gamma_total - res.direct_value) <= _bars(res)
 
 
+def test_decompose_builds_one_plan_set_per_band(monkeypatch):
+    # each sum band (pieces 1 to 3) builds one plan per coefficient with
+    # its factor source and calls each once per chunk: 3 x 3 plans, and
+    # 3 x (1 + 3 + 1) grid calls for the middle band's three chunks
+    built, called = [], []
+
+    def counted(name, log):
+        real = getattr(expsums, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(expsums, name, wrapper)
+
+    counted("ps_sum_plan", built)
+    counted("ps_sum_grid", called)
+    params, pset = _instance(70, 0.9, 0.5, 2.0)
+    decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset, with_direct=False)
+    assert built == [1.0, SQRT2, -2.0] * 3
+    assert len(called) == 15 and called[:3] == [1.0, SQRT2, -2.0]
+
+
 @pytest.mark.parametrize("fh", [0.75, 0.8, 0.85])
 def test_instance_a_closes_across_a_fan_of_grids(monkeypatch, fh):
     # the closure sits on a rounding floor that moves from grid to grid,
@@ -823,13 +845,13 @@ def test_folded_band_equals_symmetric_trapezoid(monkeypatch, key):
     monkeypatch.setattr(triplesum, "euler_maclaurin", lambda *args: 0j)
     band = triplesum._band_quadrature(key, params, c, kern, pset)
     n, h = band.n_points, band.spacing
-    if key == "J":
-        factors = expsums._window_factors(params, c.lambdas)
-    else:
-        factors = expsums._sum_factors(pset, c.lambdas, expsums._centre(params))
     count = 2 * n - 1
+    if key == "J":
+        factors = expsums._window_factors(params, c.lambdas, h, count)
+    else:
+        factors = expsums._sum_factors(pset, c.lambdas, expsums._centre(params), h, count)
     t = -params.Delta + h * np.arange(count)
-    f1, f2, f3 = factors[0](-params.Delta, h, count)
+    f1, f2, f3 = factors[0](-params.Delta)
     integ = theta_transform(kern, t) * (f1 * f2 * f3)
     integ *= np.exp((2j * np.pi) * np.mod(c.eta * t, 1.0))
 
