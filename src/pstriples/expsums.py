@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import classify_denominator
-from .kernel import sinc_series
+from .kernel import _scalar_or_array, sinc_series
 from .params import RunParameters
 from .primes import PrimeTable, PSPrimeSet, check_window_set
 from .quadrature import (
@@ -84,27 +84,21 @@ _GRID_ROUNDING = 4.0 * math.pi * _UNIT_ROUNDOFF
 def sawtooth(t):
     """Fractional part minus one half; {t} in [0, 1), so integers map to -1/2."""
     t_arr = np.asarray(t, dtype=np.float64)
-    out = t_arr - np.floor(t_arr) - 0.5
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(t, t_arr - np.floor(t_arr) - 0.5)
 
 
 def unit_phase(t):
-    """e(t) = exp(2 pi i t), argument reduced mod 1 before the trig call."""
+    """e(t) = exp(2 pi i t), t reduced mod 1 before the trig call, as
+    t - floor(t): t % 1.0 bit for bit, without its divmod."""
     t_arr = np.asarray(t, dtype=np.float64)
-    frac = t_arr - np.floor(t_arr)
-    out = np.exp(2j * np.pi * frac)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(t, np.exp(2j * np.pi * (t_arr - np.floor(t_arr))))
 
 
 def _check_phase_range(alpha: float, top: float) -> None:
     if abs(alpha) * top > PHASE_LIMIT:
         raise ValueError(
-            f"|alpha|*X = {abs(alpha) * top:.3g} exceeds 2^52; "
-            "phase fractions are no longer representable"
+            f"phase |alpha| * top = {abs(alpha) * top:.3g} exceeds 2^52; "
+            "its fractions are no longer representable"
         )
 
 
@@ -112,8 +106,7 @@ def phase_factors(alpha: float, p: np.ndarray) -> np.ndarray:
     """e(alpha p) for an integer array p, with the 2^52 guard."""
     if p.size:
         _check_phase_range(alpha, float(p[-1]))
-    x = alpha * p.astype(np.float64)
-    return np.exp(2j * np.pi * (x - np.floor(x)))   # x % 1.0 bit for bit, no divmod
+    return unit_phase(alpha * p.astype(np.float64))
 
 
 def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
@@ -161,12 +154,7 @@ def _sum_results(alpha, p: np.ndarray, w: np.ndarray) -> "SumResult | list[SumRe
 
 
 def _window_primes(params: RunParameters, table: PrimeTable) -> np.ndarray:
-    lo, hi = params.lambda0 * params.X, params.X
-    if hi > table.limit:
-        raise ValueError(f"X={hi:.6g} exceeds table limit {table.limit}")
-    i = int(np.searchsorted(table.primes, lo, side="right"))
-    j = int(np.searchsorted(table.primes, hi, side="right"))
-    return table.primes[i:j]
+    return table.between(params.lambda0 * params.X, params.X)
 
 
 def ps_exp_sum(
@@ -175,7 +163,7 @@ def ps_exp_sum(
     """Sum of p^(1-gamma) e(alpha p) log p over the floor-power primes:
     a SumResult at a float alpha, a list of them over a 1-D grid."""
     check_window_set(params, pset)
-    return _sum_results(alpha, pset.primes, pset.weight_w * pset.weight_log)
+    return _sum_results(alpha, pset.primes, pset.weights)
 
 
 def prime_exp_sum(
@@ -217,15 +205,8 @@ def interval_integral(alpha: float, params: RunParameters) -> complex:
 def chebyshev_sum(alpha, X: float, table: PrimeTable) -> "SumResult | list[SumResult]":
     """Sum of e(alpha p) log p over all primes p <= X, at a float alpha
     or over a 1-D grid (as ps_exp_sum)."""
-    if X > table.limit:
-        raise ValueError(f"X={X} exceeds table limit {table.limit}")
-    j = int(np.searchsorted(table.primes, X, side="right"))
-    p = table.primes[:j]
+    p = table.between(0.0, X)
     return _sum_results(alpha, p, np.log(p.astype(np.float64)))
-
-
-def _grid_weights(pset: PSPrimeSet) -> np.ndarray:
-    return (pset.weight_w * pset.weight_log).astype(np.complex128)
 
 
 def ps_sum_plan(
@@ -237,7 +218,7 @@ def ps_sum_plan(
     if pset.count == 0:
         return None
     freqs = lam * pset.primes.astype(np.float64)
-    return plan_uniform(freqs, _grid_weights(pset), dt, n)
+    return plan_uniform(freqs, pset.weights.astype(np.complex128), dt, n)
 
 
 def ps_sum_grid(
@@ -265,14 +246,12 @@ def ps_sum_grid(
     if pset.count == 0:
         return np.zeros(n, dtype=np.complex128)
     freqs = lam * pset.primes.astype(np.float64)
-    top = max(abs(t0), abs(t0 + (n - 1) * dt))
-    if np.max(np.abs(freqs)) * top > PHASE_LIMIT:
-        raise ValueError("|lam * p * t| exceeds 2^52; phases unrepresentable")
+    _check_phase_range(np.max(np.abs(freqs)), max(abs(t0), abs(t0 + (n - 1) * dt)))
     if plan is not None:
         if (plan.n, plan.dt) != (n, dt) or not np.array_equal(plan.freqs, freqs):
             raise ValueError("plan was built for another window, lam, dt or n")
         return plan(t0)
-    return trig_sum_uniform(freqs, _grid_weights(pset), t0, dt, n)
+    return trig_sum_uniform(freqs, pset.weights.astype(np.complex128), t0, dt, n)
 
 
 def ps_sum_series(
@@ -295,8 +274,13 @@ def ps_sum_series(
     np.multiply(np.array([2j * np.pi * h / j for j in range(1, n)])[:, None], d,
                 out=table[1:])
     np.cumprod(table, axis=0, out=table)
-    table *= _grid_weights(pset) * unit_phase(d * x)
+    table *= pset.weights.astype(np.complex128) * unit_phase(d * x)
     return table.sum(axis=1)
+
+
+def _sum_at_zero(pset: PSPrimeSet) -> float:
+    """S(0) = sum of the window's weights, exactly rounded (math.fsum)."""
+    return math.fsum(pset.weights.tolist())
 
 
 def _centre(params: RunParameters) -> float:
@@ -325,7 +309,7 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
     def series(x: float, terms: int) -> list:
         return [ps_sum_series(pset, l, centre, x, h, terms) for l in lams]
 
-    total = float(np.sum(pset.weight_w * pset.weight_log))
+    total = _sum_at_zero(pset)
     p_max = float(pset.primes[-1]) if pset.count else 0.0
     return (grid, series, total, _GRID_ROUNDING * p_max * total,
             error_floor(pset.count) * total)
@@ -488,7 +472,7 @@ def l2_integral(
         value = math.fsum((vals * vals).tolist()) / n
         t = np.arange(n) / n
         error = 2.0 / n * float(np.dot(vals, rounding * t + floor))
-        exact = float(np.sum((pset.weight_w * pset.weight_log) ** 2))
+        exact = float(np.sum(pset.weights ** 2))
         return L2Result(value, n, error, exact)
 
     delta = params.Delta

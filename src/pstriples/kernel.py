@@ -116,7 +116,7 @@ def _spline(k: int, m: int, z: np.ndarray) -> np.ndarray:
 
 def _scalar_or_array(y, out: np.ndarray):
     if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(out)
+        return out.item()
     return out
 
 

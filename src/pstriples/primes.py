@@ -61,6 +61,13 @@ class PrimeTable:
     def count(self) -> int:
         return int(self.primes.size)
 
+    def between(self, lo: float, hi: float) -> np.ndarray:
+        """The table's primes in (lo, hi]; hi may not pass the limit."""
+        if hi > self.limit:
+            raise ValueError(f"hi={hi:.6g} exceeds table limit {self.limit}")
+        i, j = np.searchsorted(self.primes, (lo, hi), side="right").tolist()
+        return self.primes[i:j]
+
 
 @dataclass(frozen=True)
 class PSPrimeSet:
@@ -76,6 +83,12 @@ class PSPrimeSet:
     @property
     def count(self) -> int:
         return int(self.primes.size)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """p^(1-gamma) * log p, each prime's weight in the exponential
+        sums S(alpha) and, one factor per prime, in a triple's weight."""
+        return self.weight_w * self.weight_log
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -180,11 +193,7 @@ def ps_primes_in(
 ) -> PSPrimeSet:
     """Floor-power primes in (lo, hi] selected by the indicator."""
     g = gamma if isinstance(gamma, GammaExponent) else GammaExponent(float(gamma))
-    if hi > table.limit:
-        raise ValueError(f"hi={hi} exceeds table limit {table.limit}")
-    i = int(np.searchsorted(table.primes, lo, side="right"))
-    j = int(np.searchsorted(table.primes, hi, side="right"))
-    cand = table.primes[i:j]
+    cand = table.between(lo, hi)
     keep = cand[ps_indicator_array(cand, g.value) == 1]
     w, wl = _weights(keep, g.value)
     return PSPrimeSet(gamma=g, lo=float(lo), hi=float(hi),

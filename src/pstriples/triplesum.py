@@ -14,18 +14,18 @@ half on t >= 0.
 
 This module computes both sides at desk scale: the count directly by a
 sorted meet-in-the-middle sweep; the three band integrals and the
-main-term integral J, each defined once in the table _BANDS and walked
-once by the band walker (_band_quadrature) into one record: on the
-band's half t >= 0, the trapezoid rule at f_max h <= 0.8 on the
+main-term integral J, each defined once in the table _BANDS, sized once
+(_band_layout) and walked once (_band_quadrature) into one record: on
+the band's half t >= 0, the trapezoid rule at f_max h <= 0.8 on the
 band-limited integrand minus its Euler-Maclaurin endpoint series,
-folded to twice its real part, with its error bar; the
-main-term box integral, exact as a signed sum of theta's third
-antiderivative over the cube's corners, and its remainder majorant; the
-far-tail bounds and the middle-band majorant chain.  Band grids are
-walked in equal chunks whose partial sums are added exactly rounded
-(module summation), and a band's exponential sums come from one
-evaluator plan per coefficient (expsums.ps_sum_plan), so totals are
-deterministic.
+folded to twice its real part, with its error bar; the main-term box
+integral, exact as a signed sum of theta's third antiderivative over the
+cube's corners, and its remainder majorant; the far-tail bounds and the
+middle-band majorant chain.  Band grids are walked in equal chunks,
+each on its own into row partials and a best sample; the partials are
+added exactly rounded (module summation), and a band's exponential sums
+come from one evaluator plan per coefficient (expsums.ps_sum_plan), so
+totals are deterministic.
 
 The triple weight carries the factor (p1*p2*p3)^(1-gamma): the
 exponential sums are weighted by p^(1-gamma) * log p, so the transform
@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .expsums import (
-    _UNIT_ROUNDOFF, _centre, _sum_factors, _window_factors, ps_exp_sum, unit_phase,
+    _UNIT_ROUNDOFF, _centre, _sum_at_zero, _sum_factors, _window_factors, ps_exp_sum,
+    unit_phase,
 )
 from .kernel import (
     GridTransform,
@@ -133,11 +134,6 @@ _THETA_ERROR = (5.8e-15, 3.1e-15)
 # at most 32 for _BLOCK points), the exactly rounded total, h and h's own
 # rounding
 _SAMPLE_ROUNDINGS = 3.0 * math.sqrt(5.0) + 2.0 * math.pi + 4.2 + 1.0 + 32.0 + 3.0
-
-
-def _full_weights(pset: PSPrimeSet) -> np.ndarray:
-    # p^(1-gamma) * log p, the per-prime factor of the triple weight
-    return pset.weight_w * pset.weight_log
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,7 @@ def big_gamma_direct(
     _check_count_inputs(params, kernel, pset, eps_search)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
-    w = _full_weights(pset)
+    w = pset.weights
     tol = _form_tolerance(params, coeffs)
     parts, found = [], 0
     for i, j, k, forms in _matched_sweep(coeffs, pset, eps_search, tol):
@@ -341,7 +337,7 @@ def triple_sum_bruteforce(
         )
     lam1, lam2, lam3 = coeffs.lambdas
     p = pset.primes.astype(np.float64)
-    w = _full_weights(pset)
+    w = pset.weights
     forms = (
         lam1 * p[:, None, None]
         + lam2 * p[None, :, None]
@@ -430,7 +426,7 @@ def find_triples(
     p_int = pset.primes
     top = np.lexsort((p_int[k], p_int[j], p_int[i], np.abs(forms)))
     i, j, k, forms = (a[top[:max_results]] for a in kept)
-    w = _full_weights(pset)
+    w = pset.weights
     weights = (w[i] * w[j]) * (w[k] * theta(kern, forms))
     gamma = params.gamma.value
     lam1, lam2, lam3 = coeffs.lambdas
@@ -471,7 +467,7 @@ def band_frequency(
     is theta's support [-eps, eps] and S(l_i t)'s the l_i p, so that of
     Theta * S1 * S2 * S3 * e(eta t), as of J's integrand, lies in [lo -
     eps, hi + eps], [lo, hi] the form's range over the window cube.  The
-    middle band's grid also covers the squares it collects (_band_span)."""
+    middle band's grid also covers the squares it collects (_band_layout)."""
     lo, hi = form_range(coeffs, params.lambda0, params.X)
     return max(abs(lo), abs(hi)) + kernel.epsilon
 
@@ -503,19 +499,27 @@ _BANDS = {
 }
 
 
-def _band_span(key, params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel):
-    """(t_lo, t_hi, f_max) of band key.  f_max is band_frequency's, and
-    on a band that collects the squares |S(l_k t)|^2 (spectrum within
-    |l_k| L, L the window's length) the larger of that and max |l_k| L:
-    where eta centres the form's range the squares can reach higher than
-    the product, as (1, 1, -5) at eta 2.25 X does (2.5 X against 1.75 X)."""
+def _band_layout(key, params: RunParameters, coeffs: Coefficients, kernel: SmoothingKernel):
+    """(t_lo, t_hi, f_max, n_points, h, chunk), the one sizing of band
+    key: its half [t_lo, t_hi] of t >= 0, its top frequency, and the band
+    rule's grid (_band_grid, which raises past the point cap), evaluated
+    in equal chunks.  f_max is band_frequency's, and on a band that
+    collects the squares |S(l_k t)|^2 (spectrum within |l_k| L, L the
+    window's length) the larger of that and max |l_k| L: where eta
+    centres the form's range the squares can reach higher than the
+    product, as (1, 1, -5) at eta 2.25 X does (2.5 X against 1.75 X).
+    Only a far band may be empty (t_hi <= t_lo), with n_points 0."""
     band = _BANDS[key]
     t_lo, t_hi = band.edges(params, kernel)
     f_max = band_frequency(params, coeffs, kernel)
     if band.collect:
         length = (1.0 - params.lambda0) * params.X
         f_max = max(f_max, max(abs(l) for l in coeffs.lambdas) * length)
-    return t_lo, t_hi, f_max
+    if band.far and t_hi <= t_lo:
+        return t_lo, t_hi, f_max, 0, 0.0, 0
+    n_points, h = _band_grid(t_lo, t_hi, f_max)
+    # ceil(n / c) points in each of c = ceil(n / _CHUNK) chunks
+    return t_lo, t_hi, f_max, n_points, h, -(-n_points // -(-n_points // _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -560,7 +564,7 @@ def _band_quadrature(
     pset: "PSPrimeSet | None" = None,
 ) -> BandQuadrature:
     """Band key of _BANDS: Theta * F1 * F2 * F3 * e(eta t) integrated over
-    [t_lo, t_hi] (_band_span, t_lo >= 0), with its error bar, folded onto
+    [t_lo, t_hi] (_band_layout, t_lo >= 0), with its error bar, folded onto
     -t (BandQuadrature); a MiddleBand where the band collects.
 
     The band's factor source, built for one chunk's grid, gives (grid,
@@ -585,16 +589,13 @@ def _band_quadrature(
     carrier's phase error from eta t.  A far band's bar adds
     far_tail_majorant past t_hi; empty, the band is that bar alone.
 
-    The grid is evaluated in equal chunks of at most _CHUNK points, each
-    chunk's factors from the plans the source built with the band (the
-    last chunk's surplus samples past t_hi are not walked), so one
-    chunk's factors are held at a time.
-    Each chunk is walked in blocks of at most _BLOCK points in reused
-    buffers, Theta from GridTransform.  Each block adds one plain sum per
-    quantity, row by row so that its bits do not depend on the other
-    rows, the end samples weigh 1/2, and the block sums are added exactly
-    rounded: results are bitwise reproducible at a fixed BLAS library and
-    thread count.
+    Each of the layout's chunks is evaluated from the plans the source
+    built with the band (the last chunk's surplus samples past t_hi are
+    not walked) and walked on its own (walk), so one chunk's factors are
+    held at a time and only block buffers pass between chunks.  The row
+    partials are added exactly rounded and the best samples merged in
+    chunk order, the first maximum kept: results are bitwise
+    reproducible at a fixed BLAS library and thread count.
 
     A collecting walk also gives the |F_i|^2 integrals, corrected from
     F_i's series (euler_maclaurin_squared), the largest sampled min(|F1|,
@@ -603,13 +604,10 @@ def _band_quadrature(
     against |F3|(|F1|+|F2|) and |F1|^2+|F2|^2+|F3|^2.
     """
     band = _BANDS[key]
-    t_lo, t_hi, f_max = _band_span(key, params, coeffs, kernel)
+    t_lo, t_hi, f_max, n_points, h, chunk = _band_layout(key, params, coeffs, kernel)
     far = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
-    if band.far and t_hi <= t_lo:
+    if n_points == 0:
         return BandQuadrature(0.0, far, 0, 0.0)
-    n_points, h = _band_grid(t_lo, t_hi, f_max)
-    # ceil(n / c) points in each of c = ceil(n / _CHUNK) chunks
-    chunk = -(-n_points // -(-n_points // _CHUNK))
     eta = coeffs.eta
     # The row's other coefficients.  Theta's error is charged as the
     # larger of its relative and its absolute form.  A sample's t is
@@ -638,11 +636,17 @@ def _band_quadrature(
         factors = _window_factors(params, coeffs.lambdas, h, chunk)
     grid, series, amplitude, rounding, floor = factors
     r1, r2, r3 = (rounding * abs(l) for l in coeffs.lambdas)
-    partials, sup, t_sup = [], 0.0, t_lo
-    for start in range(0, n_points, chunk):
+
+    def walk(sums, start: int):
+        """Row partials of the chunk of sums whose first sample is the
+        band's start-th, walked in blocks of at most _BLOCK points in the
+        buffers above (Theta from GridTransform), and its best (min(|F1|,
+        |F2|), t), the first maximum above 0, else (0.0, t_lo).  A block
+        adds one plain sum per row, so its bits do not depend on the other
+        rows; the band's end samples weigh 1/2."""
         n_chunk = min(chunk, n_points - start)
         t0 = t_lo + start * h
-        sums = grid(t0)
+        partials, best = [], (0.0, t_lo)
         for b in range(0, n_chunk, _BLOCK):
             n = min(_BLOCK, n_chunk - b)
             blk = slice(b, b + n)
@@ -672,8 +676,8 @@ def _band_quadrature(
             if band.collect:
                 small = np.minimum(a[0], a[1])
                 j = int(np.argmax(small))
-                if small[j] > sup:
-                    sup, t_sup = float(small[j]), float(t[j])
+                if small[j] > best[0]:
+                    best = float(small[j]), float(t[j])
                 np.multiply(a, a, out=q[2:5])
                 q[5] = small * a[2] * (a[0] + a[1])
                 q[6] = small * (q[2] + q[3] + q[4])
@@ -682,6 +686,12 @@ def _band_quadrature(
                 partials.append(-0.5 * q[:, 0])
             if start + b + n == n_points:
                 partials.append(-0.5 * q[:, n - 1])
+        return partials, best
+
+    walks = [walk(grid(t_lo + start * h), start) for start in range(0, n_points, chunk)]
+    partials = [row for rows, _ in walks for row in rows]
+    # max keeps the first of equal maxima: the earliest chunk's
+    sup, t_sup = max((best for _, best in walks), key=lambda best: best[0])
     trap = [h * math.fsum(exact_parts(row)) for row in np.array(partials).T]
 
     terms = 2 * _EM_TERMS
@@ -743,10 +753,8 @@ def check_band_grids(
 ) -> None:
     """Size every band decompose integrates, evaluating nothing, so that
     a band past the point cap raises QuadratureError up front."""
-    for key, band in _BANDS.items():
-        t_lo, t_hi, f_max = _band_span(key, params, coeffs, kernel)
-        if not band.far or t_hi > t_lo:
-            _band_grid(t_lo, t_hi, f_max)
+    for key in _BANDS:
+        _band_layout(key, params, coeffs, kernel)
 
 
 def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
@@ -790,9 +798,8 @@ def middle_band_sweep(
 ) -> MiddleBand:
     """Piece 2, [Delta, H], in one walk that also collects everything
     the majorant chain needs, so the expensive sweep is never run twice
-    (_band_quadrature)."""
-    check_window_set(params, pset)
-    return _band_quadrature(2, params, coeffs, kernel, pset)
+    (piece_quadrature's piece 2)."""
+    return piece_quadrature(2, params, coeffs, kernel, pset)
 
 
 @dataclass(frozen=True)
@@ -1004,7 +1011,7 @@ def far_tail_majorant(
     truncated quadrature on any instance; from piece3_truncation's cut
     it covers the tail that quadrature omits."""
     check_window_set(params, pset)
-    s0 = float(np.dot(pset.weight_w, pset.weight_log))
+    s0 = _sum_at_zero(pset)
     if s0 == 0.0:
         return 0.0
     k = kernel.k

@@ -267,8 +267,7 @@ def test_ps_sum_series_matches_mpmath_at_the_walkers_size():
     pset = pset_for(params)
     coeffs = triplesum.Coefficients(1.0, math.sqrt(2.0), -2.0, 0.0)
     kern = make_kernel(params.epsilon_effective, params.kernel_k)
-    t_lo, t_hi, f_max = triplesum._band_span(2, params, coeffs, kern)
-    _, h_band = _band_grid(t_lo, t_hi, f_max)
+    h_band = triplesum._band_layout(2, params, coeffs, kern)[4]
     centre = expsums._centre(params)
     n = 2 * _EM_TERMS
     u = 2.0**-53

@@ -805,6 +805,65 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
     assert band.squares_integral == pytest.approx(want_stats[3], rel=1e-12, abs=0)
 
 
+def test_best_sample_across_chunks_is_the_first_tie(monkeypatch):
+    # a band of two chunks whose synthetic factors all have modulus 1, so
+    # min(|F1|, |F2|) ties at every sample: the best sample is the first
+    # maximum in chunk order, the band's first, and the polish probes
+    # only within one spacing of it.  A merge that kept a later chunk's
+    # tie would centre the polish on that chunk's first sample instead
+    params, pset = _instance(12, 0.9, 0.5, 0.5)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    kern = _kernel_for(params)
+    f_max = triplesum.band_frequency(params, c, kern)
+    span = (triplesum._CHUNK + 50_001) * quadrature._BAND_FH / f_max
+    t_lo = params.Delta
+    starts, points = [], []
+
+    def unit_factors(pset, lams, centre, h, n):
+        def grid(t0):
+            starts.append(t0)
+            return [np.ones(n, dtype=np.complex128)] * 3
+
+        def series(x, terms):
+            return [np.eye(1, terms, dtype=np.complex128)[0]] * 3
+        return grid, series, 1.0, 0.0, 0.0
+
+    def polled(alphas, params, pset):
+        points.extend(alphas)
+        return [SumResult(0j, 0, 0.0)] * len(alphas)
+
+    monkeypatch.setattr(triplesum, "_sum_factors", unit_factors)
+    monkeypatch.setattr(triplesum, "ps_exp_sum", polled)
+    monkeypatch.setitem(triplesum._BANDS, 2, triplesum._Band(
+        lambda params, kernel: (t_lo, t_lo + span), collect=True))
+    band = triplesum._band_quadrature(2, params, c, kern, pset)
+    h = band.spacing
+    assert len(starts) == 2 and starts[0] == t_lo and starts[1] > t_lo + h
+    assert band.sup_small_pair == 1.0
+    assert points and all(t_lo <= x / c.lambda1 <= t_lo + h for x in points[::2])
+
+
+def test_empty_far_band_is_its_tail_bar(monkeypatch):
+    # criterion 11's instance B (q0 203, gamma 0.98, eps 0.01): piece 3's
+    # truncation point lies below H, so the layout gives it no grid, and
+    # the band is 0 with the far-tail envelope from H as its whole bar.
+    # check_band_grids refuses only the middle band, 2,340,438,808 points
+    # past the 2^31 cap; with the cap raised it sizes every band
+    params = RunParameters(203, 0.98, 0.5, epsilon_user=0.01)
+    pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.98, sieve_primes(100_000))
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    kern = _kernel_for(params)
+    assert piece3_truncation(params, kern) <= params.H_effective
+    assert triplesum._band_layout(3, params, c, kern)[3:] == (0, 0.0, 0)
+    with pytest.raises(quadrature.QuadratureError, match=r"\[0.000279355, 13252.5\]"):
+        triplesum.check_band_grids(params, c, kern)
+    monkeypatch.setattr(quadrature, "_MAX_BAND_POINTS", 1 << 32)
+    triplesum.check_band_grids(params, c, kern)
+    band = piece_quadrature(3, params, c, kern, pset)
+    assert (band.value, band.n_points, band.spacing) == (0.0, 0, 0.0)
+    assert band.error == far_tail_majorant(params, c, kern, pset)
+
+
 @pytest.mark.parametrize("nufft, bound_mib", [(False, 28), (True, 44)])
 def test_middle_band_memory_is_bounded_by_one_chunk(monkeypatch, nufft, bound_mib):
     # instance A's middle band (745,084 points) is walked in three equal
