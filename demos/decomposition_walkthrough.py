@@ -15,7 +15,6 @@ from pstriples.pipeline import Instance
 from pstriples.triplesum import (
     band_frequency,
     decompose,
-    far_tail_majorant,
     find_triples,
 )
 
@@ -39,9 +38,8 @@ def main():
     print(f"  main band    |t| < {params.Delta:.3e}: {res.gamma1.real:14.4f}")
     print(f"  middle band  up to {params.H_effective:9.3f}: {res.gamma2.real:14.4f}")
     print(f"  far band     up to {res.piece3_cut:9.3f}: {res.gamma3.real:14.4f}")
-    cover = far_tail_majorant(params, coeffs, kern, pset)
-    print(f"    (covered by the rigorous envelope {cover:.1f}; the "
-          f"asymptotic shape predicts {res.tail.value:.1e})")
+    print(f"    (under the far band's bound {res.tail:.1f}, the transform's "
+          f"decay past H against S(0)^3)")
     f_max = band_frequency(params, coeffs, kern)
     print(f"  band grids at the integrand's top frequency f_max = {f_max:.1f}:")
     for p in (1, 2, 3):

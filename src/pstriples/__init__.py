@@ -75,7 +75,6 @@ from .triplesum import (
     middle_band_sweep,
     phi_bound,
     piece3_truncation,
-    tail_bound_gamma3,
     threshold_vacuous,
     triple_sum_bruteforce,
     triple_threshold,
@@ -102,7 +101,7 @@ __all__ = [
     "DecompositionResult", "TripleRecord", "big_gamma_direct",
     "box_integral_B", "decompose", "far_tail_majorant", "find_triples",
     "gamma2_majorant", "integral_J", "middle_band_sweep",
-    "phi_bound", "piece3_truncation", "tail_bound_gamma3",
+    "phi_bound", "piece3_truncation",
     "threshold_vacuous", "triple_sum_bruteforce", "triple_threshold",
     "ConfigError", "RunConfig", "parse_config",
     "STAGES", "RunManifest", "run_pipeline",

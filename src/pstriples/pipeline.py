@@ -452,9 +452,7 @@ def decomp_values(res) -> "dict[str, object]":
         "box_ratio_eps_x2": res.box.ratio_eps_x2,
         "phi_bound": res.phi.value,
         "phi_shape_ratio": res.phi.shape_ratio,
-        "tail_bound": res.tail.value,
-        "tail_base": res.tail.base,
-        "tail_below_one": res.tail.below_one,
+        "tail_bound": res.tail,
         "piece3_cut": res.piece3_cut,
         "truncation_empty": res.truncation_empty,
         "middle_points": m.n_points,

@@ -18,7 +18,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,24 +71,29 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class PSPrimeSet:
-    """Floor-power primes in (lo, hi] with their summation weights."""
+    """Floor-power primes in (lo, hi] with their summation weights, which
+    the set derives from its primes and gamma: weights is p^(1-gamma) *
+    log p, each prime's weight in the exponential sums S(alpha) and, one
+    factor per prime, in a triple's weight."""
 
     gamma: GammaExponent
     lo: float
     hi: float
     primes: np.ndarray
-    weight_w: np.ndarray    # p^(1-gamma)
-    weight_log: np.ndarray  # log p
+    weight_w: np.ndarray = field(init=False)    # p^(1-gamma)
+    weight_log: np.ndarray = field(init=False)  # log p
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        logs = np.log(self.primes.astype(np.float64))
+        w = np.exp((1.0 - self.gamma.value) * logs)
+        object.__setattr__(self, "weight_w", w)
+        object.__setattr__(self, "weight_log", logs)
+        object.__setattr__(self, "weights", w * logs)
 
     @property
     def count(self) -> int:
         return int(self.primes.size)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """p^(1-gamma) * log p, each prime's weight in the exponential
-        sums S(alpha) and, one factor per prime, in a triple's weight."""
-        return self.weight_w * self.weight_log
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -183,11 +188,6 @@ def ps_indicator_array(ps: np.ndarray, gamma: "GammaExponent | float") -> np.nda
     return out
 
 
-def _weights(primes: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:
-    logs = np.log(primes.astype(np.float64))
-    return np.exp((1.0 - g) * logs), logs
-
-
 def ps_primes_in(
     lo: float, hi: float, gamma: "GammaExponent | float", table: PrimeTable
 ) -> PSPrimeSet:
@@ -195,9 +195,7 @@ def ps_primes_in(
     g = gamma if isinstance(gamma, GammaExponent) else GammaExponent(float(gamma))
     cand = table.between(lo, hi)
     keep = cand[ps_indicator_array(cand, g.value) == 1]
-    w, wl = _weights(keep, g.value)
-    return PSPrimeSet(gamma=g, lo=float(lo), hi=float(hi),
-                      primes=keep, weight_w=w, weight_log=wl)
+    return PSPrimeSet(gamma=g, lo=float(lo), hi=float(hi), primes=keep)
 
 
 def check_window_set(params: RunParameters, pset: PSPrimeSet) -> None:
@@ -262,9 +260,7 @@ def ps_enumerate_oracle(
     idx = np.searchsorted(table.primes, vals)
     idx = np.minimum(idx, table.primes.size - 1)
     keep = vals[table.primes[idx] == vals]
-    w, wl = _weights(keep, g.value)
-    return PSPrimeSet(gamma=g, lo=0.0, hi=float(limit),
-                      primes=keep, weight_w=w, weight_log=wl)
+    return PSPrimeSet(gamma=g, lo=0.0, hi=float(limit), primes=keep)
 
 
 # the cache's magic; files of an older format fail on it and are rebuilt
@@ -324,6 +320,4 @@ def cache_load(
             )
     primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
     g = GammaExponent(g_val)
-    w, wl = _weights(primes, g.value)
-    return PSPrimeSet(gamma=g, lo=0.0, hi=float(limit),
-                      primes=primes, weight_w=w, weight_log=wl)
+    return PSPrimeSet(gamma=g, lo=0.0, hi=float(limit), primes=primes)

@@ -20,7 +20,7 @@ the band's half t >= 0, the trapezoid rule at f_max h <= 0.8 on the
 band-limited integrand minus its Euler-Maclaurin endpoint series,
 folded to twice its real part, with its error bar; the main-term box
 integral, exact as a signed sum of theta's third antiderivative over the
-cube's corners, and its remainder majorant; the far-tail bounds and the
+cube's corners, and its remainder majorant; the far band's bound and the
 middle-band majorant chain.  Band grids are walked in equal chunks,
 each on its own into row partials and a best sample; the partials are
 added exactly rounded (module summation), and a band's exponential sums
@@ -81,7 +81,6 @@ __all__ = [
     "Gamma2Majorant",
     "BoxIntegral",
     "PhiBound",
-    "TailBound3",
     "BandQuadrature",
     "DecompositionResult",
     "big_gamma_direct",
@@ -98,7 +97,6 @@ __all__ = [
     "integral_J",
     "box_integral_B",
     "phi_bound",
-    "tail_bound_gamma3",
     "far_tail_majorant",
     "decompose",
 ]
@@ -254,22 +252,6 @@ def _matched_sweep(
                 table, origin, scale = _occupancy(z3s, width, tol)
 
 
-def _check_count_inputs(
-    params: RunParameters, kernel: SmoothingKernel, pset: PSPrimeSet,
-    eps_search: float,
-) -> None:
-    """The checks both triple counts make: the window set, a positive
-    search width, and a kernel of that width (the weights live on it)."""
-    check_window_set(params, pset)
-    if not eps_search > 0.0:
-        raise ParameterError(f"eps_search must be positive, got {eps_search}")
-    if not math.isclose(kernel.epsilon, eps_search, rel_tol=1e-12):
-        raise ParameterError(
-            f"kernel width {kernel.epsilon!r} does not match "
-            f"search width {eps_search!r}"
-        )
-
-
 def _form_reach(params: RunParameters, coeffs: Coefficients) -> float:
     """The largest |form| a window triple can reach."""
     return sum(abs(l) for l in coeffs.lambdas) * params.X + abs(coeffs.eta)
@@ -287,29 +269,29 @@ def big_gamma_direct(
     coeffs: Coefficients,
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
-    eps_search: float,
 ) -> TripleSumResult:
     """Weighted triple count by meet-in-the-middle over sorted l3*p3.
 
-    O(n^2 log n) instead of the cubic triple loop.  The sweep
-    (_matched_sweep) keeps its full width eps_search throughout; this
-    caller weighs each block's matches with theta and the prime weights
-    and keeps only the block's summation.exact_parts and the count, so
-    one block is held at a time.  The open window |form| < eps_search is
-    the kernel support, on whose boundary theta vanishes, so no weight is
-    lost at the edges.  The total is exactly rounded (math.fsum of the
+    O(n^2 log n) instead of the cubic triple loop.  The search width is
+    the kernel's, eps: the weights live on its support.  The sweep
+    (_matched_sweep) keeps its full width eps throughout; this caller
+    weighs each block's matches with theta and the prime weights and
+    keeps only the block's summation.exact_parts and the count, so one
+    block is held at a time.  The open window |form| < eps is the kernel
+    support, on whose boundary theta vanishes, so no weight is lost at
+    the edges.  The total is exactly rounded (math.fsum of the
     parts), so it does not depend on enumeration order or block size.
     The window population triples_found is boundary-sensitive: a form
     landing within rounding of the search width may count or not
     depending on association order, but carries zero weight either way.
     """
-    _check_count_inputs(params, kernel, pset, eps_search)
+    check_window_set(params, pset)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
     w = pset.weights
     tol = _form_tolerance(params, coeffs)
     parts, found = [], 0
-    for i, j, k, forms in _matched_sweep(coeffs, pset, eps_search, tol):
+    for i, j, k, forms in _matched_sweep(coeffs, pset, kernel.epsilon, tol):
         weights = (w[i] * w[j]) * (w[k] * theta(kernel, forms))
         parts.extend(exact_parts(weights))
         found += weights.size
@@ -325,10 +307,10 @@ def triple_sum_bruteforce(
     coeffs: Coefficients,
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
-    eps_search: float,
 ) -> TripleSumResult:
-    """Cubic reference enumeration; oracle for the sweep on small sets."""
-    _check_count_inputs(params, kernel, pset, eps_search)
+    """Cubic reference enumeration at the kernel's width; oracle for the
+    sweep on small sets."""
+    check_window_set(params, pset)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
     if pset.count > _BRUTE_LIMIT:
@@ -344,7 +326,7 @@ def triple_sum_bruteforce(
         + lam3 * p[None, None, :]
         + coeffs.eta
     )
-    mask = np.abs(forms) < eps_search
+    mask = np.abs(forms) < kernel.epsilon
     found = int(mask.sum())
     if found == 0:
         return TripleSumResult(0.0, 0, False)
@@ -605,7 +587,7 @@ def _band_quadrature(
     """
     band = _BANDS[key]
     t_lo, t_hi, f_max, n_points, h, chunk = _band_layout(key, params, coeffs, kernel)
-    far = far_tail_majorant(params, coeffs, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
+    far = far_tail_majorant(params, kernel, pset, max(t_lo, t_hi)) if band.far else 0.0
     if n_points == 0:
         return BandQuadrature(0.0, far, 0, 0.0)
     eta = coeffs.eta
@@ -759,9 +741,11 @@ def check_band_grids(
 
 def piece3_truncation(params: RunParameters, kernel: SmoothingKernel) -> float:
     """Point past which the transform's decay branch drops below
-    1e-12 * X^(3-3*gamma); quadrature beyond it is pure noise against
-    the analytic tail bound.  May land at or below the band start, in
-    which case the far band contributes only its bound."""
+    1e-12 * X^(3-3*gamma), a scale for the three sums' product, not a
+    bound on it (S(0)^3 is, far_tail_majorant); piece 3's quadrature
+    stops there, and its bar carries far_tail_majorant past it.  May
+    land at or below the band start, in which case the far band
+    contributes only its bound."""
     k = kernel.k
     g = params.gamma.value
     log_c = math.log(4.0 * k / (math.pi * kernel.epsilon))
@@ -965,51 +949,18 @@ def phi_bound(
 # far tail
 
 
-@dataclass(frozen=True)
-class TailBound3:
-    value: float
-    base: float
-    below_one: bool
-    k: int
-    log_value: float
-
-
-def tail_bound_gamma3(
-    params: RunParameters, kernel: SmoothingKernel
-) -> TailBound3:
-    """Closed-form far-band bound X^(3-3*gamma)/k * (4k/(pi eps H))^k.
-
-    Evaluated in log space; with the formula width and band edge the
-    base collapses to 4k/(pi log^2 X), below one for large X, so the
-    k-th power drives the bound toward zero.  The flag reports whether
-    the bound itself is at most one.  Finite for any k >= 1.
-    """
-    k = kernel.k
-    g = params.gamma.value
-    base = 4.0 * k / (math.pi * kernel.epsilon * params.H_effective)
-    log_value = (
-        (3.0 - 3.0 * g) * params.log_X
-        - math.log(k)
-        + k * math.log(base)
-    )
-    value = math.exp(log_value) if log_value < 700.0 else math.inf
-    return TailBound3(value, base, value <= 1.0, k, log_value)
-
-
 def far_tail_majorant(
     params: RunParameters,
-    coeffs: Coefficients,
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
     start: "float | None" = None,
 ) -> float:
-    """Rigorous envelope for the far band |t| > start (default H): the
-    transform's decay branch integrates to (2/(pi k)) * (4k/(pi eps
-    start))^k against the exact supremum S(0)^3 of the three-sum
-    product.  Unlike the closed-form bound above, this uses the window's
-    true sum at zero rather than a scale shape, so it majorizes the
-    truncated quadrature on any instance; from piece3_truncation's cut
-    it covers the tail that quadrature omits."""
+    """The far band's bound: over |t| > start (default H) the transform's
+    decay branch integrates to (2/(pi k)) * (4k/(pi eps start))^k, taken
+    against the supremum S(0)^3 of the three-sum product (|S| <= S(0),
+    the window's exactly rounded sum at zero).  At H it bounds the whole
+    far band (DecompositionResult.tail); from piece3_truncation's cut it
+    covers the tail that piece 3's quadrature omits."""
     check_window_set(params, pset)
     s0 = _sum_at_zero(pset)
     if s0 == 0.0:
@@ -1035,13 +986,14 @@ class DecompositionResult:
     middle band with its statistics (middle).  Each carries its value,
     real by construction (folded from the band's half t >= 0), its error
     bar, grid size and spacing (BandQuadrature); gamma3's bar is against
-    the whole far band |t| > H (an empty piece 3 has 0 points).
-    gamma_total is the three pieces' sum; direct_value and triples_found
+    the whole far band |t| > H (an empty piece 3 has 0 points, which
+    truncation_empty reports).  gamma_total is the three pieces' sum; direct_value and triples_found
     come from the meet-in-the-middle count when requested, with
     closure_error the relative gap between the two sides.  The scale
     ratio reports gamma_total / (eps X^2) without asserting any
-    constant.  The main-term box integral, its remainder majorant and
-    the far-tail bound are box.value, phi.value and tail.value."""
+    constant.  The main-term box integral and its remainder majorant are
+    box.value and phi.value; tail is the bound on the whole far band
+    |t| > H (far_tail_majorant at H), so |gamma3| <= tail."""
 
     bands: dict
     gamma_total: float
@@ -1050,17 +1002,17 @@ class DecompositionResult:
     closure_error: "float | None"
     scale_ratio: float
     piece3_cut: float
-    truncation_empty: bool
     majorant: Gamma2Majorant
     box: BoxIntegral
     phi: PhiBound
-    tail: TailBound3
+    tail: float
 
     gamma1 = property(lambda self: self.bands[1].value)
     gamma2 = property(lambda self: self.bands[2].value)
     gamma3 = property(lambda self: self.bands[3].value)
     j_integral = property(lambda self: self.bands["J"].value)
     middle = property(lambda self: self.bands[2])
+    truncation_empty = property(lambda self: self.bands[3].n_points == 0)
 
 
 def decompose(
@@ -1078,7 +1030,7 @@ def decompose(
     with its error bar (the main term J by integral_J, pieces 1 and 3 by
     piece_quadrature, piece 2 by the middle-band sweep that also feeds
     the majorant chain), and adds the main term's box integral and
-    remainder bound, the far-tail bounds, and (by default) the direct
+    remainder bound, the far band's bound, and (by default) the direct
     count closing the transform identity.
     """
     check_window_set(params, pset)
@@ -1092,11 +1044,10 @@ def decompose(
         3: piece_quadrature(3, params, coeffs, kernel, pset),
     }
     total = bands[1].value + bands[2].value + bands[3].value
-    t_cut = piece3_truncation(params, kernel)
 
     direct_value = found = closure = None
     if with_direct:
-        direct = big_gamma_direct(params, coeffs, kernel, pset, kernel.epsilon)
+        direct = big_gamma_direct(params, coeffs, kernel, pset)
         direct_value = direct.value
         found = direct.triples_found
         if direct_value != 0.0:
@@ -1110,10 +1061,9 @@ def decompose(
         triples_found=found,
         closure_error=closure,
         scale_ratio=total / (eps * params.X * params.X),
-        piece3_cut=t_cut,
-        truncation_empty=t_cut <= params.H_effective,
+        piece3_cut=piece3_truncation(params, kernel),
         majorant=gamma2_majorant(params, bands[2]),
         box=box_integral_B(params, coeffs, kernel),
         phi=phi_bound(params, kernel, coeffs),
-        tail=tail_bound_gamma3(params, kernel),
+        tail=far_tail_majorant(params, kernel, pset),
     )

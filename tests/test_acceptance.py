@@ -9,7 +9,9 @@ the time budget is missed.  The two heavyweight instances,
   B: q0=203 (X about 1.0e5),  gamma 0.98, same coefficients,
      search width 0.01
 
-are shared by the closure, witness, and tail checks.
+serve the closure and witness checks.  Piece 3 is empty on both (its
+truncation point lies below H), so the far-band check runs on q0=29 and
+on A at search width 2, where piece 3's grid is not empty.
 """
 
 import json
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from pstriples import triplesum
 from pstriples.approx import continued_fraction, dichotomy_probe, dirichlet_approx
 from pstriples.config import parse_config
 from pstriples.expsums import decomposition_residual, interval_integral, l2_integral
@@ -33,8 +36,6 @@ from pstriples.triplesum import (
     big_gamma_direct,
     decompose,
     find_triples,
-    piece_quadrature,
-    tail_bound_gamma3,
     threshold_vacuous,
     triple_sum_bruteforce,
 )
@@ -44,8 +45,6 @@ COEFFS = Coefficients(1.0, SQRT2, -2.0, 0.0)
 
 BUDGET = {1: 60, 2: 30, 3: 60, 4: 120, 5: 5, 6: 10, 7: 60, 8: 30,
           9: 600, 10: 300, 11: 600}
-
-_CACHE = {}
 
 
 def _finish(num, label, t0, detail, *checks):
@@ -80,6 +79,12 @@ def inst_a(table6):
 @pytest.fixture(scope="module")
 def inst_b(table6):
     return _instance(203, 0.98, 0.01, table6)
+
+
+@pytest.fixture(scope="module")
+def inst_far(table6):
+    """q0=29 and A at search width 2: piece 3 is not empty on either."""
+    return [_instance(29, 0.9, 2.0, table6), _instance(70, 0.9, 2.0, table6)]
 
 
 def test_criterion_01_prime_generator_vs_enumeration(table6):
@@ -235,12 +240,12 @@ def test_criterion_08_sweep_equals_bruteforce():
                               float(rng.uniform(0.5, 2.5)),
                               -float(rng.uniform(0.5, 2.5)),
                               float(rng.uniform(-2.0, 2.0)))
-        eps_search = float(rng.uniform(0.5, 5.0))
-        # the count weights live on the kernel, so its width is the
-        # search width
-        kern = make_kernel(eps_search, max(1, math.floor(params.log_X)))
-        fast = big_gamma_direct(params, coeffs, kern, pset, eps_search)
-        slow = triple_sum_bruteforce(params, coeffs, kern, pset, eps_search)
+        # the count weights live on the kernel, and both counts take
+        # their search width from it
+        kern = make_kernel(float(rng.uniform(0.5, 5.0)),
+                           max(1, math.floor(params.log_X)))
+        fast = big_gamma_direct(params, coeffs, kern, pset)
+        slow = triple_sum_bruteforce(params, coeffs, kern, pset)
         worst = max(worst,
                     abs(fast.value - slow.value) / max(1.0, abs(slow.value)))
         if fast.triples_found != slow.triples_found:
@@ -254,7 +259,6 @@ def test_criterion_09_decomposition_closes(inst_a):
     t0 = time.perf_counter()
     params, pset, kern = inst_a
     res = decompose(params, COEFFS, pset, kernel=kern, with_direct=True)
-    _CACHE["res_a"] = res
     # the error bars of the three pieces, summed, relative to the count
     bars = sum(res.bands[p].error for p in (1, 2, 3)) / abs(res.direct_value)
     _finish(9, "three band pieces rebuild the direct count", t0,
@@ -308,19 +312,33 @@ def test_criterion_10_witness_triples(inst_b, tmp_path, monkeypatch):
             len(recs) >= 1, revalidated, vacuous, flag is True)
 
 
-def test_criterion_11_tail_bound_dominates(inst_a, inst_b):
+def _far_bands(instances):
+    """Per instance: q0, piece 3's grid points, |gamma3| and the bound on
+    the whole far band |t| > H."""
+    rows = []
+    for params, pset, kern in instances:
+        res = decompose(params, COEFFS, pset, kernel=kern, with_direct=False)
+        rows.append((params.q0, res.bands[3].n_points, abs(res.gamma3), res.tail))
+    return rows
+
+
+def test_criterion_11_tail_bound_dominates(inst_far):
     t0 = time.perf_counter()
-    details = []
-    checks = []
-    for params, pset, kern in (inst_a, inst_b):
-        res_a = _CACHE.get("res_a")
-        if params.q0 == 70 and res_a is not None:
-            piece3 = abs(res_a.gamma3)
-        else:
-            piece3 = abs(piece_quadrature(3, params, COEFFS, kern, pset).value)
-        bound = tail_bound_gamma3(params, kern)
-        checks.append(piece3 <= bound.value)
-        details.append(f"q0={params.q0}: |piece3| {piece3:.3g} "
-                       f"<= {bound.value:.3g}")
-    _finish(11, "truncated tail sits under its closed-form bound", t0,
-            "; ".join(details), *checks)
+    rows = _far_bands(inst_far)
+    details = [f"q0={q0}: {n} points, |piece3| {g3:.3g} <= {tail:.3g}"
+               for q0, n, g3, tail in rows]
+    _finish(11, "piece 3 sits under the far band's bound", t0,
+            "; ".join(details),
+            *(n > 0 for _, n, _, _ in rows),
+            *(g3 <= tail for _, _, g3, tail in rows))
+
+
+def test_criterion_11_fails_at_the_window_scale(inst_far, monkeypatch):
+    # the bound with S(0) replaced by X^(1-gamma), the scale of the
+    # closed-form shape X^(3-3 gamma)/k (4k/(pi eps H))^k that criterion
+    # 11 once checked: 2.99e-6 on q0=29 and 1.69e-8 on A, under |gamma3|
+    # (1.08e-4 and 7.67e-5), so the check must fail on both instances
+    monkeypatch.setattr(triplesum, "_sum_at_zero",
+                        lambda pset: pset.hi ** (1.0 - pset.gamma.value))
+    for q0, n, g3, tail in _far_bands(inst_far):
+        assert n > 0 and not g3 <= tail, (q0, g3, tail)

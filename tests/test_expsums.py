@@ -695,9 +695,8 @@ def test_minor_arc_window_edges_are_snapped():
         params = RunParameters(b**6, 0.9, 0.5, epsilon_user=1.0)
         assert params.X ** (1.0 / 13.0) > b
         table = PrimeTable(math.ceil(params.X), np.zeros(0, dtype=np.int64))
-        empty = np.zeros(0)
         pset = PSPrimeSet(params.gamma, params.lambda0 * params.X, params.X,
-                          np.zeros(0, dtype=np.int64), empty, empty)
+                          np.zeros(0, dtype=np.int64))
         rep = minor_arc_check(1, b, params, table, pset)
         assert rep.in_window, b
         assert not minor_arc_check(1, b - 1, params, table, pset).in_window, b

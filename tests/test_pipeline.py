@@ -12,6 +12,7 @@ from pstriples.config import parse_config
 from pstriples.params import ParameterError
 from pstriples.pipeline import STAGES, Instance, csv_text, format_value, run_pipeline
 from pstriples.primes import ps_primes_in, sieve_primes
+from pstriples.triplesum import far_tail_majorant
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "sqrt2_demo.conf"
 
@@ -106,6 +107,12 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
     assert values["decomp"]["gamma2_points"] == values["decomp"]["middle_points"]
     closure_gap = abs(values["decomp"]["gamma_total"][0] - values["decomp"]["direct_value"])
     assert closure_gap <= sum(values["decomp"][f"gamma{p}_error"] for p in (1, 2, 3))
+    # one far-band bound: far_tail_majorant at H, over |gamma3|
+    inst = Instance(demo_cfg.params)
+    assert values["decomp"]["tail_bound"] == far_tail_majorant(
+        demo_cfg.params, inst.kernel, inst.window_set)
+    assert abs(values["decomp"]["gamma3"][0]) <= values["decomp"]["tail_bound"]
+    assert not {"tail_base", "tail_below_one"} & set(values["decomp"])
     assert values["triples"]["found"] >= 1
     assert all(s["wall_time_s"] >= 0 for s in data["stages"])
     assert all(set(s) == {"name", "wall_time_s", "outputs", "values"}

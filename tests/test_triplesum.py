@@ -29,7 +29,6 @@ from pstriples.triplesum import (
     phi_bound,
     piece3_truncation,
     piece_quadrature,
-    tail_bound_gamma3,
     threshold_vacuous,
     triple_sum_bruteforce,
     triple_threshold,
@@ -91,7 +90,7 @@ def test_direct_matches_inline_loop_oracle():
                     w = (float(p1 * p2 * p3)) ** 0.1
                     w *= math.log(p1) * math.log(p2) * math.log(p3)
                     total += w * theta(kern, form)
-    res = big_gamma_direct(params, c, kern, pset, 0.5)
+    res = big_gamma_direct(params, c, kern, pset)
     assert res.triples_found == found == 4
     assert res.value == pytest.approx(total, rel=1e-13)
 
@@ -109,8 +108,8 @@ def test_sweep_equals_bruteforce(q0, coeffs, eps):
     params, pset = _instance(q0, 0.9, 0.5, eps)
     assert 3 < pset.count <= 200
     kern = make_kernel(eps, max(1, math.floor(params.log_X)))
-    fast = big_gamma_direct(params, coeffs, kern, pset, eps)
-    slow = triple_sum_bruteforce(params, coeffs, kern, pset, eps)
+    fast = big_gamma_direct(params, coeffs, kern, pset)
+    slow = triple_sum_bruteforce(params, coeffs, kern, pset)
     assert fast.triples_found == slow.triples_found
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
 
@@ -175,7 +174,7 @@ def test_sweep_independent_of_block_size(monkeypatch, eps, most):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # the direct total streams the blocks' exact parts: every block
         # must reach it, whatever the budget
-        res = big_gamma_direct(params, c, kern, pset, eps)
+        res = big_gamma_direct(params, c, kern, pset)
         assert res.triples_found == want[3].size
         assert res.value.hex() == total.hex()
 
@@ -244,7 +243,7 @@ def test_filtered_narrowing_sweep_matches_reference(
                 for r in recs
             ]
             assert got == nearest
-            res = big_gamma_direct(params, c, kern, pset, eps)
+            res = big_gamma_direct(params, c, kern, pset)
             assert res.triples_found == forms.size
             assert res.value.hex() == total.hex()
 
@@ -258,22 +257,12 @@ def test_sweep_equals_bruteforce_property(eps, eta):
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, eta)
     kern = make_kernel(eps, 3)
-    fast = big_gamma_direct(params, c, kern, pset, eps)
-    slow = triple_sum_bruteforce(params, c, kern, pset, eps)
+    fast = big_gamma_direct(params, c, kern, pset)
+    slow = triple_sum_bruteforce(params, c, kern, pset)
     # window populations may disagree when a form lands within rounding
     # of the search width (theta vanishes there, so totals still agree);
     # the weighted total is the contract
     assert abs(fast.value - slow.value) <= 1e-10 * max(1.0, abs(slow.value))
-
-
-def test_bruteforce_rejects_width_mismatch():
-    # the cubic oracle checks its kernel's width as the sweep does
-    params, pset = _instance(12, 0.9, 0.5, 2.0)
-    c = Coefficients(1.0, 1.0, -2.0, 0.0)
-    kern = make_kernel(2.0, 3)
-    for count in (big_gamma_direct, triple_sum_bruteforce):
-        with pytest.raises(ParameterError, match="search width"):
-            count(params, c, kern, pset, 1.0)
 
 
 def test_empty_set_flagged():
@@ -282,7 +271,7 @@ def test_empty_set_flagged():
     assert pset.count == 0
     c = Coefficients(1.0, 1.0, -1.0, 0.0)
     kern = make_kernel(0.5, 1)
-    res = big_gamma_direct(params, c, kern, pset, 0.5)
+    res = big_gamma_direct(params, c, kern, pset)
     assert res.value == 0.0
     assert res.triples_found == 0
     assert res.empty_set
@@ -294,7 +283,7 @@ def test_unreachable_shift_gives_zero():
     assert pset.count > 3
     c = Coefficients(1.0, 1.0, -2.0, 1.0e6)
     kern = make_kernel(1.0, 4)
-    res = big_gamma_direct(params, c, kern, pset, 1.0)
+    res = big_gamma_direct(params, c, kern, pset)
     assert res.value == 0.0
     assert res.triples_found == 0
     assert not res.empty_set
@@ -303,16 +292,16 @@ def test_unreachable_shift_gives_zero():
 def test_guards_reject_mismatches():
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
-    with pytest.raises(ParameterError, match="kernel width"):
-        big_gamma_direct(params, c, make_kernel(1.0, 3), pset, 2.0)
     other, _ = _instance(20, 0.9, 0.5, 2.0)
-    with pytest.raises(ParameterError, match="window"):
-        big_gamma_direct(other, c, make_kernel(2.0, 3), pset, 2.0)
     wrong_gamma = ps_primes_in(
         params.lambda0 * params.X, params.X, 0.91, TABLE
     )
-    with pytest.raises(ParameterError, match="gamma"):
-        big_gamma_direct(params, c, make_kernel(2.0, 3), wrong_gamma, 2.0)
+    # the cubic oracle checks its window set as the sweep does
+    for count in (big_gamma_direct, triple_sum_bruteforce):
+        with pytest.raises(ParameterError, match="window"):
+            count(other, c, make_kernel(2.0, 3), pset)
+        with pytest.raises(ParameterError, match="gamma"):
+            count(params, c, make_kernel(2.0, 3), wrong_gamma)
     # the exponential sums share the one window-set check
     for run, bad, what in ((other, pset, "window"), (params, wrong_gamma, "gamma")):
         with pytest.raises(ParameterError, match=what):
@@ -844,7 +833,7 @@ def test_best_sample_across_chunks_is_the_first_tie(monkeypatch):
 
 
 def test_empty_far_band_is_its_tail_bar(monkeypatch):
-    # criterion 11's instance B (q0 203, gamma 0.98, eps 0.01): piece 3's
+    # instance B (q0 203, gamma 0.98, eps 0.01) of criterion 10: piece 3's
     # truncation point lies below H, so the layout gives it no grid, and
     # the band is 0 with the far-tail envelope from H as its whole bar.
     # check_band_grids refuses only the middle band, 2,340,438,808 points
@@ -861,7 +850,7 @@ def test_empty_far_band_is_its_tail_bar(monkeypatch):
     triplesum.check_band_grids(params, c, kern)
     band = piece_quadrature(3, params, c, kern, pset)
     assert (band.value, band.n_points, band.spacing) == (0.0, 0, 0.0)
-    assert band.error == far_tail_majorant(params, c, kern, pset)
+    assert band.error == far_tail_majorant(params, kern, pset)
 
 
 @pytest.mark.parametrize("nufft, bound_mib", [(False, 28), (True, 44)])
@@ -1206,47 +1195,20 @@ def test_phi_bound_shape_and_monotonicity():
     assert hi.value < lo.value
 
 
-def test_tail_bound_closed_form():
-    # q0=587 puts X within 0.3% of 1e6; k = floor(log X) = 13 and the
-    # base collapses to 4k/(pi log^2 X) independent of the width
-    params = RunParameters(587, 0.98, 0.5, epsilon_user=1.0)
-    assert math.floor(params.log_X) == 13
-    tb = tail_bound_gamma3(params, make_kernel(1.0, 13))
-    assert tb.k == 13
-    assert tb.base == pytest.approx(
-        4 * 13 / (math.pi * params.log_X**2), rel=1e-12
-    )
-    assert tb.base < 1.0 and tb.below_one
-    lx = mp.mpf(13) / 6 * mp.log(587)
-    expected = float(
-        mp.e ** ((3 - 3 * mp.mpf("0.98")) * lx) / 13 * (52 / (mp.pi * lx**2)) ** 13
-    )
-    assert tb.value == pytest.approx(expected, rel=1e-10)
-
-
-def test_tail_bound_degenerate_and_monotone():
-    params = RunParameters(587, 0.98, 0.5, epsilon_user=1.0)
-    k1 = tail_bound_gamma3(params, make_kernel(1.0, 1))
-    assert math.isfinite(k1.value) and k1.value > 0.0
-    k13 = tail_bound_gamma3(params, make_kernel(1.0, 13))
-    k14 = tail_bound_gamma3(params, make_kernel(1.0, 14))
-    assert k14.value < k13.value
-
-
 def test_far_tail_majorant_covers_truncated_band():
-    # nonempty truncated far band: quadrature against the sup-based
-    # envelope, which holds where the scale-shape bound cannot
+    # nonempty truncated far band: quadrature against the far band's
+    # bound
     params, pset = _instance(12, 0.9, 0.5, 2.0)
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     kern = _kernel_for(params)
     g3 = piece_quadrature(3, params, c, kern, pset).value
-    env = far_tail_majorant(params, c, kern, pset)
+    env = far_tail_majorant(params, kern, pset)
     assert abs(g3) > 0.0
     assert abs(g3) <= env
     # from the cut on, the envelope covers the 2.0e-8 the quadrature
     # omits, and piece 3's bar carries it
     cut = piece3_truncation(params, kern)
-    past = far_tail_majorant(params, c, kern, pset, cut)
+    past = far_tail_majorant(params, kern, pset, cut)
     assert 2.0e-8 < past < env
     bar = triplesum.piece_quadrature(3, params, c, kern, pset).error
     assert past < bar < 1.001 * past
