@@ -289,20 +289,40 @@ def test_unreachable_shift_gives_zero():
     assert not res.empty_set
 
 
-def test_guards_reject_mismatches():
+def test_bruteforce_rejects_width_mismatch():
+    # both counts search at the kernel's width, so no other width can be
+    # passed: at each width they agree, and the cubic oracle rejects a
+    # mismatched window set as the sweep does
     params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    found = []
+    for eps in (0.5, 2.0):
+        kern = make_kernel(eps, 3)
+        direct = big_gamma_direct(params, c, kern, pset)
+        brute = triple_sum_bruteforce(params, c, kern, pset)
+        assert direct.triples_found == brute.triples_found
+        assert direct.value == pytest.approx(brute.value, rel=1e-12, abs=1e-300)
+        found.append(brute.triples_found)
+    assert 0 < found[0] < found[1]
     c = Coefficients(1.0, 1.0, -2.0, 0.0)
     other, _ = _instance(20, 0.9, 0.5, 2.0)
     wrong_gamma = ps_primes_in(
         params.lambda0 * params.X, params.X, 0.91, TABLE
     )
-    # the cubic oracle checks its window set as the sweep does
     for count in (big_gamma_direct, triple_sum_bruteforce):
         with pytest.raises(ParameterError, match="window"):
             count(other, c, make_kernel(2.0, 3), pset)
         with pytest.raises(ParameterError, match="gamma"):
             count(params, c, make_kernel(2.0, 3), wrong_gamma)
-    # the exponential sums share the one window-set check
+
+
+def test_guards_reject_mismatches():
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    other, _ = _instance(20, 0.9, 0.5, 2.0)
+    wrong_gamma = ps_primes_in(
+        params.lambda0 * params.X, params.X, 0.91, TABLE
+    )
+    # the exponential sums share the counts' one window-set check
     for run, bad, what in ((other, pset, "window"), (params, wrong_gamma, "gamma")):
         with pytest.raises(ParameterError, match=what):
             ps_exp_sum(0.3, run, bad)
