@@ -13,8 +13,8 @@ import numpy as np
 from pstriples.expsums import (
     decomposition_residual,
     interval_integral,
-    l2_integral,
     ps_exp_sum,
+    unit_mean_square,
 )
 from pstriples.params import RunParameters
 from pstriples.pipeline import Instance
@@ -48,7 +48,7 @@ def main():
     print()
 
     print("mean square ------------------------------------")
-    res = l2_integral("ps_sum", 1.0, params, pset, span="unit")
+    res = unit_mean_square(params, pset)
     gap = abs(res.value - res.exact_reference) / res.exact_reference
     print(f"  mean of |S|^2 over {res.panels} points on [0, 1): {res.value:.6f}")
     print(f"  sum of squared weights:                  {res.exact_reference:.6f}")

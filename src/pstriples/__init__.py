@@ -52,6 +52,7 @@ from .expsums import (
     prime_exp_sum,
     ps_exp_sum,
     ps_sum_grid,
+    unit_mean_square,
 )
 from .approx import (
     ApproxError,
@@ -95,7 +96,7 @@ __all__ = [
     "QuadratureError", "adaptive_simpson",
     "chebyshev_sum", "decomposition_residual", "floor_error_sum",
     "interval_integral", "l2_integral", "minor_arc_check", "prime_exp_sum",
-    "ps_exp_sum", "ps_sum_grid",
+    "ps_exp_sum", "ps_sum_grid", "unit_mean_square",
     "ApproxError", "ConvergentSeq", "Rational", "classify_denominator",
     "continued_fraction", "dichotomy_probe", "dirichlet_approx",
     "DecompositionResult", "TripleRecord", "big_gamma_direct",

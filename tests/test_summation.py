@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pstriples import summation
 from pstriples.summation import exact_parts, row_parts
@@ -54,14 +54,30 @@ def _blocks(draw):
     return block, bounds
 
 
+def _over_the_cap():
+    """Terms of 5e294 to 9e294 in 1025 columns (m = 11) under a bound of
+    1.1e304, past the extraction's cap 2^(1020-m) ~ 5.49e303, beside a
+    row that extracts."""
+    rng = np.random.default_rng(5)
+    block = np.vstack([rng.uniform(5e294, 9e294, 1025), rng.uniform(-1.0, 1.0, 1025)])
+    return block, np.array([1.1e304, 1.0])
+
+
 @settings(max_examples=80, deadline=None)
 @given(_blocks())
+@example(_over_the_cap())
 def test_row_sums_match_fsum_per_row(case):
+    # a row extracts to a few parts only under the cap 2^(1020-m); above
+    # it, the row comes back as its terms
     block, bounds = case
     assert _row_totals(block, bounds) == _fsum_rows(block)
+    cap = math.ldexp(1.0, 1020 - (block.shape[1] + 1).bit_length())
     for parts, row, bound in zip(row_parts(block, bounds), block, bounds.tolist()):
         if row.size >= summation._EXTRACT_MIN_TERMS and row.any() and 0.0 < bound:
-            assert len(parts) <= 60
+            if bound <= cap:
+                assert len(parts) <= 60
+            else:
+                assert parts == row.tolist()
 
 
 @pytest.mark.parametrize("n", _SIZES)

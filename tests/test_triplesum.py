@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pstriples import expsums, quadrature, trigpoly, triplesum
-from pstriples.expsums import l2_integral, ps_exp_sum
+from pstriples.expsums import l2_integral, ps_exp_sum, unit_mean_square
 from pstriples.kernel import (
     make_kernel, theta, theta_antiderivative, theta_transform, transform_bound,
 )
@@ -326,9 +326,10 @@ def test_guards_reject_mismatches():
     for run, bad, what in ((other, pset, "window"), (params, wrong_gamma, "gamma")):
         with pytest.raises(ParameterError, match=what):
             ps_exp_sum(0.3, run, bad)
-        for span in ("window", "unit"):
-            with pytest.raises(ParameterError, match=what):
-                l2_integral("ps_sum", 1.0, run, bad, span=span)
+        with pytest.raises(ParameterError, match=what):
+            l2_integral("ps_sum", 1.0, run, bad)
+        with pytest.raises(ParameterError, match=what):
+            unit_mean_square(run, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +788,7 @@ def test_block_streamed_band_matches_whole_chunk_reference(monkeypatch):
     def polled(alphas, params, pset):
         # the polish of the best sample raises nothing; its points are kept
         points.extend(alphas)
-        return [SumResult(0j, 0, 0.0)] * len(alphas)
+        return [SumResult(0j, 0)] * len(alphas)
 
     grid, points = expsums.ps_sum_grid, []
     monkeypatch.setattr(expsums, "ps_sum_grid", recording)
@@ -839,7 +840,7 @@ def test_best_sample_across_chunks_is_the_first_tie(monkeypatch):
 
     def polled(alphas, params, pset):
         points.extend(alphas)
-        return [SumResult(0j, 0, 0.0)] * len(alphas)
+        return [SumResult(0j, 0)] * len(alphas)
 
     monkeypatch.setattr(triplesum, "_sum_factors", unit_factors)
     monkeypatch.setattr(triplesum, "ps_exp_sum", polled)

@@ -37,6 +37,17 @@ def test_workflow_test_paths_exist():
     assert sorted(p for p in paths if not (ROOT / p).is_file()) == []
 
 
+def test_tier1_step_runs_the_whole_suite_with_warnings_as_errors():
+    # one run of every test file, so a new file cannot be left out of a list
+    step = re.search(r"- name: Tier-1 tests.*?\n\s+run: ([^\n]+)", WORKFLOW.read_text(), re.S)
+    assert step
+    command = step.group(1).split()
+    assert command[:2] == ["PYTHONWARNINGS=error", "PYTHONPATH=src"]
+    assert command[2:6] == ["python", "-m", "pytest", "-q"]
+    assert "-W error" in " ".join(command)
+    assert [arg for arg in command if arg.startswith("tests")] == []
+
+
 def test_workflow_workloads_are_benchmarked():
     text = WORKFLOW.read_text()
     # a shell loop variable stands for every value of its loop
