@@ -9,8 +9,8 @@ evaluates
 
 by one of two evaluators, chosen from the sizes alone:
 
-* blocked (n < 4096 samples, or at most 512 frequencies): with
-  m = m1 + L m2 and L a power of two near sqrt(n), the rows m2 are
+* blocked (n < 4096 samples, or at most 512 frequencies): with m = m1 +
+  L m2 and L the largest power of two <= sqrt(n), the rows m2 are
   mirrored about the middle row r0, e(psi (r0 +- d)) = e(psi r0) (C +- iS)
   with real (d x n_freqs) tables C and S, and the sum is two real matrix
   products on the float view of one complex (n_freqs x L) table, plus
@@ -20,8 +20,9 @@ by one of two evaluators, chosen from the sizes alone:
 * NUFFT (otherwise): sources are spread onto an oversampled fine grid
   with a Kaiser-Bessel window, one FFT evaluates the grid, and a
   closed-form deconvolution removes the window (Barnett, Magland and
-  af Klinteberg, SISC 2019).  Cost O(M log M) per call.  Only this path
-  needs scipy (scipy.fft, scipy.special), imported on its first call.
+  af Klinteberg, SISC 2019), spreading with one np.bincount over the
+  flattened taps.  Cost O(M log M) per call.  Only this path needs scipy
+  (scipy.fft, scipy.special), imported on its first call.
 
 Plans.  Everything a path builds that does not depend on t0 lives in a
 plan, a `BlockedPlan` (phi, the mirrored tables C and S, the exp tables
@@ -33,23 +34,25 @@ in work arrays of its own (the blocked table and odd product, the NUFFT
 fine grid), and returns a view of the plan's output that is valid until
 that plan's next call.  Its bits are those of trig_sum_uniform, which is
 one plan built and called once.  Plans are independent: no plan holds
-another's buffers.  Per 2^18-point call (the band walk's chunk) on a
-2-vCPU Xeon, medians of 24 calls: blocked at 202 frequencies 2.8 ms at two
-OpenBLAS threads (products 1.7-2.0 ms) and 4.2-4.4 ms at one (products
-3.1-3.2 ms), add and subtract 0.44 ms, lead phase and tables 0.4 ms,
-plan built once in 1.2-1.7 ms; NUFFT 13.4 ms at 929 frequencies and 13.6
-ms at 7,916 (the FFT of 2^19 points 8-10 ms, window and spreading 0.7
-and 3.4 ms, gather and deconvolution 1.3 ms), plan built once in 3.0 and
-7.9 ms.
+another's buffers.  Per call on instance A's band chunk of 62,091
+points (L 128, 487 output rows) on a 2-vCPU Xeon, medians of 24 calls in
+each of two processes: blocked at 202 frequencies 0.6 ms at two OpenBLAS
+threads (products 0.4-0.5 ms) and 0.8-0.9 ms at one (products 0.6 ms),
+both table fills 0.1 ms, plan built once in 1.2-1.4 ms; NUFFT 1.9-2.1 ms
+at 929 frequencies and 2.6-2.8 ms at 7,916 (the FFT of 124,416 points
+1.4-1.6 ms, window and spreading 0.04 and 0.25 ms at 929, 0.4 and 0.7 ms
+at 7,916, gather and deconvolution 0.2 ms), plan built once in 1.0-1.1
+and 4.9-5.0 ms.
 
-Crossover on one 2^18-point chunk at t0 = 40 on a 2-vCPU Xeon, medians
-of 5 alternating planned calls (blocked / NUFFT, ms).  One BLAS thread:
-202 frequencies 4.4 / 13.7, 400 8.1 / 14.4, 800 15.3 / 12.5, 1000 20.5 /
-15.5, 1500 28.0 / 12.5.  Two BLAS threads: 400 4.8 / 13.5, 800 8.7 /
-11.9, 1000 11.1 / 11.0, 1500 15.7 / 11.3, 2000 21.0 / 12.1.  So the
-blocked path wins below ~700 frequencies with one thread and ~1000 with
-two, and 512 sits below both; no benchmark workload has a window of 300
-to 512 primes, so the constant is not moved.
+Crossover on that chunk at t0 = 40 on a 2-vCPU Xeon, medians of 9
+alternating planned calls (blocked / NUFFT, ms).  One BLAS thread: 202
+frequencies 0.9 / 2.6, 400 1.6 / 2.7, 512 2.0 / 2.4, 800 3.0 / 1.9,
+1000 3.8 / 1.9, 1500 5.6 / 2.0.  Two BLAS threads: 400 1.3-2.5 / 2.7,
+512 1.3-1.4 / 2.4, 800 2.0-2.1 / 2.0-2.5, 1000 2.5 / 2.0, 1500 3.8 /
+2.1, 2000 5.0 / 2.1.  So the blocked path wins below ~600 frequencies
+with one thread and ~800 with two, and 512 sits below both; no benchmark
+workload has a window of 300 to 512 primes, so the constant is not
+moved.
 
 Accuracy, against an mpmath oracle exact for the double inputs, as the
 largest gap relative to sum |w_j| (see tests/test_trigpoly.py).  Nearly
@@ -114,7 +117,8 @@ class BlockedPlan:
     """The blocked evaluator for fixed (freqs, weights, dt, n), built once
     and called with each grid start t0.
 
-    With m = m1 + L m2 and L a power of two near sqrt(n),
+    With m = m1 + L m2 and L the largest power of two <= sqrt(n) (so
+    L to 4 L rows m2: the per-call table is the narrow side),
     e(f_j (t0 + m dt)) = e(f_j t0) e(phi_j m1) e(psi_j m2), where
     phi_j = {f_j dt} and psi_j = {phi_j L} (exact, L being a power of
     two).  Rows m2 = r0 +- d are mirrored about the middle row r0, so
@@ -137,7 +141,7 @@ class BlockedPlan:
 
     def __init__(self, freqs: np.ndarray, weights: np.ndarray, dt: float, n: int) -> None:
         n = int(n)
-        size = 1 << (n.bit_length() // 2)
+        size = 1 << max(0, (n.bit_length() - 1) // 2)     # L <= sqrt(n)
         rows = -(-n // size)
         r0 = rows // 2
         self.freqs, self.dt, self.n = freqs, dt, n
@@ -289,8 +293,8 @@ class NufftPlan:
 
     Everything that does not depend on t0 is built here: M, phi, the tap
     indices and window values, the gather index and the deconvolution.
-    A call forms w_j e(f_j t_mid), spreads it with np.add.at into a
-    zeroed fine grid of its own, transforms the grid (which the FFT may
+    A call forms w_j e(f_j t_mid), spreads it with np.bincount into a
+    fine grid of its own (_spread), transforms the grid (which the FFT may
     overwrite), gathers and deconvolves into the plan's output and
     returns it, valid until the next call.
     """
@@ -310,12 +314,21 @@ class NufftPlan:
         # spread: fine[c + u] += w * win(c + u - x) for each tap u
         taps = np.rint(x)[:, None] + offsets[None, :]
         self._window = _kb_window(taps - x[:, None])
-        self._taps = np.mod(taps.astype(np.int64), m_fine)
+        self._taps = np.mod(taps.astype(np.int64), m_fine).ravel()
         self._gather = np.mod(np.arange(n) - self._m0, m_fine)
         self._deconv = _deconvolution(n, m_fine, _SPREAD_WIDTH, _BETA)
         self._m_fine = m_fine
         self._out = np.empty(n, dtype=np.complex128)
         self._ifft = _fft.ifft
+
+    def _spread(self, vals: np.ndarray) -> np.ndarray:
+        """A fresh fine grid with vals[j, u] added at cell taps[j, u]: a
+        bincount over the flattened taps, which adds each cell's values
+        in source order from 0, as np.add.at does, bit for bit."""
+        fine = np.empty(self._m_fine, dtype=np.complex128)
+        fine.real = np.bincount(self._taps, vals.real.ravel(), self._m_fine)
+        fine.imag = np.bincount(self._taps, vals.imag.ravel(), self._m_fine)
+        return fine
 
     def __call__(self, t0: float) -> np.ndarray:
         # fold the grid midpoint into the source weights so output modes
@@ -323,9 +336,7 @@ class NufftPlan:
         theta = self.freqs * (t0 + self.dt * self._m0)
         theta -= np.floor(theta)
         vals = self._window * (self._weights * np.exp((2j * np.pi) * theta))[:, None]
-        fine = np.zeros(self._m_fine, dtype=np.complex128)
-        np.add.at(fine.real, self._taps, vals.real)
-        np.add.at(fine.imag, self._taps, vals.imag)
+        fine = self._spread(vals)
         # unnormalized inverse DFT, in place: F[m] = sum_g fine[g] e(+g m / M)
         spectrum = self._ifft(fine, norm="forward", overwrite_x=True)
         out = np.take(spectrum, self._gather, out=self._out)

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pstriples import expsums, trigpoly
+from pstriples import expsums, trigpoly, triplesum
 from pstriples.expsums import ps_sum_grid, ps_sum_plan
 from pstriples.kernel import make_kernel
 from pstriples.params import Coefficients, RunParameters
@@ -77,7 +77,7 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
     freqs = LAM * pset.primes.astype(np.float64)
     weights = pset.weight_w * pset.weight_log
     scale = float(np.sum(np.abs(weights)))
-    block = 1 << (N.bit_length() // 2)
+    block = 1 << ((N.bit_length() - 1) // 2)       # the blocked path's L
     rng = np.random.default_rng(q0)
     points = [0, 1, block - 1, block, N // 2, N - 2, N - 1]
     points += rng.integers(0, N, 3).tolist()
@@ -88,27 +88,55 @@ def test_grid_evaluator_against_mpmath(q0, path, t0):
     assert worst <= TOL[q0, t0]
 
 
-def test_blocked_plan_against_mpmath_past_one_slab():
-    # instance A's window on one 2^18-point band chunk, as the walker
-    # plans it: 257 mirrored rows, past the 128-row slabs the products
-    # were once split into, so each real table is now one product.  The
-    # oracle points sit on rows 0 and 2 r0 (d = r0), r0 +- 129, r0 +- 200
-    # and r0; the same gates as at N points
-    params, pset = _pset(70)
-    dt = _band_spacing(params)
-    n = 2**18
-    plan = ps_sum_plan(pset, LAM, dt, n)
-    assert isinstance(plan, trigpoly.BlockedPlan) and plan._r0 + 1 > 128
+def _assert_planned_gaps(pset, plan, points):
+    # the planned grid of instance A's window at t0 = 40 and 700 against
+    # the oracle on the given samples, under the same gates as at N points
     freqs = LAM * pset.primes.astype(np.float64)
     weights = pset.weight_w * pset.weight_log
     scale = float(np.sum(np.abs(weights)))
-    size, r0 = 1 << (n.bit_length() // 2), plan._r0
+    for t0 in (40.0, 700.0):
+        grid = ps_sum_grid(pset, LAM, t0, plan.dt, plan.n, plan=plan)
+        worst = max(abs(grid[m] - _oracle(freqs, weights, t0, plan.dt, m)) for m in points)
+        assert worst / scale <= TOL[70, t0]
+
+
+def test_blocked_plan_against_mpmath_past_one_slab():
+    # instance A's window on a 2^18-point grid, the walker's chunk size
+    # before it was 2^16: 257 mirrored rows, past the 128-row slabs the
+    # products were once split into, so each real table is one product.
+    # The oracle points sit on rows 0 and 2 r0 (d = r0), r0 +- 129,
+    # r0 +- 200 and r0
+    params, pset = _pset(70)
+    n = 2**18
+    plan = ps_sum_plan(pset, LAM, _band_spacing(params), n)
+    assert isinstance(plan, trigpoly.BlockedPlan) and plan._r0 + 1 > 128
+    size, r0 = plan._out.shape[1], plan._r0
     points = [0, 1, size - 1, (r0 - 129) * size + 7, (r0 - 200) * size + 300,
               r0 * size, (r0 + 129) * size + 5, (r0 + 200) * size, n - 1]
-    for t0 in (40.0, 700.0):
-        grid = ps_sum_grid(pset, LAM, t0, dt, n, plan=plan)
-        worst = max(abs(grid[m] - _oracle(freqs, weights, t0, dt, m)) for m in points)
-        assert worst / scale <= TOL[70, t0]
+    _assert_planned_gaps(pset, plan, points)
+
+
+def test_blocked_plan_against_mpmath_on_a_walked_chunk():
+    # the grid the walker plans on instance A (eps 2): its middle band of
+    # 745,084 points in twelve chunks of 62,091, each sum a blocked plan
+    # of L = 128 columns and 486 rows, mirrored about r0 = 243 (rows r0 -
+    # 243 to r0 + 242 hold samples), at the band's own spacing.  Oracle
+    # points on rows 0 and r0, on r0 +- d for several d, and on the last
+    # sample
+    params = RunParameters(70, 0.9, 0.5, epsilon_user=2.0)
+    pset = _pset(70)[1]
+    kern = make_kernel(params.epsilon_effective, params.kernel_k)
+    n_points, dt, n = triplesum._band_layout(
+        2, params, Coefficients(1.0, LAM, -2.0, 0.0), kern)[3:]
+    assert (n_points, n) == (745_084, 62_091)
+    plan = ps_sum_plan(pset, LAM, dt, n)
+    assert isinstance(plan, trigpoly.BlockedPlan)
+    size, r0 = plan._out.shape[1], plan._r0
+    assert (size, r0, -(-n // size)) == (128, 243, 486)
+    points = [0, 1, size - 1, (r0 - 243) * size + 77, r0 * size, r0 * size + 63, n - 1]
+    for d, col in [(1, 5), (2, 127), (64, 31), (129, 7), (200, 100), (242, 0)]:
+        points += [(r0 - d) * size + col, (r0 + d) * size + col]
+    _assert_planned_gaps(pset, plan, points)
 
 
 @pytest.mark.parametrize("lam", [1.0, LAM, -2.0])
@@ -156,10 +184,11 @@ def test_blocked_path_small_and_empty_inputs():
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 8193, 3 * 2**11 + 5,
                                2**17 + 5])
 def test_mirrored_evaluator_against_plain_sum(n):
-    # Rows of the blocked evaluator are mirrored about the middle row r0:
-    # n = 1 and 2 have one row (r0 = 0), 4095 and 4096 an even row count
-    # (64), 8193 and 3*2^11+5 odd ones (65, 97), and 2^17+5 257 rows, so
-    # more than one block of mirrored rows with a one-row last block.
+    # Rows of the blocked evaluator are mirrored about the middle row r0,
+    # with L the largest power of two <= sqrt(n): n = 1 has one row (r0 =
+    # 0), 2 two, 4095 and 4096 an even row count (128, 64), 3*2^11+5 and
+    # 8193 odd ones (97, 129), and 2^17+5 513 rows, so 257 mirrored rows:
+    # more than one 128-row block of them, with a one-row last block.
     # Dyadic inputs keep every phase product exact, in the evaluator and
     # in the plain O(n * n_freqs) sum, so the gap is the evaluator's own
     # rounding: at most 5.2e-15 * sum |w| measured (at 2^17+5).
@@ -200,6 +229,27 @@ def test_nufft_error_floor_on_exact_phases(nf, n):
     # error_floor's 2e-12; the blocked path's floor is the 5.2e-15 above
     assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf) == 2e-12
     assert trigpoly.error_floor(trigpoly._BLOCKED_MAX_FREQS) == 5.2e-15
+
+
+def test_nufft_spreading_equals_add_at_bitwise():
+    # the plan spreads with one bincount over the flattened taps; it must
+    # give np.add.at's fine grid bit for bit where sources share cells
+    # (a repeated frequency, sources a cell apart) and where taps wrap
+    # past either end of the grid (phases near 0 and near 1)
+    rng = np.random.default_rng(31)
+    n, dt = 4096, 1.0
+    freqs = np.concatenate([[0.0, 0.0, 3e-5, -2e-5, 0.99996, 5.5, 5.5 + 1 / 8192, -3.75],
+                            rng.uniform(-50.0, 50.0, 600)])
+    plan = trigpoly.NufftPlan(freqs, np.ones(freqs.size, dtype=np.complex128), dt, n)
+    m_fine, taps = plan._m_fine, plan._taps.reshape(freqs.size, -1)
+    assert np.bincount(plan._taps).max() > 2
+    assert all({0, m_fine - 1} <= set(taps[j].tolist()) for j in (0, 2, 3, 4))
+    vals = rng.normal(size=taps.shape) + 1j * rng.normal(size=taps.shape)
+    vals[1] = -vals[0]              # cells where sources cancel exactly
+    want = np.zeros(m_fine, dtype=np.complex128)
+    np.add.at(want.real, taps, vals.real)
+    np.add.at(want.imag, taps, vals.imag)
+    assert plan._spread(vals).tobytes() == want.tobytes()
 
 
 def test_deconvolution_follows_the_window(monkeypatch):
@@ -246,7 +296,7 @@ def test_plan_matches_fresh_calls_bitwise(n):
 def test_plan_reuse_at_a_b_a(nf, n):
     # a plan called at t0 = a, b, a: both a results are bitwise equal and
     # each result equals a fresh trig_sum_uniform.  The blocked cases have
-    # 257 and 129 mirrored rows, more than one 128-row slab of the old
+    # 257 mirrored rows each, more than one 128-row slab of the old
     # product loop; the others take the NUFFT (over 512 frequencies,
     # n >= 4096)
     rng = np.random.default_rng(nf)

@@ -546,7 +546,7 @@ def test_decomposition_closes_on_instance_a():
 def test_decompose_builds_one_plan_set_per_band(monkeypatch):
     # each sum band (pieces 1 to 3) builds one plan per coefficient with
     # its factor source and calls each once per chunk: 3 x 3 plans, and
-    # 3 x (1 + 3 + 1) grid calls for the middle band's three chunks
+    # 3 grid calls per chunk of the layout (1 + 12 + 3 chunks on A)
     built, called = [], []
 
     def counted(name, log):
@@ -560,9 +560,15 @@ def test_decompose_builds_one_plan_set_per_band(monkeypatch):
     counted("ps_sum_plan", built)
     counted("ps_sum_grid", called)
     params, pset = _instance(70, 0.9, 0.5, 2.0)
-    decompose(params, Coefficients(1.0, SQRT2, -2.0, 0.0), pset, with_direct=False)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.0)
+    kern = make_kernel(params.epsilon_effective, params.kernel_k)   # decompose's
+    chunks = 0
+    for piece in (1, 2, 3):
+        n_points, _, chunk = triplesum._band_layout(piece, params, c, kern)[3:]
+        chunks += -(-n_points // chunk)
+    decompose(params, c, pset, with_direct=False)
     assert built == [1.0, SQRT2, -2.0] * 3
-    assert len(called) == 15 and called[:3] == [1.0, SQRT2, -2.0]
+    assert chunks == 16 and len(called) == 3 * chunks and called[:3] == [1.0, SQRT2, -2.0]
 
 
 @pytest.mark.parametrize("fh", [0.75, 0.8, 0.85])
@@ -874,13 +880,15 @@ def test_empty_far_band_is_its_tail_bar(monkeypatch):
     assert band.error == far_tail_majorant(params, kern, pset)
 
 
-@pytest.mark.parametrize("nufft, bound_mib", [(False, 28), (True, 44)])
+@pytest.mark.parametrize("nufft, bound_mib", [(False, 12), (True, 14)])
 def test_middle_band_memory_is_bounded_by_one_chunk(monkeypatch, nufft, bound_mib):
-    # instance A's middle band (745,084 points) is walked in three equal
-    # chunks of 248,362 points, each chunk's sums from one plan set built
-    # once: 21.4 MiB at peak as it dispatches (blocked) and 33.3 MiB with
-    # the NUFFT forced.  With one 2^21-point chunk holding the band's three
-    # whole sums it read 47.1 and 100.8 MiB.  Bounds about 1.3x the peaks
+    # instance A's middle band (745,084 points) is walked in twelve equal
+    # chunks of 62,091 points, each chunk's sums from one plan set built
+    # once: 9.1 MiB at peak as it dispatches (blocked, 487 x 128 output
+    # rows per plan) and 10.4 MiB with the NUFFT forced.  Three chunks of
+    # 248,362 points read 20.4 and 33.2 MiB, and one 2^21-point chunk
+    # holding the band's three whole sums 47.1 and 100.8 MiB.  Bounds
+    # about 1.3x the peaks
     import scipy.fft, scipy.special  # noqa: F401  (loaded outside the trace)
 
     params, pset = _instance(70, 0.9, 0.5, 2.0)
