@@ -107,7 +107,7 @@ def _cmd_ps_primes(args) -> int:
     primes = load_full_set(args.gamma, args.limit, path=path).primes
     if window:
         primes = primes[(primes > window[0]) & (primes <= window[1])]
-    _emit("\n".join(str(int(p)) for p in primes.tolist()) + "\n", args.out)
+    _emit("".join(f"{int(p)}\n" for p in primes.tolist()), args.out)
     return 0
 
 

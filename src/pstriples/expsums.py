@@ -46,7 +46,7 @@ from .quadrature import (
     euler_maclaurin_tail,
 )
 from .summation import SumResult, row_parts
-from .trigpoly import BlockedPlan, NufftPlan, error_floor, plan_uniform, trig_sum_uniform
+from .trigpoly import BlockedPlan, NufftPlan, plan_uniform, trig_sum_uniform
 
 __all__ = [
     "PHASE_LIMIT",
@@ -76,12 +76,6 @@ PHASE_LIMIT = float(1 << 52)
 # unit roundoff, and np.sinc's steepest slope max |d/dx sin(pi x)/(pi x)|
 _UNIT_ROUNDOFF = 2.0**-53
 _SINC_SLOPE = 1.3704
-
-# ps_sum_grid's rounding per unit max |lam p| (|t0| + m dt) of sum |w|:
-# the phase of term p is built from the products f = lam p, f t0 and f dt
-# (taken m times), each off by at most u relative, so it is off by at most
-# 2 u |f| (|t0| + m dt) turns and the term by 2 pi times that
-_GRID_ROUNDING = 4.0 * math.pi * _UNIT_ROUNDOFF
 
 
 def sawtooth(t):
@@ -208,12 +202,9 @@ def chebyshev_sum(alpha, X: float, table: PrimeTable) -> "SumResult | list[SumRe
 
 def ps_sum_plan(
     pset: PSPrimeSet, lam: float, dt: float, n: int,
-) -> "BlockedPlan | NufftPlan | None":
+) -> "BlockedPlan | NufftPlan":
     """A plan for repeated ps_sum_grid(pset, lam, t0, dt, n) calls at
-    several t0 (trigpoly.plan_uniform), on either evaluator: None only
-    for an empty window."""
-    if pset.count == 0:
-        return None
+    several t0 (trigpoly.plan_uniform), on either evaluator."""
     freqs = lam * pset.primes.astype(np.float64)
     return plan_uniform(freqs, pset.weights.astype(np.complex128), dt, n)
 
@@ -225,25 +216,17 @@ def ps_sum_grid(
     """ps_exp_sum(lam * t) on the uniform grid t = t0 + j dt, j < n.
 
     Bulk evaluation for quadrature through `trig_sum_uniform`, without
-    per-term compensation: a blocked matrix product for windows of at most
-    512 primes (or grids under 4096 points), the NUFFT above.  The error
-    relative to sum |w| grows with max |lam p| (|t0| + m dt), which is
-    max |lam p t| where t0 >= 0, from rounding the phase products to
-    doubles: at most _GRID_ROUNDING = 4 pi u times it (derived, u = 2^-53;
-    the measured gap reaches 0.32 of that on q0 12's 9 primes and 0.06
-    on instance A's 202, whose terms' errors partly cancel), plus the
-    evaluator's floor (trigpoly.error_floor).
-    Reruns are bitwise identical for a fixed BLAS library and thread
-    count.
+    per-term compensation.  The error relative to sum |w| is at most the
+    plan's rounding times max |lam p| (|t0| + m dt), which is max |lam p t|
+    where t0 >= 0, plus its floor (trigpoly).  Reruns are bitwise
+    identical for a fixed BLAS library and thread count.
 
     With plan = ps_sum_plan(pset, lam, dt, n) the evaluator's tables are
     reused and the bits are the same; the result is then a view of the
     plan's output, valid until the plan's next call.
     """
-    if pset.count == 0:
-        return np.zeros(n, dtype=np.complex128)
     freqs = lam * pset.primes.astype(np.float64)
-    _check_phase_range(np.max(np.abs(freqs)), max(abs(t0), abs(t0 + (n - 1) * dt)))
+    _check_phase_range(np.max(np.abs(freqs), initial=0.0), max(abs(t0), abs(t0 + (n - 1) * dt)))
     if plan is not None:
         if (plan.n, plan.dt) != (n, dt) or not np.array_equal(plan.freqs, freqs):
             raise ValueError("plan was built for another window, lam, dt or n")
@@ -290,14 +273,15 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
     l2_integral) on grids of n points at spacing h: the window's sums
     S(l_i t), as (grid, series, amplitude, rounding, floor).  rounding
     bounds each sum's error per unit |l_i| t at a sample t of a grid from
-    t0 >= 0 (_GRID_ROUNDING), and floor its error that does not grow
-    with t (trigpoly.error_floor), both absolute.  One plan per l_i is
-    built here (ps_sum_plan, on either evaluator; None only for an empty
-    window), and grid(t0) gives the sums at t0 + j h, j < n, each a view
-    valid until that sum's next call.  series(x, terms) gives each sum's
-    endpoint Taylor coefficients in steps of h (ps_sum_series): one table
-    per l_i reduced in numpy, no BLAS call, so unlike the blocked grid
-    sums their bits do not depend on the BLAS thread count."""
+    t0 >= 0, and floor its error that does not grow with t, both
+    absolute: the plans' rounding times max p, and their floor, each
+    times S(0) (ps_sum_grid).  One plan per
+    l_i is built here (ps_sum_plan), and grid(t0) gives the sums at
+    t0 + j h, j < n, each a view valid until that sum's next call.
+    series(x, terms) gives each sum's endpoint Taylor coefficients in
+    steps of h (ps_sum_series): one table per l_i reduced in numpy, no
+    BLAS call, so unlike the blocked grid sums their bits do not depend
+    on the BLAS thread count."""
     plans = [ps_sum_plan(pset, l, h, n) for l in lams]
 
     def grid(t0: float) -> list:
@@ -307,9 +291,8 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
         return [ps_sum_series(pset, l, centre, x, h, terms) for l in lams]
 
     total = _sum_at_zero(pset)
-    p_max = float(pset.primes[-1]) if pset.count else 0.0
-    return (grid, series, total, _GRID_ROUNDING * p_max * total,
-            error_floor(pset.count) * total)
+    p_max = float(np.max(pset.primes, initial=0))
+    return grid, series, total, plans[0].rounding * p_max * total, plans[0].floor * total
 
 
 def _window_factors(params: RunParameters, lams, h: float, n: int):

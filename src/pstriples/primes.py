@@ -241,7 +241,9 @@ def _floor_root_power(n: int, inv_gamma_of: float) -> int:
 def ps_enumerate_oracle(
     limit: int, gamma: "GammaExponent | float", table: "PrimeTable | None" = None
 ) -> PSPrimeSet:
-    """Enumerate floor(n^(1/gamma)) directly; independent of the indicator."""
+    """Enumerate floor(n^(1/gamma)) directly; independent of the indicator.
+    The package keeps it as the independent side of acceptance criterion
+    1, which ps_primes_in must match."""
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
     g = gamma if isinstance(gamma, GammaExponent) else GammaExponent(float(gamma))

@@ -7,7 +7,7 @@ evaluates
 
     out[m] = sum_j w_j e(f_j (t0 + m dt)),  m = 0..n-1
 
-by one of two evaluators, chosen from the sizes alone:
+by one of two evaluators, chosen from the sizes alone (_takes_blocked):
 
 * blocked (n < 4096 samples, or at most 512 frequencies): with m = m1 +
   L m2 and L the largest power of two <= sqrt(n), the rows m2 are
@@ -55,21 +55,17 @@ workload has a window of 300 to 512 primes, so the constant is not
 moved.
 
 Accuracy, against an mpmath oracle exact for the double inputs, as the
-largest gap relative to sum |w_j| (see tests/test_trigpoly.py).  Nearly
-all of it is the rounding of the products f_j t0 and f_j dt to doubles,
-which both paths share: each is off by at most u = 2^-53 relative, so
-the phase of term j at t0 + m dt is off by at most u |f_j| (|t0| + m dt)
-turns and the gap by 2 pi u max |f_j| (|t0| + m dt) (the blocked path;
-the NUFFT forms its phases about the grid's midpoint).  Measured, the
-gap reaches 0.63 of that on 9 frequencies at t up to 14, and about 4e-17
-max |f_j t| on 202 to 1325, whose errors partly cancel (3e-12 at 1e5,
-1e-11 to 2e-11 at 5.6e5, 1e-10 at 5.6e6, 1e-9 to 2e-9 at 1e8).  Below
-it, at small |f_j t|, each path has a floor that does not fall with t
-(`error_floor`): with exact phase products the blocked path is within
-5.2e-15 (tests/test_trigpoly.py), the NUFFT within 1.6e-12 (dyadic
-inputs, 513 to 4287 frequencies, 4096 to 2^21 points, f_max dt 0.4 to
-0.8) and 1.7e-12 on the window of q0 120 near t = Delta, from its
-Kaiser-Bessel window.
+largest gap relative to sum |w_j| (see tests/test_trigpoly.py).  Each
+plan carries its two figures.  `rounding` is the phase rounding both
+paths share, per unit max |f_j| (|t0| + m dt) (_ROUNDING).  Measured,
+the gap reaches 0.32 of it on 9 frequencies at t up to 14, and about
+4e-17 max |f_j t| on 202 to 1325, whose errors partly cancel (3e-12 at
+1e5, 1e-11 to 2e-11 at 5.6e5, 1e-10 at 5.6e6, 1e-9 to 2e-9 at 1e8).
+`floor` is the error at small |f_j t|, which does not fall with t: with
+exact phase products the blocked path is within 5.2e-15 (at most 512
+frequencies), the NUFFT within 1.6e-12 (dyadic inputs, 513 to 4287
+frequencies, 4096 to 2^21 points, f_max dt 0.4 to 0.8) and 1.7e-12 on
+the window of q0 120 near t = Delta, from its Kaiser-Bessel window.
 
 Determinism: reruns are bitwise identical for fixed inputs, a fixed BLAS
 library and a fixed BLAS thread count.  Only the blocked path's grid sums
@@ -85,16 +81,21 @@ import functools
 
 import numpy as np
 
-__all__ = ["BlockedPlan", "NufftPlan", "error_floor", "plan_uniform", "trig_sum_uniform"]
+__all__ = ["BlockedPlan", "NufftPlan", "plan_uniform", "trig_sum_uniform"]
 
 _SPREAD_WIDTH = 13          # Kaiser-Bessel support in fine-grid cells (odd)
 _OVERSAMPLING = 2.0
 _BETA = np.pi * _SPREAD_WIDTH * (1.0 - 1.0 / (2.0 * _OVERSAMPLING))
 _DIRECT_CUTOFF = 4096       # below this many samples the blocked path wins
 _BLOCKED_MAX_FREQS = 512    # up to this many frequencies the blocked path wins
-# each path's error at small |f_j t| relative to sum |w_j| (module docstring)
+# each path's floor relative to sum |w_j| (module docstring)
 _BLOCKED_FLOOR = 5.2e-15
 _NUFFT_FLOOR = 2e-12
+# a plan's rounding relative to sum |w_j| per unit max |f_j| (|t0| + m dt):
+# f_j t0, f_j dt (taken m times) and f_j itself, a caller's product (as
+# expsums' lam p), each off by u = 2^-53 relative, put the phase of term j
+# off by 2 u |f_j| (|t0| + m dt) turns and the term by 2 pi times that
+_ROUNDING = 4.0 * np.pi * 2.0**-53
 
 
 def _phase_factors(phase: np.ndarray, count: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -130,7 +131,8 @@ class BlockedPlan:
 
     Everything that does not depend on t0 is built here: phi, the
     mirrored tables C and S, the two exp tables whose outer product is
-    e(phi_j m1), and the output rows.  A call builds the lead phase
+    e(phi_j m1), the output rows, and the error figures floor and
+    rounding (module docstring).  A call builds the lead phase
     w_j e(f_j t0) e(psi_j r0) and AT in a table of its own, writes C @ AT
     into rows r0 + d in one product, rebuilds the same table as
     iAT = i AT, takes S @ iAT as an odd product of r0 + 1 rows (at most
@@ -146,6 +148,11 @@ class BlockedPlan:
         r0 = rows // 2
         self.freqs, self.dt, self.n = freqs, dt, n
         self._weights, self._r0 = weights, r0
+        # the blocked floor holds up to _BLOCKED_MAX_FREQS frequencies; a
+        # wider window's short grids take this path but are charged the
+        # NUFFT's floor, which its long grids take
+        self.floor = _NUFFT_FLOOR if freqs.size > _BLOCKED_MAX_FREQS else _BLOCKED_FLOOR
+        self.rounding = _ROUNDING
         phi = freqs * dt
         phi -= np.floor(phi)
         psi = phi * size
@@ -251,14 +258,6 @@ def _deconvolution(n: int, m_fine: int, width: int, beta: float) -> np.ndarray:
     return out
 
 
-def error_floor(n_freqs: int) -> float:
-    """A bound on trig_sum_uniform's error at small |f_j t|, relative to
-    sum |w_j|: the blocked path's where every grid takes it (at most
-    _BLOCKED_MAX_FREQS frequencies), else the NUFFT's (1.7e-12 measured,
-    charged 2e-12), which also covers that window's short grids."""
-    return _BLOCKED_FLOOR if n_freqs <= _BLOCKED_MAX_FREQS else _NUFFT_FLOOR
-
-
 def trig_sum_uniform(
     freqs: np.ndarray,
     weights: np.ndarray,
@@ -268,10 +267,8 @@ def trig_sum_uniform(
 ) -> np.ndarray:
     """sum_j w_j e(f_j (t0 + m dt)) for m = 0..n-1.
 
-    The blocked matrix-product evaluator when n < _DIRECT_CUTOFF or there
-    are at most _BLOCKED_MAX_FREQS frequencies, the NUFFT otherwise (see
-    the module docstring for the measured crossover and errors): one plan
-    (plan_uniform) built and called once.  Callers keep |f_j t| below
+    One plan (plan_uniform) built and called once, on the evaluator the
+    dispatch picks (module docstring).  Callers keep |f_j t| below
     2**52.  Bitwise identical on reruns with fixed inputs and a fixed BLAS
     library and thread count; the choice of evaluator, the fine-grid size
     and the FFT plan depend only on (n, len(freqs)).
@@ -292,7 +289,8 @@ class NufftPlan:
     window's transform is divided out.
 
     Everything that does not depend on t0 is built here: M, phi, the tap
-    indices and window values, the gather index and the deconvolution.
+    indices and window values, the gather index, the deconvolution and
+    the error figures floor and rounding (module docstring).
     A call forms w_j e(f_j t_mid), spreads it with np.bincount into a
     fine grid of its own (_spread), transforms the grid (which the FFT may
     overwrite), gathers and deconvolves into the plan's output and
@@ -306,6 +304,7 @@ class NufftPlan:
         self.freqs, self.dt, self.n = freqs, dt, n
         self._weights = weights
         self._m0 = n // 2
+        self.floor, self.rounding = _NUFFT_FLOOR, _ROUNDING
         phi = freqs * dt
         phi -= np.floor(phi)
         m_fine = _fft.next_fast_len(int(np.ceil(_OVERSAMPLING * n)), real=False)

@@ -126,9 +126,6 @@ _BRUTE_LIMIT = 512
 _SWEEP_PAIRS = 1 << 14
 _CELLS = 1 << 18
 
-# Theta's error (kernel.GridTransform): relative where 2 pi a t < 1, in
-# units of 2a elsewhere
-_THETA_ERROR = (5.8e-15, 3.1e-15)
 # roundings, in units of u, of each sample of the band integrand relative
 # to |Theta F1 F2 F3| and of its share of the sum: two complex products
 # (sqrt 5 each, no FMA), the carrier (its product, 2 pi frac, np.pi's
@@ -312,8 +309,10 @@ def triple_sum_bruteforce(
     kernel: SmoothingKernel,
     pset: PSPrimeSet,
 ) -> TripleSumResult:
-    """Cubic reference enumeration at the kernel's width; oracle for the
-    sweep on small sets."""
+    """Cubic reference enumeration at the kernel's width, up to
+    _BRUTE_LIMIT primes.  The package keeps it as the independent side of
+    acceptance criterion 8: it shares no search code with the sweep
+    (big_gamma_direct), so the two counts check each other."""
     check_window_set(params, pset)
     if pset.count == 0:
         return TripleSumResult(0.0, 0, True)
@@ -557,21 +556,20 @@ def _band_quadrature(
     series, amplitude, rounding, floor): grid(t0) the three factors at
     t0 + j h, j < chunk (possibly views that the next call overwrites),
     series(x, terms) the first terms Taylor coefficients of each
-    F_i(x + s h) demodulated about l_i * centre, amplitude a bound on every |F_i|,
-    rounding a bound on F_i's error per unit |l_i| t at a sample t >= 0
-    and floor one on its error that does not grow with t.  At f_max h <=
-    quadrature._BAND_FH the trapezoid rule's only error is its
-    Euler-Maclaurin endpoint series, and the first _EM_TERMS terms are
-    subtracted, from the product at each end of Theta's series, the
-    factors' and the carrier e(F (x + s h)), F = sum l_i centre + eta,
-    kept apart (multiplying raw series cancels digits that the Bernoulli
-    weights amplify).
+    F_i(x + s h) demodulated about l_i * centre, amplitude a bound on
+    every |F_i|, and rounding and floor the source's error figures
+    (expsums._sum_factors).  At f_max h <= quadrature._BAND_FH the
+    trapezoid rule's only error is its Euler-Maclaurin endpoint series,
+    and the first _EM_TERMS terms are subtracted, from the product at
+    each end of Theta's series, the factors' and the carrier
+    e(F (x + s h)), F = sum l_i centre + eta, kept apart (multiplying raw
+    series cancels digits that the Bernoulli weights amplify).
 
     The bar is the tail bound with majorant 2a amplitude^3 plus h times
     one rounding row summed over the samples: rounding times |Theta| t
     sum_i |l_i| prod_{j != i} |F_j|, floor times |Theta| sum_i prod_{j
-    != i} |F_j|, and |F1 F2 F3| times Theta's error (_THETA_ERROR), the
-    sample's and the sum's roundings (_SAMPLE_ROUNDINGS) and the
+    != i} |F_j|, and |F1 F2 F3| times Theta's error (GridTransform.error),
+    the sample's and the sum's roundings (_SAMPLE_ROUNDINGS) and the
     carrier's phase error from eta t.  A far band's bar adds
     far_tail_majorant past t_hi; empty, the band is that bar alone.
 
@@ -579,10 +577,9 @@ def _band_quadrature(
     the plans the source built with the band (the last chunk's surplus
     samples past t_hi are not walked) and walked on its own (walk), so
     one chunk's factors are held at a time and only block buffers pass
-    between chunks.  The row
-    partials are added exactly rounded and the best samples merged in
-    chunk order, the first maximum kept: results are bitwise
-    reproducible at a fixed BLAS library and thread count.
+    between chunks.  The row partials are added exactly rounded and the
+    best samples merged in chunk order, the first maximum kept: results
+    are bitwise reproducible at a fixed BLAS library and thread count.
 
     A collecting walk also gives the |F_i|^2 integrals, corrected from
     F_i's series (euler_maclaurin_squared), the largest sampled min(|F1|,
@@ -602,7 +599,7 @@ def _band_quadrature(
     # by at most 3 (k + 1) u |Theta|, and e(eta t) by 2 pi u |eta| (3 t +
     # t_lo) with eta t's own rounding.
     u = _UNIT_ROUNDOFF
-    theta_rel, theta_abs = _THETA_ERROR
+    theta_rel, theta_abs = GridTransform.error
     theta_abs *= 2.0 * kernel.a
     sample_rel = u * (_SAMPLE_ROUNDINGS + 3.0 * (kernel.k + 1)) + 2.0 * math.pi * u * abs(eta * t_lo)
     per_r = 6.0 * math.pi * u * abs(eta)

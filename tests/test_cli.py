@@ -39,6 +39,13 @@ def test_ps_primes_range_filter(capsys):
     assert got and all(100 < p <= 300 for p in got)
 
 
+def test_ps_primes_empty_range_prints_nothing(capsys):
+    # (50, 52] holds no prime, so no line at all, not one blank line
+    assert main(["ps-primes", "--gamma", "0.9", "--limit", "100",
+                 "--range", "50:52"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_ps_primes_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "primes.psp"
     main(["ps-primes", "--gamma", "0.9", "--limit", "400",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstriples import triplesum
 from pstriples.kernel import (
     GridTransform,
     _antiderivatives,
@@ -21,6 +22,7 @@ from pstriples.kernel import (
     transform_series,
     verify_bounds,
 )
+from pstriples.params import Coefficients, RunParameters
 
 # theta within THETA_TOL absolute and its antiderivative within
 # THETA_TOL * 2a of the 50-digit reference at the double y; measured
@@ -236,6 +238,46 @@ def test_grid_transform_matches_closed_form(eps, k, h, t0):
     assert np.all(gap[~near] <= GRID_ABS_TOL * 2 * ker.a)
     if t0 == 0.0:
         assert got[0] == want[0] == 2 * ker.a
+
+
+@pytest.mark.parametrize("q0, eps", [(70, 2.0), (70, 0.05), (29, 2.0), (169, 2.0)])
+def test_grid_transform_within_its_error_on_walked_grids(q0, eps):
+    # the figure the band bars charge, GridTransform.error, against 30
+    # digits at the double t of the grids the walker builds: bands 1 to 3
+    # (those not empty) at gamma 0.9, l = (1, sqrt 2, -2), blocks formed
+    # as the walker forms them, in the first, middle and last chunk.
+    # Measured over these 1,023 points: 3.81e-15 relative where
+    # 2 pi a t < 1 and 2.71e-15 * 2a elsewhere
+    params = RunParameters(q0, 0.9, 0.5, epsilon_user=eps)
+    ker = make_kernel(params.epsilon_effective, params.kernel_k)
+    coeffs = Coefficients(1.0, math.sqrt(2), -2.0, 0.0)
+    rel, absolute = GridTransform.error
+    for key in (1, 2, 3):
+        t_lo, _, _, n_points, h, chunk = triplesum._band_layout(key, params, coeffs, ker)
+        if n_points == 0:
+            continue
+        block = triplesum._BLOCK
+        offsets = np.arange(min(block, n_points), dtype=np.float64)
+        rot = GridTransform(ker, h, offsets.size)
+        rng = np.random.default_rng(key + q0)
+        starts = range(0, n_points, chunk)
+        for start in sorted({starts[0], starts[len(starts) // 2], starts[-1]}):
+            n_chunk = min(chunk, n_points - start)
+            blocks = range(0, n_chunk, block)
+            for b in sorted({blocks[0], blocks[-1]}):
+                n = min(block, n_chunk - b)
+                t = (offsets[:n] + b) * h + (t_lo + start * h)
+                got = rot(t)
+                with mp.workdps(30):
+                    a, bb = mp.mpf(ker.a), mp.mpf(ker.b)
+                    for i in sorted({0, 1, n - 1, *rng.integers(0, n, 25).tolist()}):
+                        x = mp.mpf(float(t[i]))
+                        want = 2 * a * mp.sincpi(2 * a * x) * mp.sincpi(2 * bb * x) ** ker.k
+                        gap = abs(mp.mpf(float(got[i])) - want)
+                        if 2 * math.pi * ker.a * t[i] < 1.0:
+                            assert gap <= rel * abs(want)
+                        else:
+                            assert gap <= absolute * 2 * ker.a
 
 
 @pytest.mark.parametrize("u, r", [

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pstriples import expsums, trigpoly, triplesum
+from pstriples import trigpoly, triplesum
 from pstriples.expsums import ps_sum_grid, ps_sum_plan
 from pstriples.kernel import make_kernel
 from pstriples.params import Coefficients, RunParameters
@@ -143,19 +143,20 @@ def test_blocked_plan_against_mpmath_on_a_walked_chunk():
 def test_grid_rounding_covers_a_small_window(lam):
     # q0 12's window has 9 primes, too few for the terms' phase errors to
     # cancel: at t in [1, 14] the gap reaches 4.4e-16 max |f t| of sum |w|
-    # (lam sqrt 2), 0.32 of the derived expsums._GRID_ROUNDING that the
-    # band bars charge; on instance A's 202 primes it stays near 4e-17
+    # (lam sqrt 2), 0.32 of the derived plan.rounding that the band bars
+    # charge; on instance A's 202 primes it stays near 4e-17
     params, pset = _pset(12)
     assert pset.count == 9
     t0, dt, n = 1.0, 13 / 8191, 8192
-    grid = ps_sum_grid(pset, lam, t0, dt, n)
+    plan = ps_sum_plan(pset, lam, dt, n)
+    grid = ps_sum_grid(pset, lam, t0, dt, n, plan=plan)
     freqs = lam * pset.primes.astype(np.float64)
     weights = pset.weight_w * pset.weight_log
     scale = float(np.sum(np.abs(weights)))
     for m in range(0, n, 97):
         gap = abs(grid[m] - _oracle(freqs, weights, t0, dt, m)) / scale
         reach = np.max(np.abs(freqs)) * (abs(t0) + m * dt)
-        assert gap <= expsums._GRID_ROUNDING * reach + trigpoly.error_floor(pset.count)
+        assert gap <= plan.rounding * reach + plan.floor
 
 
 @pytest.mark.parametrize("q0", [70, 203])
@@ -191,44 +192,79 @@ def test_mirrored_evaluator_against_plain_sum(n):
     # more than one 128-row block of them, with a one-row last block.
     # Dyadic inputs keep every phase product exact, in the evaluator and
     # in the plain O(n * n_freqs) sum, so the gap is the evaluator's own
-    # rounding: at most 5.2e-15 * sum |w| measured (at 2^17+5).
+    # rounding, which the plan's floor bounds: at most 3.5e-15 * sum |w|
+    # measured (at 2^17+5), at one and at two BLAS threads.
     rng = np.random.default_rng(5)
     nf = 61
     freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
     weights = rng.normal(size=nf) + 1j * rng.normal(size=nf)
     t0, dt = 321987 / 2.0**20, 3 / 2.0**20
-    assert nf <= trigpoly._BLOCKED_MAX_FREQS
-    got = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
+    plan = trigpoly.plan_uniform(freqs, weights, dt, n)
+    assert isinstance(plan, trigpoly.BlockedPlan)
+    got = plan(t0)
     phase = np.outer(t0 + dt * np.arange(n), freqs)
     want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
     assert got.shape == (n,)
-    assert np.max(np.abs(got - want)) <= 2e-14 * np.sum(np.abs(weights))
+    assert np.max(np.abs(got - want)) <= plan.floor * np.sum(np.abs(weights))
+
+
+@pytest.mark.parametrize("nf", [61, 202, 400, 512])
+@pytest.mark.parametrize("n", [4095, 8193, 3 * 2**11 + 5, 62_091, 2**16, 2**17 + 5])
+def test_blocked_gap_within_plan_floor(nf, n):
+    # the floor the band bars charge, on dyadic inputs at the walker's
+    # chunk sizes (62,091 is instance A's middle-band chunk) and past
+    # them: every phase product is exact, so the gap to the plain sum at
+    # every 61st sample is the evaluator's own rounding, at most 3.4e-15
+    # of sum |w| over these 24 cases at one and at two BLAS threads
+    rng = np.random.default_rng(7 * nf + n)
+    freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
+    weights = rng.normal(size=nf) + 1j * rng.normal(size=nf)
+    t0, dt = 321987 / 2.0**20, 3 / 2.0**20
+    plan = trigpoly.plan_uniform(freqs, weights, dt, n)
+    assert isinstance(plan, trigpoly.BlockedPlan)
+    got = plan(t0)
+    idx = np.append(np.arange(0, n, 61), n - 1)
+    phase = np.outer(t0 + dt * idx, freqs)
+    want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
+    assert np.max(np.abs(got[idx] - want)) <= plan.floor * np.sum(np.abs(weights))
+
+
+def test_floor_rule_at_the_dispatch_edges():
+    # a short grid of a window past _BLOCKED_MAX_FREQS takes the blocked
+    # path but is charged the NUFFT's floor, which its long grids take
+    for n, nf, kind, floor in [(4095, 513, trigpoly.BlockedPlan, 2e-12),
+                               (4095, 512, trigpoly.BlockedPlan, 5.2e-15),
+                               (4096, 513, trigpoly.NufftPlan, 2e-12)]:
+        plan = trigpoly.plan_uniform(np.linspace(1.0, 2.0, nf), np.ones(nf), 1e-3, n)
+        assert isinstance(plan, kind)
+        assert (plan.floor, plan.rounding) == (floor, 4.0 * math.pi * 2.0**-53)
 
 
 def _dyadic_nufft_gap(nf, n):
     # dyadic frequencies, t0 and dt at f_max dt 0.4 to 0.8 keep every
     # phase product exact, so the gap to the plain sum, relative to
-    # sum |w|, is the NUFFT's own error
+    # sum |w|, is the NUFFT's own error; returned with the plan's floor
     rng = np.random.default_rng(nf)
     freqs = rng.integers(1, 1 << 26, nf) / 2.0**16 * rng.choice([-1, 1], nf)
     weights = (0.5 + rng.random(nf)).astype(np.complex128)
     dt = 2.0 ** np.floor(np.log2(0.8 / np.max(np.abs(freqs))))
     t0 = 37 * dt / 64
-    assert not trigpoly._takes_blocked(n, nf)
-    got = trigpoly.trig_sum_uniform(freqs, weights, t0, dt, n)
+    plan = trigpoly.plan_uniform(freqs, weights, dt, n)
+    assert isinstance(plan, trigpoly.NufftPlan)
+    got = plan(t0)
     idx = np.append(np.arange(0, n, n // 256), n - 1)
     phase = np.outer(t0 + dt * idx, freqs)
     want = np.exp(2j * np.pi * (phase - np.floor(phase))) @ weights
-    return np.max(np.abs(got[idx] - want)) / np.sum(np.abs(weights))
+    return np.max(np.abs(got[idx] - want)) / np.sum(np.abs(weights)), plan.floor
 
 
 @pytest.mark.parametrize("nf, n", [(600, 4096), (929, 2**14 + 3), (2000, 2**18)])
 def test_nufft_error_floor_on_exact_phases(nf, n):
     # the NUFFT's error does not fall with t: 4.0e-13 to 8.4e-13 of
-    # sum |w| here (at most 1.6e-12 over 50 such cases), under
-    # error_floor's 2e-12; the blocked path's floor is the 5.2e-15 above
-    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf) == 2e-12
-    assert trigpoly.error_floor(trigpoly._BLOCKED_MAX_FREQS) == 5.2e-15
+    # sum |w| here (at most 1.6e-12 over 50 such cases), under the
+    # plan's floor of 2e-12
+    gap, floor = _dyadic_nufft_gap(nf, n)
+    assert gap <= floor == 2e-12
 
 
 def test_nufft_spreading_equals_add_at_bitwise():
@@ -258,12 +294,14 @@ def test_deconvolution_follows_the_window(monkeypatch):
     # divide out its own window's transform, not the cached width-13 one
     # (that gap is 0.185 of sum |w|; the width-17 table's 6.7e-16)
     nf, n = 929, 2**14 + 3
-    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf)
+    gap, floor = _dyadic_nufft_gap(nf, n)
+    assert gap <= floor
     width = 17
     monkeypatch.setattr(trigpoly, "_SPREAD_WIDTH", width)
     monkeypatch.setattr(trigpoly, "_BETA",
                         np.pi * width * (1.0 - 1.0 / (2.0 * trigpoly._OVERSAMPLING)))
-    assert _dyadic_nufft_gap(nf, n) <= trigpoly.error_floor(nf)
+    gap, floor = _dyadic_nufft_gap(nf, n)
+    assert gap <= floor
 
 
 @pytest.mark.parametrize("n", [5, 4095, 8193, 3 * 2**11 + 5, 2**17 + 5])

@@ -507,7 +507,7 @@ def test_decomposition_closes_on_feasible_instance():
     assert res.gamma3 != 0.0
     # the gap (2.0e-8) is the far band past the cut, which piece 3's bar
     # covers; the quadrature bars of pieces 1 and 2 sum to 7.3e-8, nearly
-    # all of it the evaluator's phase rounding (expsums._GRID_ROUNDING,
+    # all of it the evaluator's phase rounding (the plans' rounding,
     # 4 pi u per unit |l p| r), whose true size on this 9-prime window
     # (0.32 of the figure, tests/test_trigpoly.py) alone puts them above
     # the gap

@@ -48,6 +48,22 @@ def test_tier1_step_runs_the_whole_suite_with_warnings_as_errors():
     assert [arg for arg in command if arg.startswith("tests")] == []
 
 
+def test_benchmark_smoke_runs_without_cached_bytecode():
+    # with the package's bytecode cached, set-up can end before the speed
+    # probe's first sample and perfbench fails the repetition: the smoke
+    # step deletes src's __pycache__ and writes none before any run, and
+    # keeps its gate on correct and failed
+    step = re.search(r"- name: Benchmark smoke.*?\n\s+run: \|\n(.*?)(?=\n\s+- name:|\Z)",
+                     WORKFLOW.read_text(), re.S)
+    assert step
+    lines = [line.strip() for line in step.group(1).splitlines()]
+    first_run = next(i for i, line in enumerate(lines) if "perfbench/run.py" in line)
+    assert "find src -name __pycache__ -type d -prune -exec rm -rf {} +" in lines[:first_run]
+    assert "export PYTHONDONTWRITEBYTECODE=1" in lines[:first_run]
+    assert ('sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)\' "$w"'
+            in lines)
+
+
 def test_workflow_workloads_are_benchmarked():
     text = WORKFLOW.read_text()
     # a shell loop variable stands for every value of its loop
