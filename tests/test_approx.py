@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pstriples import approx
 from pstriples.approx import (
     ApproxError,
     ConvergentSeq,
@@ -141,6 +143,46 @@ def test_dirichlet_exhaustive_agreement():
         _, bq, ba = best
         g = math.gcd(abs(ba), bq)
         assert (ba // g, bq // g) == (r.a, r.q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    Q=st.integers(1, 10**9),
+    k=st.integers(1, 10**9),
+    shift=st.integers(-2, 2),
+)
+@example(x=0.0, Q=1, k=1, shift=0)
+@example(x=-0.0, Q=10**9, k=10**9, shift=1)
+@example(x=-2.6, Q=1, k=1, shift=0)
+@example(x=0.3, Q=10, k=3, shift=1)
+@example(x=0.5, Q=2, k=1, shift=0)      # |x - h/k| = 1/(kQ) exactly: a miss
+@example(x=-1.7976931348623157e308, Q=10**9, k=7, shift=-1)
+@example(x=5e-324, Q=10**9, k=10**9, shift=0)
+def test_dirichlet_integer_check_agrees_with_fractions(x, Q, k, shift):
+    # the expansion, patched to offer h/k, a neighbour of k x with k <= Q:
+    # the integer re-check rejects it exactly when the Fraction one does
+    k = min(k, Q)
+    h = math.floor(Fraction(x) * k) + shift
+    misses = abs(Fraction(x) - Fraction(h, k)) >= Fraction(1, k * Q)
+    with mock.patch.object(approx, "_exact_convergents",
+                           lambda _x: iter([(0, h, k, False)])):
+        if misses:
+            with pytest.raises(ApproxError, match="misses"):
+                dirichlet_approx(x, Q)
+        else:
+            assert dirichlet_approx(x, Q) == Rational(h, k)
+    # the true expansion's pick passes both
+    r = dirichlet_approx(x, Q)
+    assert abs(Fraction(x) - Fraction(r.a, r.q)) < Fraction(1, r.q * Q)
+
+
+def test_dirichlet_rejects_a_non_convergent(monkeypatch):
+    # 1/2 is 0.2 from 0.3, not within 1/(2 * 10): the re-check must catch it
+    monkeypatch.setattr(approx, "_exact_convergents",
+                        lambda x: iter([(0, 0, 1, False), (0, 1, 2, False)]))
+    with pytest.raises(ApproxError, match="1/2 misses"):
+        dirichlet_approx(0.3, 10)
 
 
 def test_dirichlet_argument_validation():

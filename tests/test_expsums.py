@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstriples import expsums, triplesum
+from pstriples import expsums, pipeline, primes, triplesum
 from pstriples.expsums import (
     chebyshev_sum,
     decomposition_residual,
@@ -20,6 +20,7 @@ from pstriples.expsums import (
     phase_factors,
     prime_exp_sum,
     ps_exp_sum,
+    ps_sum_and_residual,
     ps_sum_grid,
     ps_sum_series,
     sawtooth,
@@ -419,6 +420,80 @@ def test_grid_sums_match_per_alpha_path_above_extraction_size():
             records[i], identity_residual=abs(full - middle - floor_err),
             sigma_gap=abs(middle - plain), sum_value=full, middle_exact=middle,
             middle_plain=plain, floor_error=floor_err, term_count=int(p.size)), a
+
+
+def _witness():
+    return RunParameters(169, 0.94, 0.5, epsilon_user=2.0)
+
+
+def _one_pass_matches(params, pset, table):
+    """ps_sum_and_residual on the sums stage's grid against ps_exp_sum and
+    decomposition_residual, bit for bit (repr keeps the sign of a zero)."""
+    alphas = np.linspace(0.0, 1.0, pipeline._SUMS_ALPHA_POINTS)
+    sums, records = ps_sum_and_residual(alphas, params, pset, table)
+    assert repr(sums) == repr(ps_exp_sum(alphas, params, pset))
+    assert repr(records) == repr(decomposition_residual(alphas, params, table))
+    return sums, records
+
+
+def test_one_pass_matches_both_sums_on_the_witness_window():
+    # 3096 window primes and 1468 floor-power primes: the one pass
+    # extracts a (10, 3096) block per alpha where the two took (2, 1468)
+    # and (8, 3096) blocks
+    params = _witness()
+    pset = pset_for(params)
+    window = TABLE6.between(params.lambda0 * params.X, params.X)
+    assert (window.size, pset.count) == (3096, 1468)
+    assert pset.count > summation._EXTRACT_MIN_TERMS
+    _one_pass_matches(params, pset, TABLE6)
+
+
+def test_one_pass_matches_both_sums_below_the_extraction_size():
+    params = run70()
+    pset = pset_for(params, TABLE4)
+    window = TABLE4.between(params.lambda0 * params.X, params.X)
+    assert (window.size, pset.count) == (560, 202)
+    assert window.size < summation._EXTRACT_MIN_TERMS
+    _one_pass_matches(params, pset, TABLE4)
+
+
+def test_one_pass_reads_s_off_its_own_row(monkeypatch):
+    # a guard that flips every p = 1 mod 4 gives a window set unlike the
+    # raw floor-difference indicator of the residual's full row; S must
+    # still be ps_exp_sum's over that set, never the full row
+    def skewed(base, gamma):
+        floor = -math.ceil(math.pow(base, gamma))
+        return floor + 1 if base % 4 == 1 else floor
+
+    monkeypatch.setattr(primes, "_BOUNDARY_GUARD", 1.0)
+    monkeypatch.setattr(primes, "_floor_neg_power", skewed)
+    params = _witness()
+    pset = pset_for(params)
+    window = TABLE6.between(params.lambda0 * params.X, params.X)
+    pf = window.astype(np.float64)
+    g = params.gamma.value
+    raw = window[np.floor(-np.power(pf, g)) - np.floor(-np.power(pf + 1.0, g)) == 1]
+    assert pset.count != raw.size or not np.array_equal(pset.primes, raw)
+    sums, records = _one_pass_matches(params, pset, TABLE6)
+    assert all(s.value != r.sum_value for s, r in zip(sums, records))
+
+
+def test_one_pass_edge_sets():
+    # an empty window, an empty set in a full window, a set outside it
+    params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
+    sums, records = _one_pass_matches(params, pset_for(params, TABLE4), TABLE4)
+    assert {s.value for s in sums} == {0j} and records[0].term_count == 0
+    params = run70()
+    full = pset_for(params, TABLE4)
+    empty = dataclasses.replace(full, primes=full.primes[:0])
+    sums, records = _one_pass_matches(params, empty, TABLE4)
+    assert {(s.value, s.term_count) for s in sums} == {(0j, 0)}
+    assert records[0].term_count == 560
+    outside = dataclasses.replace(full, primes=np.append(full.primes, 10007))
+    with pytest.raises(ValueError, match="outside"):
+        ps_sum_and_residual([0.3], params, outside, TABLE6)
+    with pytest.raises(ValueError, match="1-D"):
+        ps_sum_and_residual(np.zeros((2, 2)), params, full, TABLE4)
 
 
 def test_sums_take_a_float_or_a_grid():

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pstriples import pipeline, summation
+from pstriples import pipeline, primes, summation
 from pstriples.config import parse_config
+from pstriples.expsums import decomposition_residual, ps_exp_sum
 from pstriples.params import ParameterError
 from pstriples.pipeline import STAGES, Instance, csv_text, format_value, run_pipeline
 from pstriples.primes import ps_primes_in, sieve_primes
@@ -119,6 +120,46 @@ def test_full_pipeline_and_determinism(demo_cfg, tmp_path, monkeypatch):
                for s in data["stages"])
     assert data["parameters"]["q0"] == 29
     assert data["config_echo"]["gamma"] == "0.9"
+
+
+WITNESS = """\
+q0 = 169
+gamma = 0.94
+lambda0 = 0.5
+lambda1 = 1.0
+lambda2 = 1.4142135623730951
+lambda3 = -2.0
+eta = 0.0
+epsilon_user = 2.0
+"""
+
+
+def test_sums_stage_writes_each_sum_of_its_own_set(tmp_path, monkeypatch):
+    # the stage's one pass per alpha writes what ps_exp_sum and
+    # decomposition_residual give, on a window set that a guard flipping
+    # every p = 1 mod 4 sets apart from the residual's raw indicator
+    def skewed(base, gamma):
+        floor = -math.ceil(math.pow(base, gamma))
+        return floor + 1 if base % 4 == 1 else floor
+
+    monkeypatch.setenv("PSD_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(primes, "_BOUNDARY_GUARD", 1.0)
+    monkeypatch.setattr(primes, "_floor_neg_power", skewed)
+    conf = tmp_path / "witness.conf"
+    conf.write_text(WITNESS)
+    cfg = parse_config(conf)
+    run_pipeline(cfg, stages=("sums",), out_dir=tmp_path / "run")
+    inst = Instance(cfg.params)
+    alphas = np.linspace(0.0, 1.0, pipeline._SUMS_ALPHA_POINTS)
+    sums = [r.value for r in ps_exp_sum(alphas, cfg.params, inst.window_set)]
+    res = decomposition_residual(alphas, cfg.params, inst.table)
+    assert all(s != r.sum_value for s, r in zip(sums, res))
+    assert (tmp_path / "run" / "sums.csv").read_text() == csv_text(
+        ["alpha", "re", "im", "abs"],
+        [alphas, [z.real for z in sums], [z.imag for z in sums], [abs(z) for z in sums]])
+    assert (tmp_path / "run" / "sums_residual.csv").read_text() == csv_text(
+        ["alpha", "identity_residual", "sigma_gap"],
+        [alphas, [r.identity_residual for r in res], [r.sigma_gap for r in res]])
 
 
 def test_stage_failure_leaves_partial_manifest(tmp_path, monkeypatch):

@@ -64,6 +64,21 @@ def test_benchmark_smoke_runs_without_cached_bytecode():
             in lines)
 
 
+def test_hash_seed_step_runs_the_witness_sums_stage():
+    # the demo's 39 primes stay below the exact summation's extraction
+    # size: the witness instance's sums stage (3096 window primes) must
+    # run under both hash seeds and its reports compare byte for byte
+    step = re.search(r"- name: Run outputs identical.*?\n\s+run: \|\n(.*?)(?=\n\s+- name:|\Z)",
+                     WORKFLOW.read_text(), re.S)
+    assert step
+    script = step.group(1)
+    assert "for s in 1 2; do" in script
+    assert re.search(r'run \\\s+--config "\$d/witness\.conf" --stages primes,sums,dichotomy', script)
+    assert "sed 's/^gamma = 0.9$/gamma = 0.94/'" in script and "'q0 = 169'" in script
+    assert "for f in sums.csv sums_residual.csv dichotomy.csv; do" in script
+    assert 'cmp "$d/1/witness/$f" "$d/2/witness/$f"' in script
+
+
 def test_workflow_workloads_are_benchmarked():
     text = WORKFLOW.read_text()
     # a shell loop variable stands for every value of its loop
