@@ -63,8 +63,7 @@ def main():
     print()
 
     print("nearest triples --------------------------------")
-    recs = find_triples(params, coeffs, pset, params.epsilon_effective,
-                        max_results=5)
+    recs = find_triples(params, coeffs, pset, max_results=5)
     for r in recs:
         print(f"  ({r.p1:5d}, {r.p2:5d}, {r.p3:5d})  "
               f"form {r.form_value:+.6f}  weight {r.weight:9.3f}")

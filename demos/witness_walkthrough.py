@@ -30,8 +30,7 @@ def main():
     pset = Instance(params).window_set
     print(f"window primes: {pset.count}")
 
-    recs = find_triples(params, coeffs, pset, params.epsilon_effective,
-                        max_results=10)
+    recs = find_triples(params, coeffs, pset, max_results=10)
     print(f"ten nearest of the matched triples:")
     for r in recs:
         print(f"  ({r.p1:5d}, {r.p2:5d}, {r.p3:5d})  "

@@ -145,7 +145,7 @@ def _cmd_sums(args) -> int:
     table = inst.table
 
     if args.kind == "I":
-        zs = [interval_integral(a, params) for a in alphas.tolist()]
+        zs = interval_integral(alphas, params).tolist()
     else:
         if args.kind == "S":
             sums = ps_exp_sum(alphas, params, inst.window_set)

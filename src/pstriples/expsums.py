@@ -15,7 +15,8 @@ exponent gamma:
 
 The four sums take alpha as a float (one SumResult) or as a 1-D grid
 (one per alpha); either way each alpha's terms go through one block
-whose rows are extracted together (_phase_sums).
+whose rows are extracted together (_phase_sums), an empty window's too:
+its rows are empty and sum to 0j.
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
@@ -24,9 +25,9 @@ measurement, bit for bit, from one pass per alpha.
 Two mean squares, each with an error bar: unit_mean_square gives
 int_0^1 |S|^2 as the plain mean over a power-of-two grid finer than the
 window, exact on that integer-frequency polynomial up to the
-evaluator's error; l2_integral gives int_{-Delta}^{Delta} |S(lam t)|^2
-or |I(lam t)|^2 as twice the band rule (module quadrature) on
-[0, Delta], the squared moduli being even.
+evaluator's error; l2_integral gives int_{-Delta}^{Delta} |S(lam t)|^2,
+given a window set, or else |I(lam t)|^2, as twice the band rule (module
+quadrature) on [0, Delta], the squared moduli being even.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
     is zero off the subset: zero terms leave an exactly rounded sum
     unchanged, so it keeps the bits of its own pass.  The sums stage's
     pass (ps_sum_and_residual) forms e(alpha p) once per alpha for S and
-    the splitting's four sums, one (10, p.size) block.
+    the splitting's four sums, one (10, p.size) block.  An empty p gives
+    empty rows, each summing to +0.0 (math.fsum([])), so every sum is 0j.
     """
-    bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c)))
+    bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c), initial=0.0))
                         for w, c in rows], 2)
     block = np.empty((2 * len(rows), p.size))
     pairs = block.reshape(len(rows), 2, p.size)
@@ -144,11 +146,7 @@ def _sum_results(alpha, p: np.ndarray, w: np.ndarray) -> "SumResult | list[SumRe
     grid = np.asarray(alpha, dtype=np.float64)
     if grid.ndim > 1:
         raise ValueError(f"alpha must be a float or a 1-D grid, got shape {grid.shape}")
-    if p.size == 0:
-        results = [SumResult(0j, 0)] * grid.size
-    else:
-        results = [SumResult(z, int(p.size))
-                   for (z,) in _phase_sums(grid.ravel(), p, [(w, None)])]
+    results = [SumResult(z, int(p.size)) for (z,) in _phase_sums(grid.ravel(), p, [(w, None)])]
     return results if grid.ndim else results[0]
 
 
@@ -302,9 +300,9 @@ def _sum_factors(pset: PSPrimeSet, lams, centre: float, h: float, n: int):
 
 
 def _window_factors(params: RunParameters, lams, h: float, n: int):
-    """Factor source of the main term J and of l2_integral's interval
-    kind on grids of n points at spacing h, as _sum_factors's: the window
-    integrals I(l_i t) = gamma L sinc(l_i t L) e(l_i t centre) of
+    """Factor source of the main term J and of l2_integral without a
+    window set on grids of n points at spacing h, as _sum_factors's: the
+    window integrals I(l_i t) = gamma L sinc(l_i t L) e(l_i t centre) of
     interval_integral, rounding and floor per unit |l_i| t from t0 >= 0.
     A sample's t is within 2 u t of its node; sinc's argument adds 6
     roundings relative to |l_i| t L (l_i t, times L, L's own 2, times pi,
@@ -401,8 +399,6 @@ def decomposition_residual(
     """
     alphas = _alpha_grid(alphas)
     p, rows = _split_rows(params, table)
-    if p.size == 0:
-        return [DecompositionResidual(0.0, 0.0, 0j, 0j, 0j, 0j, 0)] * alphas.size
     return [_residual(*totals, int(p.size)) for totals in _phase_sums(alphas, p, rows)]
 
 
@@ -429,8 +425,6 @@ def ps_sum_and_residual(
     at = np.searchsorted(p, pset.primes)
     if count and (at[-1] == p.size or not np.array_equal(p[at], pset.primes)):
         raise ValueError("window set holds primes outside the table's window")
-    if p.size == 0:
-        return [SumResult(0j, 0)] * alphas.size, decomposition_residual(alphas, params, table)
     on_set = np.zeros(p.size)
     on_set[at] = pset.weights
     sums, records = [], []
@@ -467,17 +461,14 @@ def unit_mean_square(params: RunParameters, pset: PSPrimeSet) -> L2Result:
 
 
 def l2_integral(
-    kind: str,
     lam: float,
     params: RunParameters,
     pset: "PSPrimeSet | None" = None,
 ) -> L2Result:
     """int_{-Delta}^{Delta} |F(lam t)|^2 dt over the run's effective
     Delta, with its error bar, as twice the integral over [0, Delta],
-    |F|^2 being even.
-
-    kind "ps_sum":   F = ps_exp_sum, on the window set pset
-    kind "interval": F = interval_integral
+    |F|^2 being even.  F is ps_exp_sum on the window set pset when one is
+    given, else interval_integral.
 
     The band rule on the walker's factor source (_sum_factors or
     _window_factors) on [0, Delta]: the trapezoid rule at f_max h <=
@@ -489,21 +480,17 @@ def l2_integral(
     plus its floor.  Value and bar are twice these.  panels counts the
     grid's intervals on [0, Delta].
     """
-    if kind == "ps_sum":
-        if pset is None:
-            raise ValueError("kind 'ps_sum' needs the window prime set pset")
+    if pset is not None:
         check_window_set(params, pset)
         f_max = abs(lam) * (pset.hi - pset.lo)
-    elif kind == "interval":
-        f_max = abs(lam) * (1.0 - params.lambda0) * params.X
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        f_max = abs(lam) * (1.0 - params.lambda0) * params.X
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
 
     delta = params.Delta
     n, h = _band_grid(0.0, delta, f_max)
-    if kind == "ps_sum":
+    if pset is not None:
         factors = _sum_factors(pset, [lam], _centre(params), h, n)
     else:
         factors = _window_factors(params, [lam], h, n)

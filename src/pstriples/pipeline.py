@@ -235,7 +235,7 @@ def dichotomy_table(coeffs: Coefficients, conv, params: RunParameters, ts):
 def triples_table(params: RunParameters, coeffs: Coefficients, pset: PSPrimeSet):
     """Verified triples at the effective search width, nearest first;
     returns (CSV text, the records)."""
-    records = find_triples(params, coeffs, pset, params.epsilon_effective)
+    records = find_triples(params, coeffs, pset)
     return _record_table(["p1", "p2", "p3", "form_value", "weight"], records), records
 
 

@@ -358,16 +358,17 @@ def find_triples(
     params: RunParameters,
     coeffs: Coefficients,
     pset: PSPrimeSet,
-    eps_search: float,
     max_results: int = 1000,
 ) -> list[TripleRecord]:
-    """Explicit triples with |form| < eps_search, nearest-to-zero first.
+    """Explicit triples with |form| < eps, nearest-to-zero first, eps the
+    instance's search width params.epsilon_effective; each weighed with
+    the canonical kernel at eps (smoothness params.kernel_k).
 
     The sweep (_matched_sweep) runs nearest-first: this caller holds only
     the matches that can still be among the max_results nearest.  After
     each block it partitions the kept |form| at max_results - 1, keeps
     every match at or under that cut, ties included, and sends the sweep
-    the width min(eps_search, cut + tol) for the next blocks; tol, the
+    the width min(eps, cut + tol) for the next blocks; tol, the
     form tolerance, covers the rounding of the narrowed search's bounds.
     The cut never rises, and a later block's match at the cut sorts
     after the kept ones (its p1 is larger), so no match that was dropped
@@ -384,15 +385,14 @@ def find_triples(
     largest prime.
     """
     check_window_set(params, pset)
-    if not eps_search > 0.0:
-        raise ParameterError(f"eps_search must be positive, got {eps_search}")
     if max_results < 1:
         raise ParameterError(f"max_results must be >= 1, got {max_results}")
     if pset.count < 3:
         return []
-    kern = make_kernel(eps_search, params.kernel_k)
+    eps = params.epsilon_effective
+    kern = make_kernel(eps, params.kernel_k)
     tol = _form_tolerance(params, coeffs)
-    sweep = _matched_sweep(coeffs, pset, eps_search, tol)
+    sweep = _matched_sweep(coeffs, pset, eps, tol)
     kept = (np.empty(0, np.intp),) * 3 + (np.empty(0),)
     width = None
     while True:
@@ -406,7 +406,7 @@ def find_triples(
             cut = np.partition(mags, max_results - 1)[max_results - 1]
             keep = np.flatnonzero(mags <= cut)
             kept = [a[keep] for a in kept]
-            width = min(eps_search, cut + tol)
+            width = min(eps, cut + tol)
     i, j, k, forms = kept
     p_int = pset.primes
     top = np.lexsort((p_int[k], p_int[j], p_int[i], np.abs(forms)))
@@ -429,7 +429,7 @@ def find_triples(
                 )
             verified.add(q)
         check = lam1 * p1 + lam2 * p2 + lam3 * p3 + coeffs.eta
-        if not (abs(check) < eps_search + tol and abs(check - form) <= tol):
+        if not (abs(check) < eps + tol and abs(check - form) <= tol):
             raise RuntimeError(
                 f"re-verification failed: form of ({p1},{p2},{p3}) "
                 f"recomputes to {check!r}, sweep gave {form!r}"
@@ -1027,17 +1027,21 @@ def decompose(
     """Full desk-scale decomposition of the weighted triple count.
 
     Builds the canonical kernel (effective width, k = params.kernel_k)
-    unless one is supplied, sizes every band (check_band_grids: a band
-    past the point cap fails before any sweep), walks each band once,
-    with its error bar (the main term J by integral_J, pieces 1 and 3 by
-    piece_quadrature, piece 2 by the middle-band sweep that also feeds
-    the majorant chain), and adds the main term's box integral and
-    remainder bound, the far band's bound, and (by default) the direct
-    count closing the transform identity.
+    unless one is supplied; a supplied kernel must have that width, which
+    the band edge H and the majorant chain also take.  Sizes every band
+    (check_band_grids: a band past the point cap fails before any sweep),
+    walks each band once, with its error bar (the main term J by
+    integral_J, pieces 1 and 3 by piece_quadrature, piece 2 by the
+    middle-band sweep that also feeds the majorant chain), and adds the
+    main term's box integral and remainder bound, the far band's bound,
+    and (by default) the direct count closing the transform identity.
     """
     check_window_set(params, pset)
     if kernel is None:
         kernel = make_kernel(params.epsilon_effective, params.kernel_k)
+    elif kernel.epsilon != params.epsilon_effective:
+        raise ParameterError(f"kernel width {kernel.epsilon!r} does not match "
+                             f"instance width {params.epsilon_effective!r}")
     check_band_grids(params, coeffs, kernel)
     bands = {
         "J": integral_J(params, coeffs, kernel),

@@ -271,7 +271,7 @@ def test_criterion_10_witness_triples(inst_b, tmp_path, monkeypatch):
     t0 = time.perf_counter()
     params, pset, kern = inst_b
     eps = params.epsilon_effective
-    recs = find_triples(params, COEFFS, pset, eps, max_results=200)
+    recs = find_triples(params, COEFFS, pset, max_results=200)
     prime_set = {int(p) for p in pset.primes}
     g = params.gamma.value
     revalidated = bool(recs)

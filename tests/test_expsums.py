@@ -103,10 +103,15 @@ def test_ps_exp_sum_zero_phase():
 
 
 def test_ps_exp_sum_empty_set():
+    # the general pass sums the empty rows to +0.0, signs included
     params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
     pset = pset_for(params, TABLE4)  # (4.04, 4.49] holds no prime
     r = ps_exp_sum(0.7, params, pset)
-    assert r.value == 0j and r.term_count == 0
+    assert repr(r) == repr(SumResult(0j, 0))
+    grid = [0.7, -2.5, 0.0]
+    for sums in (ps_exp_sum(grid, params, pset), prime_exp_sum(grid, params, TABLE4),
+                 floor_error_sum(grid, params, TABLE4), chebyshev_sum(grid, 1.5, TABLE4)):
+        assert repr(sums) == repr([SumResult(0j, 0)] * 3)
 
 
 def test_ps_exp_sum_set_mismatch():
@@ -329,9 +334,7 @@ def test_identity_residual_small():
 def test_identity_residual_empty():
     params = RunParameters(2, 0.99, 0.9, epsilon_user=1.0)
     records = decomposition_residual([0.3, -1.0, 7.5], params, TABLE4)
-    assert len(records) == 3
-    for d in records:
-        assert d.identity_residual == 0.0 and d.term_count == 0
+    assert repr(records) == repr([expsums.DecompositionResidual(0.0, 0.0, 0j, 0j, 0j, 0j, 0)] * 3)
 
 
 def test_sigma_gap_scale():
@@ -693,7 +696,7 @@ def test_l2_parseval_unit_span():
 
 def test_l2_window_interval_kind_bound():
     params = run70()
-    res = l2_integral("interval", math.sqrt(2), params)
+    res = l2_integral(math.sqrt(2), params)
     g, d = params.gamma.value, params.Delta
     cap = g**2 * 2 * d * ((1 - params.lambda0) * params.X) ** 2
     assert 0 < res.value <= cap * (1 + 1e-9)
@@ -705,7 +708,7 @@ def test_l2_window_ps_sum_trend():
     for q0 in (70, 203):
         params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
         pset = pset_for(params)
-        res = l2_integral("ps_sum", math.sqrt(2), params, pset=pset)
+        res = l2_integral(math.sqrt(2), params, pset)
         assert 0.0 < res.error <= 1e-6 * res.value
         ratios.append(res.value / (params.X * params.log_X**3))
     # bounded, not growing: measured 3.7e-4 then 2.0e-4
@@ -724,7 +727,7 @@ def test_l2_window_matches_exact_pair_sum(q0, lam):
     d = params.Delta
     pairs = np.outer(w, w) * (2.0 * d) * np.sinc(2.0 * lam * d * (p[:, None] - p[None, :]))
     want = math.fsum(pairs.ravel().tolist())
-    res = l2_integral("ps_sum", lam, params, pset=pset)
+    res = l2_integral(lam, params, pset)
     assert abs(res.value - want) <= 1e-12 * want
     assert abs(res.value - want) <= res.error
 
@@ -738,7 +741,7 @@ def test_l2_window_interval_kind_matches_si_closed_form(q0, lam):
     # truncation bound being far looser.  The window span is twice the
     # band rule on [0, Delta], so the bar holds the truncation bound twice
     params = RunParameters(q0, 0.9, 0.5, epsilon_user=1.0)
-    res = l2_integral("interval", lam, params)
+    res = l2_integral(lam, params)
     f_max = abs(lam) * (1.0 - params.lambda0) * params.X
     n, h = _band_grid(0.0, params.Delta, f_max)
     assert res.panels == n - 1
@@ -756,12 +759,10 @@ def test_l2_window_interval_kind_matches_si_closed_form(q0, lam):
 
 def test_l2_argument_validation():
     params = run70()
-    with pytest.raises(ValueError):
-        l2_integral("nope", 1.0, params)
-    with pytest.raises(ValueError):
-        l2_integral("ps_sum", 0.0, params, pset=pset_for(params, TABLE4))
-    with pytest.raises(ValueError, match="pset"):
-        l2_integral("ps_sum", 1.0, params)
+    with pytest.raises(ValueError, match="nonzero"):
+        l2_integral(0.0, params, pset_for(params, TABLE4))
+    with pytest.raises(ValueError, match="nonzero"):
+        l2_integral(0.0, params)
 
 
 def test_minor_arc_window_edges_are_snapped():

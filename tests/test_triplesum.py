@@ -1,6 +1,7 @@
 """Triple counts, band integrals, main term, and the bound chains."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from pstriples.kernel import (
     make_kernel, theta, theta_antiderivative, theta_transform, transform_bound,
 )
 from pstriples.params import Coefficients, ParameterError, RunParameters
+from pstriples.pipeline import Instance
 from pstriples.primes import sieve_primes, ps_primes_in
 from pstriples.summation import SumResult
 from pstriples.triplesum import (
@@ -61,7 +63,7 @@ def test_small_set_contains_2_3_5():
     params, pset = _instance(3, 0.9, 0.15, 0.5)
     assert all(p in pset.primes for p in (2, 3, 5))
     c = Coefficients(1.0, 1.0, -1.0, 0.0)
-    recs = find_triples(params, c, pset, 0.5, max_results=50)
+    recs = find_triples(params, c, pset, max_results=50)
     hit = [r for r in recs if (r.p1, r.p2, r.p3) == (2, 3, 5)]
     assert len(hit) == 1
     assert hit[0].form_value == 0.0
@@ -215,8 +217,10 @@ def test_filtered_narrowing_sweep_matches_reference(
     l1, l2, l3, eta, eps, most, pairs
 ):
     # 84 primes: the running cut narrows the search from block to block
-    # unless one block holds every row; integer coefficients give ties
-    params, pset = _instance(45, 0.9, 0.5, 2.0)
+    # unless one block holds every row; integer coefficients give ties.
+    # find_triples searches at the instance's own width, so the instance
+    # is built at the drawn eps
+    params, pset = _instance(45, 0.9, 0.5, eps)
     c = Coefficients(l1, l2, l3, eta)
     kern = make_kernel(eps, params.kernel_k)
     want, _ = _per_row_sweep(c, kern, pset, eps)
@@ -237,7 +241,7 @@ def test_filtered_narrowing_sweep_matches_reference(
             patch.setattr(triplesum, "_SWEEP_PAIRS", pairs)
             for margin in (tol, 0.5 * eps):
                 _assert_table_covers(z3s, eps, margin)
-            recs = find_triples(params, c, pset, eps, max_results=most)
+            recs = find_triples(params, c, pset, max_results=most)
             got = [
                 (r.p1, r.p2, r.p3, r.form_value.hex(), r.weight.hex())
                 for r in recs
@@ -327,7 +331,7 @@ def test_guards_reject_mismatches():
         with pytest.raises(ParameterError, match=what):
             ps_exp_sum(0.3, run, bad)
         with pytest.raises(ParameterError, match=what):
-            l2_integral("ps_sum", 1.0, run, bad)
+            l2_integral(1.0, run, bad)
         with pytest.raises(ParameterError, match=what):
             unit_mean_square(run, bad)
 
@@ -341,14 +345,14 @@ def test_find_triples_degenerate_set():
     params, pset = _instance(2, 0.9, 0.45, 0.5)
     assert pset.count < 3
     c = Coefficients(1.0, 1.0, -1.0, 0.0)
-    assert find_triples(params, c, pset, 0.5) == []
+    assert find_triples(params, c, pset) == []
 
 
 def test_find_triples_re_verified_and_sorted():
     params, pset = _instance(70, 0.98, 0.5, 0.05)
     assert pset.count > 100
     c = Coefficients(1.0, SQRT2, -2.0, 0.0)
-    recs = find_triples(params, c, pset, 0.05, max_results=500)
+    recs = find_triples(params, c, pset, max_results=500)
     assert recs
     forms = [abs(r.form_value) for r in recs]
     assert forms == sorted(forms)
@@ -376,7 +380,7 @@ def test_find_triples_decides_each_prime_once(monkeypatch):
         return real(p, gamma)
 
     monkeypatch.setattr(triplesum, "ps_indicator", counting)
-    recs = find_triples(params, c, pset, 0.05, max_results=500)
+    recs = find_triples(params, c, pset, max_results=500)
     primes = {p for r in recs for p in (r.p1, r.p2, r.p3)}
     assert len(recs) * 3 > len(primes)
     assert sorted(asked) == sorted(primes)
@@ -387,7 +391,7 @@ def test_find_triples_decides_each_prime_once(monkeypatch):
                         lambda p, gamma: 0 if p == bad else real(p, gamma))
     with pytest.raises(RuntimeError,
                        match=f"re-verification failed: {bad} is not a floor-power prime"):
-        find_triples(params, c, pset, 0.05, max_results=500)
+        find_triples(params, c, pset, max_results=500)
 
 
 @pytest.mark.parametrize(
@@ -413,10 +417,10 @@ def test_find_triples_equals_bruteforce_order(q0, coeffs, eps):
         for i, j, k in zip(*np.nonzero(np.abs(forms) < eps))
     )
     assert len({w[0] for w in want}) < len(want)   # ties present
-    recs = find_triples(params, coeffs, pset, eps, max_results=len(want) + 5)
+    recs = find_triples(params, coeffs, pset, max_results=len(want) + 5)
     got = [(abs(r.form_value), r.p1, r.p2, r.p3) for r in recs]
     assert got == want
-    cut = find_triples(params, coeffs, pset, eps, max_results=len(want) // 3)
+    cut = find_triples(params, coeffs, pset, max_results=len(want) // 3)
     assert cut == recs[: len(want) // 3]
 
 
@@ -435,7 +439,7 @@ def test_find_triples_cut_keeps_ties_at_nonzero_form(max_results):
     assert mags.tolist() == [0.5, 1.5] and sizes.tolist() == [118, 127]
     top = np.lexsort((p3, p2, p1, np.abs(forms)))[:max_results]
     want = list(zip(*(a[top].tolist() for a in (p1, p2, p3, forms, weights))))
-    recs = find_triples(params, c, pset, 2.0, max_results=max_results)
+    recs = find_triples(params, c, pset, max_results=max_results)
     got = [(r.p1, r.p2, r.p3, r.form_value, r.weight) for r in recs]
     assert got == want
 
@@ -448,10 +452,9 @@ def test_find_triples_holds_only_its_cut():
     pset = ps_primes_in(params.lambda0 * params.X, params.X, 0.94, table)
     assert pset.count == 1468
     c = Coefficients(1.0, SQRT2, -2.0, 0.0)
-    eps = params.epsilon_effective
     tracemalloc.start()
     try:
-        recs = find_triples(params, c, pset, eps, max_results=1000)
+        recs = find_triples(params, c, pset, max_results=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -704,6 +707,48 @@ def test_gamma_piece_matches_decompose():
     assert piece_quadrature(3, params, c, kern, pset).value == res.gamma3
     with pytest.raises(ParameterError, match="piece"):
         piece_quadrature(4, params, c, kern, pset)
+
+
+def test_decompose_refuses_a_kernel_of_another_width():
+    # the band edge H, the majorant's 7 eps/4 plateau and scale_ratio take
+    # the instance's width: a kernel of another width fails, naming both,
+    # and the instance's own kernel gives the default's record
+    params, pset = _instance(12, 0.9, 0.5, 2.0)
+    c = Coefficients(1.0, 1.0, -2.0, 0.0)
+    wide = make_kernel(2.0 * params.epsilon_effective, params.kernel_k)
+    with pytest.raises(ParameterError, match=r"kernel width 4\.0 .* instance width 2\.0"):
+        decompose(params, c, pset, kernel=wide)
+    default = decompose(params, c, pset, with_direct=False)
+    for kern in (_kernel_for(params), Instance(params).kernel):
+        assert repr(decompose(params, c, pset, kernel=kern, with_direct=False)) == repr(default)
+
+
+# the drawn family: each l_i +-1, +-sqrt 2 or of size 0.3 to 3, with signs
+# mixed; eps 2, 0.5 or log-uniform on [0.05, 5]
+_SIZE = st.one_of(st.sampled_from([1.0, SQRT2]), st.floats(0.3, 3.0))
+_MIXED_SIGNS = [s for s in itertools.product((1.0, -1.0), repeat=3) if len(set(s)) == 2]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    q0=st.integers(8, 45),
+    gamma=st.floats(0.86, 0.97),
+    lam0=st.one_of(st.just(0.5), st.floats(0.3, 0.8)),
+    eps=st.one_of(st.sampled_from([2.0, 0.5]),
+                  st.floats(math.log(0.05), math.log(5.0)).map(math.exp)),
+    sizes=st.tuples(_SIZE, _SIZE, _SIZE),
+    signs=st.sampled_from(_MIXED_SIGNS),
+    eta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+)
+def test_closure_within_bars_on_drawn_instances(q0, gamma, lam0, eps, sizes, signs, eta):
+    # the transform identity closes on every instance of the family, not
+    # only on the fixed ones: the gap to the direct count lies within the
+    # summed bars of pieces 1 to 3
+    params, pset = _instance(q0, gamma, lam0, eps)
+    c = Coefficients(*(s * a for s, a in zip(signs, sizes)), eta)
+    res = decompose(params, c, pset)
+    bars = sum(res.bands[p].error for p in (1, 2, 3))
+    assert abs(res.gamma_total - res.direct_value) <= bars
 
 
 def test_decompose_deterministic():

@@ -79,6 +79,22 @@ def test_hash_seed_step_runs_the_witness_sums_stage():
     assert 'cmp "$d/1/witness/$f" "$d/2/witness/$f"' in script
 
 
+def test_hash_seed_step_compares_every_sums_kind():
+    # the CLI's sums of all five kinds run under both hash seeds, I on its
+    # one array call over the grid, and each file is compared
+    step = re.search(r"- name: Run outputs identical.*?\n\s+run: \|\n(.*?)(?=\n\s+- name:|\Z)",
+                     WORKFLOW.read_text(), re.S)
+    assert step
+    script = step.group(1)
+    kinds = re.search(r"for k in ([^;\n]+); do\n\s+PYTHONHASHSEED=\$s .*? sums \\\n"
+                      r"\s+--kind \$k .*?--out \"\$d/\$s/sums_\$k\.txt\"", script, re.S)
+    assert kinds
+    assert kinds.group(1).split() == ["S", "Sigma", "Omega", "I", "Psi"]
+    assert 'test "$(ls "$d"/1/sums_*.txt | wc -l)" -eq 5' in script
+    assert re.search(r'for f in [^;]*"\$d"/1/sums_\*\.txt; do\n\s+cmp "\$f" "\$d/2/\$\(basename "\$f"\)"',
+                     script)
+
+
 def test_workflow_workloads_are_benchmarked():
     text = WORKFLOW.read_text()
     # a shell loop variable stands for every value of its loop
