@@ -16,7 +16,12 @@ exponent gamma:
 The four sums take alpha as a float (one SumResult) or as a 1-D grid
 (one per alpha); either way each alpha's terms go through one block
 whose rows are extracted together (_phase_sums), an empty window's too:
-its rows are empty and sum to 0j.
+its rows are empty and sum to 0j.  On a dyadic grid, every alpha a/2^m
+with |a| max p < 2^53 (the sums stage's arange(65)/64 is one), alpha p
+and its fraction are exact doubles, so e(alpha p) is read from one table
+of 2^m phases at the integer residue (a p) mod 2^m, the very doubles
+phase_factors computes (_grid_phases); any other grid takes
+phase_factors per alpha.
 ps_exp_sum splits exactly: it equals the middle sum with weight
 p^(1-gamma)((p+1)^gamma - p^gamma) plus floor_error_sum, term by term
 in floating point; decomposition_residual measures this identity over a
@@ -76,6 +81,9 @@ __all__ = [
 # beyond this the product alpha*p has no fractional bits left in a double
 PHASE_LIMIT = float(1 << 52)
 
+# the phase table of a dyadic alpha grid holds at most 2^_TABLE_BITS entries
+_TABLE_BITS = 12
+
 # unit roundoff, and np.sinc's steepest slope max |d/dx sin(pi x)/(pi x)|
 _UNIT_ROUNDOFF = 2.0**-53
 _SINC_SLOPE = 1.3704
@@ -109,6 +117,48 @@ def phase_factors(alpha: float, p: np.ndarray) -> np.ndarray:
     return unit_phase(alpha * p.astype(np.float64))
 
 
+def _dyadic_numerators(grid: np.ndarray, top: int) -> "tuple[int, np.ndarray] | None":
+    """(m, a) with grid == a / 2^m exactly, 2^m the smallest such power
+    up to 2^_TABLE_BITS, and max |a| top < 2^53; None if there is none
+    (or some |alpha| 2^_TABLE_BITS reaches 2^53, a table that only a top
+    under 2^_TABLE_BITS could use)."""
+    scaled = grid * float(1 << _TABLE_BITS)   # exact: a power-of-two scaling
+    if not (np.all(np.abs(scaled) < 2.0**53) and np.array_equal(scaled, np.floor(scaled))):
+        return None
+    a = scaled.astype(np.int64)
+    # 2^shift, the largest power of two up to 2^_TABLE_BITS dividing every a
+    bits = int(np.bitwise_or.reduce(np.abs(a), initial=0))
+    shift = min(_TABLE_BITS, (bits & -bits).bit_length() - 1) if bits else _TABLE_BITS
+    a >>= shift
+    if int(np.max(np.abs(a), initial=0)) * top >= 1 << 53:
+        return None
+    return _TABLE_BITS - shift, a
+
+
+def _grid_phases(grid: np.ndarray, p: np.ndarray):
+    """e(alpha p) per alpha of grid, as phase_factors gives it, bit for bit.
+
+    When every alpha is a/2^m with |a| max p < 2^53 (_dyadic_numerators),
+    alpha p = a p / 2^m is an exact double, and so are its floor and its
+    fraction ((a p) mod 2^m) / 2^m: unit_phase's argument is then exactly
+    entry (a p) & (2^m - 1) of arange(2^m) / 2^m, and one table of 2^m
+    phases, indexed in integers, holds every e(alpha p) of the grid.  Any
+    other grid takes phase_factors per alpha.  Both carry the 2^52 guard
+    at the same alpha."""
+    top = int(p[-1]) if p.size else 0
+    dyadic = _dyadic_numerators(grid, top)
+    if dyadic is None:
+        for alpha in grid.tolist():
+            yield phase_factors(alpha, p)
+        return
+    m, numerators = dyadic
+    table = unit_phase(np.arange(1 << m) / (1 << m))
+    p = p.astype(np.int64, copy=False)
+    for alpha, a in zip(grid.tolist(), numerators.tolist()):
+        _check_phase_range(alpha, top)
+        yield table[(a * p) & ((1 << m) - 1)]
+
+
 def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
     """Per alpha of grid, the exactly rounded sums of fl(fl(w e(alpha p)) c)
     for each (w, c) of rows (c None: of w e(alpha p)) as complex totals.
@@ -119,19 +169,23 @@ def _phase_sums(grid: np.ndarray, p: np.ndarray, rows):
     bit for bit up to the sign of a zero.  As |e| <= 1 and rounding is
     monotone, every row is bounded by max fl(|w| |c|) at every alpha:
     the bound of its first extraction level (summation.row_parts), known
-    before the loop.  A sum over a subset of p is one more row whose w
-    is zero off the subset: zero terms leave an exactly rounded sum
-    unchanged, so it keeps the bits of its own pass.  The sums stage's
-    pass (ps_sum_and_residual) forms e(alpha p) once per alpha for S and
-    the splitting's four sums, one (10, p.size) block.  An empty p gives
-    empty rows, each summing to +0.0 (math.fsum([])), so every sum is 0j.
+    before the loop.  The phases come from _grid_phases: on a dyadic grid
+    one exact table of 2^m phases indexed at (a p) mod 2^m, since there
+    alpha p, its floor and its fraction are exact and unit_phase sees the
+    same argument either way; else phase_factors per alpha.  A sum over
+    a subset of p is one more row whose w is zero off the subset: zero
+    terms leave an exactly rounded sum unchanged, so it keeps the bits
+    of its own pass.  The sums stage's pass (ps_sum_and_residual) forms
+    e(alpha p) once per alpha for S and the splitting's four sums, one
+    (10, p.size) block.  An empty p gives empty rows, each summing to
+    +0.0 (math.fsum([])), so every sum is 0j.
     """
     bounds = np.repeat([float(np.max(np.abs(w if c is None else w * c), initial=0.0))
                         for w, c in rows], 2)
     block = np.empty((2 * len(rows), p.size))
     pairs = block.reshape(len(rows), 2, p.size)
-    for alpha in grid.tolist():
-        cos_sin = phase_factors(alpha, p).view(np.float64).reshape(-1, 2).T
+    for phases in _grid_phases(grid, p):
+        cos_sin = phases.view(np.float64).reshape(-1, 2).T
         for pair, (w, c) in zip(pairs, rows):
             np.multiply(w, cos_sin, out=pair)
             if c is not None:

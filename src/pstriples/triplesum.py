@@ -354,6 +354,19 @@ def threshold_vacuous(params: RunParameters, coeffs: Coefficients) -> bool:
     return params.epsilon > _form_reach(params, coeffs)
 
 
+def _nearest(blocks, max_results: int):
+    """Join the sweep's blocks of (i, j, k, forms) and keep every match at
+    or under the max_results-th smallest |form|, ties included; with that
+    cut, or None when there are fewer matches (all kept)."""
+    kept = [np.concatenate(parts) for parts in zip(*blocks)]
+    mags = np.abs(kept[3])
+    if mags.size < max_results:
+        return kept, None
+    cut = np.partition(mags, max_results - 1)[max_results - 1]
+    keep = np.flatnonzero(mags <= cut)
+    return [a[keep] for a in kept], cut
+
+
 def find_triples(
     params: RunParameters,
     coeffs: Coefficients,
@@ -365,17 +378,22 @@ def find_triples(
     the canonical kernel at eps (smoothness params.kernel_k).
 
     The sweep (_matched_sweep) runs nearest-first: this caller holds only
-    the matches that can still be among the max_results nearest.  After
-    each block it partitions the kept |form| at max_results - 1, keeps
-    every match at or under that cut, ties included, and sends the sweep
-    the width min(eps, cut + tol) for the next blocks; tol, the
-    form tolerance, covers the rounding of the narrowed search's bounds.
-    The cut never rises, and a later block's match at the cut sorts
-    after the kept ones (its p1 is larger), so no match that was dropped
-    or never searched is among the nearest.  The kept matches are
-    lexsorted by |form|, then p1, p2, p3, the order a full sort of all
-    matches would give, and theta and the weights are computed for the
-    emitted rows only.
+    the matches that can still be among the max_results nearest.  It
+    lists the sweep's blocks and cuts (_nearest) once the blocks since
+    the last cut hold at least max_results matches, and once at the end:
+    it joins them with the matches kept so far, partitions their |form|
+    at max_results - 1, keeps every match at or under that cut, ties
+    included, and sends the sweep the width min(eps, cut + tol) for the
+    next blocks; tol, the form tolerance, covers the rounding of the
+    narrowed search's bounds.  So it holds at most the last cut's
+    matches (max_results plus ties), under max_results since then, and
+    one block.  The cut never rises, and a later block's match at the
+    cut sorts after the kept ones (its p1 is larger), so no match that
+    was dropped or never searched is among the nearest; a wider width
+    between cuts only adds matches that the next cut drops.  The kept
+    matches are lexsorted by |form|, then p1, p2, p3, the order a full
+    sort of all matches would give, and theta and the weights are
+    computed for the emitted rows only.
 
     Each emitted record is re-verified from scratch: floor-power
     membership (scalar ps_indicator, once per distinct prime) and the form
@@ -393,20 +411,18 @@ def find_triples(
     kern = make_kernel(eps, params.kernel_k)
     tol = _form_tolerance(params, coeffs)
     sweep = _matched_sweep(coeffs, pset, eps, tol)
-    kept = (np.empty(0, np.intp),) * 3 + (np.empty(0),)
-    width = None
+    blocks, fresh, width = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)], 0, None
     while True:
         try:
             block = sweep.send(width)
         except StopIteration:
             break
-        kept = [np.concatenate(pair) for pair in zip(kept, block)]
-        mags = np.abs(kept[3])
-        if mags.size >= max_results:
-            cut = np.partition(mags, max_results - 1)[max_results - 1]
-            keep = np.flatnonzero(mags <= cut)
-            kept = [a[keep] for a in kept]
-            width = min(eps, cut + tol)
+        blocks.append(block)
+        fresh += block[3].size
+        if fresh >= max_results:
+            kept, cut = _nearest(blocks, max_results)
+            blocks, fresh, width = [kept], 0, min(eps, cut + tol)
+    kept, _ = _nearest(blocks, max_results)
     i, j, k, forms = kept
     p_int = pset.primes
     top = np.lexsort((p_int[k], p_int[j], p_int[i], np.abs(forms)))

@@ -323,6 +323,116 @@ def test_phase_guard():
         ps_exp_sum(1e12, params, pset)
 
 
+def _phases_until_guard(phases):
+    """The int64 views of a run of per-alpha phase arrays, and the guard's
+    message if it stops the run."""
+    out = []
+    try:
+        for z in phases:
+            out.append(z.view(np.int64))
+    except ValueError as err:
+        out.append(str(err))
+    return out
+
+
+def _same_phases(grid, p):
+    """The table path's phases (expsums._grid_phases) and phase_factors',
+    alpha by alpha, up to the same 2^52 guard: bit for bit equal."""
+    table = _phases_until_guard(expsums._grid_phases(grid, p))
+    direct = _phases_until_guard(phase_factors(a, p) for a in grid.tolist())
+    assert len(table) == len(direct)
+    for a, b in zip(table, direct):
+        assert (a == b) if isinstance(a, str) else np.array_equal(a, b)
+    return table
+
+
+@st.composite
+def _dyadic_grids(draw):
+    """a / 2^m for m from 0 to 12, numerators of both signs, with +-0.0
+    and 1.0, and a sorted integer array of 1 to 5000 terms whose top
+    reaches at most the table's exactness limit max |a| top < 2^53."""
+    m = draw(st.integers(0, 12))
+    numerators = draw(st.lists(st.integers(-(1 << 20), 1 << 20), max_size=12))
+    grid = np.array([a / (1 << m) for a in numerators] + [0.0, -0.0, 1.0])
+    grid = grid[draw(st.permutations(range(grid.size)))]
+    # the least common 2^m, and the largest numerator over it
+    denominator = max(Fraction(a).denominator for a in grid.tolist())
+    limit = (2**53 - 1) // max(abs(Fraction(a) * denominator) for a in grid.tolist())
+    top = draw(st.one_of(st.just(limit), st.integers(1, limit)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = np.sort(rng.integers(1, top, size=draw(st.integers(1, 5000)), endpoint=True))
+    p[-1] = top
+    return grid, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_grids())
+def test_phase_table_equals_phase_factors(drawn):
+    grid, p = drawn
+    assert expsums._dyadic_numerators(grid, int(p[-1])) is not None
+    _same_phases(grid, p)
+
+
+def _phase_factors_calls(grid, p):
+    """How many alphas of grid _grid_phases hands to phase_factors."""
+    calls = []
+
+    def counting(alpha, q):
+        calls.append(alpha)
+        return phase_factors(alpha, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "phase_factors", counting)
+        assert len(list(expsums._grid_phases(grid, p))) == grid.size
+    return len(calls)
+
+
+def test_phase_table_takes_only_exact_dyadic_grids():
+    # the sums stage's grid is arange(65) / 64: one table of 64 phases.
+    # One non-dyadic alpha, an alpha finer than the table's 2^12, a
+    # numerator past the exactness limit or a non-finite alpha sends the
+    # whole grid to phase_factors, alpha by alpha
+    stage = np.linspace(0.0, 1.0, pipeline._SUMS_ALPHA_POINTS)
+    m, numerators = expsums._dyadic_numerators(stage, 2000)
+    assert m == 6 and numerators.tolist() == list(range(65))
+    p = np.array([3, 5, 7, 1 << 20])
+    top = (2**53 - 1) // 3        # 3 top < 2^53 <= 3 (top + 1)
+    tables = [(stage, p), (np.array([0.0, -0.75]), np.array([3, top]))]
+    fallbacks = [
+        (np.append(stage, 0.1), p),
+        (np.array([0.5, 2.0**-13]), p),
+        (np.array([0.0, -0.75]), np.array([3, top + 1])),
+        (np.array([0.5, np.nan]), p),
+    ]
+    for grid, primes in tables:
+        _same_phases(grid, primes)
+        assert _phase_factors_calls(grid, primes) == 0
+    for grid, primes in fallbacks:
+        _same_phases(grid, primes)
+        assert _phase_factors_calls(grid, primes) == grid.size
+    assert expsums._dyadic_numerators(np.array([0.5, np.inf]), 7) is None
+
+
+def test_phase_table_keeps_the_guard():
+    # 1.0 * (2^52 + 1) is exact (a table of one phase) and past 2^52:
+    # both paths give alpha 0's phases, then raise the same error
+    p = np.array([3, (1 << 52) + 1])
+    grid = np.array([0.0, 1.0])
+    assert expsums._dyadic_numerators(grid, int(p[-1]))[0] == 0
+    run = _same_phases(grid, p)
+    assert len(run) == 2 and "2^52" in run[-1]
+    # and through ps_exp_sum: 2^j top lies in (2^52, 2^53), so the grid
+    # takes a table of one phase and its second alpha trips the guard (a
+    # table of 2^m > 1 phases never does: its |a| top = 2^m |alpha| top)
+    params = run70()
+    pset = pset_for(params, TABLE4)
+    top = int(pset.primes[-1])
+    grid = np.array([1.0, 2.0 ** (53 - top.bit_length())])
+    assert expsums._dyadic_numerators(grid, top)[0] == 0
+    with pytest.raises(ValueError, match="2\\^52"):
+        ps_exp_sum(grid, params, pset)
+
+
 def test_identity_residual_small():
     rng = np.random.default_rng(5)
     params = RunParameters(203, 0.98, 0.5, epsilon_user=1.0)

@@ -210,14 +210,15 @@ _LAMBDA = st.one_of(
     l3=_LAMBDA,
     eta=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-3.0, 3.0)),
     eps=st.floats(0.05, 5.0),
-    most=st.sampled_from([1, 3, 17, None]),
+    most=st.sampled_from([1, 2, 3, 17, None]),
     pairs=st.sampled_from([1, 500, triplesum._SWEEP_PAIRS]),
 )
 def test_filtered_narrowing_sweep_matches_reference(
     l1, l2, l3, eta, eps, most, pairs
 ):
-    # 84 primes: the running cut narrows the search from block to block
-    # unless one block holds every row; integer coefficients give ties.
+    # 84 primes: each cut, taken once the blocks since the last one hold
+    # `most` matches, narrows the search for the later blocks unless one
+    # block holds every row; integer coefficients give ties.
     # find_triples searches at the instance's own width, so the instance
     # is built at the drawn eps
     params, pset = _instance(45, 0.9, 0.5, eps)
@@ -250,6 +251,42 @@ def test_filtered_narrowing_sweep_matches_reference(
             res = big_gamma_direct(params, c, kern, pset)
             assert res.triples_found == forms.size
             assert res.value.hex() == total.hex()
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5])
+@pytest.mark.parametrize("most", [1, 2, 17, None])
+def test_lazy_cut_over_several_blocks_matches_reference(eps, most):
+    # one p1 row to a block: at these widths most blocks hold no match
+    # (64 of 84 at eps 0.05), so several pass between the cuts, and each
+    # cut joins them with the matches kept so far; None asks for more
+    # matches than there are, so the one cut is at the end
+    params, pset = _instance(45, 0.9, 0.5, eps)
+    c = Coefficients(1.0, SQRT2, -2.0, 0.3)
+    want, _ = _per_row_sweep(c, make_kernel(eps, params.kernel_k), pset, eps)
+    p1, p2, p3, forms, _ = want
+    if most is None:
+        most = forms.size + 1
+    top = np.lexsort((p3, p2, p1, np.abs(forms)))[:most]
+    nearest = [(a, b, d, f.hex(), g.hex()) for a, b, d, f, g in zip(*(x[top].tolist() for x in want))]
+    cut = triplesum._nearest
+    joined = []
+
+    def recording(blocks, max_results):
+        # blocks[0] holds the matches kept at the last cut
+        joined.append([b[3].size for b in blocks[1:]])
+        return cut(blocks, max_results)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triplesum, "_SWEEP_PAIRS", 1)
+        patch.setattr(triplesum, "_nearest", recording)
+        recs = find_triples(params, c, pset, max_results=most)
+    got = [(r.p1, r.p2, r.p3, r.form_value.hex(), r.weight.hex()) for r in recs]
+    assert got == nearest
+    assert sum(map(len, joined)) == pset.count
+    assert any(0 in sizes for sizes in joined)
+    assert max(map(len, joined)) >= 3
+    if most > forms.size:
+        assert len(joined) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -723,32 +760,44 @@ def test_decompose_refuses_a_kernel_of_another_width():
         assert repr(decompose(params, c, pset, kernel=kern, with_direct=False)) == repr(default)
 
 
-# the drawn family: each l_i +-1, +-sqrt 2 or of size 0.3 to 3, with signs
-# mixed; eps 2, 0.5 or log-uniform on [0.05, 5]
-_SIZE = st.one_of(st.sampled_from([1.0, SQRT2]), st.floats(0.3, 3.0))
 _MIXED_SIGNS = [s for s in itertools.product((1.0, -1.0), repeat=3) if len(set(s)) == 2]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    q0=st.integers(8, 45),
-    gamma=st.floats(0.86, 0.97),
-    lam0=st.one_of(st.just(0.5), st.floats(0.3, 0.8)),
-    eps=st.one_of(st.sampled_from([2.0, 0.5]),
-                  st.floats(math.log(0.05), math.log(5.0)).map(math.exp)),
-    sizes=st.tuples(_SIZE, _SIZE, _SIZE),
-    signs=st.sampled_from(_MIXED_SIGNS),
-    eta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
-)
-def test_closure_within_bars_on_drawn_instances(q0, gamma, lam0, eps, sizes, signs, eta):
+def _drawn_family(count, seed):
+    """count instances (q0, gamma, lam0, eps, lambdas, eta) of the drawn
+    family, from numpy's generator at seed: q0 8 to 45, gamma 0.86 to
+    0.97, lam0 0.5 or 0.3 to 0.8, eps 2, 0.5 or log-uniform on [0.05, 5],
+    each l_i +-1, +-sqrt 2 or of size 0.3 to 3 with signs mixed, eta 0 or
+    -3 to 3; each "or" an even choice."""
+    rng = np.random.default_rng(seed)
+
+    def either(fixed, low, high, scale=float):
+        if rng.random() < 0.5:
+            return fixed[rng.integers(len(fixed))]
+        return scale(rng.uniform(low, high))
+
+    for _ in range(count):
+        q0 = int(rng.integers(8, 45, endpoint=True))
+        gamma = rng.uniform(0.86, 0.97)
+        lam0 = either([0.5], 0.3, 0.8)
+        eps = either([2.0, 0.5], math.log(0.05), math.log(5.0), scale=math.exp)
+        sizes = [either([1.0, SQRT2], 0.3, 3.0) for _ in range(3)]
+        signs = _MIXED_SIGNS[rng.integers(len(_MIXED_SIGNS))]
+        eta = either([0.0], -3.0, 3.0)
+        yield q0, gamma, lam0, eps, [s * a for s, a in zip(signs, sizes)], eta
+
+
+def test_closure_within_bars_on_drawn_instances():
     # the transform identity closes on every instance of the family, not
     # only on the fixed ones: the gap to the direct count lies within the
-    # summed bars of pieces 1 to 3
-    params, pset = _instance(q0, gamma, lam0, eps)
-    c = Coefficients(*(s * a for s, a in zip(signs, sizes)), eta)
-    res = decompose(params, c, pset)
-    bars = sum(res.bands[p].error for p in (1, 2, 3))
-    assert abs(res.gamma_total - res.direct_value) <= bars
+    # summed bars of pieces 1 to 3, on 30 distinct instances
+    draws = list(_drawn_family(30, 2020))
+    assert len({d[:4] for d in draws}) == 30
+    for q0, gamma, lam0, eps, lambdas, eta in draws:
+        params, pset = _instance(q0, gamma, lam0, eps)
+        res = decompose(params, Coefficients(*lambdas, eta), pset)
+        bars = sum(res.bands[p].error for p in (1, 2, 3))
+        assert abs(res.gamma_total - res.direct_value) <= bars, (q0, gamma, lam0, eps, lambdas, eta)
 
 
 def test_decompose_deterministic():

@@ -95,6 +95,24 @@ def test_hash_seed_step_compares_every_sums_kind():
                      script)
 
 
+def test_hash_seed_step_compares_sums_on_both_phase_paths():
+    # the five kinds on 0:1:65 (alpha = j/64) take the dyadic phase table;
+    # S and Psi on 0.1:1.1:65 take phase_factors per alpha: both grids run
+    # under both hash seeds, and the two non-dyadic files are compared
+    step = re.search(r"- name: Run outputs identical.*?\n\s+run: \|\n(.*?)(?=\n\s+- name:|\Z)",
+                     WORKFLOW.read_text(), re.S)
+    assert step
+    script = step.group(1)
+    loops = dict(re.findall(r"for k in ([^;\n]+); do\n\s+PYTHONHASHSEED=\$s .*? sums \\\n"
+                            r"\s+--kind \$k --alpha-grid (\S+) --q0 169 --gamma 0\.94 \\\n"
+                            r"\s+--eps-user 2 --out \"\$d/\$s/\w+_\$k\.txt\"", script))
+    assert loops == {"S Sigma Omega I Psi": "0:1:65", "S Psi": "0.1:1.1:65"}
+    assert '--out "$d/$s/nondyadic_$k.txt"' in script
+    assert 'test "$(ls "$d"/1/nondyadic_*.txt | wc -l)" -eq 2' in script
+    assert re.search(r'for f in [^;]*"\$d"/1/nondyadic_\*\.txt[^;]*; do\n\s+cmp "\$f" "\$d/2/\$\(basename "\$f"\)"',
+                     script)
+
+
 def test_workflow_workloads_are_benchmarked():
     text = WORKFLOW.read_text()
     # a shell loop variable stands for every value of its loop
